@@ -117,7 +117,7 @@ def _prepare(cfg: RunConfig, modality: str) -> Prepared:
     part is restricted to the surviving features.
     """
     table = _preprocess_full(cfg, _load_table(cfg, modality))
-    spec = SplitSpec(test_sample_ids=_test_ids(cfg), seed=cfg.base_seed)
+    spec = SplitSpec(test_sample_ids=_test_ids(cfg))
     train, test = partition(table, spec)
     matrix = spearman_matrix(train)
     pruned, removed = drop_correlated(train, matrix, cfg.correlation_threshold)
@@ -171,7 +171,7 @@ def _final_rf_params(cfg: RunConfig, outcomes, selected: list[str],
                            weighted=cfg.rf_weighted)
 
 
-def cmd_train(cfg: RunConfig, modality: str, model: str, workers: int = 1) -> None:
+def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
     prep = _prepare(cfg, modality)
     candidates = list(prep.train.feature_names)
     if not candidates:
@@ -198,7 +198,7 @@ def cmd_train(cfg: RunConfig, modality: str, model: str, workers: int = 1) -> No
         params = _final_rf_params(cfg, outcomes, selected,
                                   _derive_seed(cfg.base_seed, modality, model, "final"))
         train_view = prep.train.select_features(selected)
-        final = rf.fit_forest(train_view, params, n_workers=workers)
+        final = rf.fit_forest(train_view, params)
         scores = rf.predict_proba(final, train_view)
         model_doc = rf.to_doc(final)
     threshold, bacc_train = best_threshold_bacc(scores, prep.train.labels)
@@ -324,8 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override a config value (repeatable; flags win)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for forest fitting (results identical)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synth", help="generate the configured synthetic modality files")
     p = sub.add_parser("univariate", help="univariate screen of one modality")
@@ -349,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "univariate":
             cmd_univariate(cfg, args.modality)
         elif args.command == "train":
-            cmd_train(cfg, args.modality, args.model, workers=args.workers)
+            cmd_train(cfg, args.modality, args.model)
         elif args.command == "evaluate":
             cmd_evaluate(cfg, args.modality, args.model)
         elif args.command == "fuse":

@@ -3,14 +3,14 @@
 Determinism contract: every tree draws all of its randomness from a stream
 derived from (forest seed, tree index), and the permutation pass for feature
 f in tree t from (forest seed, t, f). Results are therefore bit-identical
-for a given seed regardless of how many workers execute the trees.
+for a given seed, and a tree's bootstrap and out-of-bag rows follow from
+(seed, tree index, n_train), so a forest does not store them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +58,6 @@ class Tree:
 @dataclass(frozen=True)
 class Forest:
     trees: tuple[Tree, ...]
-    bootstrap_indices: tuple[np.ndarray, ...]
-    oob_indices: tuple[np.ndarray, ...]
     feature_names: tuple[str, ...]
     params: ForestParams
     class_weights: dict[int, float]
@@ -172,22 +170,27 @@ def class_weights_for(y: np.ndarray) -> dict[int, float]:
     return {int(c): n / (2.0 * float(np.sum(y == c))) for c in np.unique(y)}
 
 
-def _fit_one_tree(x, y, params, tree_index) -> tuple[Tree, np.ndarray, np.ndarray]:
-    rng = np.random.default_rng([params.seed, tree_index])
-    n = x.shape[0]
+def _tree_stream(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """Tree t's stream over n training rows: (generator positioned after the
+    bootstrap draw, sorted bootstrap rows, out-of-bag rows). The only code
+    that knows the stream layout."""
+    rng = np.random.default_rng([seed, t])
     boot = np.sort(rng.integers(0, n, size=n))
-    oob = np.setdiff1d(np.arange(n), boot)
+    return rng, boot, np.flatnonzero(np.bincount(boot, minlength=n) == 0)
+
+
+def _fit_one_tree(x, y, params, tree_index) -> Tree:
+    rng, boot, _ = _tree_stream(params.seed, tree_index, x.shape[0])
     yb = y[boot]
     if params.weighted:
         cw = class_weights_for(yb)
         wb = np.array([cw[int(c)] for c in yb])
     else:
-        wb = np.ones(n)
-    builder = _TreeBuilder(x[boot], yb, wb, params.mtry, params.min_leaf, rng)
-    return builder.build(), boot, oob
+        wb = np.ones(boot.size)
+    return _TreeBuilder(x[boot], yb, wb, params.mtry, params.min_leaf, rng).build()
 
 
-def fit_forest(table: FeatureTable, params: ForestParams, n_workers: int = 1) -> Forest:
+def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
     """Grow ntree trees on bootstrap samples of the table.
 
     Balanced class weights (n / 2n_c, recomputed on each tree's bootstrap so
@@ -203,20 +206,8 @@ def fit_forest(table: FeatureTable, params: ForestParams, n_workers: int = 1) ->
     if params.mtry > table.n_features:
         raise ModelError(f"mtry={params.mtry} exceeds {table.n_features} features")
     x = np.ascontiguousarray(table.values)
-
-    def job(t: int):
-        return _fit_one_tree(x, y, params, t)
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            fitted = list(pool.map(job, range(params.ntree)))
-    else:
-        fitted = [job(t) for t in range(params.ntree)]
-    trees, boots, oobs = zip(*fitted)
     return Forest(
-        trees=tuple(trees),
-        bootstrap_indices=tuple(boots),
-        oob_indices=tuple(oobs),
+        trees=tuple(_fit_one_tree(x, y, params, t) for t in range(params.ntree)),
         feature_names=table.feature_names,
         params=params,
         class_weights=class_weights_for(y) if params.weighted else {0: 1.0, 1: 1.0},
@@ -253,15 +244,19 @@ def oob_permutation_importance(forest: Forest, table: FeatureTable) -> Importanc
     against the accuracy after shuffling feature f within those rows (stream
     seeded by (seed, t, f)); the differences are averaged over trees and
     normalized by their standard error (sd with ntree-1 denominator, divided
-    by sqrt of the number of contributing trees).
+    by sqrt of the number of contributing trees). The out-of-bag rows are
+    derived from the (seed, t) stream, so the table must be the training table.
     """
     x = _check_features(forest, table)
+    if table.n_samples != forest.n_train:
+        raise PredictError(f"importance needs the {forest.n_train}-row training table, "
+                           f"got {table.n_samples} rows")
     y = table.labels.astype(np.int8)
     n_feat = table.n_features
     diffs: list[np.ndarray] = []
     skipped = 0
     for t, tree in enumerate(forest.trees):
-        oob = forest.oob_indices[t]
+        _, _, oob = _tree_stream(forest.params.seed, t, forest.n_train)
         if oob.size == 0:
             skipped += 1
             continue
@@ -308,7 +303,7 @@ def to_doc(forest: Forest) -> dict:
     """Versioned text-serializable document with flat per-tree node arrays."""
     return {
         "format": "latefuse-forest",
-        "version": 1,
+        "version": 2,
         "feature_names": list(forest.feature_names),
         "params": {"mtry": forest.params.mtry, "ntree": forest.params.ntree,
                    "min_leaf": forest.params.min_leaf, "seed": forest.params.seed,
@@ -325,13 +320,12 @@ def to_doc(forest: Forest) -> dict:
             }
             for t in forest.trees
         ],
-        "bootstrap_indices": [b.tolist() for b in forest.bootstrap_indices],
-        "oob_indices": [o.tolist() for o in forest.oob_indices],
     }
 
 
 def from_doc(doc: dict) -> Forest:
-    if doc.get("format") != "latefuse-forest" or doc.get("version") != 1:
+    # version 1 also stored each tree's bootstrap and OOB rows; they are ignored
+    if doc.get("format") != "latefuse-forest" or doc.get("version") not in (1, 2):
         raise ModelError("unrecognized forest document")
     trees = tuple(
         Tree(
@@ -346,8 +340,6 @@ def from_doc(doc: dict) -> Forest:
     p = doc["params"]
     return Forest(
         trees=trees,
-        bootstrap_indices=tuple(np.asarray(b, dtype=np.int64) for b in doc["bootstrap_indices"]),
-        oob_indices=tuple(np.asarray(o, dtype=np.int64) for o in doc["oob_indices"]),
         feature_names=tuple(doc["feature_names"]),
         params=ForestParams(mtry=p["mtry"], ntree=p["ntree"], min_leaf=p["min_leaf"],
                             seed=p["seed"], weighted=p.get("weighted", True)),

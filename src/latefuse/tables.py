@@ -3,7 +3,7 @@
 A FeatureTable is an immutable samples-by-features matrix with sample ids,
 per-sample cohort tags, and binary class labels. Missing cells are carried
 as an explicit boolean mask (the backing value is NaN so accidental use is
-loud, but the mask is authoritative).
+loud, but the mask is authoritative); every value not marked missing is finite.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-
-MISSING_SENTINELS = {"", "na"}
 
 
 class ClassLabel(enum.IntEnum):
@@ -87,6 +85,8 @@ class FeatureTable:
             raise DataError("labels must be Benign(0) or Malignant(1)")
         if self.groups is not None and len(self.groups) != n:
             raise DataError("groups length does not match row count")
+        if not np.isfinite(values[~missing]).all():
+            raise DataError("non-finite value not marked missing")
         values = values.copy()
         values[missing] = np.nan
         for arr in (labels, values, missing):
@@ -168,7 +168,6 @@ class SplitSpec:
     """Fixed test-set membership; train is the complement."""
 
     test_sample_ids: frozenset[str]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "test_sample_ids", frozenset(self.test_sample_ids))
@@ -178,9 +177,10 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema()) 
     """Read a UTF-8, comma-separated file with one header row into a FeatureTable.
 
     Columns named by `schema` supply ids, cohort tags, and labels; every other
-    column is a numeric feature. Empty cells, "NA" (any case), and non-numeric
-    feature cells become missing marks. Lines starting with '#' are skipped so
-    files written by save_feature_table round-trip.
+    column is a numeric feature. Feature cells that do not parse as a finite
+    number (empty, "NA", "nan", "inf", any other text) become missing marks.
+    Lines starting with '#' are skipped so files written by save_feature_table
+    round-trip.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -207,7 +207,6 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema()) 
     labels: list[int] = []
     groups: list[str] = []
     values = np.full((len(data), len(feat_ix)), np.nan)
-    missing = np.zeros((len(data), len(feat_ix)), dtype=bool)
     for i, row in enumerate(data):
         if len(row) != len(header):
             raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
@@ -217,14 +216,10 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema()) 
         if group_ix is not None:
             groups.append(row[group_ix])
         for k, j in enumerate(feat_ix):
-            cell = row[j].strip()
-            if cell.lower() in MISSING_SENTINELS:
-                missing[i, k] = True
-                continue
             try:
-                values[i, k] = float(cell)
+                values[i, k] = float(row[j])
             except ValueError:
-                missing[i, k] = True
+                pass  # stays NaN, so it is marked missing below
     if len(set(ids)) != len(ids):
         dupes = sorted({s for s in ids if ids.count(s) > 1})
         raise DataError(f"{path}: duplicate sample id {dupes[0]!r}")
@@ -234,7 +229,7 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema()) 
         labels=np.asarray(labels, dtype=np.int8),
         feature_names=tuple(feature_names),
         values=values,
-        missing=missing,
+        missing=~np.isfinite(values),
         groups=tuple(groups) if group_ix is not None else None,
     )
 

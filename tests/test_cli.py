@@ -216,12 +216,13 @@ def test_rerun_is_byte_identical(config_path, tmp_path):
     assert all(first[k] == second[k] for k in first)
 
 
-def test_workers_flag_does_not_change_results(config_path, tmp_path):
+def test_rf_train_rerun_is_byte_identical(config_path, tmp_path):
     run(config_path, "synth")
-    assert main(["--config", str(config_path), "--workers", "1",
-                 "train", "--modality", "a", "--model", "rf"]) == 0
-    one = (tmp_path / "out" / "model_a_rf.json").read_bytes()
-    assert main(["--config", str(config_path), "--workers", "4",
-                 "train", "--modality", "a", "--model", "rf"]) == 0
-    four = (tmp_path / "out" / "model_a_rf.json").read_bytes()
-    assert one == four
+
+    def train_rf():
+        assert run(config_path, "train", "--modality", "a", "--model", "rf") == 0
+        out = tmp_path / "out"
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first = train_rf()
+    assert first == train_rf()

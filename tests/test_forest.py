@@ -57,11 +57,10 @@ def test_mtry_exceeding_features_rejected():
 
 
 def test_bootstrap_and_oob_structure():
-    t = gaussian_table(60, 60, 4, seed=4)
-    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=100, seed=7))
-    n = t.n_samples
+    n = 120
     sizes = []
-    for boot, oob in zip(fo.bootstrap_indices, fo.oob_indices):
+    for tree_index in range(100):
+        _, boot, oob = rf._tree_stream(7, tree_index, n)
         assert boot.size == n
         assert not set(boot.tolist()) & set(oob.tolist())
         assert set(boot.tolist()) | set(oob.tolist()) == set(range(n))
@@ -69,17 +68,16 @@ def test_bootstrap_and_oob_structure():
     assert 0.30 * n <= np.mean(sizes) <= 0.44 * n
 
 
-def test_determinism_across_worker_counts():
+def test_same_seed_refit_is_identical():
     t = gaussian_table(40, 40, 6, shifts={0: 1.0}, seed=5)
     params = rf.ForestParams(mtry=3, ntree=50, seed=11)
-    f1 = rf.fit_forest(t, params, n_workers=1)
-    f4 = rf.fit_forest(t, params, n_workers=4)
-    assert all(trees_equal(a, b) for a, b in zip(f1.trees, f4.trees))
-    assert all(np.array_equal(a, b) for a, b
-               in zip(f1.bootstrap_indices, f4.bootstrap_indices))
-    r1 = rf.oob_permutation_importance(f1, t)
-    r4 = rf.oob_permutation_importance(f4, t)
-    assert np.array_equal(r1.normalized, r4.normalized)
+    first = rf.fit_forest(t, params)
+    second = rf.fit_forest(t, params)
+    assert all(trees_equal(a, b) for a, b in zip(first.trees, second.trees))
+    r1 = rf.oob_permutation_importance(first, t)
+    r2 = rf.oob_permutation_importance(second, t)
+    assert np.array_equal(r1.mean_decrease, r2.mean_decrease)
+    assert np.array_equal(r1.normalized, r2.normalized)
 
 
 def test_predict_is_mean_of_tree_outputs():
@@ -140,7 +138,8 @@ def test_weighting_lifts_minority_sensitivity():
         votes = np.zeros(t.n_samples)
         counts = np.zeros(t.n_samples)
         x = np.ascontiguousarray(t.values)
-        for tree, oob in zip(forest.trees, forest.oob_indices):
+        for tree_index, tree in enumerate(forest.trees):
+            _, _, oob = rf._tree_stream(forest.params.seed, tree_index, forest.n_train)
             votes[oob] += tree.predict_proba(x[oob])
             counts[oob] += 1
         seen = counts > 0
@@ -155,7 +154,8 @@ def test_gini_split_gains_nonnegative():
     # every accepted split must strictly reduce weighted impurity
     t = gaussian_table(50, 50, 4, shifts={0: 1.0}, seed=12)
     fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=20, seed=37))
-    for tree, boot in zip(fo.trees, fo.bootstrap_indices):
+    for tree_index, tree in enumerate(fo.trees):
+        _, boot, _ = rf._tree_stream(fo.params.seed, tree_index, t.n_samples)
         x = t.values[boot]
         y = (t.labels[boot] == 1).astype(float)
         cw = rf.class_weights_for(t.labels[boot])
@@ -188,6 +188,29 @@ def test_forest_serialization_round_trip():
     assert back.feature_names == fo.feature_names
     assert all(trees_equal(a, b) for a, b in zip(fo.trees, back.trees))
     assert np.array_equal(rf.predict_proba(back, t), rf.predict_proba(fo, t))
+
+
+def test_version_1_document_loads_and_predicts_identically():
+    t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=13)
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=10, seed=41))
+    v2 = json.loads(json.dumps(rf.to_doc(fo)))
+    assert v2["version"] == 2
+    # version 1 also listed each tree's bootstrap and out-of-bag rows
+    _, boots, oobs = zip(*(rf._tree_stream(fo.params.seed, i, fo.n_train) for i in range(10)))
+    v1 = dict(v2, version=1, **{f"{kind}_indices": [rows.tolist() for rows in per_tree]
+                                for kind, per_tree in (("bootstrap", boots), ("oob", oobs))})
+    back = rf.from_doc(json.loads(json.dumps(v1)))
+    assert all(trees_equal(a, b) for a, b in zip(fo.trees, back.trees))
+    assert np.array_equal(rf.predict_proba(back, t), rf.predict_proba(fo, t))
+    assert np.array_equal(rf.oob_permutation_importance(back, t).normalized,
+                          rf.oob_permutation_importance(fo, t).normalized)
+
+
+def test_importance_requires_the_training_table():
+    t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=16)
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=5, seed=47))
+    with pytest.raises(PredictError, match="training table"):
+        rf.oob_permutation_importance(fo, t.select_rows(np.arange(t.n_samples - 1)))
 
 
 def test_feature_mismatch_rejected_at_predict():

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latefuse.errors import DataError
 from latefuse.tables import (ClassLabel, ColumnSchema, FeatureTable, SplitSpec,
@@ -66,6 +71,36 @@ def test_missing_sentinels_and_nonnumeric(tmp_path):
     assert t.missing[0].tolist() == [True, True, True]
     assert t.missing[1].tolist() == [False, True, False]
     assert t.values[1, 0] == 1.5
+
+
+# spellings Python's float() reads as nan or +/-inf; case and padding vary below
+NON_FINITE = ("nan", "-nan", "+nan", "inf", "-inf", "+inf", "infinity", "-infinity",
+              "+infinity", "1e999", "-1e999")
+non_finite_cells = st.builds(
+    lambda word, upper, pad: pad + "".join(c.upper() if u else c for c, u in zip(word, upper))
+    + pad,
+    st.sampled_from(NON_FINITE), st.lists(st.booleans(), min_size=9, max_size=9),
+    st.sampled_from(("", " ", "\t")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell=non_finite_cells)
+def test_non_finite_cells_become_missing(cell):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(f"id,cohort,label,f1,f2\nS1,M,benign,{cell},2.5\n"
+                        "S2,M,malignant,1.5,-0.5\n", encoding="utf-8")
+        t = load_feature_table(path)
+    assert t.missing.tolist() == [[True, False], [False, False]]
+    assert np.isnan(t.values[0, 0]) and t.values[0, 1] == 2.5
+
+
+def test_unmasked_non_finite_value_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="non-finite"):
+            make_table([[1.0, bad]], [0])
+    masked = make_table([[1.0, np.inf]], [0], missing=[[False, True]])
+    assert masked.missing[0, 1] and np.isnan(masked.values[0, 1])
 
 
 def test_custom_schema_column_order_kept(tmp_path):
