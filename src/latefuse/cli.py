@@ -17,7 +17,6 @@ import json
 import sys
 import zlib
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,15 +80,19 @@ def _preprocess_full(cfg: RunConfig, table: FeatureTable) -> FeatureTable:
     return filter_missingness(table, cfg.max_missing_fraction)
 
 
-def _test_ids(cfg: RunConfig) -> frozenset[str]:
+def _test_ids(cfg: RunConfig, modality: str, raw: FeatureTable) -> frozenset[str]:
     """Fixed test membership: an explicit id file, or a seeded per-class draw
-    from the samples common to both modalities."""
+    from the samples common to both modalities, in modality a's row order.
+    `raw` is the parsed table of `modality`, so only the other file is read."""
     if cfg.test_ids_file is not None:
         path = _require_file(cfg.test_ids_file, "test id file")
         ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()
                if line.strip()]
         return frozenset(ids)
-    common_a, _ = align_common_samples(_load_table(cfg, "a"), _load_table(cfg, "b"))
+    if modality == "a":
+        common_a, _ = align_common_samples(raw, _load_table(cfg, "b"))
+    else:
+        common_a, _ = align_common_samples(_load_table(cfg, "a"), raw)
     rng = np.random.default_rng(_derive_seed(cfg.base_seed, "test-split"))
     chosen: list[str] = []
     for cls, k in ((0, cfg.test_benign), (1, cfg.test_malignant)):
@@ -101,29 +104,13 @@ def _test_ids(cfg: RunConfig) -> frozenset[str]:
     return frozenset(chosen)
 
 
-@dataclass(frozen=True)
-class Prepared:
-    full: FeatureTable
-    train: FeatureTable
-    test: FeatureTable
-    removed: tuple[str, ...]
-
-
-def _prepare(cfg: RunConfig, modality: str) -> Prepared:
-    """Load, scale, impute, split, and prune one modality.
-
-    Scaling and imputation run on the full table (internal standardization);
-    correlation pruning is computed on the training part only and the test
-    part is restricted to the surviving features.
-    """
-    table = _preprocess_full(cfg, _load_table(cfg, modality))
-    spec = SplitSpec(test_sample_ids=_test_ids(cfg))
-    train, test = partition(table, spec)
-    matrix = spearman_matrix(train)
-    pruned, removed = drop_correlated(train, matrix, cfg.correlation_threshold)
-    return Prepared(full=table, train=pruned,
-                    test=test.select_features(pruned.feature_names),
-                    removed=tuple(removed))
+def _split(cfg: RunConfig, modality: str) -> tuple[FeatureTable, FeatureTable]:
+    """Parse one modality once, scale and impute the full table (internal
+    standardization), and split it into (train, test). Correlation pruning
+    is left to `cmd_train`; `cmd_evaluate` scores the stored features."""
+    raw = _load_table(cfg, modality)
+    table = _preprocess_full(cfg, raw)
+    return partition(table, SplitSpec(test_sample_ids=_test_ids(cfg, modality, raw)))
 
 
 def _out(cfg: RunConfig) -> Path:
@@ -172,36 +159,40 @@ def _final_rf_params(cfg: RunConfig, outcomes, selected: list[str],
 
 
 def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
-    prep = _prepare(cfg, modality)
-    candidates = list(prep.train.feature_names)
+    """Prune correlated features on the training part, run MRCV, refit, and
+    write the model document; the only place where pruning is decided."""
+    unpruned, _ = _split(cfg, modality)
+    train, removed = drop_correlated(unpruned, spearman_matrix(unpruned),
+                                     cfg.correlation_threshold)
+    candidates = list(train.feature_names)
     if not candidates:
         raise PipelineExit(EXIT_EMPTY_FEATURES, "no candidate features after preprocessing")
     seed = _derive_seed(cfg.base_seed, modality, model)
     if model == "lr":
-        outcomes = run_mrcv_lr(prep.train, candidates, repeats=cfg.repeats,
+        outcomes = run_mrcv_lr(train, candidates, repeats=cfg.repeats,
                                validation_fraction=cfg.lr_validation_fraction,
                                base_seed=seed, delta_bic_stop=cfg.delta_bic_stop)
         ranking = rank_features_lr(outcomes, candidates)
     else:
         grid = list(itertools.product(cfg.rf_mtry, cfg.rf_ntree))
-        outcomes = run_mrcv_rf(prep.train, candidates, repeats=cfg.repeats,
+        outcomes = run_mrcv_rf(train, candidates, repeats=cfg.repeats,
                                validation_fraction=cfg.rf_validation_fraction,
                                grid=grid, min_leaf=cfg.rf_min_leaf, base_seed=seed,
                                weighted=cfg.rf_weighted)
         ranking = rank_features_rf(outcomes, candidates)
     selected = elbow_cut(ranking)
     if model == "lr":
-        final = lr.fit(prep.train, selected)
-        scores = lr.predict_proba(final, prep.train)
+        final = lr.fit(train, selected)
+        scores = lr.predict_proba(final, train)
         model_doc = lr.to_doc(final)
     else:
         params = _final_rf_params(cfg, outcomes, selected,
                                   _derive_seed(cfg.base_seed, modality, model, "final"))
-        train_view = prep.train.select_features(selected)
+        train_view = train.select_features(selected)
         final = rf.fit_forest(train_view, params)
         scores = rf.predict_proba(final, train_view)
         model_doc = rf.to_doc(final)
-    threshold, bacc_train = best_threshold_bacc(scores, prep.train.labels)
+    threshold, bacc_train = best_threshold_bacc(scores, train.labels)
 
     out = _out(cfg)
     if model == "rf":
@@ -215,7 +206,7 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
         "selected_features": selected,
         "threshold": threshold,
         "train_bacc": bacc_train,
-        "removed_correlated": list(prep.removed),
+        "removed_correlated": removed,
         "model": model_doc,
     }
     (out / f"model_{modality}_{model}.json").write_text(
@@ -241,11 +232,10 @@ def _load_model_doc(cfg: RunConfig, modality: str, model: str) -> dict:
 
 
 def cmd_evaluate(cfg: RunConfig, modality: str, model: str) -> None:
-    prep = _prepare(cfg, modality)
+    _, test = _split(cfg, modality)
     doc = _load_model_doc(cfg, modality, model)
-    features = doc["selected_features"]
     try:
-        view = prep.test.select_features(features)
+        view = test.select_features(doc["selected_features"])
         if model == "lr":
             scores = lr.predict_proba(lr.from_doc(doc["model"]), view)
         else:
@@ -254,9 +244,9 @@ def cmd_evaluate(cfg: RunConfig, modality: str, model: str) -> None:
         raise PipelineExit(EXIT_MODEL_MISMATCH,
                            f"model/data mismatch for {modality}/{model}: {exc}") from None
     threshold = float(doc["threshold"])
-    conf = confusion(scores, prep.test.labels, threshold)
-    row = metrics_from_confusion(conf).with_auc(auc(scores, prep.test.labels))
-    curve = roc_curve(scores, prep.test.labels)
+    conf = confusion(scores, test.labels, threshold)
+    row = metrics_from_confusion(conf).with_auc(auc(scores, test.labels))
+    curve = roc_curve(scores, test.labels)
     label = f"{modality}-{model}"
     out = _out(cfg)
     write_text(out / f"metrics_{modality}_{model}.csv", metrics_csv([(label, row)]))
@@ -266,7 +256,7 @@ def cmd_evaluate(cfg: RunConfig, modality: str, model: str) -> None:
     write_text(out / f"confusion_{modality}_{model}.svg",
                confusion_svg(conf, title=f"Confusion ({label})"))
     write_text(out / f"scores_{modality}_{model}.csv",
-               scores_csv(prep.test.sample_ids, prep.test.labels.tolist(),
+               scores_csv(test.sample_ids, test.labels.tolist(),
                           scores.tolist(), threshold))
     _log(f"evaluated {label}: BAcc {row.balanced_accuracy:.3f}, AUC {row.auc:.3f}")
 

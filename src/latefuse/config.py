@@ -34,6 +34,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+def _bool(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError("not a boolean")
+    return states[text.lower()]
+
+
 def _pairs(text: str) -> tuple[tuple[int, float], ...]:
     """Parse "idx:value,idx:value" lists (planted shifts, correlation blocks)."""
     out = []
@@ -96,12 +103,18 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
             parser.add_section(section)
         parser.set(section.strip(), option.strip(), value)
 
-    def need(section: str, option: str) -> str:
-        if not parser.has_option(section, option):
+    def get(section: str, option: str, parse=str, fallback=None):
+        """The option's text converted by `parse`; required unless a fallback is given."""
+        if fallback is None and not parser.has_option(section, option):
             raise ConfigError(f"missing required config value [{section}] {option}")
-        return parser.get(section, option)
+        text = parser.get(section, option, fallback=fallback)
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"invalid config value [{section}] {option} = {text!r}: "
+                              f"{exc}") from None
 
-    base_seed = int(need("mrcv", "base_seed"))
+    base_seed = get("mrcv", "base_seed", int)
     schema = ColumnSchema(
         id_column=parser.get("schema", "id_column"),
         cohort_column=parser.get("schema", "cohort_column"),
@@ -110,20 +123,18 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
     )
     synth = None
     if parser.has_section("synth"):
-        seed = int(need("synth", "seed"))
-        n_benign = int(need("synth", "n_benign"))
-        n_malignant = int(need("synth", "n_malignant"))
-        common = parser.getfloat("synth", "common_fraction", fallback=1.0)
+        seed = get("synth", "seed", int)
+        n_benign = get("synth", "n_benign", int)
+        n_malignant = get("synth", "n_malignant", int)
+        common = get("synth", "common_fraction", float, fallback=1.0)
 
         def spec_for(suffix: str) -> SynthSpec:
             return SynthSpec(
-                n_benign=parser.getint("synth", f"n_benign_{suffix}", fallback=n_benign),
-                n_malignant=parser.getint("synth", f"n_malignant_{suffix}",
-                                          fallback=n_malignant),
-                n_features=int(need("synth", f"n_features_{suffix}")),
-                planted=_pairs(parser.get("synth", f"planted_{suffix}", fallback="")),
-                correlation_blocks=_pairs(parser.get("synth", f"blocks_{suffix}",
-                                                     fallback="")),
+                n_benign=get("synth", f"n_benign_{suffix}", int, fallback=n_benign),
+                n_malignant=get("synth", f"n_malignant_{suffix}", int, fallback=n_malignant),
+                n_features=get("synth", f"n_features_{suffix}", int),
+                planted=get("synth", f"planted_{suffix}", _pairs, fallback=""),
+                correlation_blocks=get("synth", f"blocks_{suffix}", _pairs, fallback=""),
                 common_fraction=common,
                 seed=seed,
             )
@@ -132,27 +143,27 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
 
     test_ids_file = parser.get("split", "test_ids_file").strip()
     return RunConfig(
-        modality_a=Path(need("inputs", "modality_a")),
-        modality_b=Path(need("inputs", "modality_b")),
+        modality_a=Path(get("inputs", "modality_a")),
+        modality_b=Path(get("inputs", "modality_b")),
         schema=schema,
-        out_dir=Path(need("output", "directory")),
+        out_dir=Path(get("output", "directory")),
         base_seed=base_seed,
         test_ids_file=Path(test_ids_file) if test_ids_file else None,
-        test_benign=parser.getint("split", "test_benign"),
-        test_malignant=parser.getint("split", "test_malignant"),
-        scale=parser.getboolean("preprocess", "scale"),
-        per_cohort=parser.getboolean("preprocess", "per_cohort"),
-        max_missing_fraction=parser.getfloat("preprocess", "max_missing_fraction"),
-        correlation_threshold=parser.getfloat("preprocess", "correlation_threshold"),
-        alpha=parser.getfloat("univariate", "alpha"),
-        repeats=parser.getint("mrcv", "repeats"),
-        lr_validation_fraction=parser.getfloat("mrcv", "lr_validation_fraction"),
-        rf_validation_fraction=parser.getfloat("mrcv", "rf_validation_fraction"),
-        delta_bic_stop=parser.getfloat("mrcv", "delta_bic_stop"),
-        rf_mtry=_int_list(parser.get("mrcv", "rf_mtry")),
-        rf_ntree=_int_list(parser.get("mrcv", "rf_ntree")),
-        rf_min_leaf=parser.getint("mrcv", "rf_min_leaf"),
-        rf_weighted=parser.getboolean("mrcv", "rf_weighted"),
+        test_benign=get("split", "test_benign", int),
+        test_malignant=get("split", "test_malignant", int),
+        scale=get("preprocess", "scale", _bool),
+        per_cohort=get("preprocess", "per_cohort", _bool),
+        max_missing_fraction=get("preprocess", "max_missing_fraction", float),
+        correlation_threshold=get("preprocess", "correlation_threshold", float),
+        alpha=get("univariate", "alpha", float),
+        repeats=get("mrcv", "repeats", int),
+        lr_validation_fraction=get("mrcv", "lr_validation_fraction", float),
+        rf_validation_fraction=get("mrcv", "rf_validation_fraction", float),
+        delta_bic_stop=get("mrcv", "delta_bic_stop", float),
+        rf_mtry=get("mrcv", "rf_mtry", _int_list),
+        rf_ntree=get("mrcv", "rf_ntree", _int_list),
+        rf_min_leaf=get("mrcv", "rf_min_leaf", int),
+        rf_weighted=get("mrcv", "rf_weighted", _bool),
         rules=tuple(FusionRule.parse(tok) for tok
                     in parser.get("fusion", "rules").split(",") if tok.strip()),
         synth=synth,

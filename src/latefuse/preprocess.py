@@ -139,13 +139,10 @@ def apply_scaler(scaler: RobustScaler | dict[str, RobustScaler],
     return table.with_matrix(out, missing, feature_names=keep)
 
 
-def filter_missingness(table: FeatureTable, max_missing_fraction: float,
-                       reference: FeatureTable | None = None) -> FeatureTable:
+def filter_missingness(table: FeatureTable, max_missing_fraction: float) -> FeatureTable:
     """Drop features whose missing fraction exceeds the threshold, impute the rest.
 
-    Imputation uses the per-feature median of observed values in `reference`
-    (the training table when transforming held-out data); by default the
-    table itself is its own reference.
+    Imputation uses the per-feature median of the column's observed values.
     """
     if not 0.0 <= max_missing_fraction <= 1.0:
         raise PreprocessError("max_missing_fraction must lie in [0, 1]")
@@ -153,23 +150,21 @@ def filter_missingness(table: FeatureTable, max_missing_fraction: float,
     keep = np.flatnonzero(frac <= max_missing_fraction)
     if keep.size == 0:
         raise PreprocessError("all features exceed the missingness threshold")
-    ref = reference if reference is not None else table
     values = table.values[:, keep].copy()
     missing = table.missing[:, keep]
     names = [table.feature_names[j] for j in keep]
     still_missing = np.zeros_like(missing)
-    for k, name in enumerate(names):
+    for k in range(len(names)):
         holes = missing[:, k]
         if not holes.any():
             continue
-        ref_vals, ref_miss = ref.column(name)
-        observed = ref_vals[~ref_miss]
+        observed = values[~holes, k]
         if observed.size == 0:
             still_missing[:, k] = holes  # nothing to impute from
             continue
         values[holes, k] = np.median(observed)
     if still_missing.any():
-        warnings.warn("some features had no observed reference values; cells left missing")
+        warnings.warn("some features had no observed values; cells left missing")
     return table.with_matrix(values, still_missing, feature_names=names)
 
 

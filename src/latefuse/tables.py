@@ -114,11 +114,6 @@ class FeatureTable:
         except ValueError:
             raise DataError(f"unknown feature {name!r}") from None
 
-    def column(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Return (values, missing) for one feature column."""
-        j = self.feature_index(name)
-        return self.values[:, j], self.missing[:, j]
-
     def select_rows(self, index: Sequence[int] | np.ndarray) -> "FeatureTable":
         index = np.asarray(index, dtype=np.int64)
         return FeatureTable(

@@ -101,13 +101,10 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _u_statistic(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """U for group a (ties count half) and the combined midranks."""
-    combined = np.concatenate([a, b])
-    ranks = _midranks(combined)
-    r_a = float(ranks[: a.size].sum())
-    u_a = r_a - a.size * (a.size + 1) / 2.0
-    return u_a, ranks
+def _u_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """U for group a (ties count half)."""
+    ranks = _midranks(np.concatenate([a, b]))
+    return float(ranks[: a.size].sum()) - a.size * (a.size + 1) / 2.0
 
 
 def _exact_u_counts(n_a: int, n_b: int) -> np.ndarray:
@@ -144,7 +141,7 @@ def mann_whitney(a, b) -> tuple[float, float]:
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise StatsError("Mann-Whitney requires two non-empty groups")
-    u_a, _ = _u_statistic(a, b)
+    u_a = _u_statistic(a, b)
     n_a, n_b, n = a.size, b.size, a.size + b.size
     _, tie_counts = np.unique(np.concatenate([a, b]), return_counts=True)
     has_ties = bool((tie_counts > 1).any())
@@ -180,9 +177,12 @@ def rank_biserial(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise StatsError("rank-biserial requires two non-empty groups")
-    u_a, _ = _u_statistic(a, b)
+    return _rank_biserial_from_u(_u_statistic(a, b), a.size, b.size)
+
+
+def _rank_biserial_from_u(u_a: float, n_a: int, n_b: int) -> float:
     # single-division form keeps rank_biserial(a,b) == -rank_biserial(b,a) exact
-    return (2.0 * u_a - a.size * b.size) / (a.size * b.size)
+    return (2.0 * u_a - n_a * n_b) / (n_a * n_b)
 
 
 def bh_fdr(p) -> list[float]:
@@ -248,8 +248,8 @@ def univariate_screen(table: FeatureTable, alpha: float = 0.05) -> ScreenResult:
             except StatsError as exc:
                 row["notes"].append(f"normality[{tag}]: {exc}")
         try:
-            _, row["p"] = mann_whitney(mal, ben)
-            row["rg"] = rank_biserial(mal, ben)
+            u_mal, row["p"] = mann_whitney(mal, ben)
+            row["rg"] = _rank_biserial_from_u(u_mal, mal.size, ben.size)
         except StatsError as exc:
             row["notes"].append(f"test: {exc}")
         partial.append(row)

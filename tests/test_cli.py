@@ -1,9 +1,12 @@
 import csv
 import json
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from latefuse import cli
 from latefuse.cli import main
 from latefuse.config import load_config
 from latefuse.errors import ConfigError
@@ -79,6 +82,17 @@ def test_config_requires_seed(tmp_path):
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.ini")
+
+
+@pytest.mark.parametrize("override", ["mrcv.repeats=abc", "preprocess.scale=maybe",
+                                      "mrcv.rf_mtry=5,x"])
+def test_malformed_typed_value_is_a_config_error(config_path, capsys, override):
+    section, option = override.split("=")[0].split(".")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {option}"):
+        load_config(config_path, [override])
+    assert run(config_path, "--set", override, "synth") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_synth_writes_both_modalities(config_path, tmp_path):
@@ -177,6 +191,17 @@ def test_model_feature_mismatch_exit_4(config_path, tmp_path):
     assert run(config_path, "evaluate", "--modality", "a", "--model", "lr") == 4
 
 
+def test_evaluate_does_not_reprune_stored_features(config_path, tmp_path):
+    run(config_path, "synth")
+    assert run(config_path, "train", "--modality", "a", "--model", "lr") == 0
+    assert run(config_path, "evaluate", "--modality", "a", "--model", "lr") == 0
+    scores = (tmp_path / "out" / "scores_a_lr.csv").read_bytes()
+    # a threshold this low would prune the stored features at train time
+    assert run(config_path, "--set", "preprocess.correlation_threshold=0.01",
+               "evaluate", "--modality", "a", "--model", "lr") == 0
+    assert (tmp_path / "out" / "scores_a_lr.csv").read_bytes() == scores
+
+
 def test_fuse_empty_intersection_exit_5(config_path, tmp_path):
     run(config_path, "synth")
     out = tmp_path / "out"
@@ -226,3 +251,37 @@ def test_rf_train_rerun_is_byte_identical(config_path, tmp_path):
 
     first = train_rf()
     assert first == train_rf()
+
+
+@pytest.mark.parametrize("id_file", [False, True])
+def test_each_command_reads_each_input_once(config_path, tmp_path, monkeypatch, id_file):
+    run(config_path, "synth")
+    if id_file:
+        ids = tmp_path / "test_ids.txt"
+        # shared ids: P0000-P0071 are benign, P0072-P0143 malignant
+        ids.write_text("".join(f"P{i:04d}\n" for i in (*range(10), *range(100, 110))),
+                       encoding="utf-8")
+        text = config_path.read_text().replace("[split]", f"[split]\ntest_ids_file = {ids}")
+        config_path.write_text(text, encoding="utf-8")
+    loads, matrices = Counter(), []
+    real_load, real_matrix = cli.load_feature_table, cli.spearman_matrix
+
+    def counting_load(path, *args, **kwargs):
+        loads[Path(path).name] += 1
+        return real_load(path, *args, **kwargs)
+
+    def counting_matrix(table):
+        matrices.append(table)
+        return real_matrix(table)
+
+    monkeypatch.setattr(cli, "load_feature_table", counting_load)
+    monkeypatch.setattr(cli, "spearman_matrix", counting_matrix)
+    for modality in ("a", "b"):
+        once_each = Counter([f"modality_{modality}.csv"] if id_file
+                            else ["modality_a.csv", "modality_b.csv"])
+        for verb in ("train", "evaluate"):
+            loads.clear()
+            matrices.clear()
+            assert run(config_path, verb, "--modality", modality, "--model", "lr") == 0
+            assert loads == once_each, (verb, modality)
+            assert len(matrices) == (1 if verb == "train" else 0), (verb, modality)

@@ -123,14 +123,6 @@ def test_filter_missingness_never_drops_fully_observed():
     assert out.feature_names == t.feature_names
 
 
-def test_filter_missingness_external_reference():
-    ref = make_table([[10.0], [20.0], [30.0]], [0, 0, 1])
-    missing = np.array([[True]])
-    t = make_table([[0.0]], [1], missing=missing)
-    out = filter_missingness(t, 1.0, reference=ref)
-    assert out.values[0, 0] == 20.0
-
-
 def test_filter_missingness_all_dropped():
     missing = np.ones((4, 2), dtype=bool)
     t = make_table(np.ones((4, 2)), [0, 0, 1, 1], missing=missing)
