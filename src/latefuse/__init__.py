@@ -15,9 +15,8 @@ from .metrics import (Confusion, MetricsRow, RocCurve, auc, best_threshold_bacc,
 from .mrcv import (FeatureRanking, FoldOutcome, elbow_cut, rank_features_lr,
                    rank_features_rf, run_mrcv_lr, run_mrcv_rf, stratified_split)
 from .synth import SynthSpec, generate, generate_pair
-from .tables import (ClassLabel, ColumnSchema, FeatureTable, SplitSpec,
-                     align_common_samples, load_feature_table, partition,
-                     save_feature_table)
+from .tables import (ClassLabel, ColumnSchema, FeatureTable, align_common_samples,
+                     load_feature_table, partition, save_feature_table)
 from .univariate import (ScreenResult, UnivariateResult, bh_fdr, mann_whitney,
                          rank_biserial, shapiro_wilk, univariate_screen)
 

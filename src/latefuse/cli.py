@@ -36,8 +36,8 @@ from .reports import (folds_csv, fused_scores_csv, importance_csv, metrics_csv,
                       ranking_csv, read_metrics_csv, read_scores_csv, roc_csv,
                       scores_csv, summary_csv, univariate_csv, write_text)
 from .synth import generate_pair
-from .tables import (ClassLabel, FeatureTable, SplitSpec, align_common_samples,
-                     load_feature_table, partition, save_feature_table)
+from .tables import (ClassLabel, FeatureTable, align_common_samples, load_feature_table,
+                     partition, save_feature_table)
 from .univariate import univariate_screen
 
 EXIT_MISSING_INPUT = 2
@@ -110,7 +110,7 @@ def _split(cfg: RunConfig, modality: str) -> tuple[FeatureTable, FeatureTable]:
     is left to `cmd_train`; `cmd_evaluate` scores the stored features."""
     raw = _load_table(cfg, modality)
     table = _preprocess_full(cfg, raw)
-    return partition(table, SplitSpec(test_sample_ids=_test_ids(cfg, modality, raw)))
+    return partition(table, _test_ids(cfg, modality, raw))
 
 
 def _out(cfg: RunConfig) -> Path:

@@ -2,6 +2,9 @@
 
 Seeds are mandatory; nothing in the pipeline falls back to wall-clock
 seeding. Flag overrides (``--set section.key=value``) win over file values.
+Values are literal text: there is no ``%`` interpolation. Unparsable files,
+malformed values and values outside the range the library accepts all raise
+ConfigError naming the file or the section and key.
 """
 
 from __future__ import annotations
@@ -39,6 +42,23 @@ def _bool(text: str) -> bool:
     if text.lower() not in states:
         raise ValueError("not a boolean")
     return states[text.lower()]
+
+
+def _checked(parse, ok, expect: str):
+    """`parse` followed by a range check; out-of-range values raise ValueError."""
+    def parse_checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {expect}")
+        return value
+    return parse_checked
+
+
+_count = _checked(int, lambda v: v >= 0, ">= 0")
+_positive = _checked(int, lambda v: v >= 1, ">= 1")
+_positive_list = _checked(_int_list, lambda v: v and min(v) >= 1,
+                          "a non-empty list of positive integers")
+_open_unit = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _pairs(text: str) -> tuple[tuple[int, float], ...]:
@@ -91,17 +111,24 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
-    parser.read(path, encoding="utf-8")
+    try:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).splitlines())
+        raise ConfigError(f"cannot parse config file {path}: {detail}") from None
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         key, value = item.split("=", 1)
-        section, option = key.split(".", 1)
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section.strip(), option.strip(), value)
+        section, option = (part.strip() for part in key.split(".", 1))
+        try:
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, option, value)
+        except (configparser.Error, ValueError) as exc:  # e.g. section DEFAULT
+            raise ConfigError(f"invalid override {item!r}: {exc}") from None
 
     def get(section: str, option: str, parse=str, fallback=None):
         """The option's text converted by `parse`; required unless a fallback is given."""
@@ -149,20 +176,22 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
         out_dir=Path(get("output", "directory")),
         base_seed=base_seed,
         test_ids_file=Path(test_ids_file) if test_ids_file else None,
-        test_benign=get("split", "test_benign", int),
-        test_malignant=get("split", "test_malignant", int),
+        test_benign=get("split", "test_benign", _count),
+        test_malignant=get("split", "test_malignant", _count),
         scale=get("preprocess", "scale", _bool),
         per_cohort=get("preprocess", "per_cohort", _bool),
-        max_missing_fraction=get("preprocess", "max_missing_fraction", float),
-        correlation_threshold=get("preprocess", "correlation_threshold", float),
-        alpha=get("univariate", "alpha", float),
-        repeats=get("mrcv", "repeats", int),
-        lr_validation_fraction=get("mrcv", "lr_validation_fraction", float),
-        rf_validation_fraction=get("mrcv", "rf_validation_fraction", float),
+        max_missing_fraction=get("preprocess", "max_missing_fraction",
+                                 _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
+        correlation_threshold=get("preprocess", "correlation_threshold",
+                                  _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+        alpha=get("univariate", "alpha", _open_unit),
+        repeats=get("mrcv", "repeats", _positive),
+        lr_validation_fraction=get("mrcv", "lr_validation_fraction", _open_unit),
+        rf_validation_fraction=get("mrcv", "rf_validation_fraction", _open_unit),
         delta_bic_stop=get("mrcv", "delta_bic_stop", float),
-        rf_mtry=get("mrcv", "rf_mtry", _int_list),
-        rf_ntree=get("mrcv", "rf_ntree", _int_list),
-        rf_min_leaf=get("mrcv", "rf_min_leaf", int),
+        rf_mtry=get("mrcv", "rf_mtry", _positive_list),
+        rf_ntree=get("mrcv", "rf_ntree", _positive_list),
+        rf_min_leaf=get("mrcv", "rf_min_leaf", _positive),
         rf_weighted=get("mrcv", "rf_weighted", _bool),
         rules=tuple(FusionRule.parse(tok) for tok
                     in parser.get("fusion", "rules").split(",") if tok.strip()),

@@ -184,12 +184,10 @@ def spearman_matrix(table: FeatureTable) -> CorrelationMatrix:
         sd = ranks.std(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             full = np.corrcoef(ranks, rowvar=False)
-        for i in range(f):
-            for j in range(i + 1, f):
-                if table.n_samples < 3 or sd[i] == 0 or sd[j] == 0:
-                    undefined[i, j] = undefined[j, i] = True
-                else:
-                    rho[i, j] = rho[j, i] = full[i, j]
+        undefined = np.logical_or.outer(sd == 0, sd == 0) | (table.n_samples < 3)
+        np.fill_diagonal(undefined, False)
+        i, j = np.triu_indices(f, 1)  # mirror the upper triangle: full[j, i] may round apart
+        rho[i, j] = rho[j, i] = np.where(undefined[i, j], 0.0, np.atleast_2d(full)[i, j])
         return CorrelationMatrix(tuple(table.feature_names), rho, undefined)
 
     for i in range(f):

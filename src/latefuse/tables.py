@@ -158,16 +158,6 @@ class FeatureTable:
         return self.n_samples - pos, pos
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Fixed test-set membership; train is the complement."""
-
-    test_sample_ids: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "test_sample_ids", frozenset(self.test_sample_ids))
-
-
 def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> FeatureTable:
     """Read a UTF-8, comma-separated file with one header row into a FeatureTable.
 
@@ -269,11 +259,13 @@ def align_common_samples(a: FeatureTable, b: FeatureTable) -> tuple[FeatureTable
     return a.select_rows(a_rows), b.select_rows(b_rows)
 
 
-def partition(table: FeatureTable, spec: SplitSpec) -> tuple[FeatureTable, FeatureTable]:
-    """Split into (train, test) by spec membership, preserving row order in each part."""
-    unknown = spec.test_sample_ids - set(table.sample_ids)
+def partition(table: FeatureTable, test_ids: Iterable[str]) -> tuple[FeatureTable, FeatureTable]:
+    """Split into (train, test) by membership of the sample ids in `test_ids`,
+    preserving row order in each part."""
+    test_ids = frozenset(test_ids)
+    unknown = test_ids - set(table.sample_ids)
     if unknown:
         raise DataError(f"test ids not in table: {sorted(unknown)[:5]}")
-    test_rows = [i for i, s in enumerate(table.sample_ids) if s in spec.test_sample_ids]
-    train_rows = [i for i, s in enumerate(table.sample_ids) if s not in spec.test_sample_ids]
+    test_rows = [i for i, s in enumerate(table.sample_ids) if s in test_ids]
+    train_rows = [i for i, s in enumerate(table.sample_ids) if s not in test_ids]
     return table.select_rows(train_rows), table.select_rows(test_rows)

@@ -87,17 +87,15 @@ def shapiro_wilk(sample) -> tuple[float, float]:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values sharing the mean of their rank range."""
+    """Ranks 1..n with tied values sharing the mean of their rank range: a tie
+    run (equal neighbours in the stably sorted values) starting at 0-based
+    position i with m members gets rank i + (m + 1) / 2."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1]]))
+    sizes = np.diff(np.append(starts, values.size))
+    ranks = np.empty(values.size, dtype=float)
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
     return ranks
 
 

@@ -84,13 +84,48 @@ def test_config_missing_file():
         load_config("/nonexistent/run.ini")
 
 
-@pytest.mark.parametrize("override", ["mrcv.repeats=abc", "preprocess.scale=maybe",
-                                      "mrcv.rf_mtry=5,x"])
+@pytest.mark.parametrize("override", [
+    "mrcv.repeats=abc", "preprocess.scale=maybe", "mrcv.rf_mtry=5,x",
+    # out of the range the library enforces
+    "preprocess.correlation_threshold=1.5", "preprocess.correlation_threshold=0",
+    "preprocess.max_missing_fraction=2", "mrcv.lr_validation_fraction=1.5",
+    "mrcv.rf_validation_fraction=0", "mrcv.repeats=0", "mrcv.rf_min_leaf=0",
+    "mrcv.rf_ntree=0", "mrcv.rf_mtry=", "mrcv.rf_mtry=5,-1", "split.test_benign=-1",
+    "split.test_malignant=-2", "univariate.alpha=7", "univariate.alpha=nan"])
 def test_malformed_typed_value_is_a_config_error(config_path, capsys, override):
     section, option = override.split("=")[0].split(".")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {option}"):
         load_config(config_path, [override])
     assert run(config_path, "--set", override, "synth") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("edit, override", [
+    (("modality_a.csv", "modality_%a.csv"), []),
+    (None, ["inputs.modality_a={root}/data/a%b.csv"]),
+], ids=["percent_in_file", "percent_in_override"])
+def test_percent_in_config_value_is_literal(config_path, tmp_path, edit, override):
+    if edit:
+        config_path.write_text(config_path.read_text().replace(*edit), encoding="utf-8")
+    overrides = [o.format(root=tmp_path) for o in override]
+    cfg = load_config(config_path, overrides)
+    assert "%" in cfg.modality_a.name
+    assert run(config_path, *(f"--set={o}" for o in overrides), "synth") == 0
+    assert cfg.modality_a.exists()
+
+
+@pytest.mark.parametrize("edit, override, named", [
+    (("[inputs]\n", ""), [], "run.ini"),
+    (("repeats = 8\n", "repeats = 8\nrepeats = 9\n"), [], "run.ini"),
+    (None, ["DEFAULT.base_seed=1"], "DEFAULT"),
+], ids=["no_section_header", "repeated_key", "default_section_override"])
+def test_config_syntax_error_is_a_config_error(config_path, capsys, edit, override, named):
+    if edit:
+        config_path.write_text(config_path.read_text().replace(*edit), encoding="utf-8")
+    with pytest.raises(ConfigError, match=named):
+        load_config(config_path, override)
+    assert run(config_path, *(f"--set={o}" for o in override), "synth") == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
 

@@ -180,6 +180,11 @@ def test_spearman_constant_feature_flagged_zero():
     m = spearman_matrix(t)
     assert m.rho[0, 1] == 0.0 and m.undefined[0, 1]
     assert m.rho[0, 0] == 1.0
+    # fewer than three samples: every off-diagonal pair is undefined and 0
+    m = spearman_matrix(make_table([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]], [0, 1]))
+    off = ~np.eye(3, dtype=bool)
+    assert m.undefined[off].all() and not np.diag(m.undefined).any()
+    assert np.array_equal(m.rho, np.eye(3)) and np.array_equal(m.rho, m.rho.T)
 
 
 def test_drop_correlated_duplicate_column():

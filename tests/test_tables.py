@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latefuse.errors import DataError
-from latefuse.tables import (ClassLabel, ColumnSchema, FeatureTable, SplitSpec,
-                             align_common_samples, load_feature_table, partition,
-                             save_feature_table)
+from latefuse.tables import (ClassLabel, ColumnSchema, FeatureTable, align_common_samples,
+                             load_feature_table, partition, save_feature_table)
 
 from conftest import make_table
 
@@ -185,7 +184,7 @@ def test_align_membership_symmetric():
 
 def test_partition_disjoint_exhaustive():
     t = make_table(np.arange(20).reshape(10, 2), [0, 1] * 5)
-    train, test = partition(t, SplitSpec(frozenset({"S0001", "S0003", "S0005", "S0007"})))
+    train, test = partition(t, {"S0001", "S0003", "S0005", "S0007"})
     assert train.n_samples == 6 and test.n_samples == 4
     assert set(train.sample_ids) | set(test.sample_ids) == set(t.sample_ids)
     assert not set(train.sample_ids) & set(test.sample_ids)
@@ -195,7 +194,7 @@ def test_partition_disjoint_exhaustive():
 
 def test_partition_empty_test_is_identity():
     t = make_table(np.eye(3), [0, 1, 0])
-    train, test = partition(t, SplitSpec(frozenset()))
+    train, test = partition(t, ())
     assert train.sample_ids == t.sample_ids and test.n_samples == 0
     assert np.array_equal(train.values, t.values)
 
@@ -203,7 +202,7 @@ def test_partition_empty_test_is_identity():
 def test_partition_unknown_id_rejected():
     t = make_table(np.eye(3), [0, 1, 0])
     with pytest.raises(DataError):
-        partition(t, SplitSpec(frozenset({"nope"})))
+        partition(t, ["nope"])
 
 
 def test_partition_matches_published_cohort_sizes():
@@ -212,7 +211,7 @@ def test_partition_matches_published_cohort_sizes():
     n = len(labels)
     t = make_table(np.zeros((n, 1)), labels)
     test_ids = frozenset(t.sample_ids[4569 + 440:])
-    train, test = partition(t, SplitSpec(test_ids))
+    train, test = partition(t, test_ids)
     assert train.n_samples == 5009 and test.n_samples == 171
     assert train.class_counts() == (4569, 440)
     assert test.class_counts() == (122, 49)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from latefuse.errors import StatsError
-from latefuse.univariate import (bh_fdr, mann_whitney, rank_biserial, shapiro_wilk,
-                                 univariate_screen)
+from latefuse.univariate import (_midranks, bh_fdr, mann_whitney, rank_biserial,
+                                 shapiro_wilk, univariate_screen)
 
 from conftest import gaussian_table
 
@@ -62,6 +62,13 @@ def test_sw_exponential_sample_rejects_normality():
 
 
 # ---------------------------------------------------------------- Mann-Whitney
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-0.0, 0.0, -1.5, 1.0, 2.0, 1e300]), max_size=60))
+def test_midranks_match_reference_ranks_under_heavy_ties(values):
+    x = np.array(values, dtype=float)
+    assert np.array_equal(_midranks(x), sps.rankdata(x))
+
 
 def _enumeration_p(a, b):
     """Two-sided exact p by literal enumeration over rank assignments."""
