@@ -237,15 +237,38 @@ def _oob_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
+def _permuted_leaf_prob(tree: Tree, x: np.ndarray, rows: np.ndarray,
+                        perms: np.ndarray, block_feature: np.ndarray) -> np.ndarray:
+    """Leaf probabilities of `rows` under one permuted copy per block, in one
+    descent: block b reads feature block_feature[b] from row rows[perms[b, i]]
+    and every other feature from rows[i]. Returns (blocks, rows.size)."""
+    blocks, m = perms.shape
+    permuted = rows[perms].ravel()
+    plain = np.tile(rows, blocks)
+    swapped = np.repeat(block_feature, m)
+    node = np.zeros(blocks * m, dtype=np.int64)
+    live = np.flatnonzero(tree.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        f = tree.feature[at]
+        src = np.where(f == swapped[live], permuted[live], plain[live])
+        node[live] = nxt = np.where(x[src, f] <= tree.threshold[at],
+                                    tree.left[at], tree.right[at])
+        live = live[tree.feature[nxt] >= 0]
+    return tree.leaf_prob[node].reshape(blocks, m)
+
+
 def oob_permutation_importance(forest: Forest, table: FeatureTable) -> ImportanceReport:
     """Per-tree OOB accuracy drop after permuting each feature column.
 
     For tree t the unweighted accuracy on its out-of-bag rows is compared
     against the accuracy after shuffling feature f within those rows (stream
-    seeded by (seed, t, f)); the differences are averaged over trees and
-    normalized by their standard error (sd with ntree-1 denominator, divided
-    by sqrt of the number of contributing trees). The out-of-bag rows are
-    derived from the (seed, t) stream, so the table must be the training table.
+    seeded by (seed, t, f)); the differences are averaged over the trees that
+    have out-of-bag rows and normalized by their standard error (sd with ddof=1
+    over those contributing trees, divided by the square root of their number).
+    One descent per tree scores the unpermuted rows and every permuted copy.
+    The out-of-bag rows are derived from the (seed, t) stream, so the table
+    must be the training table.
     """
     x = _check_features(forest, table)
     if table.n_samples != forest.n_train:
@@ -260,19 +283,14 @@ def oob_permutation_importance(forest: Forest, table: FeatureTable) -> Importanc
         if oob.size == 0:
             skipped += 1
             continue
-        xo = x[oob].copy()
-        yo = y[oob]
-        base_acc = float(np.mean((tree.predict_proba(xo) >= 0.5) == (yo == 1)))
-        used = set(tree.feature[tree.feature >= 0].tolist())
+        used = np.unique(tree.feature[tree.feature >= 0])
+        perms = np.vstack([np.arange(oob.size)] + [
+            _oob_permutation(np.random.default_rng([forest.params.seed, t, int(f)]), oob.size)
+            for f in used])
+        prob = _permuted_leaf_prob(tree, x, oob, perms, np.concatenate([[-1], used]))
+        acc = np.mean((prob >= 0.5) == (y[oob] == 1), axis=1)
         row = np.zeros(n_feat)  # unused features keep an exact 0 difference
-        for f in used:
-            rng = np.random.default_rng([forest.params.seed, t, f])
-            perm = _oob_permutation(rng, oob.size)
-            original = xo[:, f].copy()
-            xo[:, f] = original[perm]
-            perm_acc = float(np.mean((tree.predict_proba(xo) >= 0.5) == (yo == 1)))
-            xo[:, f] = original
-            row[f] = base_acc - perm_acc
+        row[used] = acc[0] - acc[1:]
         diffs.append(row)
     if skipped:
         warnings.warn(f"{skipped} tree(s) had no out-of-bag rows and were skipped")

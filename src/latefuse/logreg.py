@@ -16,6 +16,15 @@ COEF_CAP = 30.0  # |beta| bound applied when separation is detected (standardize
 GRAD_TOL = 1e-8
 MAX_ITER = 100
 _P_EPS = 1e-15
+# forward_select fits its candidates in blocks of about CELLS (candidate x row)
+# cells, so that the per-block temporaries stay in cache
+CELLS = 2 ** 14
+# a batched candidate whose Cholesky pivot falls to this fraction of its
+# diagonal entry is nearly collinear; the scalar fit decides whether it is singular
+_PIVOT_TOL = 1e-10
+# batched BICs agree with the scalar fit's to ~1e-12; candidates within this
+# margin of the best are refitted by `fit`, whose BICs decide the step
+_BIC_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,12 +61,8 @@ def _log_likelihood(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(eta))  # never overflows
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def fit(table: FeatureTable, features: list[str] | tuple[str, ...] = ()) -> FittedLogReg:
@@ -124,6 +129,100 @@ def predict_proba(model: FittedLogReg, table: FeatureTable) -> np.ndarray:
     return np.clip(_sigmoid(x @ beta), _P_EPS, 1.0 - _P_EPS)
 
 
+def _loglik_rows(eta: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-likelihood of each row of a (C, n) linear predictor, and its clipped p."""
+    p = np.clip(_sigmoid(eta), _P_EPS, 1.0 - _P_EPS)
+    return np.log(p) @ y + np.log1p(-p) @ (1.0 - y), p
+
+
+def _cholesky_solve(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each h[c] s[c] = g[c] by Cholesky; ok[c] is False (and s[c]
+    meaningless) when a pivot is not above _PIVOT_TOL times its diagonal entry."""
+    k = g.shape[1]
+    low = np.zeros_like(h)
+    ok = np.ones(g.shape[0], dtype=bool)
+    for j in range(k):
+        pivot = h[:, j, j] - np.einsum("cm,cm->c", low[:, j, :j], low[:, j, :j])
+        ok &= pivot > _PIVOT_TOL * h[:, j, j]
+        low[:, j, j] = np.sqrt(np.where(ok, pivot, 1.0))
+        low[:, j + 1:, j] = (h[:, j + 1:, j] - np.einsum(
+            "cim,cm->ci", low[:, j + 1:, :j], low[:, j, :j])) / low[:, j, j, None]
+    u = np.empty_like(g)
+    for j in range(k):
+        u[:, j] = (g[:, j] - np.einsum("cm,cm->c", low[:, j, :j], u[:, :j])) / low[:, j, j]
+    s = np.empty_like(g)
+    for j in reversed(range(k)):
+        s[:, j] = (u[:, j] - np.einsum("cm,cm->c", low[:, j + 1:, j], s[:, j + 1:])) \
+            / low[:, j, j]
+    return s, ok
+
+
+def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """BIC of the design [x0 | z] for every row z of zt, by `fit`'s iteration
+    run on all candidates at once: start at beta = 0, damped Newton steps with
+    the same acceptance rule, GRAD_TOL, MAX_ITER and COEF_CAP stop. NaN marks
+    a candidate whose Hessian was (nearly) singular, for `fit` to decide.
+
+    Candidate c's coefficients are (b0[c], b1[c]); its Hessian is assembled from
+    the shared block x0' W x0, the column x0' W z and the corner z' W z, so no
+    per-candidate design is ever formed.
+    """
+    c, n = zt.shape
+    k0 = x0.shape[1]
+    outer0 = (x0[:, :, None] * x0[:, None, :]).reshape(n, k0 * k0)
+    b0, b1 = np.zeros((c, k0)), np.zeros(c)
+    ll, p = _loglik_rows(np.zeros((c, n)), y)
+    failed = np.zeros(c, dtype=bool)
+    live = np.arange(c)
+
+    def eta(rows, beta0, beta1):
+        return beta0 @ x0.T + beta1[:, None] * zt[rows]
+
+    for _ in range(MAX_ITER):
+        if live.size == 0:
+            break
+        r = y - p[live]
+        z = zt[live]
+        grad = np.column_stack([r @ x0, np.einsum("cn,cn->c", r, z)])
+        moving = np.abs(grad).max(axis=1) >= GRAD_TOL
+        live, grad, z = live[moving], grad[moving], z[moving]
+        pl = p[live]
+        w = pl * (1.0 - pl)
+        wz = w * z
+        hess = np.empty((live.size, k0 + 1, k0 + 1))
+        hess[:, :k0, :k0] = (w @ outer0).reshape(-1, k0, k0)
+        hess[:, k0, :k0] = hess[:, :k0, k0] = wz @ x0
+        hess[:, k0, k0] = np.einsum("cn,cn->c", wz, z)
+        step, ok = _cholesky_solve(hess, grad)
+        failed[live[~ok]] = True
+        live, step = live[ok], step[ok]
+        pending = np.arange(live.size)
+        lam = 1.0
+        while lam > 1e-8 and pending.size:
+            rows = live[pending]
+            cand0 = b0[rows] + lam * step[pending, :k0]
+            cand1 = b1[rows] + lam * step[pending, k0]
+            ll_cand, p_cand = _loglik_rows(eta(rows, cand0, cand1), y)
+            accept = ll_cand >= ll[rows] - 1e-10
+            took = rows[accept]
+            b0[took], b1[took] = cand0[accept], cand1[accept]
+            ll[took], p[took] = ll_cand[accept], p_cand[accept]
+            pending = pending[~accept]
+            lam /= 2.0
+        capped = np.maximum(np.abs(b0[live]).max(axis=1), np.abs(b1[live])) > COEF_CAP
+        over = live[capped]
+        if over.size:
+            b0[over] = np.clip(b0[over], -COEF_CAP, COEF_CAP)
+            b1[over] = np.clip(b1[over], -COEF_CAP, COEF_CAP)
+            ll[over] = _loglik_rows(eta(over, b0[over], b1[over]), y)[0]
+        keep = ~capped
+        keep[pending] = False  # no accepted step: `fit` would repeat this iteration unchanged
+        live = live[keep]
+    bic = (k0 + 1) * math.log(n) - 2.0 * ll
+    bic[failed] = np.nan
+    return bic
+
+
 def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
                    delta_bic_stop: float = 2.0) -> FittedLogReg:
     """Greedy forward selection under a BIC-improvement stop rule.
@@ -133,23 +232,54 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
     selection halts when the best improvement over the current model's BIC
     is <= delta_bic_stop or candidates are exhausted. Candidates whose fit
     fails are skipped with a warning.
+
+    The extensions of a step are fitted together in blocks (`_candidate_bics`);
+    the candidates whose batched BIC lies within _BIC_MARGIN of the best are
+    refitted by `fit`, so the chosen model and its BIC are exactly `fit`'s.
+    Candidates with missing cells or a (nearly) singular batched Hessian are
+    fitted by `fit` alone.
     """
     remaining = list(dict.fromkeys(candidates))
     if not remaining:
         raise ModelError("forward selection needs at least one candidate")
     current = fit(table, [])
+    y = table.labels.astype(float)
+    block = max(1, CELLS // table.n_samples)
     while remaining:
+        selected = list(current.selected_order)
+        cols = [table.feature_index(f) for f in remaining]
+        zt = np.ascontiguousarray(table.values[:, cols].T)
+        bic = np.full(len(remaining), np.nan)
+        observed = np.flatnonzero(~table.missing[:, cols].any(axis=0))
+        x0 = _design(table, selected, for_fit=True)
+        for start in range(0, observed.size, block):
+            part = observed[start:start + block]
+            bic[part] = _candidate_bics(x0, zt[part], y)
+        refits: dict[str, FittedLogReg | None] = {}
+
+        def refit(name: str) -> FittedLogReg | None:
+            if name not in refits:
+                try:
+                    refits[name] = fit(table, selected + [name])
+                except ModelError as exc:
+                    warnings.warn(f"skipping candidate {name!r}: {exc}")
+                    refits[name] = None
+            return refits[name]
+
+        for i in np.flatnonzero(np.isnan(bic)):
+            model = refit(remaining[i])
+            if model is not None:
+                bic[i] = model.bic
         scored: list[tuple[float, str, FittedLogReg]] = []
-        for name in remaining:
-            try:
-                trial = fit(table, list(current.selected_order) + [name])
-            except ModelError as exc:
-                warnings.warn(f"skipping candidate {name!r}: {exc}")
-                continue
-            scored.append((trial.bic, name, trial))
+        for i in np.argsort(bic, kind="stable"):
+            if np.isnan(bic[i]) or (scored and bic[i] > scored[0][0] + _BIC_MARGIN):
+                break
+            model = refit(remaining[i])
+            if model is not None:
+                scored.append((model.bic, remaining[i], model))
+                scored.sort(key=lambda t: (t[0], t[1]))
         if not scored:
             break
-        scored.sort(key=lambda t: (t[0], t[1]))
         best_bic, best_name, best_model = scored[0]
         if current.bic - best_bic <= delta_bic_stop:
             break

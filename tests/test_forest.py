@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,3 +221,62 @@ def test_feature_mismatch_rejected_at_predict():
     other = gaussian_table(5, 5, 2, seed=15)
     with pytest.raises(PredictError):
         rf.predict_proba(fo, other)
+
+
+def reference_importance(forest, table):
+    """Per-tree, per-feature loop: one descent per permuted feature."""
+    x = np.ascontiguousarray(table.values)
+    y = table.labels.astype(np.int8)
+    diffs = []
+    skipped = 0
+    for t, tree in enumerate(forest.trees):
+        _, _, oob = rf._tree_stream(forest.params.seed, t, forest.n_train)
+        if oob.size == 0:
+            skipped += 1
+            continue
+        xo = x[oob].copy()
+        yo = y[oob]
+        base_acc = float(np.mean((tree.predict_proba(xo) >= 0.5) == (yo == 1)))
+        row = np.zeros(table.n_features)
+        for f in set(tree.feature[tree.feature >= 0].tolist()):
+            rng = np.random.default_rng([forest.params.seed, t, f])
+            perm = rf._oob_permutation(rng, oob.size)
+            original = xo[:, f].copy()
+            xo[:, f] = original[perm]
+            perm_acc = float(np.mean((tree.predict_proba(xo) >= 0.5) == (yo == 1)))
+            xo[:, f] = original
+            row[f] = base_acc - perm_acc
+        diffs.append(row)
+    d = np.vstack(diffs)
+    mean = d.mean(axis=0)
+    sd = d.std(axis=0, ddof=1) if d.shape[0] > 1 else np.zeros(table.n_features)
+    se = sd / math.sqrt(d.shape[0])
+    normalized = np.zeros(table.n_features)
+    nz = se > 0
+    normalized[nz] = mean[nz] / se[nz]
+    degenerate = ~nz & (mean != 0)
+    normalized[degenerate] = np.sign(mean[degenerate]) * math.inf
+    return mean, se, normalized, skipped
+
+
+@pytest.mark.parametrize("n_benign, n_malignant, mtry, min_leaf", [
+    (45, 35, 1, 1), (45, 35, 5, 1), (45, 35, 5, 4), (60, 20, 1, 9),
+    (40, 40, 5, 80),  # min_leaf = n: single-leaf trees, no used feature
+    (2, 2, 1, 1),  # tiny n: some trees draw every row and have no OOB rows
+])
+def test_importance_matches_per_feature_reference(n_benign, n_malignant, mtry, min_leaf):
+    t = gaussian_table(n_benign, n_malignant, 8, shifts={0: 1.5, 3: 0.7}, seed=17)
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=mtry, ntree=30, min_leaf=min_leaf, seed=53))
+    mean, se, normalized, skipped = reference_importance(fo, t)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = rf.oob_permutation_importance(fo, t)
+    assert np.array_equal(rep.mean_decrease, mean)
+    assert np.array_equal(rep.std_error, se)
+    assert np.array_equal(rep.normalized, normalized)
+    assert any("no out-of-bag rows" in str(w.message) for w in caught) == (skipped > 0)
+    if n_benign + n_malignant == 4:
+        assert skipped > 0
+    if min_leaf == t.n_samples:
+        assert all(tree.feature.size == 1 for tree in fo.trees)
+        assert np.array_equal(rep.normalized, np.zeros(8))

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latefuse import logreg as lr
 from latefuse.errors import ModelError, PredictError, SeparationWarning
@@ -177,11 +179,25 @@ def test_forward_select_skips_failing_candidates():
     values = t.values.copy()
     values[:, 1] = 7.7  # constant column makes the design singular
     broken = t.with_matrix(values, t.missing)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with pytest.warns(UserWarning, match="skipping candidate 'f001': singular design"):
         m = lr.forward_select(broken, list(broken.feature_names))
     assert "f001" not in m.selected_order
     assert "f000" in m.selected_order
+
+
+def test_forward_select_skips_candidate_with_missing_cell():
+    t = gaussian_table(25, 25, 3, shifts={0: 2.0, 2: 2.0}, seed=13)
+    missing = t.missing.copy()
+    missing[4, 2] = True
+    holed = t.with_matrix(t.values, missing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m = lr.forward_select(holed, list(holed.feature_names))
+    messages = [str(w.message) for w in caught]
+    # f002 stays a candidate, so each step warns once, the stopping step included
+    assert messages.count("skipping candidate 'f002': missing cells in model feature "
+                          "columns") == len(m.selected_order) + 1
+    assert "f002" not in m.selected_order and "f000" in m.selected_order
 
 
 def test_forward_select_bic_tie_breaks_lexicographically():
@@ -200,3 +216,85 @@ def test_serialization_round_trip():
     doc = json.loads(json.dumps(lr.to_doc(m)))
     back = lr.from_doc(doc)
     assert back == m
+
+
+def reference_forward_select(table, candidates, delta_bic_stop=2.0):
+    """Forward selection with one scalar `fit` per candidate per step."""
+    remaining = list(dict.fromkeys(candidates))
+    if not remaining:
+        raise ModelError("forward selection needs at least one candidate")
+    current = lr.fit(table, [])
+    while remaining:
+        scored = []
+        for name in remaining:
+            try:
+                trial = lr.fit(table, list(current.selected_order) + [name])
+            except ModelError as exc:
+                warnings.warn(f"skipping candidate {name!r}: {exc}")
+                continue
+            scored.append((trial.bic, name, trial))
+        if not scored:
+            break
+        scored.sort(key=lambda t: (t[0], t[1]))
+        best_bic, best_name, best_model = scored[0]
+        if current.bic - best_bic <= delta_bic_stop:
+            break
+        current = best_model
+        remaining.remove(best_name)
+    return current
+
+
+@st.composite
+def selection_tables(draw):
+    """Labels plus noise, shifted, duplicated, mirrored, constant and
+    near-separating columns, in a drawn order; n=2500 puts the candidates of
+    each step in more than one block."""
+    n = draw(st.sampled_from([24, 90, 2500]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    positives = draw(st.integers(3, n - 3))
+    y = np.zeros(n, dtype=np.int8)
+    y[rng.choice(n, positives, replace=False)] = 1
+    sign = 2.0 * y - 1.0
+    shifted = rng.normal(size=n) + draw(st.floats(0.3, 2.0)) * y
+    near_sep = sign * np.abs(rng.normal(size=n)) \
+        + draw(st.sampled_from([0.0, 0.05, 0.5])) * rng.normal(size=n)
+    columns = [rng.normal(size=n), shifted, shifted.copy(), -shifted, near_sep, -near_sep,
+               np.full(n, draw(st.floats(-3.0, 3.0))), rng.normal(size=n) + 0.5 * y,
+               rng.normal(size=n), rng.normal(size=n) + y]
+    order = draw(st.permutations(range(len(columns))))
+    table = make_table(np.column_stack([columns[i] for i in order]), y)
+    return table, draw(st.permutations(table.feature_names))
+
+
+@settings(max_examples=40, deadline=None)
+@given(selection_tables(), st.sampled_from([2.0, -math.inf]))
+def test_forward_select_matches_scalar_reference(case, delta_bic_stop):
+    table, candidates = case
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        batched = lr.forward_select(table, candidates, delta_bic_stop)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        scalar = reference_forward_select(table, candidates, delta_bic_stop)
+    assert batched.selected_order == scalar.selected_order
+    assert json.dumps(lr.to_doc(batched)) == json.dumps(lr.to_doc(scalar))
+    skipped = [str(w.message) for w in want if str(w.message).startswith("skipping")]
+    assert [str(w.message) for w in got if str(w.message).startswith("skipping")] == skipped
+
+    y = table.labels.astype(float)
+    for k in range(len(scalar.selected_order) + 1):
+        selected = list(scalar.selected_order[:k])
+        names = [f for f in candidates if f not in selected]
+        zt = table.values[:, [table.feature_index(f) for f in names]].T
+        bics = lr._candidate_bics(lr._design(table, selected, for_fit=True),
+                                  np.ascontiguousarray(zt), y)
+        for name, bic in zip(names, bics):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", SeparationWarning)
+                    exact = lr.fit(table, selected + [name]).bic
+            except ModelError:
+                assert np.isnan(bic)  # batched failures go to `fit`, which warns
+                continue
+            if not np.isnan(bic):  # NaN: nearly collinear, left to `fit`
+                assert abs(bic - exact) <= 1e-9
