@@ -45,14 +45,13 @@ class Tree:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         node = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            live = np.flatnonzero(feat >= 0)
-            if live.size == 0:
-                return self.leaf_prob[node]
-            go_left = x[live, feat[live]] <= self.threshold[node[live]]
-            node[live[go_left]] = self.left[node[live[go_left]]]
-            node[live[~go_left]] = self.right[node[live[~go_left]]]
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            node[live] = nxt = np.where(x[live, self.feature[at]] <= self.threshold[at],
+                                        self.left[at], self.right[at])
+            live = live[self.feature[nxt] >= 0]
+        return self.leaf_prob[node]
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,9 @@ class _TreeBuilder:
     def __init__(self, x: np.ndarray, y: np.ndarray, weights: np.ndarray,
                  mtry: int, min_leaf: int, rng: np.random.Generator):
         self.x, self.y, self.w = x, y, weights
+        self.w1 = weights * (y == 1)  # each row's weight toward the positive class
         self.mtry, self.min_leaf, self.rng = mtry, min_leaf, rng
+        self.cols = np.arange(mtry)
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -105,63 +106,63 @@ class _TreeBuilder:
         y = self.y[idx]
         w = self.w[idx]
         wt = float(w.sum())
-        node = self._new_node(float(w[y == 1].sum()), wt)
+        w1 = float(w[y == 1].sum())
+        node = self._new_node(w1, wt)
         if idx.size < 2 * self.min_leaf or y.min() == y.max():
             return node
-        split = self._best_split(idx, wt)
+        split = self._best_split(idx, w1, wt)
         if split is None:
             return node
         feat, thr = split
         go_left = self.x[idx, feat] <= thr
-        if go_left.all() or not go_left.any():
-            return node  # midpoint rounded onto an endpoint; keep the leaf
         self.feature[node] = feat
         self.threshold[node] = thr
-        left_child = self._grow(idx[go_left])
-        right_child = self._grow(idx[~go_left])
-        self.left[node] = left_child
-        self.right[node] = right_child
+        self.left[node] = self._grow(idx[go_left])
+        self.right[node] = self._grow(idx[~go_left])
         return node
 
-    def _best_split(self, idx: np.ndarray, wt: float) -> tuple[int, float] | None:
+    def _best_split(self, idx: np.ndarray, w1: float, wt: float) -> tuple[int, float] | None:
         """Weighted-Gini search over mtry sampled features; None if no split
         strictly reduces impurity while honoring min_leaf on both sides.
 
         Gain ties resolve to the earliest feature in draw order, then the
         lowest cut position, so the result is a pure function of the rng.
+        The cut lies between adjacent distinct sorted values lo < hi, at their
+        midpoint, or at lo when the midpoint rounds onto hi (or overflows), so
+        the rows sent left are exactly those the search evaluated.
         """
         n = idx.size
         feats = self.rng.choice(self.x.shape[1], size=self.mtry, replace=False)
-        y = self.y[idx]
-        w = self.w[idx]
-        w1_total = float(w[y == 1].sum())
-        parent_cost = float(_gini_cost(w1_total, wt))
-        xs = self.x[np.ix_(idx, feats)]  # (n, mtry)
-        order = np.argsort(xs, axis=0, kind="stable")
-        xso = np.take_along_axis(xs, order, axis=0)
-        w_ord = w[order]
-        w1_ord = w_ord * (y[order] == 1)
-        wl = np.cumsum(w_ord, axis=0)[:-1]
-        w1l = np.cumsum(w1_ord, axis=0)[:-1]
-        gain = parent_cost - _gini_cost(w1l, wl) - _gini_cost(w1_total - w1l, wt - wl)
-        sizes = np.arange(1, n)
-        valid = (xso[:-1] != xso[1:]) \
-            & ((sizes >= self.min_leaf) & (n - sizes >= self.min_leaf))[:, None]
-        gain[~valid] = -np.inf
-        flat = np.argmax(gain.T)  # feature-major: draw order first, then cut position
+        xs = self.x[idx[:, None], feats]  # (n, mtry)
+        order = xs.argsort(axis=0, kind="stable")
+        xso = xs[order, self.cols]
+        rows = idx[order]
+        wl = self.w[rows].cumsum(axis=0)[:-1]
+        w1l = self.w1[rows].cumsum(axis=0)[:-1]
+        # Weight-scaled Gini wt * (1 - p^2 - (1 - p)^2) of the parent and both
+        # sides. Every weight is > 0 and each side of a cut holds at least one
+        # row, so no side weight is 0 and the proportions need no guard.
+        # Squares are products, which is what numpy's `** 2` computes.
+        p = w1 / wt
+        parent_cost = wt * (1.0 - p * p - (1.0 - p) * (1.0 - p))
+        p = w1l / wl
+        q = 1.0 - p
+        gain = parent_cost - wl * (1.0 - p * p - q * q)
+        wr = wt - wl
+        p = (w1 - w1l) / wr
+        q = 1.0 - p
+        gain -= wr * (1.0 - p * p - q * q)
+        gain[xso[:-1] == xso[1:]] = -np.inf
+        if self.min_leaf > 1:  # cut after row i leaves i + 1 rows on the left
+            gain[:self.min_leaf - 1] = -np.inf
+            gain[n - self.min_leaf:] = -np.inf
+        flat = gain.T.argmax()  # feature-major: draw order first, then cut position
         f_pick, pos = divmod(int(flat), n - 1)
         if gain[pos, f_pick] <= 1e-12:
             return None
-        return int(feats[f_pick]), float((xso[pos, f_pick] + xso[pos + 1, f_pick]) / 2.0)
-
-
-def _gini_cost(w1, wt):
-    """Weight-scaled Gini impurity wt * (1 - p0^2 - p1^2); vectorized."""
-    w1 = np.asarray(w1, dtype=float)
-    wt = np.asarray(wt, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p1 = np.where(wt > 0, w1 / wt, 0.0)
-    return wt * (1.0 - p1 ** 2 - (1.0 - p1) ** 2)
+        lo, hi = float(xso[pos, f_pick]), float(xso[pos + 1, f_pick])
+        thr = (lo + hi) / 2.0
+        return int(feats[f_pick]), thr if lo <= thr < hi else lo
 
 
 def class_weights_for(y: np.ndarray) -> dict[int, float]:
@@ -182,11 +183,8 @@ def _tree_stream(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.nda
 def _fit_one_tree(x, y, params, tree_index) -> Tree:
     rng, boot, _ = _tree_stream(params.seed, tree_index, x.shape[0])
     yb = y[boot]
-    if params.weighted:
-        cw = class_weights_for(yb)
-        wb = np.array([cw[int(c)] for c in yb])
-    else:
-        wb = np.ones(boot.size)
+    cw = class_weights_for(yb) if params.weighted else {0: 1.0, 1: 1.0}
+    wb = np.where(yb == 1, cw.get(1, 0.0), cw.get(0, 0.0))  # a bootstrap may hold one class
     return _TreeBuilder(x[boot], yb, wb, params.mtry, params.min_leaf, rng).build()
 
 

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latefuse import forest as rf
 from latefuse.errors import ModelError, PredictError
@@ -280,3 +282,191 @@ def test_importance_matches_per_feature_reference(n_benign, n_malignant, mtry, m
     if min_leaf == t.n_samples:
         assert all(tree.feature.size == 1 for tree in fo.trees)
         assert np.array_equal(rep.normalized, np.zeros(8))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # adjacent doubles, lo with an odd mantissa: the midpoint rounds onto hi
+    (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+    (1e308, 1.5e308),  # lo + hi overflows to +inf
+    (-1.5e308, -1e308),  # lo + hi overflows to -inf
+])
+def test_split_between_values_without_a_midpoint(lo, hi):
+    t = make_table([[lo]] * 10 + [[hi]] * 10, [0] * 10 + [1] * 10)
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=1, ntree=5, seed=3))
+    for tree in fo.trees:
+        assert tree.feature[0] == 0 and lo <= tree.threshold[0] < hi
+    assert np.array_equal(rf.predict_proba(fo, t), t.labels.astype(float))
+
+
+class ReferenceTreeBuilder:
+    """The tree builder before the per-node trim, kept verbatim as reference."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, weights: np.ndarray,
+                 mtry: int, min_leaf: int, rng: np.random.Generator):
+        self.x, self.y, self.w = x, y, weights
+        self.mtry, self.min_leaf, self.rng = mtry, min_leaf, rng
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.prob: list[float] = []
+
+    def build(self) -> rf.Tree:
+        self._grow(np.arange(self.x.shape[0]))
+        return rf.Tree(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=float),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            leaf_prob=np.asarray(self.prob, dtype=float),
+        )
+
+    def _new_node(self, w1: float, wt: float) -> int:
+        self.feature.append(-1)
+        self.threshold.append(math.nan)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.prob.append(w1 / wt)
+        return len(self.feature) - 1
+
+    def _grow(self, idx: np.ndarray) -> int:
+        y = self.y[idx]
+        w = self.w[idx]
+        wt = float(w.sum())
+        node = self._new_node(float(w[y == 1].sum()), wt)
+        if idx.size < 2 * self.min_leaf or y.min() == y.max():
+            return node
+        split = self._best_split(idx, wt)
+        if split is None:
+            return node
+        feat, thr = split
+        go_left = self.x[idx, feat] <= thr
+        if go_left.all() or not go_left.any():
+            return node  # midpoint rounded onto an endpoint; keep the leaf
+        self.feature[node] = feat
+        self.threshold[node] = thr
+        left_child = self._grow(idx[go_left])
+        right_child = self._grow(idx[~go_left])
+        self.left[node] = left_child
+        self.right[node] = right_child
+        return node
+
+    def _best_split(self, idx: np.ndarray, wt: float) -> tuple[int, float] | None:
+        """Weighted-Gini search over mtry sampled features; None if no split
+        strictly reduces impurity while honoring min_leaf on both sides.
+
+        Gain ties resolve to the earliest feature in draw order, then the
+        lowest cut position, so the result is a pure function of the rng.
+        """
+        n = idx.size
+        feats = self.rng.choice(self.x.shape[1], size=self.mtry, replace=False)
+        y = self.y[idx]
+        w = self.w[idx]
+        w1_total = float(w[y == 1].sum())
+        parent_cost = float(reference_gini_cost(w1_total, wt))
+        xs = self.x[np.ix_(idx, feats)]  # (n, mtry)
+        order = np.argsort(xs, axis=0, kind="stable")
+        xso = np.take_along_axis(xs, order, axis=0)
+        w_ord = w[order]
+        w1_ord = w_ord * (y[order] == 1)
+        wl = np.cumsum(w_ord, axis=0)[:-1]
+        w1l = np.cumsum(w1_ord, axis=0)[:-1]
+        gain = parent_cost - reference_gini_cost(w1l, wl) \
+            - reference_gini_cost(w1_total - w1l, wt - wl)
+        sizes = np.arange(1, n)
+        valid = (xso[:-1] != xso[1:]) \
+            & ((sizes >= self.min_leaf) & (n - sizes >= self.min_leaf))[:, None]
+        gain[~valid] = -np.inf
+        flat = np.argmax(gain.T)  # feature-major: draw order first, then cut position
+        f_pick, pos = divmod(int(flat), n - 1)
+        if gain[pos, f_pick] <= 1e-12:
+            return None
+        return int(feats[f_pick]), float((xso[pos, f_pick] + xso[pos + 1, f_pick]) / 2.0)
+
+
+def reference_gini_cost(w1, wt):
+    """Weight-scaled Gini impurity wt * (1 - p0^2 - p1^2); vectorized."""
+    w1 = np.asarray(w1, dtype=float)
+    wt = np.asarray(wt, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p1 = np.where(wt > 0, w1 / wt, 0.0)
+    return wt * (1.0 - p1 ** 2 - (1.0 - p1) ** 2)
+
+
+def reference_trees(table, params):
+    """Trees of fit_forest grown by the reference builder, with the per-row
+    weight loop and the per-level masked descent it was paired with."""
+    x = np.ascontiguousarray(table.values)
+    y = table.labels.astype(np.int8)
+    trees = []
+    for t in range(params.ntree):
+        rng, boot, _ = rf._tree_stream(params.seed, t, x.shape[0])
+        yb = y[boot]
+        if params.weighted:
+            cw = rf.class_weights_for(yb)
+            wb = np.array([cw[int(c)] for c in yb])
+        else:
+            wb = np.ones(boot.size)
+        trees.append(ReferenceTreeBuilder(x[boot], yb, wb, params.mtry, params.min_leaf,
+                                          rng).build())
+    return trees
+
+
+def reference_tree_predict(tree, x):
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        live = np.flatnonzero(feat >= 0)
+        if live.size == 0:
+            return tree.leaf_prob[node]
+        go_left = x[live, feat[live]] <= tree.threshold[node[live]]
+        node[live[go_left]] = tree.left[node[live[go_left]]]
+        node[live[~go_left]] = tree.right[node[live[~go_left]]]
+
+
+@st.composite
+def forest_cases(draw):
+    """Tables on a grid of quarters, so every midpoint between two distinct
+    values is exact and no cut falls between adjacent doubles (the one case
+    where the thresholds were meant to change). Small grids give heavy ties;
+    some columns copy or mirror others, so gains tie across features; some
+    columns are constant; some rows copy others, with either label."""
+    n = draw(st.integers(2, 40))
+    n_feat = draw(st.integers(1, 6))
+    levels = draw(st.sampled_from([1, 2, 3, 8, 64]))
+    cells = draw(st.lists(st.integers(-levels, levels), min_size=n * n_feat,
+                          max_size=n * n_feat))
+    values = np.asarray(cells, dtype=float).reshape(n, n_feat) / 4.0
+    for src, dst, sign in draw(st.lists(st.tuples(st.integers(0, n_feat - 1),
+                                                  st.integers(0, n_feat - 1),
+                                                  st.sampled_from([1.0, -1.0])),
+                                        max_size=n_feat)):
+        values[:, dst] = sign * values[:, src]
+    for j in draw(st.sets(st.integers(0, n_feat - 1))):
+        values[:, j] = values[0, j]
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=n)):
+        values[dst] = values[src]
+    n_pos = draw(st.integers(1, n - 1))
+    labels = np.zeros(n, dtype=np.int8)
+    labels[draw(st.permutations(range(n)))[:n_pos]] = 1
+    params = rf.ForestParams(mtry=draw(st.integers(1, n_feat)),
+                             ntree=draw(st.integers(1, 4)),
+                             min_leaf=draw(st.sampled_from([1, 2, 5])),
+                             seed=draw(st.integers(0, 2**32 - 1)),
+                             weighted=draw(st.booleans()))
+    return make_table(values, labels), params
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest_cases())
+def test_trees_match_reference_builder(case):
+    table, params = case
+    fo = rf.fit_forest(table, params)
+    reference = reference_trees(table, params)
+    assert len(fo.trees) == len(reference)
+    assert all(trees_equal(a, b) for a, b in zip(fo.trees, reference))
+    # rows on the grid, rows at the cuts and rows off both
+    x = np.vstack([table.values, table.values + 0.125, table.values - 0.3])
+    for tree in fo.trees:
+        assert np.array_equal(tree.predict_proba(x), reference_tree_predict(tree, x))
