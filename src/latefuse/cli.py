@@ -37,7 +37,7 @@ from .reports import (folds_csv, fused_scores_csv, importance_csv, metrics_csv,
                       scores_csv, summary_csv, univariate_csv, write_text)
 from .synth import generate_pair
 from .tables import (ClassLabel, FeatureTable, align_common_samples, load_feature_table,
-                     partition, save_feature_table)
+                     partition, read_roles, save_feature_table)
 from .univariate import univariate_screen
 
 EXIT_MISSING_INPUT = 2
@@ -64,13 +64,13 @@ def _require_file(path: Path, role: str) -> Path:
     return Path(path)
 
 
-def _modality_path(cfg: RunConfig, modality: str) -> Path:
-    return cfg.modality_a if modality == "a" else cfg.modality_b
+def _table_file(cfg: RunConfig, modality: str) -> Path:
+    path = cfg.modality_a if modality == "a" else cfg.modality_b
+    return _require_file(path, f"modality {modality} table")
 
 
 def _load_table(cfg: RunConfig, modality: str) -> FeatureTable:
-    path = _require_file(_modality_path(cfg, modality), f"modality {modality} table")
-    return load_feature_table(path, cfg.schema)
+    return load_feature_table(_table_file(cfg, modality), cfg.schema)
 
 
 def _preprocess_full(cfg: RunConfig, table: FeatureTable) -> FeatureTable:
@@ -83,16 +83,16 @@ def _preprocess_full(cfg: RunConfig, table: FeatureTable) -> FeatureTable:
 def _test_ids(cfg: RunConfig, modality: str, raw: FeatureTable) -> frozenset[str]:
     """Fixed test membership: an explicit id file, or a seeded per-class draw
     from the samples common to both modalities, in modality a's row order.
-    `raw` is the parsed table of `modality`, so only the other file is read."""
+    `raw` is the parsed table of `modality`; of the other file only the ids
+    and labels are read."""
     if cfg.test_ids_file is not None:
         path = _require_file(cfg.test_ids_file, "test id file")
         ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()
                if line.strip()]
         return frozenset(ids)
-    if modality == "a":
-        common_a, _ = align_common_samples(raw, _load_table(cfg, "b"))
-    else:
-        common_a, _ = align_common_samples(_load_table(cfg, "a"), raw)
+    other = read_roles(_table_file(cfg, "b" if modality == "a" else "a"), cfg.schema)
+    table_a, table_b = (raw, other) if modality == "a" else (other, raw)
+    common_a, _ = align_common_samples(table_a, table_b)
     rng = np.random.default_rng(_derive_seed(cfg.base_seed, "test-split"))
     chosen: list[str] = []
     for cls, k in ((0, cfg.test_benign), (1, cfg.test_malignant)):

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -158,6 +162,62 @@ class FeatureTable:
         return self.n_samples - pos, pos
 
 
+def _read_rows(path: Path, schema: ColumnSchema
+               ) -> tuple[FeatureTable, list[list[str]], list[int], list[str]]:
+    """Everything of a table file but its feature cells.
+
+    Returns the zero-feature table of ids, cohorts, labels and groups, the
+    data rows, the indices of the feature columns and their names. Faults
+    raise in file order: an empty file, a missing role column, then per row
+    a wrong cell count (named by its physical line) and an unknown label,
+    then a duplicate sample id, then a duplicate feature name.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = rows[0][1]
+    role_columns = [schema.id_column, schema.cohort_column, schema.label_column]
+    if schema.group_column is not None:
+        role_columns.append(schema.group_column)
+    for col in role_columns:
+        if col not in header:
+            raise DataError(f"{path}: required column {col!r} not in header")
+    id_ix, cohort_ix, label_ix, *group_ix = (header.index(c) for c in role_columns)
+    feat_ix = [j for j in range(len(header)) if j not in {id_ix, cohort_ix, label_ix, *group_ix}]
+    feature_names = [header[j] for j in feat_ix]
+
+    labels: list[int] = []
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {len(header)}")
+        labels.append(int(ClassLabel.parse(row[label_ix])))
+    data = [row for _, row in rows[1:]]
+    ids = [row[id_ix] for row in data]
+    for name, names in (("sample id", ids), ("feature name", feature_names)):
+        if len(set(names)) != len(names):
+            dupes = sorted(s for s, k in Counter(names).items() if k > 1)
+            raise DataError(f"{path}: duplicate {name} {dupes[0]!r}")
+    roles = FeatureTable(
+        sample_ids=tuple(ids),
+        cohort=tuple(row[cohort_ix] for row in data),
+        labels=np.asarray(labels, dtype=np.int8),
+        feature_names=(),
+        values=np.empty((len(data), 0)),
+        missing=np.empty((len(data), 0), dtype=bool),
+        groups=tuple(row[group_ix[0]] for row in data) if group_ix else None,
+    )
+    return roles, data, feat_ix, feature_names
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
 def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> FeatureTable:
     """Read a UTF-8, comma-separated file with one header row into a FeatureTable.
 
@@ -167,56 +227,22 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema()) 
     Lines starting with '#' are skipped so files written by save_feature_table
     round-trip.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header, data = rows[0], rows[1:]
-    role_columns = [schema.id_column, schema.cohort_column, schema.label_column]
-    if schema.group_column is not None:
-        role_columns.append(schema.group_column)
-    for col in role_columns:
-        if col not in header:
-            raise DataError(f"{path}: required column {col!r} not in header")
-    id_ix = header.index(schema.id_column)
-    cohort_ix = header.index(schema.cohort_column)
-    label_ix = header.index(schema.label_column)
-    group_ix = header.index(schema.group_column) if schema.group_column else None
-    role_ix = {id_ix, cohort_ix, label_ix} | ({group_ix} if group_ix is not None else set())
-    feat_ix = [j for j in range(len(header)) if j not in role_ix]
-    feature_names = [header[j] for j in feat_ix]
+    roles, data, feat_ix, feature_names = _read_rows(Path(path), schema)
+    # itemgetter of a single index returns the cell itself, not a 1-tuple
+    pick = itemgetter(*feat_ix) if len(feat_ix) > 1 else lambda row: [row[j] for j in feat_ix]
+    cells = [c or "nan" for c in chain.from_iterable(map(pick, data))]
+    try:
+        values = np.fromiter(map(float, cells), float, count=len(cells))
+    except ValueError:  # text such as "NA": parse cell by cell
+        values = np.fromiter(map(_float_or_nan, cells), float, count=len(cells))
+    values = values.reshape(len(data), len(feat_ix))
+    return roles.with_matrix(values, ~np.isfinite(values), feature_names)
 
-    ids: list[str] = []
-    cohorts: list[str] = []
-    labels: list[int] = []
-    groups: list[str] = []
-    values = np.full((len(data), len(feat_ix)), np.nan)
-    for i, row in enumerate(data):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        ids.append(row[id_ix])
-        cohorts.append(row[cohort_ix])
-        labels.append(int(ClassLabel.parse(row[label_ix])))
-        if group_ix is not None:
-            groups.append(row[group_ix])
-        for k, j in enumerate(feat_ix):
-            try:
-                values[i, k] = float(row[j])
-            except ValueError:
-                pass  # stays NaN, so it is marked missing below
-    if len(set(ids)) != len(ids):
-        dupes = sorted({s for s in ids if ids.count(s) > 1})
-        raise DataError(f"{path}: duplicate sample id {dupes[0]!r}")
-    return FeatureTable(
-        sample_ids=tuple(ids),
-        cohort=tuple(cohorts),
-        labels=np.asarray(labels, dtype=np.int8),
-        feature_names=tuple(feature_names),
-        values=values,
-        missing=~np.isfinite(values),
-        groups=tuple(groups) if group_ix is not None else None,
-    )
+
+def read_roles(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> FeatureTable:
+    """The ids, cohorts, labels and groups of a table file, with no feature
+    columns: load_feature_table's checks and errors without parsing a float."""
+    return _read_rows(Path(path), schema)[0]
 
 
 def save_feature_table(table: FeatureTable, path: str | Path,
@@ -234,13 +260,14 @@ def save_feature_table(table: FeatureTable, path: str | Path,
         if write_groups:
             head.append(schema.group_column)
         writer.writerow(head + list(table.feature_names))
-        for i in range(table.n_samples):
-            cells = [table.sample_ids[i], table.cohort[i],
-                     str(ClassLabel(int(table.labels[i])))]
+        label_names = (str(ClassLabel.BENIGN), str(ClassLabel.MALIGNANT))
+        labels = table.labels.tolist()
+        for i, (values, missing) in enumerate(zip(table.values.tolist(),
+                                                  table.missing.tolist())):
+            cells = [table.sample_ids[i], table.cohort[i], label_names[labels[i]]]
             if write_groups:
                 cells.append(table.groups[i])
-            for j in range(table.n_features):
-                cells.append("" if table.missing[i, j] else repr(float(table.values[i, j])))
+            cells += ["" if m else repr(v) for v, m in zip(values, missing)]
             writer.writerow(cells)
 
 

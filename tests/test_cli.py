@@ -298,25 +298,49 @@ def test_each_command_reads_each_input_once(config_path, tmp_path, monkeypatch, 
                        encoding="utf-8")
         text = config_path.read_text().replace("[split]", f"[split]\ntest_ids_file = {ids}")
         config_path.write_text(text, encoding="utf-8")
-    loads, matrices = Counter(), []
-    real_load, real_matrix = cli.load_feature_table, cli.spearman_matrix
+    reads, parses, matrices = Counter(), Counter(), []
+    real_load, real_roles, real_matrix = cli.load_feature_table, cli.read_roles, cli.spearman_matrix
 
     def counting_load(path, *args, **kwargs):
-        loads[Path(path).name] += 1
+        reads[Path(path).name] += 1
+        parses[Path(path).name] += 1
         return real_load(path, *args, **kwargs)
+
+    def counting_roles(path, *args, **kwargs):
+        reads[Path(path).name] += 1
+        return real_roles(path, *args, **kwargs)
 
     def counting_matrix(table):
         matrices.append(table)
         return real_matrix(table)
 
     monkeypatch.setattr(cli, "load_feature_table", counting_load)
+    monkeypatch.setattr(cli, "read_roles", counting_roles)
     monkeypatch.setattr(cli, "spearman_matrix", counting_matrix)
     for modality in ("a", "b"):
-        once_each = Counter([f"modality_{modality}.csv"] if id_file
-                            else ["modality_a.csv", "modality_b.csv"])
+        own = f"modality_{modality}.csv"
+        once_each = Counter([own] if id_file else ["modality_a.csv", "modality_b.csv"])
         for verb in ("train", "evaluate"):
-            loads.clear()
+            reads.clear()
+            parses.clear()
             matrices.clear()
             assert run(config_path, verb, "--modality", modality, "--model", "lr") == 0
-            assert loads == once_each, (verb, modality)
+            assert reads == once_each, (verb, modality)
+            # the other modality is read for ids and labels only, never parsed in full
+            assert parses == Counter([own]), (verb, modality)
             assert len(matrices) == (1 if verb == "train" else 0), (verb, modality)
+
+
+def test_conflicting_labels_across_modalities_fail_train(config_path, tmp_path, capsys):
+    run(config_path, "synth")
+    path_a, path_b = tmp_path / "data" / "modality_a.csv", tmp_path / "data" / "modality_b.csv"
+    shared = {r[0]: r[2] for r in read_rows(path_a)[1:]}
+    rows = read_rows(path_b)
+    row = next(r for r in rows[1:] if r[0] in shared)
+    row[2] = "Benign" if shared[row[0]] == "Malignant" else "Malignant"
+    with path_b.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    capsys.readouterr()
+    for modality in ("a", "b"):
+        assert run(config_path, "train", "--modality", modality, "--model", "lr") == 1
+        assert f"conflicting labels for shared sample {row[0]!r}" in capsys.readouterr().err

@@ -1,14 +1,18 @@
+import csv
+import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latefuse import tables
 from latefuse.errors import DataError
 from latefuse.tables import (ClassLabel, ColumnSchema, FeatureTable, align_common_samples,
-                             load_feature_table, partition, save_feature_table)
+                             load_feature_table, partition, read_roles, save_feature_table)
 
 from conftest import make_table
 
@@ -145,6 +149,229 @@ def test_round_trip_bit_for_bit(tmp_path):
     path2 = tmp_path / "t2.csv"
     save_feature_table(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_ragged_row_names_its_physical_line(tmp_path):
+    path = write_csv(tmp_path, "id,cohort,label,f1\n# note\n\nS1,M,benign,1.0\nS2,M,benign\n")
+    for read in (load_feature_table, read_roles):
+        with pytest.raises(DataError, match="row 5 has 3 cells, expected 4"):
+            read(path)
+
+
+def test_duplicate_ids_named_smallest_first(tmp_path):
+    rows = "".join(f"S{i % 7},M,benign,1\n" for i in range(30, 0, -1))
+    path = write_csv(tmp_path, "id,cohort,label,f1\n" + rows)
+    with pytest.raises(DataError, match="duplicate sample id 'S0'"):
+        load_feature_table(path)
+
+
+# one file per fault, and files whose faults must be reported in file order
+FAULTY_FILES = {
+    "empty": ("# only a comment\n\n", "empty file"),
+    "no role column": ("id,label,f1\nS1,benign,1\n", "required column 'cohort'"),
+    "short row": ("id,cohort,label,f1\nS1,M,benign\n", "row 2 has 3 cells"),
+    "unknown label": ("id,cohort,label,f1\nS1,M,tumor,1\n", "unknown class label 'tumor'"),
+    "duplicate id": ("id,cohort,label,f1\nS1,M,benign,1\nS1,M,benign,2\n",
+                     "duplicate sample id 'S1'"),
+    "duplicate feature": ("id,cohort,label,f1,f1\nS1,M,benign,1,2\n",
+                          "duplicate feature name 'f1'"),
+    "label before short row": ("id,cohort,label,f1\nS1,M,tumor,1\nS2,M,benign\n",
+                               "unknown class label"),
+    "short row before label": ("id,cohort,label,f1\nS1,M,benign\nS2,M,tumor,1\n",
+                               "row 2 has 3 cells"),
+    "short row before duplicate feature": ("id,cohort,label,f,f\nS1,M,benign,1\n",
+                                           "row 2 has 4 cells"),
+    "duplicate id before duplicate feature": ("id,cohort,label,f,f\nS1,M,benign,1,2\n"
+                                              "S1,M,benign,3,4\n", "duplicate sample id"),
+}
+
+
+@pytest.mark.parametrize("name", FAULTY_FILES)
+def test_role_read_raises_as_full_load(tmp_path, name):
+    text, expected = FAULTY_FILES[name]
+    path = write_csv(tmp_path, text)
+    with pytest.raises(DataError, match=expected) as full:
+        load_feature_table(path)
+    with pytest.raises(DataError) as roles:
+        read_roles(path)
+    assert str(roles.value) == str(full.value)
+
+
+def test_role_read_keeps_roles_and_drops_features(tmp_path):
+    path = write_csv(tmp_path, "f1,id,cohort,label,patient,f2\n"
+                               "1.0,S1,M,benign,P7,x\n"
+                               "2.0,S2,B,1,P9,3\n")
+    schema = ColumnSchema(group_column="patient")
+    roles, full = read_roles(path, schema), load_feature_table(path, schema)
+    assert roles.feature_names == () and roles.values.shape == (2, 0)
+    assert (roles.sample_ids, roles.cohort, roles.groups) == (full.sample_ids, full.cohort,
+                                                              full.groups)
+    assert roles.labels.tolist() == full.labels.tolist() == [0, 1]
+
+
+def reference_load(path, schema=ColumnSchema()):
+    """The per-cell loader that load_feature_table replaced, kept verbatim as
+    the reference its values are checked against."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header, data = rows[0], rows[1:]
+    role_columns = [schema.id_column, schema.cohort_column, schema.label_column]
+    if schema.group_column is not None:
+        role_columns.append(schema.group_column)
+    for col in role_columns:
+        if col not in header:
+            raise DataError(f"{path}: required column {col!r} not in header")
+    id_ix = header.index(schema.id_column)
+    cohort_ix = header.index(schema.cohort_column)
+    label_ix = header.index(schema.label_column)
+    group_ix = header.index(schema.group_column) if schema.group_column else None
+    role_ix = {id_ix, cohort_ix, label_ix} | ({group_ix} if group_ix is not None else set())
+    feat_ix = [j for j in range(len(header)) if j not in role_ix]
+    feature_names = [header[j] for j in feat_ix]
+
+    ids: list[str] = []
+    cohorts: list[str] = []
+    labels: list[int] = []
+    groups: list[str] = []
+    values = np.full((len(data), len(feat_ix)), np.nan)
+    for i, row in enumerate(data):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
+        ids.append(row[id_ix])
+        cohorts.append(row[cohort_ix])
+        labels.append(int(ClassLabel.parse(row[label_ix])))
+        if group_ix is not None:
+            groups.append(row[group_ix])
+        for k, j in enumerate(feat_ix):
+            try:
+                values[i, k] = float(row[j])
+            except ValueError:
+                pass  # stays NaN, so it is marked missing below
+    if len(set(ids)) != len(ids):
+        dupes = sorted({s for s in ids if ids.count(s) > 1})
+        raise DataError(f"{path}: duplicate sample id {dupes[0]!r}")
+    return FeatureTable(
+        sample_ids=tuple(ids),
+        cohort=tuple(cohorts),
+        labels=np.asarray(labels, dtype=np.int8),
+        feature_names=tuple(feature_names),
+        values=values,
+        missing=~np.isfinite(values),
+        groups=tuple(groups) if group_ix is not None else None,
+    )
+
+
+def reference_save(table, path, schema=ColumnSchema()):
+    """The per-cell writer that save_feature_table replaced, kept verbatim as
+    the reference its bytes are checked against."""
+    path = Path(path)
+    write_groups = table.groups is not None and schema.group_column is not None
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        head = [schema.id_column, schema.cohort_column, schema.label_column]
+        if write_groups:
+            head.append(schema.group_column)
+        writer.writerow(head + list(table.feature_names))
+        for i in range(table.n_samples):
+            cells = [table.sample_ids[i], table.cohort[i],
+                     str(ClassLabel(int(table.labels[i])))]
+            if write_groups:
+                cells.append(table.groups[i])
+            for j in range(table.n_features):
+                cells.append("" if table.missing[i, j] else repr(float(table.values[i, j])))
+            writer.writerow(cells)
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7, 1e308, -1e308,
+               1.7976931348623157e308)
+# odd spellings float() reads (a blank cell is read as "nan"), and cells it
+# rejects, which send the whole parse down the per-cell path
+ODD_CELLS = ("", "nan", "-Infinity", "1e309", "1_0", " 2.5 ", "٣.5", "７", "-0")
+REJECTED_CELLS = (" ", "NA", "0x10", "oops, text", "1,5")
+finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def table_files(draw, fallback):
+    """CSV text of a table with shuffled role and feature columns; with
+    `fallback`, at least one feature cell is one of REJECTED_CELLS."""
+    n = draw(st.integers(1 if fallback else 0, 6))
+    p = draw(st.integers(1 if fallback else 0, 4))
+    grouped = draw(st.booleans())
+    roles = ["id", "cohort", "label"] + (["patient"] if grouped else [])
+    header = draw(st.permutations(roles + [f"f{j}" for j in range(p)]))
+    plain = st.one_of(finite_floats.map(repr), st.sampled_from(ODD_CELLS))
+    cell = st.one_of(plain, st.sampled_from(REJECTED_CELLS)) if fallback else plain
+    cells = draw(st.lists(st.lists(cell, min_size=p, max_size=p), min_size=n, max_size=n))
+    if fallback:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, p - 1))
+        cells[i][j] = draw(st.sampled_from(REJECTED_CELLS))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for i, row in enumerate(cells):
+        if draw(st.booleans()):
+            out.write("# comment\n\n")
+        by_name = {"id": f"S{i}", "cohort": draw(st.sampled_from(("M", "B, 2", '"q"'))),
+                   "label": draw(st.sampled_from(("benign", "Malignant", "0", "1"))),
+                   "patient": f"P{i // 2}", **{f"f{j}": c for j, c in enumerate(row)}}
+        writer.writerow([by_name[name] for name in header])
+    return out.getvalue(), ColumnSchema(group_column="patient" if grouped else None)
+
+
+def assert_same_table(got, want):
+    assert got.sample_ids == want.sample_ids and got.cohort == want.cohort
+    assert got.groups == want.groups and got.feature_names == want.feature_names
+    assert got.labels.tolist() == want.labels.tolist()
+    assert np.array_equal(got.missing, want.missing)
+    observed = ~want.missing
+    assert np.array_equal(got.values[observed].view(np.int64),
+                          want.values[observed].view(np.int64))
+    assert np.isnan(got.values[want.missing]).all()
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_parse_matches_per_cell_reference(fallback, data):
+    text, schema = data.draw(table_files(fallback))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(tables, "_float_or_nan", wraps=tables._float_or_nan) as slow:
+            got = load_feature_table(path, schema)
+        want = reference_load(path, schema)
+    assert slow.called == fallback
+    assert_same_table(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_save_matches_per_cell_reference(data):
+    n, p = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
+    values = data.draw(st.lists(finite_floats, min_size=n * p, max_size=n * p))
+    missing = data.draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))
+    grouped = data.draw(st.booleans())
+    table = FeatureTable(
+        sample_ids=tuple(f"S,{i}" for i in range(n)),
+        cohort=tuple(data.draw(st.sampled_from(("M", 'B "x"'))) for _ in range(n)),
+        labels=np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                          dtype=np.int8),
+        feature_names=tuple(f"f{j}" for j in range(p)),
+        values=np.reshape(values, (n, p)),
+        missing=np.reshape(missing, (n, p)).astype(bool),
+        groups=tuple(f"P{i // 2}" for i in range(n)) if grouped else None,
+    )
+    schema = ColumnSchema(group_column="patient")
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        save_feature_table(table, got, schema)
+        reference_save(table, want, schema)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_align_intersection_order_and_labels():
