@@ -1,10 +1,14 @@
 """Random forest of CART-style trees with class-weighted Gini splits.
 
-Determinism contract: every tree draws all of its randomness from a stream
-derived from (forest seed, tree index), and the permutation pass for feature
-f in tree t from (forest seed, t, f). Results are therefore bit-identical
-for a given seed, and a tree's bootstrap and out-of-bag rows follow from
-(seed, tree index, n_train), so a forest does not store them.
+Determinism contract: tree t is grown from one generator seeded by (forest
+seed, t). It draws the bootstrap first, then, per depth level, the features
+of all the tree's splittable nodes of that level in one call, in
+breadth-first node order. The importance pass draws tree t's permutations,
+one per used feature in feature order, from a second generator seeded by
+(forest seed, t, 1). Results are therefore bit-identical for a given seed,
+whichever trees are grown together, and a tree's bootstrap and out-of-bag
+rows follow from (seed, tree index, n_train), so a forest does not store
+them.
 """
 
 from __future__ import annotations
@@ -12,11 +16,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ModelError, PredictError
 from .tables import FeatureTable
+
+# fit_forest grows its trees in blocks of about CELLS (tree x bootstrap row x
+# drawn feature) cells, which bounds the candidate cuts of one level
+CELLS = 2 ** 15
+# appended to (seed, t) for tree t's importance permutations; SeedSequence
+# pads short entropy with zeros, so 0 would repeat the growth stream
+_PERMUTATION_KEY = 1
 
 
 @dataclass(frozen=True)
@@ -71,100 +83,6 @@ class ImportanceReport:
     normalized: np.ndarray  # mean/SE; 0 when both are 0, +/-inf flagged when SE=0
 
 
-class _TreeBuilder:
-    def __init__(self, x: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                 mtry: int, min_leaf: int, rng: np.random.Generator):
-        self.x, self.y, self.w = x, y, weights
-        self.w1 = weights * (y == 1)  # each row's weight toward the positive class
-        self.mtry, self.min_leaf, self.rng = mtry, min_leaf, rng
-        self.cols = np.arange(mtry)
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.prob: list[float] = []
-
-    def build(self) -> Tree:
-        self._grow(np.arange(self.x.shape[0]))
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            leaf_prob=np.asarray(self.prob, dtype=float),
-        )
-
-    def _new_node(self, w1: float, wt: float) -> int:
-        self.feature.append(-1)
-        self.threshold.append(math.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.prob.append(w1 / wt)
-        return len(self.feature) - 1
-
-    def _grow(self, idx: np.ndarray) -> int:
-        y = self.y[idx]
-        w = self.w[idx]
-        wt = float(w.sum())
-        w1 = float(w[y == 1].sum())
-        node = self._new_node(w1, wt)
-        if idx.size < 2 * self.min_leaf or y.min() == y.max():
-            return node
-        split = self._best_split(idx, w1, wt)
-        if split is None:
-            return node
-        feat, thr = split
-        go_left = self.x[idx, feat] <= thr
-        self.feature[node] = feat
-        self.threshold[node] = thr
-        self.left[node] = self._grow(idx[go_left])
-        self.right[node] = self._grow(idx[~go_left])
-        return node
-
-    def _best_split(self, idx: np.ndarray, w1: float, wt: float) -> tuple[int, float] | None:
-        """Weighted-Gini search over mtry sampled features; None if no split
-        strictly reduces impurity while honoring min_leaf on both sides.
-
-        Gain ties resolve to the earliest feature in draw order, then the
-        lowest cut position, so the result is a pure function of the rng.
-        The cut lies between adjacent distinct sorted values lo < hi, at their
-        midpoint, or at lo when the midpoint rounds onto hi (or overflows), so
-        the rows sent left are exactly those the search evaluated.
-        """
-        n = idx.size
-        feats = self.rng.choice(self.x.shape[1], size=self.mtry, replace=False)
-        xs = self.x[idx[:, None], feats]  # (n, mtry)
-        order = xs.argsort(axis=0, kind="stable")
-        xso = xs[order, self.cols]
-        rows = idx[order]
-        wl = self.w[rows].cumsum(axis=0)[:-1]
-        w1l = self.w1[rows].cumsum(axis=0)[:-1]
-        # Weight-scaled Gini wt * (1 - p^2 - (1 - p)^2) of the parent and both
-        # sides. Every weight is > 0 and each side of a cut holds at least one
-        # row, so no side weight is 0 and the proportions need no guard.
-        # Squares are products, which is what numpy's `** 2` computes.
-        p = w1 / wt
-        parent_cost = wt * (1.0 - p * p - (1.0 - p) * (1.0 - p))
-        p = w1l / wl
-        q = 1.0 - p
-        gain = parent_cost - wl * (1.0 - p * p - q * q)
-        wr = wt - wl
-        p = (w1 - w1l) / wr
-        q = 1.0 - p
-        gain -= wr * (1.0 - p * p - q * q)
-        gain[xso[:-1] == xso[1:]] = -np.inf
-        if self.min_leaf > 1:  # cut after row i leaves i + 1 rows on the left
-            gain[:self.min_leaf - 1] = -np.inf
-            gain[n - self.min_leaf:] = -np.inf
-        flat = gain.T.argmax()  # feature-major: draw order first, then cut position
-        f_pick, pos = divmod(int(flat), n - 1)
-        if gain[pos, f_pick] <= 1e-12:
-            return None
-        lo, hi = float(xso[pos, f_pick]), float(xso[pos + 1, f_pick])
-        thr = (lo + hi) / 2.0
-        return int(feats[f_pick]), thr if lo <= thr < hi else lo
-
-
 def class_weights_for(y: np.ndarray) -> dict[int, float]:
     """Balanced weights w_c = n / (2 * n_c) for the classes present in y."""
     n = y.size
@@ -173,19 +91,170 @@ def class_weights_for(y: np.ndarray) -> dict[int, float]:
 
 def _tree_stream(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
     """Tree t's stream over n training rows: (generator positioned after the
-    bootstrap draw, sorted bootstrap rows, out-of-bag rows). The only code
-    that knows the stream layout."""
+    bootstrap draw, sorted bootstrap rows, out-of-bag rows). The feature
+    draws that follow are made by _grow_block."""
     rng = np.random.default_rng([seed, t])
     boot = np.sort(rng.integers(0, n, size=n))
     return rng, boot, np.flatnonzero(np.bincount(boot, minlength=n) == 0)
 
 
-def _fit_one_tree(x, y, params, tree_index) -> Tree:
-    rng, boot, _ = _tree_stream(params.seed, tree_index, x.shape[0])
-    yb = y[boot]
-    cw = class_weights_for(yb) if params.weighted else {0: 1.0, 1: 1.0}
-    wb = np.where(yb == 1, cw.get(1, 0.0), cw.get(0, 0.0))  # a bootstrap may hold one class
-    return _TreeBuilder(x[boot], yb, wb, params.mtry, params.min_leaf, rng).build()
+def _rank_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-major flat tables over the n training rows: rank[f * n + i] is
+    the number of values in column f below x[i, f], so tied values share a
+    rank, and value[f * n + r] is the value of rank r in column f."""
+    n, p = x.shape
+    order = x.argsort(axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    new = np.ones((n, p), dtype=bool)
+    new[1:] = xs[1:] != xs[:-1]
+    rank = np.empty((n, p), dtype=np.int64)
+    np.put_along_axis(rank, order, np.maximum.accumulate(
+        np.where(new, np.arange(n)[:, None], 0), axis=0), axis=0)
+    return rank.T.ravel(), xs.T.ravel()
+
+
+def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
+                streams: list[tuple[np.random.Generator, np.ndarray]],
+                mtry: int, min_leaf: int, weighted: bool) -> list[Tree]:
+    """Grow one tree per (generator, sorted bootstrap) stream, breadth first;
+    each array call covers every node of a level of every tree in the block.
+
+    An element is one distinct bootstrap row of a node, with its class and
+    multiplicity packed as `cls << k | mult`. A tree has one weight per
+    class, so the weighted Gini of a cut is exact arithmetic on the class
+    counts on each side, and a tree does not depend on its block.
+    """
+    n, b = y.size, len(streams)
+    p = rank.size // n
+    k = n.bit_length()  # 2**k > n >= any multiplicity
+    mask = (1 << k) - 1
+    stride = n << (k + 1)  # key span of one (node, drawn feature) column
+    rank_key = rank << (k + 1)
+    boots = np.stack([boot for _, boot in streams])
+    mult = np.bincount((boots + n * np.arange(b)[:, None]).ravel(), minlength=b * n)
+    at = np.flatnonzero(mult)
+    node, row = np.divmod(at, n)  # the roots are nodes 0..b-1
+    low = y[row].astype(np.int64) << k | mult[at]
+    n_c = np.stack([n - y[boots].sum(axis=1), y[boots].sum(axis=1)])
+    # balanced weights n / (2 n_c) per bootstrap (0 for a class it lacks)
+    cw0, cw1 = (np.divide(n, 2.0 * n_c, out=np.zeros((2, b)), where=n_c > 0)
+                if weighted else np.ones((2, b)))
+    features = np.arange(p)
+    f_bits = p.bit_length()
+    f_mask = (1 << f_bits) - 1
+    key_shift = max(0, f_bits - 10)
+    node_tree = np.arange(b)
+    next_id = np.ones(b, dtype=np.int64)  # breadth-first numbering per tree
+    levels = []
+    while node_tree.size:
+        size = np.bincount(node, minlength=node_tree.size)
+        m = low & mask
+        nm = np.bincount(node, weights=m)
+        n1 = np.bincount(node, weights=(low >> k) * m)
+        n0 = nm - n1
+        c0, c1 = cw0[node_tree], cw1[node_tree]
+        w0, w1 = n0 * c0, n1 * c1
+        feature = np.full(node_tree.size, -1, dtype=np.int64)
+        threshold = np.full(node_tree.size, math.nan)
+        left = np.full(node_tree.size, -1, dtype=np.int64)
+        right = left.copy()
+        levels.append((node_tree, feature, threshold, left, right, w1 / (w0 + w1)))
+        cand = np.flatnonzero((nm >= 2 * min_leaf) & (n0 > 0) & (n1 > 0))
+        if not cand.size:
+            break
+        # each tree draws one key per (splittable node, feature) in one call,
+        # in level order; a node takes the features of its mtry smallest keys,
+        # in key order. A key is the draw's 53 bits (fewer when p > 1023) over
+        # the feature index, so keys are distinct and ties go to the lower one
+        per_tree = np.bincount(node_tree[cand], minlength=b)
+        keys = np.concatenate([streams[t][0].random((per_tree[t], p))
+                               for t in np.flatnonzero(per_tree)])
+        keys = (keys * 2.0 ** 53).astype(np.int64) >> key_shift << f_bits | features
+        feats = np.sort(np.partition(keys, mtry - 1, axis=1)[:, :mtry], axis=1) & f_mask
+        slot = np.full(node_tree.size, -1)
+        slot[cand] = np.arange(cand.size)
+        enode = slot[node]
+        inside = enode >= 0
+        erow, elow, enode = row[inside], low[inside], enode[inside]
+        # one sort orders every (node, drawn feature) column: by column, then
+        # by rank; class and multiplicity ride in the low bits
+        key = rank_key[(feats * n)[enode] + erow[:, None]]
+        key += (elow + enode * (mtry * stride))[:, None]
+        key += np.arange(mtry) * stride
+        key = key.ravel()
+        key.sort()
+        # decoded in place: m1, m0 the class-1 and class-0 multiplicity of
+        # each cell, then their level-wide prefix sums
+        m1 = (key >> k & 1) * (key & mask)
+        m0 = (key & mask) - m1
+        srank = key
+        srank >>= k + 1  # column * n + rank
+        m0.cumsum(out=m0)
+        m1.cumsum(out=m1)
+        width = np.repeat(size[cand], mtry)
+        first = np.cumsum(width) - width  # each column's first cell
+        # a cut after cell i is scored when cell i + 1 of the same column has
+        # another rank, so it falls between distinct values
+        cuts = srank[1:] != srank[:-1]
+        cuts[first[1:] - 1] = False
+        cut = np.flatnonzero(cuts)
+        col = srank[cut] // n
+        # class counts left of a cut: the prefix sums minus those before its
+        # column
+        l0 = m0[cut] - np.r_[0, m0[first[1:] - 1]][col]
+        l1 = m1[cut] - np.r_[0, m1[first[1:] - 1]][col]
+        if min_leaf > 1:
+            nl = l0 + l1
+            ok = (nl >= min_leaf) & (np.repeat(nm[cand], mtry)[col] - nl >= min_leaf)
+            cut, col, l0, l1 = cut[ok], col[ok], l0[ok], l1[ok]
+        # a node's cuts run in draw order, then by position
+        seg = np.searchsorted(col, np.arange(cand.size) * mtry)
+        count = np.diff(seg, append=col.size)
+        at = np.repeat(cand, count)
+        # the halved Gini w0 w1 / (w0 + w1) of both sides; a side's class
+        # weight is its count times the class weight, or for the right side
+        # the node's minus the left side's
+        a0, a1 = l0 * c0[at], l1 * c1[at]
+        b0, b1 = w0[at] - a0, w1[at] - a1
+        cost = a0 * a1 / (a0 + a1) + b0 * b1 / (b0 + b1)
+        # best cut per node: the first minimum, i.e. the earliest drawn
+        # feature, then the lowest cut; its Gini gain must exceed 1e-12
+        has = np.flatnonzero(count)
+        seg = seg[has]
+        best = np.minimum.reduceat(cost, seg)
+        hit = np.flatnonzero(cost == np.repeat(best, count[has]))
+        pick = hit[np.searchsorted(hit, seg)]
+        won = (w0 * w1 / (w0 + w1))[cand[has]] - best > 0.5e-12
+        has, pick = has[won], cut[pick[won]]
+        col = srank[pick] // n
+        f = feats[has, col % mtry]
+        lo_rank = srank[pick] - col * n
+        lo = value[f * n + lo_rank]
+        hi = value[f * n + srank[pick + 1] - col * n]
+        with np.errstate(over="ignore"):
+            mid = (lo + hi) / 2.0
+        # the midpoint, or lo when it rounds onto hi or overflows, so the rows
+        # sent left are exactly those scored
+        split = cand[has]
+        tree = node_tree[split]
+        child = next_id[tree] + 2 * (np.arange(split.size) - np.searchsorted(tree, tree))
+        next_id += 2 * np.bincount(tree, minlength=b)
+        feature[split] = f
+        threshold[split] = np.where((lo <= mid) & (mid < hi), mid, lo)
+        left[split], right[split] = child, child + 1
+        # elements of split nodes move to the children (node 2i, 2i + 1 of the
+        # next level for the i-th split); the rest are in leaves
+        slot = np.full(cand.size, -1)
+        slot[has] = np.arange(has.size)
+        enode = slot[enode]
+        inside = enode >= 0
+        row, low, enode = erow[inside], elow[inside], enode[inside]
+        node = 2 * enode + (rank[f[enode] * n + row] > lo_rank[enode])
+        node_tree = np.repeat(tree, 2)
+    tree_of, *cols = (np.concatenate(c) for c in zip(*levels))
+    order = np.argsort(tree_of, kind="stable")
+    bounds = np.cumsum(np.bincount(tree_of, minlength=b))[:-1]
+    return [Tree(*parts) for parts in zip(*(np.split(c[order], bounds) for c in cols))]
 
 
 def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
@@ -194,7 +263,9 @@ def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
     Balanced class weights (n / 2n_c, recomputed on each tree's bootstrap so
     the weighted class masses are always equal) enter both the Gini criterion
     and the leaf proportions. Trees have no depth limit; growth stops at pure
-    nodes, min_leaf, or when no split reduces impurity.
+    nodes, min_leaf, or when no split reduces impurity. The trees grow
+    together in blocks of about CELLS cells; a tree does not depend on its
+    block.
     """
     y = table.labels.astype(np.int8)
     if y.min() == y.max():
@@ -203,9 +274,22 @@ def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
         raise ModelError("forest training requires a fully observed table")
     if params.mtry > table.n_features:
         raise ModelError(f"mtry={params.mtry} exceeds {table.n_features} features")
-    x = np.ascontiguousarray(table.values)
+    n = table.n_samples
+    block = max(1, CELLS // (n * params.mtry))
+    # a level's sort keys stay below cells * n * 2**n.bit_length(), since
+    # each (node, feature) column holds at least two of its cells
+    if min(block, params.ntree) * n * params.mtry * n << n.bit_length() >= 2 ** 63:
+        raise ModelError(f"{n} training rows at mtry={params.mtry} overflow the "
+                         "forest's 64-bit sort keys")
+    rank, value = _rank_table(np.ascontiguousarray(table.values))
+    trees: list[Tree] = []
+    for first in range(0, params.ntree, block):
+        streams = [_tree_stream(params.seed, t, n)[:2]
+                   for t in range(first, min(first + block, params.ntree))]
+        trees += _grow_block(rank, value, y, streams, params.mtry, params.min_leaf,
+                             params.weighted)
     return Forest(
-        trees=tuple(_fit_one_tree(x, y, params, t) for t in range(params.ntree)),
+        trees=tuple(trees),
         feature_names=table.feature_names,
         params=params,
         class_weights=class_weights_for(y) if params.weighted else {0: 1.0, 1: 1.0},
@@ -223,11 +307,17 @@ def _check_features(forest: Forest, table: FeatureTable) -> np.ndarray:
 
 def predict_proba(forest: Forest, table: FeatureTable) -> np.ndarray:
     """Arithmetic mean of the per-tree leaf positive proportions."""
+    return prefix_proba(forest, table, [len(forest.trees)])[0]
+
+
+def prefix_proba(forest: Forest, table: FeatureTable, sizes: Sequence[int]) -> np.ndarray:
+    """predict_proba of each prefix forest of the first k trees, k in sizes,
+    one row each, from one cumulative sum over the per-tree outputs (the
+    same additions in the same order as a running sum over the prefix)."""
     x = _check_features(forest, table)
-    acc = np.zeros(x.shape[0])
-    for tree in forest.trees:
-        acc += tree.predict_proba(x)
-    return acc / len(forest.trees)
+    k = np.asarray(sizes)
+    per_tree = np.vstack([tree.predict_proba(x) for tree in forest.trees[:k.max()]])
+    return per_tree.cumsum(axis=0)[k - 1] / k[:, None]
 
 
 def _oob_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -260,10 +350,11 @@ def oob_permutation_importance(forest: Forest, table: FeatureTable) -> Importanc
     """Per-tree OOB accuracy drop after permuting each feature column.
 
     For tree t the unweighted accuracy on its out-of-bag rows is compared
-    against the accuracy after shuffling feature f within those rows (stream
-    seeded by (seed, t, f)); the differences are averaged over the trees that
-    have out-of-bag rows and normalized by their standard error (sd with ddof=1
-    over those contributing trees, divided by the square root of their number).
+    against the accuracy after shuffling feature f within those rows (one
+    generator per tree, see the module docstring); the differences are
+    averaged over the trees that have out-of-bag rows and normalized by their
+    standard error (sd with ddof=1 over those contributing trees, divided by
+    the square root of their number).
     One descent per tree scores the unpermuted rows and every permuted copy.
     The out-of-bag rows are derived from the (seed, t) stream, so the table
     must be the training table.
@@ -282,9 +373,9 @@ def oob_permutation_importance(forest: Forest, table: FeatureTable) -> Importanc
             skipped += 1
             continue
         used = np.unique(tree.feature[tree.feature >= 0])
-        perms = np.vstack([np.arange(oob.size)] + [
-            _oob_permutation(np.random.default_rng([forest.params.seed, t, int(f)]), oob.size)
-            for f in used])
+        rng = np.random.default_rng([forest.params.seed, t, _PERMUTATION_KEY])
+        perms = np.vstack([np.arange(oob.size)]
+                          + [_oob_permutation(rng, oob.size) for _ in used])
         prob = _permuted_leaf_prob(tree, x, oob, perms, np.concatenate([[-1], used]))
         acc = np.mean((prob >= 0.5) == (y[oob] == 1), axis=1)
         row = np.zeros(n_feat)  # unused features keep an exact 0 difference

@@ -9,7 +9,7 @@ a run is a pure function of its inputs regardless of execution order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -108,8 +108,8 @@ def run_mrcv_lr(table: FeatureTable, candidates: Sequence[str], repeats: int = 1
     return outcomes
 
 
-def _grid_seed(base_seed: int, repeat: int, grid_index: int) -> int:
-    return int(np.random.SeedSequence([base_seed, repeat, grid_index])
+def _grid_seed(base_seed: int, repeat: int, mtry: int) -> int:
+    return int(np.random.SeedSequence([base_seed, repeat, mtry])
                .generate_state(1, np.uint64)[0])
 
 
@@ -118,8 +118,13 @@ def run_mrcv_rf(table: FeatureTable, candidates: Sequence[str], repeats: int = 1
                 grid: Sequence[tuple[int, int]] = ((5, 100),), min_leaf: int = 1,
                 base_seed: int = 0, weighted: bool = True) -> list[FoldOutcome]:
     """Per repeat: split, fit one forest per (mtry, ntree) grid point, keep
-    the point with the best validation balanced accuracy (first wins ties),
-    and record that forest's normalized permutation importances.
+    the point with the best validation balanced accuracy (first in grid order
+    wins ties), and record that forest's normalized permutation importances.
+
+    A forest's seed follows from (base_seed, repeat, mtry), so the forests of
+    one mtry are nested: each is the first ntree trees of the largest one.
+    That forest is grown once, and each point's scores are means over its
+    prefix, equal to predict_proba of the prefix forest.
     """
     if not grid:
         raise LatefuseError("RF grid must not be empty")
@@ -129,30 +134,37 @@ def run_mrcv_rf(table: FeatureTable, candidates: Sequence[str], repeats: int = 1
         warnings.warn("grid points with mtry > n_features were skipped")
     if not usable:
         raise LatefuseError("no usable grid point (all mtry exceed feature count)")
+    points: dict[int, list[tuple[int, int]]] = {}  # mtry -> (grid index, ntree)
+    for gi, (mtry, ntree) in enumerate(usable):
+        points.setdefault(mtry, []).append((gi, ntree))
     outcomes: list[FoldOutcome] = []
     for r in range(repeats):
         try:
             train, val = stratified_split(sub, validation_fraction, [base_seed, r])
             best = None
-            for gi, (mtry, ntree) in enumerate(usable):
-                params = rf.ForestParams(mtry=mtry, ntree=ntree, min_leaf=min_leaf,
-                                         seed=_grid_seed(base_seed, r, gi),
-                                         weighted=weighted)
-                fitted = rf.fit_forest(train, params)
-                threshold, bacc_tr, bacc_val = _evaluate_fold(
-                    rf.predict_proba(fitted, train), train.labels,
-                    rf.predict_proba(fitted, val), val.labels)
-                if best is None or bacc_val > best[0]:
-                    best = (bacc_val, bacc_tr, threshold, fitted, (mtry, ntree))
-            bacc_val, bacc_tr, threshold, fitted, (mtry, ntree) = best
-            report = rf.oob_permutation_importance(fitted, train)
+            for mtry, mtry_points in points.items():
+                sizes = [ntree for _, ntree in mtry_points]
+                fitted = rf.fit_forest(train, rf.ForestParams(
+                    mtry=mtry, ntree=max(sizes), min_leaf=min_leaf,
+                    seed=_grid_seed(base_seed, r, mtry), weighted=weighted))
+                scores = zip(rf.prefix_proba(fitted, train, sizes),
+                             rf.prefix_proba(fitted, val, sizes))
+                for (gi, ntree), (p_train, p_val) in zip(mtry_points, scores):
+                    threshold, bacc_tr, bacc_val = _evaluate_fold(
+                        p_train, train.labels, p_val, val.labels)
+                    if best is None or (-bacc_val, gi) < (-best[0], best[1]):
+                        best = (bacc_val, gi, bacc_tr, threshold, fitted, ntree)
+            bacc_val, _, bacc_tr, threshold, fitted, ntree = best
+            kept = replace(fitted, trees=fitted.trees[:ntree],
+                           params=replace(fitted.params, ntree=ntree))
+            report = rf.oob_permutation_importance(kept, train)
             importances = {name: float(v) for name, v
                            in zip(report.feature_names, report.normalized)}
             outcomes.append(FoldOutcome(
                 repeat_index=r, train_ids=train.sample_ids, validation_ids=val.sample_ids,
                 bacc_train=bacc_tr, bacc_validation=bacc_val, threshold=threshold,
                 importances=importances,
-                chosen_params={"mtry": mtry, "ntree": ntree}))
+                chosen_params={"mtry": kept.params.mtry, "ntree": ntree}))
         except LatefuseError as exc:
             outcomes.append(FoldOutcome(
                 repeat_index=r, train_ids=(), validation_ids=(),

@@ -60,6 +60,15 @@ def test_mtry_exceeding_features_rejected():
         rf.fit_forest(t, rf.ForestParams(mtry=4, ntree=2))
 
 
+def test_sort_key_overflow_rejected(monkeypatch):
+    # a block of cells * n * 2**n.bit_length() >= 2**63 would wrap the keys;
+    # reached here by an oversized CELLS and ntree instead of ~4e5 rows
+    t = gaussian_table(30, 30, 3, seed=3)
+    monkeypatch.setattr(rf, "CELLS", 2 ** 62)
+    with pytest.raises(ModelError, match="overflow"):
+        rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=2 ** 48))
+
+
 def test_bootstrap_and_oob_structure():
     n = 120
     sizes = []
@@ -91,6 +100,55 @@ def test_predict_is_mean_of_tree_outputs():
     per_tree = np.vstack([tree.predict_proba(x) for tree in fo.trees])
     assert np.array_equal(rf.predict_proba(fo, t), per_tree.mean(axis=0))
     assert (per_tree >= 0).all() and (per_tree <= 1).all()
+
+
+def test_prefix_scores_equal_prefix_forests():
+    t = gaussian_table(30, 30, 4, shifts={0: 2.0}, seed=6)
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=25, seed=13))
+    sizes = [1, 7, 25]
+    scores = rf.prefix_proba(fo, t, sizes)
+    for k, row in zip(sizes, scores):
+        prefix = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=k, seed=13))
+        assert all(trees_equal(a, b) for a, b in zip(prefix.trees, fo.trees))
+        assert np.array_equal(row, rf.predict_proba(prefix, t))
+
+
+def test_trees_do_not_depend_on_the_block(monkeypatch):
+    t = gaussian_table(30, 30, 6, shifts={0: 1.0}, seed=4)
+    for params in (rf.ForestParams(mtry=3, ntree=12, seed=5),
+                   rf.ForestParams(mtry=2, ntree=12, min_leaf=3, seed=6, weighted=False)):
+        whole = rf.fit_forest(t, params)  # one block under the default CELLS
+        assert rf.CELLS // (t.n_samples * params.mtry) >= params.ntree
+        for cells in (1, 5 * t.n_samples * params.mtry):  # blocks of one tree, of five
+            monkeypatch.setattr(rf, "CELLS", cells)
+            blocked = rf.fit_forest(t, params)
+            assert all(trees_equal(a, b) for a, b in zip(whole.trees, blocked.trees))
+            monkeypatch.undo()
+
+
+def test_permutation_stream_differs_from_growth_stream(monkeypatch):
+    t = gaussian_table(30, 30, 4, shifts={0: 2.0, 1: 1.0}, seed=8)
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=10, seed=19))
+    first_state = {}  # generator -> its state before its first permutation
+    draw = rf._oob_permutation
+
+    def spy(rng, n):
+        first_state.setdefault(rng, rng.bit_generator.state)
+        return draw(rng, n)
+
+    monkeypatch.setattr(rf, "_oob_permutation", spy)
+    rf.oob_permutation_importance(fo, t)
+    growth = [np.random.default_rng([fo.params.seed, i]).bit_generator.state
+              for i in range(10)]
+    assert len(first_state) == 10  # one generator per tree
+    assert not any(state in growth for state in first_state.values())
+    for seed in (0, 19, 2**32 + 3, 2**64 - 1):
+        for tree_index in (0, 1, 2**20):
+            growth = np.random.default_rng([seed, tree_index]).bit_generator.state
+            key = [seed, tree_index, rf._PERMUTATION_KEY]
+            assert np.random.default_rng(key).bit_generator.state != growth
+            # why the key is not 0: SeedSequence pads short entropy with zeros
+            assert np.random.default_rng([seed, tree_index, 0]).bit_generator.state == growth
 
 
 def test_identical_feature_vectors_score_identically():
@@ -226,7 +284,8 @@ def test_feature_mismatch_rejected_at_predict():
 
 
 def reference_importance(forest, table):
-    """Per-tree, per-feature loop: one descent per permuted feature."""
+    """Per-tree, per-feature loop: one descent per permuted feature, the
+    permutations drawn in feature order from one generator per tree."""
     x = np.ascontiguousarray(table.values)
     y = table.labels.astype(np.int8)
     diffs = []
@@ -240,8 +299,8 @@ def reference_importance(forest, table):
         yo = y[oob]
         base_acc = float(np.mean((tree.predict_proba(xo) >= 0.5) == (yo == 1)))
         row = np.zeros(table.n_features)
-        for f in set(tree.feature[tree.feature >= 0].tolist()):
-            rng = np.random.default_rng([forest.params.seed, t, f])
+        rng = np.random.default_rng([forest.params.seed, t, 1])  # one per tree
+        for f in sorted(set(tree.feature[tree.feature >= 0].tolist())):
             perm = rf._oob_permutation(rng, oob.size)
             original = xo[:, f].copy()
             xo[:, f] = original[perm]
@@ -298,118 +357,85 @@ def test_split_between_values_without_a_midpoint(lo, hi):
     assert np.array_equal(rf.predict_proba(fo, t), t.labels.astype(float))
 
 
-class ReferenceTreeBuilder:
-    """The tree builder before the per-node trim, kept verbatim as reference."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                 mtry: int, min_leaf: int, rng: np.random.Generator):
-        self.x, self.y, self.w = x, y, weights
-        self.mtry, self.min_leaf, self.rng = mtry, min_leaf, rng
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.prob: list[float] = []
-
-    def build(self) -> rf.Tree:
-        self._grow(np.arange(self.x.shape[0]))
-        return rf.Tree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            leaf_prob=np.asarray(self.prob, dtype=float),
-        )
-
-    def _new_node(self, w1: float, wt: float) -> int:
-        self.feature.append(-1)
-        self.threshold.append(math.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.prob.append(w1 / wt)
-        return len(self.feature) - 1
-
-    def _grow(self, idx: np.ndarray) -> int:
-        y = self.y[idx]
-        w = self.w[idx]
-        wt = float(w.sum())
-        node = self._new_node(float(w[y == 1].sum()), wt)
-        if idx.size < 2 * self.min_leaf or y.min() == y.max():
-            return node
-        split = self._best_split(idx, wt)
-        if split is None:
-            return node
-        feat, thr = split
-        go_left = self.x[idx, feat] <= thr
-        if go_left.all() or not go_left.any():
-            return node  # midpoint rounded onto an endpoint; keep the leaf
-        self.feature[node] = feat
-        self.threshold[node] = thr
-        left_child = self._grow(idx[go_left])
-        right_child = self._grow(idx[~go_left])
-        self.left[node] = left_child
-        self.right[node] = right_child
-        return node
-
-    def _best_split(self, idx: np.ndarray, wt: float) -> tuple[int, float] | None:
-        """Weighted-Gini search over mtry sampled features; None if no split
-        strictly reduces impurity while honoring min_leaf on both sides.
-
-        Gain ties resolve to the earliest feature in draw order, then the
-        lowest cut position, so the result is a pure function of the rng.
-        """
-        n = idx.size
-        feats = self.rng.choice(self.x.shape[1], size=self.mtry, replace=False)
-        y = self.y[idx]
-        w = self.w[idx]
-        w1_total = float(w[y == 1].sum())
-        parent_cost = float(reference_gini_cost(w1_total, wt))
-        xs = self.x[np.ix_(idx, feats)]  # (n, mtry)
-        order = np.argsort(xs, axis=0, kind="stable")
-        xso = np.take_along_axis(xs, order, axis=0)
-        w_ord = w[order]
-        w1_ord = w_ord * (y[order] == 1)
-        wl = np.cumsum(w_ord, axis=0)[:-1]
-        w1l = np.cumsum(w1_ord, axis=0)[:-1]
-        gain = parent_cost - reference_gini_cost(w1l, wl) \
-            - reference_gini_cost(w1_total - w1l, wt - wl)
-        sizes = np.arange(1, n)
-        valid = (xso[:-1] != xso[1:]) \
-            & ((sizes >= self.min_leaf) & (n - sizes >= self.min_leaf))[:, None]
-        gain[~valid] = -np.inf
-        flat = np.argmax(gain.T)  # feature-major: draw order first, then cut position
-        f_pick, pos = divmod(int(flat), n - 1)
-        if gain[pos, f_pick] <= 1e-12:
-            return None
-        return int(feats[f_pick]), float((xso[pos, f_pick] + xso[pos + 1, f_pick]) / 2.0)
+def reference_tree(x, y, params, t, rejected=None):
+    """Tree t of fit_forest grown alone by a plain breadth-first builder of
+    the stream layout: the bootstrap from the (seed, t) stream, then per
+    level one draw of mtry features for each splittable node of the level,
+    and per node a scan over the cuts between distinct values with the class
+    counts on each side. The Gini gains of best cuts turned down by the rule
+    gain > 1e-12 are appended to `rejected`."""
+    n, p = x.shape
+    rng, boot, _ = rf._tree_stream(params.seed, t, n)
+    if params.weighted:
+        cw = rf.class_weights_for(y[boot])
+        c0, c1 = cw.get(0, 0.0), cw.get(1, 0.0)
+    else:
+        c0 = c1 = 1.0
+    feature, threshold, left, right, prob = [], [], [], [], []
+    level = [boot]  # bootstrap rows of each node, duplicates included
+    while level:
+        splittable = []
+        for rows in level:
+            n1 = int(y[rows].sum())
+            n0 = rows.size - n1
+            splittable.append((len(feature), rows, n0, n1))
+            feature.append(-1)
+            threshold.append(math.nan)
+            left.append(-1)
+            right.append(-1)
+            prob.append(n1 * c1 / (n0 * c0 + n1 * c1))
+        splittable = [s for s in splittable
+                      if s[1].size >= 2 * params.min_leaf and s[2] and s[3]]
+        draws = rng.random((len(splittable), p))
+        level = []
+        for (node, rows, n0, n1), u in zip(splittable, draws):
+            w0, w1 = n0 * c0, n1 * c1
+            best = None
+            # the features of the mtry smallest draws, in draw order; draws
+            # are compared on their top 53 bits (fewer when p > 1023), then
+            # by feature index
+            shift = max(0, p.bit_length() - 10)
+            drawn = sorted(range(p), key=lambda f: (int(u[f] * 2.0 ** 53) >> shift, f))
+            for f in drawn[:params.mtry]:
+                values = sorted(set(x[rows, f].tolist()))
+                for lo, hi in zip(values, values[1:]):
+                    go_left = x[rows, f] <= lo
+                    nl = int(go_left.sum())
+                    if nl < params.min_leaf or rows.size - nl < params.min_leaf:
+                        continue
+                    l1 = int(y[rows][go_left].sum())
+                    # halved Gini of each side from its class weights; the
+                    # right side's are the node's minus the left side's
+                    a0, a1 = (nl - l1) * c0, l1 * c1
+                    b0, b1 = w0 - a0, w1 - a1
+                    cost = a0 * a1 / (a0 + a1) + b0 * b1 / (b0 + b1)
+                    if best is None or cost < best[0]:
+                        mid = (lo + hi) / 2.0
+                        best = (cost, int(f), mid if lo <= mid < hi else lo, go_left)
+            if best is None:
+                continue
+            gain = 2 * (w0 * w1 / (w0 + w1) - best[0])  # twice the halved Gini
+            if not gain > 1e-12:
+                if rejected is not None:
+                    rejected.append(gain)
+                continue
+            _, feature[node], threshold[node], go_left = best
+            left[node] = len(feature) + len(level)
+            right[node] = left[node] + 1
+            level += [rows[go_left], rows[~go_left]]
+    return rf.Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        leaf_prob=np.asarray(prob, dtype=float),
+    )
 
 
-def reference_gini_cost(w1, wt):
-    """Weight-scaled Gini impurity wt * (1 - p0^2 - p1^2); vectorized."""
-    w1 = np.asarray(w1, dtype=float)
-    wt = np.asarray(wt, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p1 = np.where(wt > 0, w1 / wt, 0.0)
-    return wt * (1.0 - p1 ** 2 - (1.0 - p1) ** 2)
-
-
-def reference_trees(table, params):
-    """Trees of fit_forest grown by the reference builder, with the per-row
-    weight loop and the per-level masked descent it was paired with."""
+def reference_trees(table, params, rejected=None):
     x = np.ascontiguousarray(table.values)
     y = table.labels.astype(np.int8)
-    trees = []
-    for t in range(params.ntree):
-        rng, boot, _ = rf._tree_stream(params.seed, t, x.shape[0])
-        yb = y[boot]
-        if params.weighted:
-            cw = rf.class_weights_for(yb)
-            wb = np.array([cw[int(c)] for c in yb])
-        else:
-            wb = np.ones(boot.size)
-        trees.append(ReferenceTreeBuilder(x[boot], yb, wb, params.mtry, params.min_leaf,
-                                          rng).build())
-    return trees
+    return [reference_tree(x, y, params, t, rejected) for t in range(params.ntree)]
 
 
 def reference_tree_predict(tree, x):
@@ -426,9 +452,7 @@ def reference_tree_predict(tree, x):
 
 @st.composite
 def forest_cases(draw):
-    """Tables on a grid of quarters, so every midpoint between two distinct
-    values is exact and no cut falls between adjacent doubles (the one case
-    where the thresholds were meant to change). Small grids give heavy ties;
+    """Tables on a grid of quarters. Small grids give heavy ties;
     some columns copy or mirror others, so gains tie across features; some
     columns are constant; some rows copy others, with either label."""
     n = draw(st.integers(2, 40))
@@ -470,3 +494,17 @@ def test_trees_match_reference_builder(case):
     x = np.vstack([table.values, table.values + 0.125, table.values - 0.3])
     for tree in fo.trees:
         assert np.array_equal(tree.predict_proba(x), reference_tree_predict(tree, x))
+
+
+def test_cut_with_rounding_sized_gain_is_not_taken():
+    # binary columns: some best cuts leave both sides with the parent's class
+    # proportions, and their computed gain is a rounding residue above 0
+    x = [[0, 0], [1, 1], [0, 0], [0, 1], [0, 1], [0, 0], [0, 0], [1, 0], [1, 1],
+         [1, 1], [0, 1], [0, 0], [1, 1], [0, 0], [0, 1], [1, 1], [1, 0]]
+    y = [0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1]
+    table = make_table(np.asarray(x, dtype=float), y)
+    params = rf.ForestParams(mtry=2, ntree=5, seed=98)
+    rejected = []
+    reference = reference_trees(table, params, rejected)
+    assert any(0 < gain <= 1e-12 for gain in rejected)
+    assert all(trees_equal(a, b) for a, b in zip(rf.fit_forest(table, params).trees, reference))

@@ -3,9 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+from latefuse import forest as rf
 from latefuse.errors import ElbowError, SplitError
-from latefuse.mrcv import (FeatureRanking, FoldOutcome, elbow_cut, rank_features_lr,
-                           rank_features_rf, run_mrcv_lr, run_mrcv_rf, stratified_split)
+from latefuse.metrics import best_threshold_bacc, confusion, metrics_from_confusion
+from latefuse.mrcv import (FeatureRanking, FoldOutcome, _grid_seed, elbow_cut,
+                           rank_features_lr, rank_features_rf, run_mrcv_lr, run_mrcv_rf,
+                           stratified_split)
 
 from conftest import gaussian_table
 
@@ -133,6 +136,41 @@ def test_mrcv_rf_oversized_mtry_skipped():
         outs = run_mrcv_rf(t, list(t.feature_names), repeats=2,
                            grid=[(2, 10), (30, 10)], base_seed=14)
     assert all(o.chosen_params["mtry"] == 2 for o in outs)
+
+
+def test_mrcv_rf_nested_ntree_grid_grows_the_largest_forest_once(monkeypatch):
+    t = gaussian_table(40, 40, 6, shifts={0: 1.2, 1: 0.8}, seed=21)
+    grid = [(5, 25), (5, 50)]
+    grown = []
+    fit = rf.fit_forest
+
+    def counting_fit(table, params):
+        grown.append((params.mtry, params.ntree))
+        return fit(table, params)
+
+    monkeypatch.setattr(rf, "fit_forest", counting_fit)
+    outs = run_mrcv_rf(t, list(t.feature_names), repeats=4, grid=grid, base_seed=18)
+    assert grown == [(5, 50)] * 4
+    monkeypatch.undo()
+    for r, out in enumerate(outs):
+        # each grid point fitted as its own forest, first point wins ties
+        train, val = stratified_split(t, 0.2, [18, r])
+        best = None
+        for mtry, ntree in grid:
+            fo = rf.fit_forest(train, rf.ForestParams(mtry=mtry, ntree=ntree,
+                                                      seed=_grid_seed(18, r, mtry)))
+            thr, bacc_tr = best_threshold_bacc(rf.predict_proba(fo, train), train.labels)
+            bacc_val = metrics_from_confusion(
+                confusion(rf.predict_proba(fo, val), val.labels, thr)).balanced_accuracy
+            if best is None or bacc_val > best[0]:
+                best = (bacc_val, bacc_tr, thr, fo)
+        bacc_val, bacc_tr, thr, fo = best
+        assert (out.bacc_validation, out.bacc_train, out.threshold) == (bacc_val, bacc_tr, thr)
+        assert out.chosen_params == {"mtry": 5, "ntree": fo.params.ntree}
+        report = rf.oob_permutation_importance(fo, train)
+        assert out.importances == {name: float(v) for name, v
+                                   in zip(report.feature_names, report.normalized)}
+    assert {o.chosen_params["ntree"] for o in outs} == {25, 50}  # both prefixes kept
 
 
 def test_mrcv_planted_beats_null_at_same_seed():
