@@ -59,6 +59,10 @@ _positive = _checked(int, lambda v: v >= 1, ">= 1")
 _positive_list = _checked(_int_list, lambda v: v and min(v) >= 1,
                           "a non-empty list of positive integers")
 _open_unit = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+# FusionRule(...) raises ValueError for an unknown rule name
+_rule_list = _checked(lambda text: tuple(FusionRule(tok.strip().lower())
+                                         for tok in text.split(",") if tok.strip()),
+                      bool, "a non-empty list of fusion rules")
 
 
 def _pairs(text: str) -> tuple[tuple[int, float], ...]:
@@ -193,7 +197,6 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
         rf_ntree=get("mrcv", "rf_ntree", _positive_list),
         rf_min_leaf=get("mrcv", "rf_min_leaf", _positive),
         rf_weighted=get("mrcv", "rf_weighted", _bool),
-        rules=tuple(FusionRule.parse(tok) for tok
-                    in parser.get("fusion", "rules").split(",") if tok.strip()),
+        rules=get("fusion", "rules", _rule_list),
         synth=synth,
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,16 +54,6 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     leaf_prob: np.ndarray
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        live = np.flatnonzero(self.feature[node] >= 0)
-        while live.size:
-            at = node[live]
-            node[live] = nxt = np.where(x[live, self.feature[at]] <= self.threshold[at],
-                                        self.left[at], self.right[at])
-            live = live[self.feature[nxt] >= 0]
-        return self.leaf_prob[node]
 
 
 @dataclass(frozen=True)
@@ -305,6 +295,27 @@ def _check_features(forest: Forest, table: FeatureTable) -> np.ndarray:
     return np.ascontiguousarray(table.values)
 
 
+def _own_row(i: np.ndarray, f: np.ndarray) -> np.ndarray:
+    return i
+
+
+def descend(tree: Tree, x: np.ndarray, size: int,
+            rows: Callable[[np.ndarray, np.ndarray], np.ndarray] = _own_row) -> np.ndarray:
+    """Leaf probabilities of `size` elements in one descent of the tree, one
+    array step per level. Element i at a node splitting on feature f reads
+    x[rows(i, f), f]; `rows` gets the live elements and their features, and
+    by default element i reads row i."""
+    node = np.zeros(size, dtype=np.int64)
+    live = np.flatnonzero(tree.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        f = tree.feature[at]
+        node[live] = nxt = np.where(x[rows(live, f), f] <= tree.threshold[at],
+                                    tree.left[at], tree.right[at])
+        live = live[tree.feature[nxt] >= 0]
+    return tree.leaf_prob[node]
+
+
 def predict_proba(forest: Forest, table: FeatureTable) -> np.ndarray:
     """Arithmetic mean of the per-tree leaf positive proportions."""
     return prefix_proba(forest, table, [len(forest.trees)])[0]
@@ -316,34 +327,13 @@ def prefix_proba(forest: Forest, table: FeatureTable, sizes: Sequence[int]) -> n
     same additions in the same order as a running sum over the prefix)."""
     x = _check_features(forest, table)
     k = np.asarray(sizes)
-    per_tree = np.vstack([tree.predict_proba(x) for tree in forest.trees[:k.max()]])
+    per_tree = np.vstack([descend(tree, x, x.shape[0]) for tree in forest.trees[:k.max()]])
     return per_tree.cumsum(axis=0)[k - 1] / k[:, None]
 
 
 def _oob_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     """Permutation used for the importance pass (separable for testing)."""
     return rng.permutation(n)
-
-
-def _permuted_leaf_prob(tree: Tree, x: np.ndarray, rows: np.ndarray,
-                        perms: np.ndarray, block_feature: np.ndarray) -> np.ndarray:
-    """Leaf probabilities of `rows` under one permuted copy per block, in one
-    descent: block b reads feature block_feature[b] from row rows[perms[b, i]]
-    and every other feature from rows[i]. Returns (blocks, rows.size)."""
-    blocks, m = perms.shape
-    permuted = rows[perms].ravel()
-    plain = np.tile(rows, blocks)
-    swapped = np.repeat(block_feature, m)
-    node = np.zeros(blocks * m, dtype=np.int64)
-    live = np.flatnonzero(tree.feature[node] >= 0)
-    while live.size:
-        at = node[live]
-        f = tree.feature[at]
-        src = np.where(f == swapped[live], permuted[live], plain[live])
-        node[live] = nxt = np.where(x[src, f] <= tree.threshold[at],
-                                    tree.left[at], tree.right[at])
-        live = live[tree.feature[nxt] >= 0]
-    return tree.leaf_prob[node].reshape(blocks, m)
 
 
 def oob_permutation_importance(forest: Forest, table: FeatureTable) -> ImportanceReport:
@@ -374,9 +364,14 @@ def oob_permutation_importance(forest: Forest, table: FeatureTable) -> Importanc
             continue
         used = np.unique(tree.feature[tree.feature >= 0])
         rng = np.random.default_rng([forest.params.seed, t, _PERMUTATION_KEY])
+        # block 0 reads every feature from its own OOB row; block b >= 1 reads
+        # feature used[b - 1] through permutation b and the rest as block 0
         perms = np.vstack([np.arange(oob.size)]
                           + [_oob_permutation(rng, oob.size) for _ in used])
-        prob = _permuted_leaf_prob(tree, x, oob, perms, np.concatenate([[-1], used]))
+        permuted, plain = oob[perms].ravel(), np.tile(oob, perms.shape[0])
+        swapped = np.repeat(np.concatenate([[-1], used]), oob.size)
+        prob = descend(tree, x, permuted.size, lambda i, f: np.where(
+            f == swapped[i], permuted[i], plain[i])).reshape(perms.shape)
         acc = np.mean((prob >= 0.5) == (y[oob] == 1), axis=1)
         row = np.zeros(n_feat)  # unused features keep an exact 0 difference
         row[used] = acc[0] - acc[1:]

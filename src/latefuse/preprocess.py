@@ -140,68 +140,49 @@ def apply_scaler(scaler: RobustScaler | dict[str, RobustScaler],
 
 
 def filter_missingness(table: FeatureTable, max_missing_fraction: float) -> FeatureTable:
-    """Drop features whose missing fraction exceeds the threshold, impute the rest.
+    """Drop features whose missing fraction exceeds the threshold or that have
+    no observed value (at any threshold), and impute the rest with the
+    per-feature median of the column's observed values.
 
-    Imputation uses the per-feature median of the column's observed values.
+    The result is fully observed; every later stage relies on that.
     """
     if not 0.0 <= max_missing_fraction <= 1.0:
         raise PreprocessError("max_missing_fraction must lie in [0, 1]")
     frac = table.missing.mean(axis=0)
-    keep = np.flatnonzero(frac <= max_missing_fraction)
+    keep = np.flatnonzero((frac <= max_missing_fraction) & ~table.missing.all(axis=0))
     if keep.size == 0:
-        raise PreprocessError("all features exceed the missingness threshold")
+        raise PreprocessError("every feature exceeds the missingness threshold "
+                              "or has no observed value")
     values = table.values[:, keep].copy()
     missing = table.missing[:, keep]
-    names = [table.feature_names[j] for j in keep]
-    still_missing = np.zeros_like(missing)
-    for k in range(len(names)):
+    for k in np.flatnonzero(missing.any(axis=0)):
         holes = missing[:, k]
-        if not holes.any():
-            continue
-        observed = values[~holes, k]
-        if observed.size == 0:
-            still_missing[:, k] = holes  # nothing to impute from
-            continue
-        values[holes, k] = np.median(observed)
-    if still_missing.any():
-        warnings.warn("some features had no observed values; cells left missing")
-    return table.with_matrix(values, still_missing, feature_names=names)
+        values[holes, k] = np.median(values[~holes, k])
+    return table.with_matrix(values, np.zeros_like(missing),
+                             feature_names=[table.feature_names[j] for j in keep])
 
 
 def spearman_matrix(table: FeatureTable) -> CorrelationMatrix:
     """Spearman rho via midranks followed by Pearson correlation of the ranks.
 
-    Pairs are evaluated on pairwise-complete rows. A pair is undefined (and
-    stored as 0 with a flag) when either feature is constant on the shared
-    rows or fewer than three shared rows exist. The diagonal is exactly 1.
+    The table must be fully observed (filter_missingness imputes it); a
+    missing cell raises PreprocessError. A pair is undefined (and stored as 0
+    with a flag) when either feature is constant or fewer than three rows
+    exist. The diagonal is exactly 1.
     """
+    if table.missing.any():
+        raise PreprocessError("Spearman correlation needs a fully observed table")
     f = table.n_features
     rho = np.zeros((f, f))
-    undefined = np.zeros((f, f), dtype=bool)
     np.fill_diagonal(rho, 1.0)
-    if not table.missing.any():
-        ranks = np.column_stack([_midranks(table.values[:, j]) for j in range(f)])
-        sd = ranks.std(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            full = np.corrcoef(ranks, rowvar=False)
-        undefined = np.logical_or.outer(sd == 0, sd == 0) | (table.n_samples < 3)
-        np.fill_diagonal(undefined, False)
-        i, j = np.triu_indices(f, 1)  # mirror the upper triangle: full[j, i] may round apart
-        rho[i, j] = rho[j, i] = np.where(undefined[i, j], 0.0, np.atleast_2d(full)[i, j])
-        return CorrelationMatrix(tuple(table.feature_names), rho, undefined)
-
-    for i in range(f):
-        for j in range(i + 1, f):
-            shared = ~table.missing[:, i] & ~table.missing[:, j]
-            x = table.values[shared, i]
-            y = table.values[shared, j]
-            if x.size < 3 or np.all(x == x[0]) or np.all(y == y[0]):
-                undefined[i, j] = undefined[j, i] = True
-                continue
-            rx, ry = _midranks(x), _midranks(y)
-            num = float(np.sum((rx - rx.mean()) * (ry - ry.mean())))
-            den = float(np.sqrt(np.sum((rx - rx.mean()) ** 2) * np.sum((ry - ry.mean()) ** 2)))
-            rho[i, j] = rho[j, i] = num / den
+    ranks = np.column_stack([_midranks(table.values[:, j]) for j in range(f)])
+    sd = ranks.std(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        full = np.corrcoef(ranks, rowvar=False)
+    undefined = np.logical_or.outer(sd == 0, sd == 0) | (table.n_samples < 3)
+    np.fill_diagonal(undefined, False)
+    i, j = np.triu_indices(f, 1)  # mirror the upper triangle: full[j, i] may round apart
+    rho[i, j] = rho[j, i] = np.where(undefined[i, j], 0.0, np.atleast_2d(full)[i, j])
     return CorrelationMatrix(tuple(table.feature_names), rho, undefined)
 
 

@@ -156,11 +156,6 @@ class FeatureTable:
             groups=self.groups,
         )
 
-    def class_counts(self) -> tuple[int, int]:
-        """(n_benign, n_malignant)."""
-        pos = int(self.labels.sum())
-        return self.n_samples - pos, pos
-
 
 def _read_rows(path: Path, schema: ColumnSchema
                ) -> tuple[FeatureTable, list[list[str]], list[int], list[str]]:

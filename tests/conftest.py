@@ -19,6 +19,11 @@ def make_table(values, labels, feature_names=None, cohorts=None, ids=None, missi
     )
 
 
+def class_counts(table):
+    """(n_benign, n_malignant)."""
+    return tuple(np.bincount(table.labels, minlength=2).tolist())
+
+
 def gaussian_table(n_benign, n_malignant, n_features, shifts=None, seed=0):
     """Noise features with optional per-feature mean shifts in the malignant class."""
     rng = np.random.default_rng(seed)

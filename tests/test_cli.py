@@ -91,7 +91,8 @@ def test_config_missing_file():
     "preprocess.max_missing_fraction=2", "mrcv.lr_validation_fraction=1.5",
     "mrcv.rf_validation_fraction=0", "mrcv.repeats=0", "mrcv.rf_min_leaf=0",
     "mrcv.rf_ntree=0", "mrcv.rf_mtry=", "mrcv.rf_mtry=5,-1", "split.test_benign=-1",
-    "split.test_malignant=-2", "univariate.alpha=7", "univariate.alpha=nan"])
+    "split.test_malignant=-2", "univariate.alpha=7", "univariate.alpha=nan",
+    "fusion.rules=foo", "fusion.rules="])
 def test_malformed_typed_value_is_a_config_error(config_path, capsys, override):
     section, option = override.split("=")[0].split(".")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {option}"):
@@ -163,6 +164,25 @@ def test_empty_feature_set_exit_3(config_path, tmp_path):
     data.write_text("\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n",
                     encoding="utf-8")
     assert run(config_path, "univariate", "--modality", "a") == 3
+
+
+def test_all_blank_feature_is_dropped_at_any_threshold(config_path, tmp_path):
+    # unscaled, at max_missing_fraction 1, so only the "no observed value"
+    # rule can drop the column
+    run(config_path, "synth")
+    data = tmp_path / "data" / "modality_a.csv"
+    rows = read_rows(data)
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([rows[0] + ["all_blank"]] + [r + [""] for r in rows[1:]])
+    flags = ["--set", "preprocess.scale=false", "--set", "preprocess.max_missing_fraction=1.0"]
+    assert run(config_path, *flags, "univariate", "--modality", "a") == 0
+    for model in ("lr", "rf"):
+        assert run(config_path, *flags, "train", "--modality", "a", "--model", model) == 0
+    out = tmp_path / "out"
+    assert {"univariate_a.csv", "model_a_lr.json", "model_a_rf.json"} <= {
+        p.name for p in out.iterdir()}
+    for path in out.iterdir():
+        assert "all_blank" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_full_pipeline_and_artifacts(config_path, tmp_path):

@@ -97,7 +97,7 @@ def test_predict_is_mean_of_tree_outputs():
     t = gaussian_table(30, 30, 4, shifts={0: 2.0}, seed=6)
     fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=25, seed=13))
     x = np.ascontiguousarray(t.values)
-    per_tree = np.vstack([tree.predict_proba(x) for tree in fo.trees])
+    per_tree = np.vstack([rf.descend(tree, x, len(x)) for tree in fo.trees])
     assert np.array_equal(rf.predict_proba(fo, t), per_tree.mean(axis=0))
     assert (per_tree >= 0).all() and (per_tree <= 1).all()
 
@@ -155,7 +155,7 @@ def test_identical_feature_vectors_score_identically():
     t = gaussian_table(20, 20, 3, shifts={0: 1.5}, seed=7)
     fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=30, seed=17))
     x = np.vstack([t.values, t.values[:1]])  # repeat the first row
-    p = np.mean([tree.predict_proba(x) for tree in fo.trees], axis=0)
+    p = np.mean([rf.descend(tree, x, len(x)) for tree in fo.trees], axis=0)
     assert p[0] == p[-1]
 
 
@@ -202,7 +202,7 @@ def test_weighting_lifts_minority_sensitivity():
         x = np.ascontiguousarray(t.values)
         for tree_index, tree in enumerate(forest.trees):
             _, _, oob = rf._tree_stream(forest.params.seed, tree_index, forest.n_train)
-            votes[oob] += tree.predict_proba(x[oob])
+            votes[oob] += rf.descend(tree, x[oob], oob.size)
             counts[oob] += 1
         seen = counts > 0
         pred = (votes[seen] / counts[seen]) >= 0.5
@@ -297,14 +297,14 @@ def reference_importance(forest, table):
             continue
         xo = x[oob].copy()
         yo = y[oob]
-        base_acc = float(np.mean((tree.predict_proba(xo) >= 0.5) == (yo == 1)))
+        base_acc = float(np.mean((rf.descend(tree, xo, len(xo)) >= 0.5) == (yo == 1)))
         row = np.zeros(table.n_features)
         rng = np.random.default_rng([forest.params.seed, t, 1])  # one per tree
         for f in sorted(set(tree.feature[tree.feature >= 0].tolist())):
             perm = rf._oob_permutation(rng, oob.size)
             original = xo[:, f].copy()
             xo[:, f] = original[perm]
-            perm_acc = float(np.mean((tree.predict_proba(xo) >= 0.5) == (yo == 1)))
+            perm_acc = float(np.mean((rf.descend(tree, xo, len(xo)) >= 0.5) == (yo == 1)))
             xo[:, f] = original
             row[f] = base_acc - perm_acc
         diffs.append(row)
@@ -493,7 +493,7 @@ def test_trees_match_reference_builder(case):
     # rows on the grid, rows at the cuts and rows off both
     x = np.vstack([table.values, table.values + 0.125, table.values - 0.3])
     for tree in fo.trees:
-        assert np.array_equal(tree.predict_proba(x), reference_tree_predict(tree, x))
+        assert np.array_equal(rf.descend(tree, x, len(x)), reference_tree_predict(tree, x))
 
 
 def test_cut_with_rounding_sized_gain_is_not_taken():

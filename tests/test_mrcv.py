@@ -10,7 +10,7 @@ from latefuse.mrcv import (FeatureRanking, FoldOutcome, _grid_seed, elbow_cut,
                            rank_features_lr, rank_features_rf, run_mrcv_lr, run_mrcv_rf,
                            stratified_split)
 
-from conftest import gaussian_table
+from conftest import class_counts, gaussian_table
 
 
 def outcome(repeat=0, bacc_val=0.8, order=None, importances=None, error=None):
@@ -28,15 +28,15 @@ def ranking(*pairs):
 def test_split_exact_proportions():
     t = gaussian_table(100, 100, 2, seed=0)
     train, val = stratified_split(t, 0.3, seed=1)
-    assert val.class_counts() == (30, 30)
-    assert train.class_counts() == (70, 70)
+    assert class_counts(val) == (30, 30)
+    assert class_counts(train) == (70, 70)
 
 
 def test_split_published_cohort_rounding():
     # 103 per class at 30 percent -> 31 validation rows per class
     t = gaussian_table(103, 103, 2, seed=1)
     _, val = stratified_split(t, 0.3, seed=2)
-    assert val.class_counts() == (31, 31)
+    assert class_counts(val) == (31, 31)
 
 
 def test_split_disjoint_exhaustive_order_preserved():

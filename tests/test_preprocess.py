@@ -1,7 +1,13 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from latefuse.cli import _preprocess_full
 from latefuse.errors import PreprocessError
 from latefuse.preprocess import (apply_scaler, drop_correlated, filter_missingness,
                                  fit_robust_scaler, spearman_matrix)
@@ -99,12 +105,17 @@ def test_filter_missingness_drops_above_threshold():
 
 
 def test_filter_missingness_threshold_one_keeps_everything():
+    # ...that has an observed value: an all-blank column is dropped at any
+    # threshold, without a warning
     missing = np.zeros((4, 2), dtype=bool)
     missing[:, 0] = True
+    missing[0, 1] = True
     t = make_table(np.ones((4, 2)), [0, 0, 1, 1], missing=missing)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = filter_missingness(t, 1.0)
-    assert out.feature_names == ("f000", "f001")
+    assert out.feature_names == ("f001",)
+    assert not out.missing.any()
 
 
 def test_filter_missingness_imputes_observed_median():
@@ -130,6 +141,47 @@ def test_filter_missingness_all_dropped():
         filter_missingness(t, 0.5)
 
 
+@st.composite
+def blank_tables(draw):
+    """Small tables of tie-heavy values; each column is fully observed,
+    blank at random, blank everywhere, or blank in one class only."""
+    n = draw(st.integers(4, 12))
+    labels = np.array([0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2,
+                                             max_size=n - 2)), dtype=np.int8)
+    cohorts = [draw(st.sampled_from("AB")) for _ in range(n)]
+    p = draw(st.integers(1, 4))
+    values = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.5, -1.0]),
+                                    min_size=n * p, max_size=n * p))).reshape(n, p)
+    missing = np.zeros((n, p), dtype=bool)
+    for j in range(p):
+        pattern = draw(st.sampled_from(["none", "random", "all", "benign", "malignant"]))
+        if pattern == "random":
+            missing[:, j] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        elif pattern == "all":
+            missing[:, j] = True
+        elif pattern != "none":
+            missing[:, j] = labels == (pattern == "malignant")
+    return make_table(values, labels, cohorts=cohorts, missing=missing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blank_tables(), st.booleans(), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_preprocess_full_leaves_no_missing_cell(table, scale, per_cohort, max_missing):
+    cfg = SimpleNamespace(scale=scale, per_cohort=per_cohort,
+                          max_missing_fraction=max_missing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            out = _preprocess_full(cfg, table)
+        except PreprocessError:
+            return
+    assert not out.missing.any() and np.isfinite(out.values).all()
+    blank = {name for name, gone in zip(table.feature_names, table.missing.all(axis=0))
+             if gone}
+    assert out.n_features >= 1 and not blank & set(out.feature_names)
+    spearman_matrix(out)
+
+
 def test_spearman_monotone_and_antimonotone():
     t = make_table(np.column_stack([[1, 2, 3], [2, 4, 6], [3, 2, 1]]), [0, 0, 1])
     m = spearman_matrix(t)
@@ -152,16 +204,15 @@ def test_spearman_midranks_hand_computed():
 
 
 def test_spearman_matches_reference_with_missing():
+    # missing cells end at filter_missingness; Spearman refuses them
     rng = np.random.default_rng(14)
     values = rng.normal(size=(30, 4))
     missing = rng.random((30, 4)) < 0.2
     t = make_table(values, rng.integers(0, 2, 30), missing=missing)
-    m = spearman_matrix(t)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            shared = ~missing[:, i] & ~missing[:, j]
-            ref = sps.spearmanr(values[shared, i], values[shared, j]).statistic
-            assert m.rho[i, j] == pytest.approx(ref, abs=1e-12)
+    with pytest.raises(PreprocessError, match="fully observed"):
+        spearman_matrix(t)
+    m = spearman_matrix(make_table(values, t.labels))
+    assert np.allclose(m.rho, sps.spearmanr(values).statistic, rtol=0, atol=1e-12)
 
 
 def test_spearman_monotone_transform_invariance():

@@ -6,6 +6,8 @@ from latefuse.mrcv import stratified_split
 from latefuse.synth import SynthSpec, generate, generate_pair
 from latefuse.univariate import univariate_screen
 
+from conftest import class_counts
+
 
 def test_spec_validation():
     with pytest.raises(DataError):
@@ -71,10 +73,10 @@ def test_strong_plant_is_overwhelming():
 def test_published_imbalance_shape_splits_cleanly():
     spec = SynthSpec(n_benign=4569, n_malignant=440, n_features=3, seed=13)
     t = generate(spec)
-    assert t.class_counts() == (4569, 440)
+    assert class_counts(t) == (4569, 440)
     train, val = stratified_split(t, 0.2, seed=14)
-    assert val.class_counts() == (914, 88)  # round(0.2 * counts)
-    assert train.class_counts() == (3655, 352)
+    assert class_counts(val) == (914, 88)  # round(0.2 * counts)
+    assert class_counts(train) == (3655, 352)
 
 
 def test_pair_common_fraction_and_label_consistency():
@@ -83,8 +85,8 @@ def test_pair_common_fraction_and_label_consistency():
     spec_b = SynthSpec(n_benign=30, n_malignant=50, n_features=6,
                        common_fraction=0.5, seed=15)
     a, b = generate_pair(spec_a, spec_b)
-    assert a.class_counts() == (60, 40)
-    assert b.class_counts() == (30, 50)
+    assert class_counts(a) == (60, 40)
+    assert class_counts(b) == (30, 50)
     shared = set(a.sample_ids) & set(b.sample_ids)
     # per class: round(0.5 * min(60,30)) + round(0.5 * min(40,50)) = 15 + 20
     assert len(shared) == 35

@@ -14,7 +14,7 @@ from latefuse.errors import DataError
 from latefuse.tables import (ClassLabel, ColumnSchema, FeatureTable, align_common_samples,
                              load_feature_table, partition, read_roles, save_feature_table)
 
-from conftest import make_table
+from conftest import class_counts, make_table
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -440,8 +440,8 @@ def test_partition_matches_published_cohort_sizes():
     test_ids = frozenset(t.sample_ids[4569 + 440:])
     train, test = partition(t, test_ids)
     assert train.n_samples == 5009 and test.n_samples == 171
-    assert train.class_counts() == (4569, 440)
-    assert test.class_counts() == (122, 49)
+    assert class_counts(train) == (4569, 440)
+    assert class_counts(test) == (122, 49)
 
 
 def test_invalid_construction():
