@@ -225,8 +225,11 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
 def _load_model_doc(cfg: RunConfig, modality: str, model: str) -> dict:
     path = _require_file(_out(cfg) / f"model_{modality}_{model}.json",
                          f"model file for {modality}/{model}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format") != "latefuse-model":
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise LatefuseError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "latefuse-model":
         raise LatefuseError(f"{path} is not a model document")
     return doc
 

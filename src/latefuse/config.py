@@ -10,6 +10,7 @@ ConfigError naming the file or the section and key.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,7 +193,8 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
         repeats=get("mrcv", "repeats", _positive),
         lr_validation_fraction=get("mrcv", "lr_validation_fraction", _open_unit),
         rf_validation_fraction=get("mrcv", "rf_validation_fraction", _open_unit),
-        delta_bic_stop=get("mrcv", "delta_bic_stop", float),
+        delta_bic_stop=get("mrcv", "delta_bic_stop",
+                           _checked(float, lambda v: not math.isnan(v), "a number or +/-inf")),
         rf_mtry=get("mrcv", "rf_mtry", _positive_list),
         rf_ntree=get("mrcv", "rf_ntree", _positive_list),
         rf_min_leaf=get("mrcv", "rf_min_leaf", _positive),

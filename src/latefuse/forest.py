@@ -260,7 +260,7 @@ def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
     y = table.labels.astype(np.int8)
     if y.min() == y.max():
         raise ModelError("forest training requires both classes")
-    if table.missing.any():
+    if np.isnan(table.values).any():
         raise ModelError("forest training requires a fully observed table")
     if params.mtry > table.n_features:
         raise ModelError(f"mtry={params.mtry} exceeds {table.n_features} features")
@@ -290,7 +290,7 @@ def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
 def _check_features(forest: Forest, table: FeatureTable) -> np.ndarray:
     if tuple(table.feature_names) != forest.feature_names:
         raise PredictError("table features do not match the fitted forest")
-    if table.missing.any():
+    if np.isnan(table.values).any():
         raise PredictError("prediction requires a fully observed table")
     return np.ascontiguousarray(table.values)
 

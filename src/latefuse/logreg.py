@@ -45,7 +45,7 @@ class FittedLogReg:
 
 def _design(table: FeatureTable, features: list[str], *, for_fit: bool) -> np.ndarray:
     cols = [table.feature_index(f) for f in features]
-    if cols and table.missing[:, cols].any():
+    if cols and np.isnan(table.values[:, cols]).any():
         exc = ModelError if for_fit else PredictError
         raise exc("missing cells in model feature columns")
     x = np.ones((table.n_samples, len(cols) + 1))
@@ -231,17 +231,20 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
     extension and adds the lowest-BIC candidate (exact ties broken by name);
     selection halts when the best improvement over the current model's BIC
     is <= delta_bic_stop or candidates are exhausted. Candidates whose fit
-    fails are skipped with a warning.
+    fails are skipped with a warning. A NaN cell in a candidate column
+    raises ModelError (filter_missingness imputes every cell).
 
     The extensions of a step are fitted together in blocks (`_candidate_bics`);
     the candidates whose batched BIC lies within _BIC_MARGIN of the best are
     refitted by `fit`, so the chosen model and its BIC are exactly `fit`'s.
-    Candidates with missing cells or a (nearly) singular batched Hessian are
-    fitted by `fit` alone.
+    Candidates with a (nearly) singular batched Hessian are fitted by `fit`
+    alone.
     """
     remaining = list(dict.fromkeys(candidates))
     if not remaining:
         raise ModelError("forward selection needs at least one candidate")
+    if np.isnan(table.values[:, [table.feature_index(f) for f in remaining]]).any():
+        raise ModelError("missing cells in candidate feature columns")
     current = fit(table, [])
     y = table.labels.astype(float)
     block = max(1, CELLS // table.n_samples)
@@ -249,12 +252,9 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
         selected = list(current.selected_order)
         cols = [table.feature_index(f) for f in remaining]
         zt = np.ascontiguousarray(table.values[:, cols].T)
-        bic = np.full(len(remaining), np.nan)
-        observed = np.flatnonzero(~table.missing[:, cols].any(axis=0))
         x0 = _design(table, selected, for_fit=True)
-        for start in range(0, observed.size, block):
-            part = observed[start:start + block]
-            bic[part] = _candidate_bics(x0, zt[part], y)
+        bic = np.concatenate([_candidate_bics(x0, zt[start:start + block], y)
+                              for start in range(0, len(remaining), block)])
         refits: dict[str, FittedLogReg | None] = {}
 
         def refit(name: str) -> FittedLogReg | None:

@@ -186,8 +186,10 @@ def best_threshold_bacc(scores, labels) -> tuple[float, float]:
 
     Candidates are midpoints of consecutive distinct sorted scores plus one
     sentinel below the minimum (everything positive) and one above the
-    maximum (everything negative). Ties on BAcc resolve to the median tied
-    candidate (lower middle for an even count) for stability.
+    maximum (everything negative). A midpoint that rounds onto the lower
+    score or overflows is replaced by the higher score, so every candidate
+    gives the counts it is scored with. Ties on BAcc resolve to the median
+    tied candidate (lower middle for an even count) for stability.
     """
     s, y = _check_scores_labels(scores, labels)
     pos = int(np.sum(y == 1))
@@ -195,11 +197,14 @@ def best_threshold_bacc(scores, labels) -> tuple[float, float]:
     if pos == 0 or neg == 0:
         raise MetricsError("threshold search requires both classes")
     values, tp, fp = _sweep_counts(s, y)  # distinct values descending; tp/fp at >= value
+    hi, lo = values[:-1], values[1:]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
     # ascending candidates with the tp/fp counts each one realises
     candidates = np.concatenate([
-        [values[-1] - 1.0],                       # all predicted positive
-        ((values[:-1] + values[1:]) / 2.0)[::-1],  # midpoints, ascending
-        [values[0] + 1.0],                        # all predicted negative
+        [values[-1] - 1.0],                                 # all predicted positive
+        np.where((lo < mid) & (mid <= hi), mid, hi)[::-1],  # midpoints, ascending
+        [values[0] + 1.0],                                  # all predicted negative
     ])
     tp_at = np.concatenate([tp[::-1], [0]])
     fp_at = np.concatenate([fp[::-1], [0]])

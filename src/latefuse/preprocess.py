@@ -59,8 +59,8 @@ def _fit_single_scaler(table: FeatureTable, reference_label: ClassLabel,
     iqr = np.full(n_feat, np.nan)
     unusable = np.zeros(n_feat, dtype=bool)
     for j in range(n_feat):
-        observed = ref_rows & ~table.missing[:, j]
-        vals = table.values[observed, j]
+        vals = table.values[ref_rows, j]
+        vals = vals[~np.isnan(vals)]
         if vals.size < 2:
             unusable[j] = True
             continue
@@ -135,30 +135,27 @@ def apply_scaler(scaler: RobustScaler | dict[str, RobustScaler],
         iqr = np.array([s.iqr[pos[n]] for n in keep])
         cols = [col_of[n] for n in keep]
         out[rows[:, None], np.arange(len(keep))] = (table.values[np.ix_(rows, cols)] - med) / iqr
-    missing = table.missing[:, [col_of[n] for n in keep]]
-    return table.with_matrix(out, missing, feature_names=keep)
+    return table.with_matrix(out, False, feature_names=keep)
 
 
 def filter_missingness(table: FeatureTable, max_missing_fraction: float) -> FeatureTable:
-    """Drop features whose missing fraction exceeds the threshold or that have
-    no observed value (at any threshold), and impute the rest with the
-    per-feature median of the column's observed values.
+    """Drop features whose fraction of NaN cells exceeds the threshold or that
+    have no observed value (at any threshold), and impute the NaN cells of the
+    rest with the median of the column's observed values.
 
-    The result is fully observed; every later stage relies on that.
+    The result holds no NaN; every later stage relies on that and refuses a
+    NaN cell.
     """
     if not 0.0 <= max_missing_fraction <= 1.0:
         raise PreprocessError("max_missing_fraction must lie in [0, 1]")
-    frac = table.missing.mean(axis=0)
-    keep = np.flatnonzero((frac <= max_missing_fraction) & ~table.missing.all(axis=0))
+    holes = np.isnan(table.values)
+    keep = np.flatnonzero((holes.mean(axis=0) <= max_missing_fraction) & ~holes.all(axis=0))
     if keep.size == 0:
         raise PreprocessError("every feature exceeds the missingness threshold "
                               "or has no observed value")
-    values = table.values[:, keep].copy()
-    missing = table.missing[:, keep]
-    for k in np.flatnonzero(missing.any(axis=0)):
-        holes = missing[:, k]
-        values[holes, k] = np.median(values[~holes, k])
-    return table.with_matrix(values, np.zeros_like(missing),
+    values = table.values[:, keep]
+    values = np.where(np.isnan(values), np.nanmedian(values, axis=0), values)
+    return table.with_matrix(values, False,
                              feature_names=[table.feature_names[j] for j in keep])
 
 
@@ -166,11 +163,11 @@ def spearman_matrix(table: FeatureTable) -> CorrelationMatrix:
     """Spearman rho via midranks followed by Pearson correlation of the ranks.
 
     The table must be fully observed (filter_missingness imputes it); a
-    missing cell raises PreprocessError. A pair is undefined (and stored as 0
+    NaN cell raises PreprocessError. A pair is undefined (and stored as 0
     with a flag) when either feature is constant or fewer than three rows
     exist. The diagonal is exactly 1.
     """
-    if table.missing.any():
+    if np.isnan(table.values).any():
         raise PreprocessError("Spearman correlation needs a fully observed table")
     f = table.n_features
     rho = np.zeros((f, f))

@@ -122,7 +122,11 @@ def scores_csv(sample_ids: Sequence[str], labels: Sequence[int],
 
 
 def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, float]:
-    """Parse a scores CSV back into (ids, labels, scores, threshold)."""
+    """Parse a scores CSV back into (ids, labels, scores, threshold).
+
+    A data row without exactly three cells, or a label, score or threshold
+    that does not parse, raises DataError naming the file and line.
+    """
     path = Path(path)
     threshold = None
     ids: list[str] = []
@@ -130,20 +134,25 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray
     scores: list[float] = []
     with path.open(newline="", encoding="utf-8") as fh:
         header_seen = False
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
-            if row[0].startswith("#"):
-                text = row[0].lstrip("# ")
-                if text.startswith("threshold="):
-                    threshold = float(text.split("=", 1)[1])
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            ids.append(row[0])
-            labels.append(int(row[1]))
-            scores.append(float(row[2]))
+            try:
+                if row[0].startswith("#"):
+                    text = row[0].lstrip("# ")
+                    if text.startswith("threshold="):
+                        threshold = float(text.split("=", 1)[1])
+                elif not header_seen:
+                    header_seen = True
+                elif len(row) != 3:
+                    raise ValueError(f"{len(row)} cells, expected 3")
+                else:
+                    ids.append(row[0])
+                    labels.append(int(row[1]))
+                    scores.append(float(row[2]))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if threshold is None:
         raise DataError(f"{path}: no threshold header line")
     return ids, np.asarray(labels, dtype=np.int8), np.asarray(scores, dtype=float), threshold

@@ -73,7 +73,6 @@ def generate(spec: SynthSpec, id_prefix: str = "S") -> FeatureTable:
         labels=labels,
         feature_names=_feature_names(spec.n_features),
         values=values,
-        missing=np.zeros_like(values, dtype=bool),
     )
 
 
@@ -111,6 +110,5 @@ def generate_pair(spec_a: SynthSpec, spec_b: SynthSpec) -> tuple[FeatureTable, F
             labels=labels,
             feature_names=_feature_names(spec.n_features),
             values=values,
-            missing=np.zeros_like(values, dtype=bool),
         ))
     return tables[0], tables[1]

@@ -1,9 +1,8 @@
 """Tabular data model: feature tables, CSV ingestion, alignment, and splits.
 
 A FeatureTable is an immutable samples-by-features matrix with sample ids,
-per-sample cohort tags, and binary class labels. Missing cells are carried
-as an explicit boolean mask (the backing value is NaN so accidental use is
-loud, but the mask is authoritative); every value not marked missing is finite.
+per-sample cohort tags, and binary class labels. A missing cell is NaN in
+the values matrix, and every other value is finite.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class FeatureTable:
     labels: np.ndarray  # int8, 0=benign / 1=malignant
     feature_names: tuple[str, ...]
     values: np.ndarray  # float64 (n_samples, n_features), NaN where missing
-    missing: np.ndarray  # bool, same shape as values
     groups: tuple[str, ...] | None = None  # optional patient/grouping tags
 
     def __post_init__(self) -> None:
@@ -73,10 +71,7 @@ class FeatureTable:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise DataError("values must be a 2-D matrix")
-        missing = np.asarray(self.missing, dtype=bool)
         n, f = values.shape
-        if missing.shape != (n, f):
-            raise DataError("missing mask shape does not match values")
         if not (len(self.sample_ids) == len(self.cohort) == labels.shape[0] == n):
             raise DataError("row count mismatch between ids, cohort, labels, and values")
         if len(self.feature_names) != f:
@@ -89,18 +84,16 @@ class FeatureTable:
             raise DataError("labels must be Benign(0) or Malignant(1)")
         if self.groups is not None and len(self.groups) != n:
             raise DataError("groups length does not match row count")
-        if not np.isfinite(values[~missing]).all():
-            raise DataError("non-finite value not marked missing")
+        if np.isinf(values).any():
+            raise DataError("infinite value; a missing cell must be NaN")
         values = values.copy()
-        values[missing] = np.nan
-        for arr in (labels, values, missing):
+        for arr in (labels, values):
             arr.flags.writeable = False
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
         object.__setattr__(self, "cohort", tuple(self.cohort))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "missing", missing)
         if self.groups is not None:
             object.__setattr__(self, "groups", tuple(self.groups))
 
@@ -126,7 +119,6 @@ class FeatureTable:
             labels=self.labels[index],
             feature_names=self.feature_names,
             values=self.values[index],
-            missing=self.missing[index],
             groups=tuple(self.groups[i] for i in index) if self.groups else None,
         )
 
@@ -139,20 +131,19 @@ class FeatureTable:
             labels=self.labels,
             feature_names=tuple(names),
             values=self.values[:, cols],
-            missing=self.missing[:, cols],
             groups=self.groups,
         )
 
-    def with_matrix(self, values: np.ndarray, missing: np.ndarray,
+    def with_matrix(self, values: np.ndarray, missing: np.ndarray | bool,
                     feature_names: Sequence[str] | None = None) -> "FeatureTable":
-        """Same samples, new feature matrix (used by preprocessing transforms)."""
+        """Same samples, new feature matrix; the cells marked in `missing`
+        (False for none) become NaN."""
         return FeatureTable(
             sample_ids=self.sample_ids,
             cohort=self.cohort,
             labels=self.labels,
             feature_names=tuple(feature_names) if feature_names is not None else self.feature_names,
-            values=values,
-            missing=missing,
+            values=np.where(missing, np.nan, values),
             groups=self.groups,
         )
 
@@ -200,7 +191,6 @@ def _read_rows(path: Path, schema: ColumnSchema
         labels=np.asarray(labels, dtype=np.int8),
         feature_names=(),
         values=np.empty((len(data), 0)),
-        missing=np.empty((len(data), 0), dtype=bool),
         groups=tuple(row[group_ix[0]] for row in data) if group_ix else None,
     )
     return roles, data, feat_ix, feature_names
@@ -218,7 +208,7 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema()) 
 
     Columns named by `schema` supply ids, cohort tags, and labels; every other
     column is a numeric feature. Feature cells that do not parse as a finite
-    number (empty, "NA", "nan", "inf", any other text) become missing marks.
+    number (empty, "NA", "nan", "inf", any other text) become NaN, the missing mark.
     Lines starting with '#' are skipped so files written by save_feature_table
     round-trip.
     """
@@ -257,12 +247,11 @@ def save_feature_table(table: FeatureTable, path: str | Path,
         writer.writerow(head + list(table.feature_names))
         label_names = (str(ClassLabel.BENIGN), str(ClassLabel.MALIGNANT))
         labels = table.labels.tolist()
-        for i, (values, missing) in enumerate(zip(table.values.tolist(),
-                                                  table.missing.tolist())):
+        for i, values in enumerate(table.values.tolist()):
             cells = [table.sample_ids[i], table.cohort[i], label_names[labels[i]]]
             if write_groups:
                 cells.append(table.groups[i])
-            cells += ["" if m else repr(v) for v, m in zip(values, missing)]
+            cells += ["" if math.isnan(v) else repr(v) for v in values]
             writer.writerow(cells)
 
 

@@ -222,45 +222,38 @@ class ScreenResult:
 def univariate_screen(table: FeatureTable, alpha: float = 0.05) -> ScreenResult:
     """Run the full battery per feature and adjust across features with BH.
 
-    Per-feature failures (constant columns, too few observations) become
-    flagged rows with NaN statistics instead of aborting the screen. A
-    feature is significant when fdr < alpha; up/down follows the sign of
-    the effect size (positive = elevated in the malignant class).
+    The table must be fully observed (filter_missingness imputes it); a NaN
+    cell raises StatsError. A normality test that does not apply (constant
+    class, too few rows) becomes a note on the feature's row with a NaN p
+    instead of aborting the screen. A feature is significant when
+    fdr < alpha; up/down follows the sign of the effect size (positive =
+    elevated in the malignant class).
     """
     benign_rows = table.labels == int(ClassLabel.BENIGN)
     malignant_rows = table.labels == int(ClassLabel.MALIGNANT)
     if not benign_rows.any() or not malignant_rows.any():
         raise StatsError("screen requires samples of both classes")
+    if np.isnan(table.values).any():
+        raise StatsError("screen requires a fully observed table")
 
     partial: list[dict] = []
     for j, name in enumerate(table.feature_names):
-        col = table.values[:, j]
-        observed = ~table.missing[:, j]
-        ben = col[benign_rows & observed]
-        mal = col[malignant_rows & observed]
-        row = {"feature": name, "nb": math.nan, "nm": math.nan,
-               "rg": math.nan, "p": math.nan, "notes": []}
+        ben = table.values[benign_rows, j]
+        mal = table.values[malignant_rows, j]
+        row = {"feature": name, "nb": math.nan, "nm": math.nan, "notes": []}
         for key, grp, tag in (("nb", ben, "benign"), ("nm", mal, "malignant")):
             try:
                 row[key] = shapiro_wilk(grp)[1]
             except StatsError as exc:
                 row["notes"].append(f"normality[{tag}]: {exc}")
-        try:
-            u_mal, row["p"] = mann_whitney(mal, ben)
-            row["rg"] = _rank_biserial_from_u(u_mal, mal.size, ben.size)
-        except StatsError as exc:
-            row["notes"].append(f"test: {exc}")
+        u_mal, row["p"] = mann_whitney(mal, ben)
+        row["rg"] = _rank_biserial_from_u(u_mal, mal.size, ben.size)
         partial.append(row)
-
-    valid = [i for i, row in enumerate(partial) if not math.isnan(row["p"])]
-    adjusted = bh_fdr([partial[i]["p"] for i in valid]) if valid else []
-    fdr_by_index = dict(zip(valid, adjusted))
 
     rows = []
     n_sig = n_up = n_down = 0
-    for i, row in enumerate(partial):
-        fdr = fdr_by_index.get(i, math.nan)
-        if not math.isnan(fdr) and fdr < alpha:
+    for row, fdr in zip(partial, bh_fdr([row["p"] for row in partial])):
+        if fdr < alpha:
             n_sig += 1
             if row["rg"] > 0:
                 n_up += 1

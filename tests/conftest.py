@@ -5,7 +5,10 @@ from latefuse.tables import FeatureTable
 
 
 def make_table(values, labels, feature_names=None, cohorts=None, ids=None, missing=None):
+    """A table of `values`; the cells marked in the boolean `missing` become NaN."""
     values = np.asarray(values, dtype=float)
+    if missing is not None:
+        values = np.where(missing, np.nan, values)
     n, f = values.shape
     return FeatureTable(
         sample_ids=tuple(ids) if ids is not None else tuple(f"S{i:04d}" for i in range(n)),
@@ -14,8 +17,6 @@ def make_table(values, labels, feature_names=None, cohorts=None, ids=None, missi
         feature_names=tuple(feature_names) if feature_names is not None
         else tuple(f"f{j:03d}" for j in range(f)),
         values=values,
-        missing=np.asarray(missing, dtype=bool) if missing is not None
-        else np.zeros((n, f), dtype=bool),
     )
 
 

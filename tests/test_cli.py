@@ -69,6 +69,9 @@ def test_config_defaults_and_overrides(config_path):
     assert cfg.rules == tuple(FusionRule)
     over = load_config(config_path, ["mrcv.repeats=3", "preprocess.scale=false"])
     assert over.repeats == 3 and over.scale is False
+    for stop in ("-inf", "inf"):
+        assert load_config(config_path, [f"mrcv.delta_bic_stop={stop}"]).delta_bic_stop \
+            == float(stop)
 
 
 def test_config_requires_seed(tmp_path):
@@ -92,7 +95,7 @@ def test_config_missing_file():
     "mrcv.rf_validation_fraction=0", "mrcv.repeats=0", "mrcv.rf_min_leaf=0",
     "mrcv.rf_ntree=0", "mrcv.rf_mtry=", "mrcv.rf_mtry=5,-1", "split.test_benign=-1",
     "split.test_malignant=-2", "univariate.alpha=7", "univariate.alpha=nan",
-    "fusion.rules=foo", "fusion.rules="])
+    "mrcv.delta_bic_stop=nan", "fusion.rules=foo", "fusion.rules="])
 def test_malformed_typed_value_is_a_config_error(config_path, capsys, override):
     section, option = override.split("=")[0].split(".")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {option}"):
@@ -265,6 +268,42 @@ def test_fuse_empty_intersection_exit_5(config_path, tmp_path):
     (out / "scores_a_lr.csv").write_text(head + "A1,0,0.4\n", encoding="utf-8")
     (out / "scores_b_lr.csv").write_text(head + "B1,1,0.6\n", encoding="utf-8")
     assert run(config_path, "fuse", "--model", "lr") == 5
+
+
+@pytest.mark.parametrize("body, line", [
+    ("A2,1\n", "line 4: 2 cells, expected 3"),
+    ("A2,benign,0.5\n", "line 4: invalid literal"),
+    ("A2,1,high\n", "line 4: could not convert"),
+    ("A2,1,0.5,extra\n", "line 4: 4 cells, expected 3"),
+])
+def test_malformed_scores_file_is_an_error_line(config_path, tmp_path, capsys, body, line):
+    run(config_path, "synth")
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    head = "# latefuse-csv v1 kind=scores\n# threshold=0.5\nsample_id,label,score\n"
+    (out / "scores_a_lr.csv").write_text(head + body, encoding="utf-8")
+    (out / "scores_b_lr.csv").write_text(head.replace("0.5", "half") + "A1,0,0.4\n",
+                                         encoding="utf-8")
+    capsys.readouterr()
+    assert run(config_path, "fuse", "--model", "lr") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"scores_a_lr.csv: {line}" in err[0]
+    (out / "scores_a_lr.csv").write_text(head + "A1,0,0.4\n", encoding="utf-8")
+    assert run(config_path, "fuse", "--model", "lr") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "scores_b_lr.csv: line 2: could not convert" in err[0]
+
+
+def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
+    run(config_path, "synth")
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    (out / "model_a_lr.json").write_text('{"format": "latefuse-model",', encoding="utf-8")
+    capsys.readouterr()
+    assert run(config_path, "evaluate", "--modality", "a", "--model", "lr") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not valid JSON" in err[0]
 
 
 def test_fusing_modality_with_itself_under_mean_is_identity(config_path, tmp_path):

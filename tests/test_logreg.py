@@ -51,7 +51,7 @@ def test_separation_detected_and_capped():
     t = gaussian_table(20, 20, 1, seed=4)
     values = t.values.copy()
     values[:, 0] = t.labels  # feature equals the label
-    sep = t.with_matrix(values, t.missing)
+    sep = t.with_matrix(values, np.isnan(t.values))
     with pytest.warns(SeparationWarning):
         m = lr.fit(sep, ["f000"])
     assert m.separated
@@ -62,7 +62,7 @@ def test_singular_design_rejected():
     t = gaussian_table(25, 25, 3, seed=5)
     values = t.values.copy()
     values[:, 1] = values[:, 0]  # exact duplicate column
-    dup = t.with_matrix(values, t.missing)
+    dup = t.with_matrix(values, np.isnan(t.values))
     with pytest.raises(ModelError, match="singular"):
         lr.fit(dup, ["f000", "f001"])
 
@@ -178,33 +178,29 @@ def test_forward_select_skips_failing_candidates():
     t = gaussian_table(25, 25, 3, shifts={0: 2.0}, seed=13)
     values = t.values.copy()
     values[:, 1] = 7.7  # constant column makes the design singular
-    broken = t.with_matrix(values, t.missing)
+    broken = t.with_matrix(values, np.isnan(t.values))
     with pytest.warns(UserWarning, match="skipping candidate 'f001': singular design"):
         m = lr.forward_select(broken, list(broken.feature_names))
     assert "f001" not in m.selected_order
     assert "f000" in m.selected_order
 
 
-def test_forward_select_skips_candidate_with_missing_cell():
+def test_forward_select_refuses_candidate_with_missing_cell():
     t = gaussian_table(25, 25, 3, shifts={0: 2.0, 2: 2.0}, seed=13)
-    missing = t.missing.copy()
+    missing = np.isnan(t.values)
     missing[4, 2] = True
     holed = t.with_matrix(t.values, missing)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        m = lr.forward_select(holed, list(holed.feature_names))
-    messages = [str(w.message) for w in caught]
-    # f002 stays a candidate, so each step warns once, the stopping step included
-    assert messages.count("skipping candidate 'f002': missing cells in model feature "
-                          "columns") == len(m.selected_order) + 1
-    assert "f002" not in m.selected_order and "f000" in m.selected_order
+    with pytest.raises(ModelError, match="missing cells"):
+        lr.forward_select(holed, list(holed.feature_names))
+    # a NaN cell outside the candidate columns is never read
+    assert lr.forward_select(holed, ["f000", "f001"]).selected_order == ("f000",)
 
 
 def test_forward_select_bic_tie_breaks_lexicographically():
     t = gaussian_table(20, 20, 2, seed=14)
     values = t.values.copy()
     values[:, 1] = values[:, 0] * -1  # identical |association|, mirrored
-    twin = t.with_matrix(values, t.missing)
+    twin = t.with_matrix(values, np.isnan(t.values))
     m1 = lr.forward_select(twin, ["f001", "f000"], delta_bic_stop=-math.inf)
     m2 = lr.forward_select(twin, ["f000", "f001"], delta_bic_stop=-math.inf)
     assert m1.selected_order[0] == m2.selected_order[0] == "f000"

@@ -130,6 +130,15 @@ def test_best_threshold_midpoint_example():
     assert threshold == 0.5 and bacc == 1.0
 
 
+@pytest.mark.parametrize("scores", [[0.1, np.nextafter(0.1, 1.0)], [1.7e308, 1.79e308]])
+def test_best_threshold_realises_reported_bacc_between_adjacent_scores(scores):
+    # the midpoint rounds down onto the lower score, or overflows to inf
+    threshold, bacc = best_threshold_bacc(scores, [0, 1])
+    assert bacc == 1.0
+    c = confusion(scores, [0, 1], threshold)
+    assert (c.tp, c.tn) == (1, 1)
+
+
 def test_best_threshold_identical_scores_sentinel():
     threshold, bacc = best_threshold_bacc([0.4] * 6, [0, 1, 0, 1, 0, 1])
     assert bacc == 0.5

@@ -86,7 +86,7 @@ def test_scaler_missing_stays_missing():
     missing[0, 0] = True
     t = make_table(np.arange(12.0).reshape(6, 2), [0, 0, 0, 1, 1, 1], missing=missing)
     out = apply_scaler(fit_robust_scaler(t), t)
-    assert out.missing[0, 0]
+    assert np.isnan(out.values).tolist() == missing.tolist()
 
 
 def test_scaler_unknown_feature_rejected():
@@ -115,7 +115,7 @@ def test_filter_missingness_threshold_one_keeps_everything():
         warnings.simplefilter("error")
         out = filter_missingness(t, 1.0)
     assert out.feature_names == ("f001",)
-    assert not out.missing.any()
+    assert not np.isnan(out.values).any()
 
 
 def test_filter_missingness_imputes_observed_median():
@@ -124,7 +124,6 @@ def test_filter_missingness_imputes_observed_median():
     t = make_table([[1.0], [999.0], [3.0]], [0, 1, 0], missing=missing)
     out = filter_missingness(t, 0.5)
     assert out.values[:, 0].tolist() == [1.0, 2.0, 3.0]
-    assert not out.missing.any()
 
 
 def test_filter_missingness_never_drops_fully_observed():
@@ -175,8 +174,8 @@ def test_preprocess_full_leaves_no_missing_cell(table, scale, per_cohort, max_mi
             out = _preprocess_full(cfg, table)
         except PreprocessError:
             return
-    assert not out.missing.any() and np.isfinite(out.values).all()
-    blank = {name for name, gone in zip(table.feature_names, table.missing.all(axis=0))
+    assert np.isfinite(out.values).all()
+    blank = {name for name, gone in zip(table.feature_names, np.isnan(table.values).all(axis=0))
              if gone}
     assert out.n_features >= 1 and not blank & set(out.feature_names)
     spearman_matrix(out)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from latefuse import tables
 from latefuse.errors import DataError
+from latefuse.synth import SynthSpec, generate
 from latefuse.tables import (ClassLabel, ColumnSchema, FeatureTable, align_common_samples,
                              load_feature_table, partition, read_roles, save_feature_table)
 
@@ -71,8 +72,8 @@ def test_missing_sentinels_and_nonnumeric(tmp_path):
                                "S1,M,benign,,NA,oops\n"
                                "S2,M,malignant,1.5,na,2.5\n")
     t = load_feature_table(path)
-    assert t.missing[0].tolist() == [True, True, True]
-    assert t.missing[1].tolist() == [False, True, False]
+    assert np.isnan(t.values[0]).tolist() == [True, True, True]
+    assert np.isnan(t.values[1]).tolist() == [False, True, False]
     assert t.values[1, 0] == 1.5
 
 
@@ -94,16 +95,17 @@ def test_non_finite_cells_become_missing(cell):
         path.write_text(f"id,cohort,label,f1,f2\nS1,M,benign,{cell},2.5\n"
                         "S2,M,malignant,1.5,-0.5\n", encoding="utf-8")
         t = load_feature_table(path)
-    assert t.missing.tolist() == [[True, False], [False, False]]
+    assert np.isnan(t.values).tolist() == [[True, False], [False, False]]
     assert np.isnan(t.values[0, 0]) and t.values[0, 1] == 2.5
 
 
 def test_unmasked_non_finite_value_rejected():
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(DataError, match="non-finite"):
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(DataError, match="infinite value"):
             make_table([[1.0, bad]], [0])
+    assert np.isnan(make_table([[1.0, np.nan]], [0]).values[0, 1])
     masked = make_table([[1.0, np.inf]], [0], missing=[[False, True]])
-    assert masked.missing[0, 1] and np.isnan(masked.values[0, 1])
+    assert np.isnan(masked.values[0, 1])
 
 
 def test_custom_schema_column_order_kept(tmp_path):
@@ -142,13 +144,30 @@ def test_round_trip_bit_for_bit(tmp_path):
     assert back.sample_ids == t.sample_ids
     assert back.feature_names == t.feature_names
     assert back.cohort == t.cohort
-    assert (back.missing == t.missing).all()
-    observed = ~t.missing
+    assert (np.isnan(back.values) == np.isnan(t.values)).all()
+    observed = ~np.isnan(t.values)
     assert np.array_equal(back.values[observed], t.values[observed])
     # a second round trip is byte-identical
     path2 = tmp_path / "t2.csv"
     save_feature_table(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_with_matrix_blanks_marked_cells_through_a_round_trip(tmp_path):
+    # the call that blanks a share of a synthetic table's cells before saving it
+    t = generate(SynthSpec(n_benign=6, n_malignant=5, n_features=4, seed=3))
+    mask = np.random.default_rng(8).random(t.values.shape) < 0.3
+    holed = t.with_matrix(t.values, mask)
+    assert np.array_equal(np.isnan(holed.values), mask)
+    assert np.array_equal(holed.values[~mask], t.values[~mask])
+    path = tmp_path / "holed.csv"
+    save_feature_table(holed, path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        cells = [row[3:] for row in csv.reader(fh)][1:]
+    assert [[c == "" for c in row] for row in cells] == mask.tolist()
+    back = load_feature_table(path)
+    assert np.array_equal(np.isnan(back.values), mask)
+    assert np.array_equal(back.values[~mask].view(np.int64), t.values[~mask].view(np.int64))
 
 
 def test_ragged_row_names_its_physical_line(tmp_path):
@@ -258,8 +277,7 @@ def reference_load(path, schema=ColumnSchema()):
         cohort=tuple(cohorts),
         labels=np.asarray(labels, dtype=np.int8),
         feature_names=tuple(feature_names),
-        values=values,
-        missing=~np.isfinite(values),
+        values=np.where(np.isfinite(values), values, np.nan),
         groups=tuple(groups) if group_ix is not None else None,
     )
 
@@ -281,7 +299,8 @@ def reference_save(table, path, schema=ColumnSchema()):
             if write_groups:
                 cells.append(table.groups[i])
             for j in range(table.n_features):
-                cells.append("" if table.missing[i, j] else repr(float(table.values[i, j])))
+                cells.append("" if np.isnan(table.values[i, j])
+                             else repr(float(table.values[i, j])))
             writer.writerow(cells)
 
 
@@ -327,11 +346,10 @@ def assert_same_table(got, want):
     assert got.sample_ids == want.sample_ids and got.cohort == want.cohort
     assert got.groups == want.groups and got.feature_names == want.feature_names
     assert got.labels.tolist() == want.labels.tolist()
-    assert np.array_equal(got.missing, want.missing)
-    observed = ~want.missing
+    assert np.array_equal(np.isnan(got.values), np.isnan(want.values))
+    observed = ~np.isnan(want.values)
     assert np.array_equal(got.values[observed].view(np.int64),
                           want.values[observed].view(np.int64))
-    assert np.isnan(got.values[want.missing]).all()
 
 
 @pytest.mark.parametrize("fallback", [False, True])
@@ -362,8 +380,7 @@ def test_save_matches_per_cell_reference(data):
         labels=np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                           dtype=np.int8),
         feature_names=tuple(f"f{j}" for j in range(p)),
-        values=np.reshape(values, (n, p)),
-        missing=np.reshape(missing, (n, p)).astype(bool),
+        values=np.where(np.reshape(missing, (n, p)), np.nan, np.reshape(values, (n, p))),
         groups=tuple(f"P{i // 2}" for i in range(n)) if grouped else None,
     )
     schema = ColumnSchema(group_column="patient")
@@ -453,7 +470,7 @@ def test_invalid_construction():
         make_table(np.zeros((2, 2)), [0, 1], feature_names=["x", "x"])
     with pytest.raises(DataError):
         FeatureTable(("a",), ("C",), np.array([0], dtype=np.int8), ("f",),
-                     np.zeros((2, 1)), np.zeros((2, 1), dtype=bool))
+                     np.zeros((2, 1)))
 
 
 def test_tables_immutable():

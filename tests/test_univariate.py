@@ -291,23 +291,25 @@ def test_screen_null_table_controls_fdr():
     assert screen.n_significant == screen.n_up + screen.n_down
 
 
+def test_screen_refuses_missing_cell():
+    table = gaussian_table(30, 30, 4, seed=3)
+    missing = np.zeros(table.values.shape, dtype=bool)
+    missing[table.labels == 1, 3] = True  # no malignant observations of f003
+    with pytest.raises(StatsError, match="fully observed"):
+        univariate_screen(table.with_matrix(table.values, missing))
+
+
 def test_screen_flags_degenerate_feature_without_aborting():
     table = gaussian_table(30, 30, 4, seed=3)
     values = table.values.copy()
     values[:, 2] = 1.25  # constant in both classes: normality undefined, test trivial
-    missing = table.missing.copy()
-    missing[table.labels == 1, 3] = True  # no malignant observations at all
-    broken = table.with_matrix(values, missing)
+    broken = table.with_matrix(values, np.isnan(values))
     screen = univariate_screen(broken)
 
     constant = next(r for r in screen.rows if r.feature == "f002")
     assert "normality" in constant.note
     assert constant.p_value == 1.0 and constant.rg == 0.0
 
-    one_sided = next(r for r in screen.rows if r.feature == "f003")
-    assert "test:" in one_sided.note
-    assert math.isnan(one_sided.p_value) and math.isnan(one_sided.fdr)
-
-    untouched = [r for r in screen.rows if r.feature in ("f000", "f001")]
+    untouched = [r for r in screen.rows if r.feature in ("f000", "f001", "f003")]
     assert all(not math.isnan(r.p_value) for r in untouched)
     assert all(r.note == "" for r in untouched)
