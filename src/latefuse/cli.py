@@ -24,7 +24,7 @@ import numpy as np
 from . import forest as rf
 from . import logreg as lr
 from .config import RunConfig, load_config
-from .errors import (ConfigError, DataError, LatefuseError, PredictError,
+from .errors import (ConfigError, DataError, LatefuseError, ModelError, PredictError,
                      PreprocessError)
 from .fuse import fuse_modalities
 from .metrics import auc, best_threshold_bacc, confusion, metrics_from_confusion, roc_curve
@@ -222,7 +222,8 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
          f"{errors}/{len(outcomes)} repeats flagged")
 
 
-def _load_model_doc(cfg: RunConfig, modality: str, model: str) -> dict:
+def _load_model(cfg: RunConfig, modality: str, model: str):
+    """The selected features, threshold and fitted model of a model file."""
     path = _require_file(_out(cfg) / f"model_{modality}_{model}.json",
                          f"model file for {modality}/{model}")
     try:
@@ -231,22 +232,24 @@ def _load_model_doc(cfg: RunConfig, modality: str, model: str) -> dict:
         raise LatefuseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != "latefuse-model":
         raise LatefuseError(f"{path} is not a model document")
-    return doc
+    try:
+        return (list(doc["selected_features"]), float(doc["threshold"]),
+                (lr if model == "lr" else rf).from_doc(doc["model"]))
+    except KeyError as exc:  # here or in a sub-document
+        raise LatefuseError(f"{path}: model document lacks key {exc}") from None
+    except (TypeError, ValueError, AttributeError, ModelError) as exc:
+        raise LatefuseError(f"{path}: malformed model document: {exc}") from None
 
 
 def cmd_evaluate(cfg: RunConfig, modality: str, model: str) -> None:
     _, test = _split(cfg, modality)
-    doc = _load_model_doc(cfg, modality, model)
+    selected, threshold, fitted = _load_model(cfg, modality, model)
     try:
-        view = test.select_features(doc["selected_features"])
-        if model == "lr":
-            scores = lr.predict_proba(lr.from_doc(doc["model"]), view)
-        else:
-            scores = rf.predict_proba(rf.from_doc(doc["model"]), view)
+        scores = (lr if model == "lr" else rf).predict_proba(fitted,
+                                                             test.select_features(selected))
     except (DataError, PredictError) as exc:
         raise PipelineExit(EXIT_MODEL_MISMATCH,
                            f"model/data mismatch for {modality}/{model}: {exc}") from None
-    threshold = float(doc["threshold"])
     conf = confusion(scores, test.labels, threshold)
     row = metrics_from_confusion(conf).with_auc(auc(scores, test.labels))
     curve = roc_curve(scores, test.labels)

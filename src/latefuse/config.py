@@ -4,7 +4,8 @@ Seeds are mandatory; nothing in the pipeline falls back to wall-clock
 seeding. Flag overrides (``--set section.key=value``) win over file values.
 Values are literal text: there is no ``%`` interpolation. Unparsable files,
 malformed values and values outside the range the library accepts all raise
-ConfigError naming the file or the section and key.
+ConfigError naming the file or the section and key, and so does any
+section or key that load_config does not read.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .synth import SynthSpec
 from .tables import ColumnSchema
 
 DEFAULTS = {
-    "schema": {"id_column": "id", "cohort_column": "cohort", "label_column": "label",
-               "group_column": ""},
+    "schema": {"id_column": "id", "cohort_column": "cohort", "label_column": "label"},
     "split": {"test_ids_file": "", "test_benign": "20", "test_malignant": "20"},
     "preprocess": {"scale": "true", "per_cohort": "false",
                    "max_missing_fraction": "0.5", "correlation_threshold": "0.95"},
@@ -135,8 +135,11 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
         except (configparser.Error, ValueError) as exc:  # e.g. section DEFAULT
             raise ConfigError(f"invalid override {item!r}: {exc}") from None
 
+    read: set[tuple[str, str]] = set()
+
     def get(section: str, option: str, parse=str, fallback=None):
         """The option's text converted by `parse`; required unless a fallback is given."""
+        read.add((section, option))
         if fallback is None and not parser.has_option(section, option):
             raise ConfigError(f"missing required config value [{section}] {option}")
         text = parser.get(section, option, fallback=fallback)
@@ -148,10 +151,9 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
 
     base_seed = get("mrcv", "base_seed", int)
     schema = ColumnSchema(
-        id_column=parser.get("schema", "id_column"),
-        cohort_column=parser.get("schema", "cohort_column"),
-        label_column=parser.get("schema", "label_column"),
-        group_column=parser.get("schema", "group_column").strip() or None,
+        id_column=get("schema", "id_column"),
+        cohort_column=get("schema", "cohort_column"),
+        label_column=get("schema", "label_column"),
     )
     synth = None
     if parser.has_section("synth"):
@@ -173,8 +175,8 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
 
         synth = SynthSettings(spec_a=spec_for("a"), spec_b=spec_for("b"))
 
-    test_ids_file = parser.get("split", "test_ids_file").strip()
-    return RunConfig(
+    test_ids_file = get("split", "test_ids_file").strip()
+    cfg = RunConfig(
         modality_a=Path(get("inputs", "modality_a")),
         modality_b=Path(get("inputs", "modality_b")),
         schema=schema,
@@ -202,3 +204,15 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
         rules=get("fusion", "rules", _rule_list),
         synth=synth,
     )
+    # a key is known only if some read above asked for it; [DEFAULT] keys
+    # reach every section, so each section must read them
+    for option in parser.defaults():
+        if any((section, option) not in read for section in parser.sections()):
+            raise ConfigError(f"unknown config key [DEFAULT] {option}")
+    for section in parser.sections():
+        unread = [o for o in parser.options(section) if (section, o) not in read]
+        if unread:
+            raise ConfigError(f"unknown config key [{section}] {unread[0]}")
+        if not any(s == section for s, _ in read):
+            raise ConfigError(f"unknown config section [{section}]")
+    return cfg

@@ -426,8 +426,7 @@ def to_doc(forest: Forest) -> dict:
 
 
 def from_doc(doc: dict) -> Forest:
-    # version 1 also stored each tree's bootstrap and OOB rows; they are ignored
-    if doc.get("format") != "latefuse-forest" or doc.get("version") not in (1, 2):
+    if doc.get("format") != "latefuse-forest" or doc.get("version") != 2:
         raise ModelError("unrecognized forest document")
     trees = tuple(
         Tree(
@@ -444,7 +443,7 @@ def from_doc(doc: dict) -> Forest:
         trees=trees,
         feature_names=tuple(doc["feature_names"]),
         params=ForestParams(mtry=p["mtry"], ntree=p["ntree"], min_leaf=p["min_leaf"],
-                            seed=p["seed"], weighted=p.get("weighted", True)),
+                            seed=p["seed"], weighted=p["weighted"]),
         class_weights={int(k): float(v) for k, v in doc["class_weights"].items()},
         n_train=int(doc["n_train"]),
     )

@@ -26,13 +26,6 @@ class FusionRule(enum.Enum):
     MAX = "max"
     PRODUCT = "product"
 
-    @classmethod
-    def parse(cls, text: str) -> "FusionRule":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise FusionError(f"unknown fusion rule {text!r}") from None
-
 
 @dataclass(frozen=True)
 class FusedScores:

@@ -29,7 +29,6 @@ class RobustScaler:
     median: np.ndarray
     iqr: np.ndarray
     unusable: np.ndarray  # bool per feature
-    reference: str = "benign"
 
     def __post_init__(self) -> None:
         for arr in (self.median, self.iqr, self.unusable):
@@ -78,7 +77,6 @@ def _fit_single_scaler(table: FeatureTable, reference_label: ClassLabel,
         median=median,
         iqr=iqr,
         unusable=unusable,
-        reference=reference_desc,
     )
 
 
@@ -192,6 +190,9 @@ def drop_correlated(table: FeatureTable, matrix: CorrelationMatrix,
     member has the larger mean absolute correlation to the remaining active
     features; mean ties remove the lexicographically later name. Returns the
     pruned table (original column order) and removal order.
+
+    |rho| never changes and the active set only shrinks, so the pairs are
+    sorted once and walked in order, skipping any pair with a removed member.
     """
     if not 0.0 < threshold <= 1.0:
         raise PreprocessError("threshold must lie in (0, 1]")
@@ -200,19 +201,18 @@ def drop_correlated(table: FeatureTable, matrix: CorrelationMatrix,
     names = list(table.feature_names)
     absrho = np.abs(matrix.rho).copy()
     np.fill_diagonal(absrho, 0.0)
-    active = list(range(len(names)))
+    upper_i, upper_j = np.triu_indices(len(names), 1)
+    strong = absrho[upper_i, upper_j] >= threshold
+    pairs = sorted((-absrho[i, j], names[i], names[j], i, j)
+                   for i, j in zip(upper_i[strong].tolist(), upper_j[strong].tolist()))
+    active = np.ones(len(names), dtype=bool)
     removed: list[str] = []
-    while len(active) > 1:
-        pairs = [(absrho[i, j], names[i], names[j], i, j)
-                 for ai, i in enumerate(active) for j in active[ai + 1:]
-                 if absrho[i, j] >= threshold]
-        if not pairs:
-            break
-        pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-        _, _, _, i, j = pairs[0]
-        rest = [k for k in active]
-        mean_i = absrho[i, [k for k in rest if k != i]].mean()
-        mean_j = absrho[j, [k for k in rest if k != j]].mean()
+    for _, _, _, i, j in pairs:
+        if not (active[i] and active[j]):
+            continue
+        rest = np.flatnonzero(active)
+        mean_i = absrho[i, rest[rest != i]].mean()
+        mean_j = absrho[j, rest[rest != j]].mean()
         if mean_i > mean_j:
             victim = i
         elif mean_j > mean_i:
@@ -220,6 +220,6 @@ def drop_correlated(table: FeatureTable, matrix: CorrelationMatrix,
         else:
             victim = max(i, j, key=lambda k: names[k])
         removed.append(names[victim])
-        active.remove(victim)
-    kept = [names[k] for k in sorted(active)]
+        active[victim] = False
+    kept = [names[k] for k in np.flatnonzero(active)]
     return table.select_features(kept), removed

@@ -44,17 +44,12 @@ class ClassLabel(enum.IntEnum):
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """Names of the non-feature columns in a CSV file; all other columns are features.
-
-    group_column optionally names a patient/grouping tag (several rows may
-    share one patient); rows are still treated as independent samples, the
-    tag is only carried through for future grouped splitting.
-    """
+    """Names of the non-feature columns in a CSV file; all other columns are
+    features. Every row is an independent sample."""
 
     id_column: str = "id"
     cohort_column: str = "cohort"
     label_column: str = "label"
-    group_column: str | None = None
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,6 @@ class FeatureTable:
     labels: np.ndarray  # int8, 0=benign / 1=malignant
     feature_names: tuple[str, ...]
     values: np.ndarray  # float64 (n_samples, n_features), NaN where missing
-    groups: tuple[str, ...] | None = None  # optional patient/grouping tags
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels, dtype=np.int8)
@@ -82,8 +76,6 @@ class FeatureTable:
             raise DataError("duplicate feature name")
         if labels.size and not np.isin(labels, (0, 1)).all():
             raise DataError("labels must be Benign(0) or Malignant(1)")
-        if self.groups is not None and len(self.groups) != n:
-            raise DataError("groups length does not match row count")
         if np.isinf(values).any():
             raise DataError("infinite value; a missing cell must be NaN")
         values = values.copy()
@@ -94,8 +86,6 @@ class FeatureTable:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
-        if self.groups is not None:
-            object.__setattr__(self, "groups", tuple(self.groups))
 
     @property
     def n_samples(self) -> int:
@@ -119,7 +109,6 @@ class FeatureTable:
             labels=self.labels[index],
             feature_names=self.feature_names,
             values=self.values[index],
-            groups=tuple(self.groups[i] for i in index) if self.groups else None,
         )
 
     def select_features(self, names: Iterable[str]) -> "FeatureTable":
@@ -131,7 +120,6 @@ class FeatureTable:
             labels=self.labels,
             feature_names=tuple(names),
             values=self.values[:, cols],
-            groups=self.groups,
         )
 
     def with_matrix(self, values: np.ndarray, missing: np.ndarray | bool,
@@ -144,7 +132,6 @@ class FeatureTable:
             labels=self.labels,
             feature_names=tuple(feature_names) if feature_names is not None else self.feature_names,
             values=np.where(missing, np.nan, values),
-            groups=self.groups,
         )
 
 
@@ -152,7 +139,7 @@ def _read_rows(path: Path, schema: ColumnSchema
                ) -> tuple[FeatureTable, list[list[str]], list[int], list[str]]:
     """Everything of a table file but its feature cells.
 
-    Returns the zero-feature table of ids, cohorts, labels and groups, the
+    Returns the zero-feature table of ids, cohorts and labels, the
     data rows, the indices of the feature columns and their names. Faults
     raise in file order: an empty file, a missing role column, then per row
     a wrong cell count (named by its physical line) and an unknown label,
@@ -165,13 +152,11 @@ def _read_rows(path: Path, schema: ColumnSchema
         raise DataError(f"{path}: empty file")
     header = rows[0][1]
     role_columns = [schema.id_column, schema.cohort_column, schema.label_column]
-    if schema.group_column is not None:
-        role_columns.append(schema.group_column)
     for col in role_columns:
         if col not in header:
             raise DataError(f"{path}: required column {col!r} not in header")
-    id_ix, cohort_ix, label_ix, *group_ix = (header.index(c) for c in role_columns)
-    feat_ix = [j for j in range(len(header)) if j not in {id_ix, cohort_ix, label_ix, *group_ix}]
+    id_ix, cohort_ix, label_ix = (header.index(c) for c in role_columns)
+    feat_ix = [j for j in range(len(header)) if j not in {id_ix, cohort_ix, label_ix}]
     feature_names = [header[j] for j in feat_ix]
 
     labels: list[int] = []
@@ -191,7 +176,6 @@ def _read_rows(path: Path, schema: ColumnSchema
         labels=np.asarray(labels, dtype=np.int8),
         feature_names=(),
         values=np.empty((len(data), 0)),
-        groups=tuple(row[group_ix[0]] for row in data) if group_ix else None,
     )
     return roles, data, feat_ix, feature_names
 
@@ -225,7 +209,7 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema()) 
 
 
 def read_roles(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> FeatureTable:
-    """The ids, cohorts, labels and groups of a table file, with no feature
+    """The ids, cohorts and labels of a table file, with no feature
     columns: load_feature_table's checks and errors without parsing a float."""
     return _read_rows(Path(path), schema)[0]
 
@@ -234,23 +218,17 @@ def save_feature_table(table: FeatureTable, path: str | Path,
                        schema: ColumnSchema = ColumnSchema()) -> None:
     """Write a table as CSV; float cells use round-trip repr, missing cells are empty.
 
-    Role columns (id, cohort, label, optional group) come first, then the
-    feature columns in table order.
+    Role columns (id, cohort, label) come first, then the feature columns in
+    table order.
     """
-    path = Path(path)
-    write_groups = table.groups is not None and schema.group_column is not None
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         head = [schema.id_column, schema.cohort_column, schema.label_column]
-        if write_groups:
-            head.append(schema.group_column)
         writer.writerow(head + list(table.feature_names))
         label_names = (str(ClassLabel.BENIGN), str(ClassLabel.MALIGNANT))
         labels = table.labels.tolist()
         for i, values in enumerate(table.values.tolist()):
             cells = [table.sample_ids[i], table.cohort[i], label_names[labels[i]]]
-            if write_groups:
-                cells.append(table.groups[i])
             cells += ["" if math.isnan(v) else repr(v) for v in values]
             writer.writerow(cells)
 

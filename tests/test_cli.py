@@ -67,11 +67,24 @@ def test_config_defaults_and_overrides(config_path):
     assert cfg.delta_bic_stop == 2.0
     assert cfg.correlation_threshold == 0.95
     assert cfg.rules == tuple(FusionRule)
-    over = load_config(config_path, ["mrcv.repeats=3", "preprocess.scale=false"])
+    over = load_config(config_path, ["mrcv.repeats=3", "preprocess.scale=false",
+                                     "fusion.rules= Stouffer , MEAN"])
     assert over.repeats == 3 and over.scale is False
+    assert over.rules == (FusionRule.STOUFFER, FusionRule.MEAN)
     for stop in ("-inf", "inf"):
         assert load_config(config_path, [f"mrcv.delta_bic_stop={stop}"]).delta_bic_stop \
             == float(stop)
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    text = text.replace("= data/", f"= {tmp_path}/data/").replace("= out", f"= {tmp_path}/out")
+    path = tmp_path / "readme.ini"
+    path.write_text(text, encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.modality_a == tmp_path / "data" / "modality_a.csv"
+    assert cfg.out_dir == tmp_path / "out" and cfg.synth is not None
 
 
 def test_config_requires_seed(tmp_path):
@@ -95,7 +108,9 @@ def test_config_missing_file():
     "mrcv.rf_validation_fraction=0", "mrcv.repeats=0", "mrcv.rf_min_leaf=0",
     "mrcv.rf_ntree=0", "mrcv.rf_mtry=", "mrcv.rf_mtry=5,-1", "split.test_benign=-1",
     "split.test_malignant=-2", "univariate.alpha=7", "univariate.alpha=nan",
-    "mrcv.delta_bic_stop=nan", "fusion.rules=foo", "fusion.rules="])
+    "mrcv.delta_bic_stop=nan", "fusion.rules=foo", "fusion.rules=",
+    # keys that load_config does not read
+    "mrcv.repeat=5", "mrcv.rf_mtyr=3", "schema.group_column=patient"])
 def test_malformed_typed_value_is_a_config_error(config_path, capsys, override):
     section, option = override.split("=")[0].split(".")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {option}"):
@@ -123,7 +138,11 @@ def test_percent_in_config_value_is_literal(config_path, tmp_path, edit, overrid
     (("[inputs]\n", ""), [], "run.ini"),
     (("repeats = 8\n", "repeats = 8\nrepeats = 9\n"), [], "run.ini"),
     (None, ["DEFAULT.base_seed=1"], "DEFAULT"),
-], ids=["no_section_header", "repeated_key", "default_section_override"])
+    (("repeats = 8\n", "repeats = 8\nrf_ntrees = 7\n"), [], r"\[mrcv\] rf_ntrees"),
+    (("[inputs]\n", "[DEFAULT]\nrepeat = 5\n[inputs]\n"), [], r"\[DEFAULT\] repeat"),
+    (("[inputs]\n", "[runs]\n[inputs]\n"), [], r"\[runs\]"),
+], ids=["no_section_header", "repeated_key", "default_section_override", "unknown_key",
+        "unknown_default_key", "unknown_section"])
 def test_config_syntax_error_is_a_config_error(config_path, capsys, edit, override, named):
     if edit:
         config_path.write_text(config_path.read_text().replace(*edit), encoding="utf-8")
@@ -299,11 +318,22 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
     run(config_path, "synth")
     out = tmp_path / "out"
     out.mkdir(exist_ok=True)
-    (out / "model_a_lr.json").write_text('{"format": "latefuse-model",', encoding="utf-8")
-    capsys.readouterr()
-    assert run(config_path, "evaluate", "--modality", "a", "--model", "lr") == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "not valid JSON" in err[0]
+    head = '{"format": "latefuse-model", "selected_features": ["f000"], "threshold": 0.5'
+    forest = '"model": {"format": "latefuse-forest", "version": %d}}'
+    for model, body, detail in [
+        ("lr", '{"format": "latefuse-model",', "not valid JSON"),
+        ("lr", '{"format": "latefuse-model"}', "lacks key 'selected_features'"),
+        ("lr", head + "}", "lacks key 'model'"),
+        ("rf", f"{head}, {forest % 2}", "lacks key 'trees'"),
+        ("rf", f"{head}, {forest % 1}", "unrecognized forest document"),
+    ]:
+        path = out / f"model_a_{model}.json"
+        path.write_text(body, encoding="utf-8")
+        capsys.readouterr()
+        assert run(config_path, "evaluate", "--modality", "a", "--model", model) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), body
+        assert str(path) in err[0] and detail in err[0], err[0]
 
 
 def test_fusing_modality_with_itself_under_mean_is_identity(config_path, tmp_path):

@@ -252,20 +252,15 @@ def test_forest_serialization_round_trip():
     assert np.array_equal(rf.predict_proba(back, t), rf.predict_proba(fo, t))
 
 
-def test_version_1_document_loads_and_predicts_identically():
+def test_only_version_2_documents_load():
     t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=13)
-    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=10, seed=41))
-    v2 = json.loads(json.dumps(rf.to_doc(fo)))
-    assert v2["version"] == 2
-    # version 1 also listed each tree's bootstrap and out-of-bag rows
-    _, boots, oobs = zip(*(rf._tree_stream(fo.params.seed, i, fo.n_train) for i in range(10)))
-    v1 = dict(v2, version=1, **{f"{kind}_indices": [rows.tolist() for rows in per_tree]
-                                for kind, per_tree in (("bootstrap", boots), ("oob", oobs))})
-    back = rf.from_doc(json.loads(json.dumps(v1)))
-    assert all(trees_equal(a, b) for a, b in zip(fo.trees, back.trees))
-    assert np.array_equal(rf.predict_proba(back, t), rf.predict_proba(fo, t))
-    assert np.array_equal(rf.oob_permutation_importance(back, t).normalized,
-                          rf.oob_permutation_importance(fo, t).normalized)
+    doc = json.loads(json.dumps(rf.to_doc(rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=3,
+                                                                            seed=41)))))
+    with pytest.raises(ModelError, match="unrecognized forest document"):
+        rf.from_doc(dict(doc, version=1))
+    del doc["params"]["weighted"]
+    with pytest.raises(KeyError, match="weighted"):
+        rf.from_doc(doc)
 
 
 def test_importance_requires_the_training_table():

@@ -11,13 +11,6 @@ RULES = list(FusionRule)
 probs = st.floats(min_value=0.0, max_value=1.0)
 
 
-def test_rule_parsing():
-    assert FusionRule.parse(" Stouffer ") is FusionRule.STOUFFER
-    assert FusionRule.parse("MEAN") is FusionRule.MEAN
-    with pytest.raises(FusionError):
-        FusionRule.parse("median")
-
-
 def test_arithmetic_rules():
     assert fuse_pair(0.8, 0.5, FusionRule.PRODUCT) == pytest.approx(0.40, abs=1e-15)
     assert fuse_pair(0.6, 0.8, FusionRule.MEAN) == pytest.approx(0.70, abs=1e-15)

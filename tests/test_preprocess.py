@@ -276,3 +276,61 @@ def test_drop_correlated_output_has_no_offending_pair():
     m2 = spearman_matrix(pruned)
     off_diag = m2.rho[~np.eye(pruned.n_features, dtype=bool)]
     assert np.all(np.abs(off_diag) < 0.8)
+
+
+def reference_drop_correlated(table, matrix, threshold):
+    """The loop drop_correlated replaced, kept verbatim as the reference its
+    removal order and kept table are checked against: it rebuilds and sorts
+    the active pairs after every removal."""
+    names = list(table.feature_names)
+    absrho = np.abs(matrix.rho).copy()
+    np.fill_diagonal(absrho, 0.0)
+    active = list(range(len(names)))
+    removed = []
+    while len(active) > 1:
+        pairs = [(absrho[i, j], names[i], names[j], i, j)
+                 for ai, i in enumerate(active) for j in active[ai + 1:]
+                 if absrho[i, j] >= threshold]
+        if not pairs:
+            break
+        pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+        _, _, _, i, j = pairs[0]
+        rest = [k for k in active]
+        mean_i = absrho[i, [k for k in rest if k != i]].mean()
+        mean_j = absrho[j, [k for k in rest if k != j]].mean()
+        if mean_i > mean_j:
+            victim = i
+        elif mean_j > mean_i:
+            victim = j
+        else:
+            victim = max(i, j, key=lambda k: names[k])
+        removed.append(names[victim])
+        active.remove(victim)
+    kept = [names[k] for k in sorted(active)]
+    return table.select_features(kept), removed
+
+
+@pytest.mark.parametrize("threshold", [0.8, 0.95])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_drop_correlated_matches_rebuilding_reference(threshold, data):
+    # correlated blocks, |rho| rounded to create ties, names not in column order
+    p = data.draw(st.integers(2, 30))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    decimals = data.draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(seed)
+    latent = rng.normal(size=(40, max(1, p // 4)))
+    values = latent[:, rng.integers(0, latent.shape[1], p)]
+    values = values + rng.normal(scale=data.draw(st.sampled_from((0.05, 0.2, 0.5))),
+                                 size=values.shape)
+    names = [f"f{j:02d}" for j in rng.permutation(p)]
+    t = make_table(values, [0, 1] * 20, feature_names=names)
+    m = spearman_matrix(t)
+    rho = np.round(m.rho, decimals) * rng.choice((-1.0, 1.0), size=(p, p))
+    rho = np.triu(rho, 1) + np.triu(rho, 1).T + np.eye(p)
+    tied = SimpleNamespace(feature_names=m.feature_names, rho=rho)
+    got_table, got_removed = drop_correlated(t, tied, threshold)
+    want_table, want_removed = reference_drop_correlated(t, tied, threshold)
+    assert got_removed == want_removed
+    assert got_table.feature_names == want_table.feature_names
+    assert np.array_equal(got_table.values, want_table.values)

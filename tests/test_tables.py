@@ -113,23 +113,17 @@ def test_custom_schema_column_order_kept(tmp_path):
     t = load_feature_table(path, ColumnSchema(id_column="pid", cohort_column="grp",
                                               label_column="outcome"))
     assert t.sample_ids == ("P1",) and t.feature_names == ("feat",)
-    assert t.groups is None
 
 
-def test_group_column_carried_through(tmp_path):
+def test_extra_column_is_read_as_a_feature(tmp_path):
+    # rows are independent samples: a patient tag is one more (non-numeric) feature
     path = write_csv(tmp_path, "id,cohort,label,patient,f1\n"
                                "S1,M,benign,P7,1.0\n"
                                "S2,M,benign,P7,2.0\n"
-                               "S3,M,malignant,P9,3.0\n")
-    schema = ColumnSchema(group_column="patient")
-    t = load_feature_table(path, schema)
-    assert t.feature_names == ("f1",)
-    assert t.groups == ("P7", "P7", "P9")
-    sub = t.select_rows([2, 0])
-    assert sub.groups == ("P9", "P7")
-    out = tmp_path / "copy.csv"
-    save_feature_table(t, out, schema)
-    assert load_feature_table(out, schema).groups == t.groups
+                               "S3,M,malignant,9,3.0\n")
+    t = load_feature_table(path)
+    assert t.feature_names == ("patient", "f1")
+    assert np.isnan(t.values[:2, 0]).all() and t.values[2, 0] == 9.0
 
 
 def test_round_trip_bit_for_bit(tmp_path):
@@ -217,14 +211,12 @@ def test_role_read_raises_as_full_load(tmp_path, name):
 
 
 def test_role_read_keeps_roles_and_drops_features(tmp_path):
-    path = write_csv(tmp_path, "f1,id,cohort,label,patient,f2\n"
-                               "1.0,S1,M,benign,P7,x\n"
-                               "2.0,S2,B,1,P9,3\n")
-    schema = ColumnSchema(group_column="patient")
-    roles, full = read_roles(path, schema), load_feature_table(path, schema)
+    path = write_csv(tmp_path, "f1,id,cohort,label,f2\n"
+                               "1.0,S1,M,benign,x\n"
+                               "2.0,S2,B,1,3\n")
+    roles, full = read_roles(path), load_feature_table(path)
     assert roles.feature_names == () and roles.values.shape == (2, 0)
-    assert (roles.sample_ids, roles.cohort, roles.groups) == (full.sample_ids, full.cohort,
-                                                              full.groups)
+    assert (roles.sample_ids, roles.cohort) == (full.sample_ids, full.cohort)
     assert roles.labels.tolist() == full.labels.tolist() == [0, 1]
 
 
@@ -238,23 +230,19 @@ def reference_load(path, schema=ColumnSchema()):
         raise DataError(f"{path}: empty file")
     header, data = rows[0], rows[1:]
     role_columns = [schema.id_column, schema.cohort_column, schema.label_column]
-    if schema.group_column is not None:
-        role_columns.append(schema.group_column)
     for col in role_columns:
         if col not in header:
             raise DataError(f"{path}: required column {col!r} not in header")
     id_ix = header.index(schema.id_column)
     cohort_ix = header.index(schema.cohort_column)
     label_ix = header.index(schema.label_column)
-    group_ix = header.index(schema.group_column) if schema.group_column else None
-    role_ix = {id_ix, cohort_ix, label_ix} | ({group_ix} if group_ix is not None else set())
+    role_ix = {id_ix, cohort_ix, label_ix}
     feat_ix = [j for j in range(len(header)) if j not in role_ix]
     feature_names = [header[j] for j in feat_ix]
 
     ids: list[str] = []
     cohorts: list[str] = []
     labels: list[int] = []
-    groups: list[str] = []
     values = np.full((len(data), len(feat_ix)), np.nan)
     for i, row in enumerate(data):
         if len(row) != len(header):
@@ -262,8 +250,6 @@ def reference_load(path, schema=ColumnSchema()):
         ids.append(row[id_ix])
         cohorts.append(row[cohort_ix])
         labels.append(int(ClassLabel.parse(row[label_ix])))
-        if group_ix is not None:
-            groups.append(row[group_ix])
         for k, j in enumerate(feat_ix):
             try:
                 values[i, k] = float(row[j])
@@ -278,7 +264,6 @@ def reference_load(path, schema=ColumnSchema()):
         labels=np.asarray(labels, dtype=np.int8),
         feature_names=tuple(feature_names),
         values=np.where(np.isfinite(values), values, np.nan),
-        groups=tuple(groups) if group_ix is not None else None,
     )
 
 
@@ -286,18 +271,13 @@ def reference_save(table, path, schema=ColumnSchema()):
     """The per-cell writer that save_feature_table replaced, kept verbatim as
     the reference its bytes are checked against."""
     path = Path(path)
-    write_groups = table.groups is not None and schema.group_column is not None
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         head = [schema.id_column, schema.cohort_column, schema.label_column]
-        if write_groups:
-            head.append(schema.group_column)
         writer.writerow(head + list(table.feature_names))
         for i in range(table.n_samples):
             cells = [table.sample_ids[i], table.cohort[i],
                      str(ClassLabel(int(table.labels[i])))]
-            if write_groups:
-                cells.append(table.groups[i])
             for j in range(table.n_features):
                 cells.append("" if np.isnan(table.values[i, j])
                              else repr(float(table.values[i, j])))
@@ -320,9 +300,7 @@ def table_files(draw, fallback):
     `fallback`, at least one feature cell is one of REJECTED_CELLS."""
     n = draw(st.integers(1 if fallback else 0, 6))
     p = draw(st.integers(1 if fallback else 0, 4))
-    grouped = draw(st.booleans())
-    roles = ["id", "cohort", "label"] + (["patient"] if grouped else [])
-    header = draw(st.permutations(roles + [f"f{j}" for j in range(p)]))
+    header = draw(st.permutations(["id", "cohort", "label"] + [f"f{j}" for j in range(p)]))
     plain = st.one_of(finite_floats.map(repr), st.sampled_from(ODD_CELLS))
     cell = st.one_of(plain, st.sampled_from(REJECTED_CELLS)) if fallback else plain
     cells = draw(st.lists(st.lists(cell, min_size=p, max_size=p), min_size=n, max_size=n))
@@ -337,14 +315,14 @@ def table_files(draw, fallback):
             out.write("# comment\n\n")
         by_name = {"id": f"S{i}", "cohort": draw(st.sampled_from(("M", "B, 2", '"q"'))),
                    "label": draw(st.sampled_from(("benign", "Malignant", "0", "1"))),
-                   "patient": f"P{i // 2}", **{f"f{j}": c for j, c in enumerate(row)}}
+                   **{f"f{j}": c for j, c in enumerate(row)}}
         writer.writerow([by_name[name] for name in header])
-    return out.getvalue(), ColumnSchema(group_column="patient" if grouped else None)
+    return out.getvalue()
 
 
 def assert_same_table(got, want):
     assert got.sample_ids == want.sample_ids and got.cohort == want.cohort
-    assert got.groups == want.groups and got.feature_names == want.feature_names
+    assert got.feature_names == want.feature_names
     assert got.labels.tolist() == want.labels.tolist()
     assert np.array_equal(np.isnan(got.values), np.isnan(want.values))
     observed = ~np.isnan(want.values)
@@ -356,13 +334,13 @@ def assert_same_table(got, want):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_parse_matches_per_cell_reference(fallback, data):
-    text, schema = data.draw(table_files(fallback))
+    text = data.draw(table_files(fallback))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_text(text, encoding="utf-8")
         with mock.patch.object(tables, "_float_or_nan", wraps=tables._float_or_nan) as slow:
-            got = load_feature_table(path, schema)
-        want = reference_load(path, schema)
+            got = load_feature_table(path)
+        want = reference_load(path)
     assert slow.called == fallback
     assert_same_table(got, want)
 
@@ -373,7 +351,6 @@ def test_save_matches_per_cell_reference(data):
     n, p = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
     values = data.draw(st.lists(finite_floats, min_size=n * p, max_size=n * p))
     missing = data.draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))
-    grouped = data.draw(st.booleans())
     table = FeatureTable(
         sample_ids=tuple(f"S,{i}" for i in range(n)),
         cohort=tuple(data.draw(st.sampled_from(("M", 'B "x"'))) for _ in range(n)),
@@ -381,13 +358,11 @@ def test_save_matches_per_cell_reference(data):
                           dtype=np.int8),
         feature_names=tuple(f"f{j}" for j in range(p)),
         values=np.where(np.reshape(missing, (n, p)), np.nan, np.reshape(values, (n, p))),
-        groups=tuple(f"P{i // 2}" for i in range(n)) if grouped else None,
     )
-    schema = ColumnSchema(group_column="patient")
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        save_feature_table(table, got, schema)
-        reference_save(table, want, schema)
+        save_feature_table(table, got)
+        reference_save(table, want)
         assert got.read_bytes() == want.read_bytes()
 
 
