@@ -4,11 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
+from latefuse.config import _rule_list
 from latefuse.errors import FusionError
 from latefuse.fuse import FusionRule, fuse_modalities, fuse_pair
 
 RULES = list(FusionRule)
 probs = st.floats(min_value=0.0, max_value=1.0)
+
+
+def test_rule_parsing():
+    # rule names are parsed only from the [fusion] rules config value
+    assert _rule_list(" Stouffer ") == (FusionRule.STOUFFER,)
+    assert _rule_list("MEAN") == (FusionRule.MEAN,)
+    assert _rule_list("max, PRODUCT,") == (FusionRule.MAX, FusionRule.PRODUCT)
+    for bad in ("median", "mean,median", " , "):
+        with pytest.raises(ValueError):
+            _rule_list(bad)
 
 
 def test_arithmetic_rules():
