@@ -4,11 +4,11 @@ Determinism contract: tree t is grown from one generator seeded by (forest
 seed, t). It draws the bootstrap first, then, per depth level, the features
 of all the tree's splittable nodes of that level in one call, in
 breadth-first node order. The importance pass draws tree t's permutations,
-one per used feature in feature order, from a second generator seeded by
-(forest seed, t, 1). Results are therefore bit-identical for a given seed,
-whichever trees are grown together, and a tree's bootstrap and out-of-bag
-rows follow from (seed, tree index, n_train), so a forest does not store
-them.
+one per used feature in feature order, in one call from a second generator
+seeded by (forest seed, t, 1). Results are therefore bit-identical for a
+given seed, whichever trees are grown or descended together, and a tree's
+bootstrap and out-of-bag rows follow from (seed, tree index, n_train), so a
+forest does not store them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .errors import ModelError, PredictError
 from .tables import FeatureTable
 
 # fit_forest grows its trees in blocks of about CELLS (tree x bootstrap row x
-# drawn feature) cells, which bounds the candidate cuts of one level
+# drawn feature) cells, which bounds the candidate cuts of one level;
+# prediction and importance descend blocks of about CELLS (tree x row) pairs
 CELLS = 2 ** 15
 # appended to (seed, t) for tree t's importance permutations; SeedSequence
 # pads short entropy with zeros, so 0 would repeat the growth stream
@@ -295,25 +296,40 @@ def _check_features(forest: Forest, table: FeatureTable) -> np.ndarray:
     return np.ascontiguousarray(table.values)
 
 
-def _own_row(i: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return i
+def _stack(trees: Sequence[Tree]) -> tuple[Tree, np.ndarray]:
+    """The node arrays of the trees laid end to end as one Tree, child
+    indices shifted to match, and each tree's root index in it. A leaf's
+    shifted children are never read."""
+    size = np.array([tree.feature.size for tree in trees])
+    roots = np.cumsum(size) - size
+    shift = np.repeat(roots, size)
+
+    def cat(name: str) -> np.ndarray:
+        return np.concatenate([getattr(tree, name) for tree in trees])
+
+    return Tree(feature=cat("feature"), threshold=cat("threshold"),
+                left=cat("left") + shift, right=cat("right") + shift,
+                leaf_prob=cat("leaf_prob")), roots
 
 
-def descend(tree: Tree, x: np.ndarray, size: int,
-            rows: Callable[[np.ndarray, np.ndarray], np.ndarray] = _own_row) -> np.ndarray:
-    """Leaf probabilities of `size` elements in one descent of the tree, one
-    array step per level. Element i at a node splitting on feature f reads
-    x[rows(i, f), f]; `rows` gets the live elements and their features, and
-    by default element i reads row i."""
-    node = np.zeros(size, dtype=np.int64)
-    live = np.flatnonzero(tree.feature[node] >= 0)
+def descend(stack: Tree, x: np.ndarray, start: np.ndarray,
+            rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            path: list[tuple[np.ndarray, np.ndarray]] | None = None) -> np.ndarray:
+    """Leaf nodes of elements walked down `stack` (see _stack) from their
+    start nodes, one array step per level. Element i at a node splitting on
+    feature f reads x[rows(i, f), f]; `rows` gets the live elements and their
+    features. Given `path`, each level appends (live elements, their nodes)."""
+    node = np.array(start, dtype=np.int64)
+    live = np.flatnonzero(stack.feature[node] >= 0)
     while live.size:
         at = node[live]
-        f = tree.feature[at]
-        node[live] = nxt = np.where(x[rows(live, f), f] <= tree.threshold[at],
-                                    tree.left[at], tree.right[at])
-        live = live[tree.feature[nxt] >= 0]
-    return tree.leaf_prob[node]
+        f = stack.feature[at]
+        if path is not None:
+            path.append((live, at))
+        go_left = x.take(rows(live, f) * x.shape[1] + f) <= stack.threshold[at]
+        node[live] = nxt = np.where(go_left, stack.left[at], stack.right[at])
+        live = live[stack.feature[nxt] >= 0]
+    return node
 
 
 def predict_proba(forest: Forest, table: FeatureTable) -> np.ndarray:
@@ -324,16 +340,72 @@ def predict_proba(forest: Forest, table: FeatureTable) -> np.ndarray:
 def prefix_proba(forest: Forest, table: FeatureTable, sizes: Sequence[int]) -> np.ndarray:
     """predict_proba of each prefix forest of the first k trees, k in sizes,
     one row each, from one cumulative sum over the per-tree outputs (the
-    same additions in the same order as a running sum over the prefix)."""
+    same additions in the same order as a running sum over the prefix).
+    Every (tree, row) pair of a block of about CELLS pairs is one element of
+    one descent."""
     x = _check_features(forest, table)
     k = np.asarray(sizes)
-    per_tree = np.vstack([descend(tree, x, x.shape[0]) for tree in forest.trees[:k.max()]])
+    bad = k[(k < 1) | (k > len(forest.trees))]
+    if bad.size:
+        raise PredictError(f"prefix size {bad[0]} is outside 1..{len(forest.trees)}")
+    n = x.shape[0]
+    block = max(1, CELLS // max(n, 1))
+    per_tree = np.empty((k.max(), n))
+    for first in range(0, k.max(), block):
+        stack, roots = _stack(forest.trees[first:min(first + block, k.max())])
+        leaf = descend(stack, x, np.repeat(roots, n), lambda i, f: i % n)
+        per_tree[first:first + roots.size] = stack.leaf_prob[leaf].reshape(roots.size, n)
     return per_tree.cumsum(axis=0)[k - 1] / k[:, None]
 
 
-def _oob_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Permutation used for the importance pass (separable for testing)."""
-    return rng.permutation(n)
+def _oob_permutations(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
+    """k permutations of range(m), one per row, drawn in one call: the same
+    draws as k successive rng.permutation(m) (separable for testing)."""
+    return rng.permuted(np.tile(np.arange(m), (k, 1)), axis=1)
+
+
+def _accuracy_drops(forest: Forest, x: np.ndarray, positive: np.ndarray,
+                    trees: Sequence[int], oobs: Sequence[np.ndarray]) -> np.ndarray:
+    """(tree, feature) OOB accuracy drops of a block of trees with OOB rows.
+
+    Permuting feature g can change a row's leaf only from the first node on
+    its path that splits on g, and the path above that node is the
+    unpermuted one. So one descent walks every OOB row and records its path,
+    and a second starts each (row, feature on its path) pair at that node,
+    reading the permuted row at g-splits and the row's own value elsewhere.
+    """
+    p = x.shape[1]
+    stack, roots = _stack([forest.trees[t] for t in trees])
+    m = np.array([oob.size for oob in oobs])
+    tree = np.repeat(np.arange(len(trees)), m)  # an element's tree in the block
+    row = np.concatenate(oobs)
+    path = [(row[:0], row[:0])]  # no records yet; single-leaf trees add none
+    leaf = descend(stack, x, roots[tree], lambda i, f: row[i], path)
+    correct = (stack.leaf_prob[leaf] >= 0.5) == positive[row]
+    # path records run level by level, so a key's first index is its first node
+    elem, node = (np.concatenate(c) for c in zip(*path))
+    key, first = np.unique(elem * p + stack.feature[node], return_index=True)
+    e, g = np.divmod(key, p)
+    # tree t's permutation of used feature f, used[b], sits at
+    # offset[t * p + f] = (its block start) + b * m_t in permuted
+    permuted, offset, at = [], np.zeros(len(trees) * p, dtype=np.int64), 0
+    for i, (t, oob) in enumerate(zip(trees, oobs)):
+        feature = forest.trees[t].feature
+        used = np.unique(feature[feature >= 0])
+        rng = np.random.default_rng([forest.params.seed, t, _PERMUTATION_KEY])
+        permuted.append(oob[_oob_permutations(rng, used.size, oob.size)].ravel())
+        offset[i * p + used] = at + oob.size * np.arange(used.size)
+        at += used.size * oob.size
+    cell = tree[e] * p + g
+    j = e - (np.cumsum(m) - m)[tree[e]]  # the element's place among its tree's OOB rows
+    swapped = np.concatenate(permuted)[offset[cell] + j]
+    own = row[e]
+    moved = descend(stack, x, node[first], lambda i, f: np.where(f == g[i], swapped[i], own[i]))
+    change = ((stack.leaf_prob[moved] >= 0.5) == positive[own]).astype(np.int64) - correct[e]
+    # exact counts, so c / m has the bits of the mean of a boolean vector
+    c0 = np.bincount(tree, weights=correct, minlength=len(trees))[:, None]
+    dc = np.bincount(cell, weights=change, minlength=len(trees) * p).reshape(-1, p)
+    return c0 / m[:, None] - (c0 + dc) / m[:, None]
 
 
 def oob_permutation_importance(forest: Forest, table: FeatureTable) -> ImportanceReport:
@@ -344,43 +416,29 @@ def oob_permutation_importance(forest: Forest, table: FeatureTable) -> Importanc
     generator per tree, see the module docstring); the differences are
     averaged over the trees that have out-of-bag rows and normalized by their
     standard error (sd with ddof=1 over those contributing trees, divided by
-    the square root of their number).
-    One descent per tree scores the unpermuted rows and every permuted copy.
-    The out-of-bag rows are derived from the (seed, t) stream, so the table
-    must be the training table.
+    the square root of their number). An unused feature's difference is an
+    exact 0.
+    The trees are scored in blocks of about CELLS // n_train trees (see
+    _accuracy_drops). The out-of-bag rows are derived from the (seed, t)
+    stream, so the table must be the training table.
     """
     x = _check_features(forest, table)
     if table.n_samples != forest.n_train:
         raise PredictError(f"importance needs the {forest.n_train}-row training table, "
                            f"got {table.n_samples} rows")
-    y = table.labels.astype(np.int8)
+    positive = table.labels == 1
     n_feat = table.n_features
-    diffs: list[np.ndarray] = []
-    skipped = 0
-    for t, tree in enumerate(forest.trees):
-        _, _, oob = _tree_stream(forest.params.seed, t, forest.n_train)
-        if oob.size == 0:
-            skipped += 1
-            continue
-        used = np.unique(tree.feature[tree.feature >= 0])
-        rng = np.random.default_rng([forest.params.seed, t, _PERMUTATION_KEY])
-        # block 0 reads every feature from its own OOB row; block b >= 1 reads
-        # feature used[b - 1] through permutation b and the rest as block 0
-        perms = np.vstack([np.arange(oob.size)]
-                          + [_oob_permutation(rng, oob.size) for _ in used])
-        permuted, plain = oob[perms].ravel(), np.tile(oob, perms.shape[0])
-        swapped = np.repeat(np.concatenate([[-1], used]), oob.size)
-        prob = descend(tree, x, permuted.size, lambda i, f: np.where(
-            f == swapped[i], permuted[i], plain[i])).reshape(perms.shape)
-        acc = np.mean((prob >= 0.5) == (y[oob] == 1), axis=1)
-        row = np.zeros(n_feat)  # unused features keep an exact 0 difference
-        row[used] = acc[0] - acc[1:]
-        diffs.append(row)
-    if skipped:
-        warnings.warn(f"{skipped} tree(s) had no out-of-bag rows and were skipped")
-    if not diffs:
+    oobs = [_tree_stream(forest.params.seed, t, forest.n_train)[2]
+            for t in range(len(forest.trees))]
+    kept = [t for t, oob in enumerate(oobs) if oob.size]
+    if len(kept) < len(oobs):
+        warnings.warn(f"{len(oobs) - len(kept)} tree(s) had no out-of-bag rows and were skipped")
+    if not kept:
         raise ModelError("no tree had out-of-bag rows; cannot compute importance")
-    d = np.vstack(diffs)
+    block = max(1, CELLS // forest.n_train)
+    d = np.vstack([_accuracy_drops(forest, x, positive, kept[i:i + block],
+                                   [oobs[t] for t in kept[i:i + block]])
+                   for i in range(0, len(kept), block)])
     t_count = d.shape[0]
     mean = d.mean(axis=0)
     sd = d.std(axis=0, ddof=1) if t_count > 1 else np.zeros(n_feat)

@@ -304,14 +304,14 @@ def test_criterion_08_random_forest():
     assert np.array_equal(rf.oob_permutation_importance(f1, t).normalized,
                           rf.oob_permutation_importance(f2, t).normalized)
 
-    identity = rf._oob_permutation
+    draw = rf._oob_permutations
     try:
-        rf._oob_permutation = lambda rng, n: np.arange(n)
+        rf._oob_permutations = lambda rng, k, m: np.tile(np.arange(m), (k, 1))
         rep = rf.oob_permutation_importance(f1, t)
         assert np.array_equal(rep.mean_decrease, np.zeros(t.n_features))
         assert np.array_equal(rep.normalized, np.zeros(t.n_features))
     finally:
-        rf._oob_permutation = identity
+        rf._oob_permutations = draw
 
     tops = 0
     with warnings.catch_warnings():

@@ -96,8 +96,7 @@ def test_same_seed_refit_is_identical():
 def test_predict_is_mean_of_tree_outputs():
     t = gaussian_table(30, 30, 4, shifts={0: 2.0}, seed=6)
     fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=25, seed=13))
-    x = np.ascontiguousarray(t.values)
-    per_tree = np.vstack([rf.descend(tree, x, len(x)) for tree in fo.trees])
+    per_tree = np.vstack([reference_tree_predict(tree, t.values) for tree in fo.trees])
     assert np.array_equal(rf.predict_proba(fo, t), per_tree.mean(axis=0))
     assert (per_tree >= 0).all() and (per_tree <= 1).all()
 
@@ -113,6 +112,14 @@ def test_prefix_scores_equal_prefix_forests():
         assert np.array_equal(row, rf.predict_proba(prefix, t))
 
 
+@pytest.mark.parametrize("sizes, bad", [([0, 5], 0), ([-1, 5], -1), ([6], 6)])
+def test_prefix_sizes_outside_the_forest_rejected(sizes, bad):
+    t = gaussian_table(20, 20, 3, seed=14)
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=5, seed=43))
+    with pytest.raises(PredictError, match=rf"prefix size {bad} is outside 1\.\.5"):
+        rf.prefix_proba(fo, t, sizes)
+
+
 def test_trees_do_not_depend_on_the_block(monkeypatch):
     t = gaussian_table(30, 30, 6, shifts={0: 1.0}, seed=4)
     for params in (rf.ForestParams(mtry=3, ntree=12, seed=5),
@@ -126,17 +133,36 @@ def test_trees_do_not_depend_on_the_block(monkeypatch):
             monkeypatch.undo()
 
 
+def test_scores_and_importance_do_not_depend_on_the_block(monkeypatch):
+    t = gaussian_table(30, 30, 6, shifts={0: 1.0}, seed=4)
+    for params in (rf.ForestParams(mtry=3, ntree=12, seed=5),
+                   rf.ForestParams(mtry=2, ntree=12, min_leaf=3, seed=6, weighted=False)):
+        fo = rf.fit_forest(t, params)
+
+        def outputs():
+            rep = rf.oob_permutation_importance(fo, t)
+            return (rf.prefix_proba(fo, t, [1, 5, 12]), rf.predict_proba(fo, t),
+                    rep.mean_decrease, rep.std_error, rep.normalized)
+
+        whole = outputs()  # one block under the default CELLS
+        assert rf.CELLS // t.n_samples >= params.ntree
+        for cells in (1, 5 * t.n_samples, 2 ** 62):  # blocks of one tree, of five, all
+            monkeypatch.setattr(rf, "CELLS", cells)
+            assert all(np.array_equal(a, b) for a, b in zip(whole, outputs()))
+            monkeypatch.undo()
+
+
 def test_permutation_stream_differs_from_growth_stream(monkeypatch):
     t = gaussian_table(30, 30, 4, shifts={0: 2.0, 1: 1.0}, seed=8)
     fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=10, seed=19))
     first_state = {}  # generator -> its state before its first permutation
-    draw = rf._oob_permutation
+    draw = rf._oob_permutations
 
-    def spy(rng, n):
+    def spy(rng, k, m):
         first_state.setdefault(rng, rng.bit_generator.state)
-        return draw(rng, n)
+        return draw(rng, k, m)
 
-    monkeypatch.setattr(rf, "_oob_permutation", spy)
+    monkeypatch.setattr(rf, "_oob_permutations", spy)
     rf.oob_permutation_importance(fo, t)
     growth = [np.random.default_rng([fo.params.seed, i]).bit_generator.state
               for i in range(10)]
@@ -151,18 +177,29 @@ def test_permutation_stream_differs_from_growth_stream(monkeypatch):
             assert np.random.default_rng([seed, tree_index, 0]).bit_generator.state == growth
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 50])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_one_call_permutations_match_successive_draws(m, k):
+    # the importance stream is k successive rng.permutation(m) calls
+    one, many = np.random.default_rng([7, m, k]), np.random.default_rng([7, m, k])
+    drawn = rf._oob_permutations(one, k, m)
+    assert np.array_equal(drawn, np.array([many.permutation(m) for _ in range(k)]).reshape(k, m))
+    assert one.bit_generator.state == many.bit_generator.state
+
+
 def test_identical_feature_vectors_score_identically():
     t = gaussian_table(20, 20, 3, shifts={0: 1.5}, seed=7)
     fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=30, seed=17))
     x = np.vstack([t.values, t.values[:1]])  # repeat the first row
-    p = np.mean([rf.descend(tree, x, len(x)) for tree in fo.trees], axis=0)
+    p = np.mean([reference_tree_predict(tree, x) for tree in fo.trees], axis=0)
     assert p[0] == p[-1]
 
 
 def test_identity_permutation_gives_exactly_zero(monkeypatch):
     t = gaussian_table(30, 30, 5, shifts={0: 2.0}, seed=8)
     fo = rf.fit_forest(t, rf.ForestParams(mtry=3, ntree=40, seed=19))
-    monkeypatch.setattr(rf, "_oob_permutation", lambda rng, n: np.arange(n))
+    monkeypatch.setattr(rf, "_oob_permutations",
+                        lambda rng, k, m: np.tile(np.arange(m), (k, 1)))
     rep = rf.oob_permutation_importance(fo, t)
     assert np.array_equal(rep.mean_decrease, np.zeros(5))
     assert np.array_equal(rep.normalized, np.zeros(5))
@@ -199,10 +236,9 @@ def test_weighting_lifts_minority_sensitivity():
     def oob_sensitivity(forest):
         votes = np.zeros(t.n_samples)
         counts = np.zeros(t.n_samples)
-        x = np.ascontiguousarray(t.values)
         for tree_index, tree in enumerate(forest.trees):
             _, _, oob = rf._tree_stream(forest.params.seed, tree_index, forest.n_train)
-            votes[oob] += rf.descend(tree, x[oob], oob.size)
+            votes[oob] += reference_tree_predict(tree, t.values[oob])
             counts[oob] += 1
         seen = counts > 0
         pred = (votes[seen] / counts[seen]) >= 0.5
@@ -279,8 +315,9 @@ def test_feature_mismatch_rejected_at_predict():
 
 
 def reference_importance(forest, table):
-    """Per-tree, per-feature loop: one descent per permuted feature, the
-    permutations drawn in feature order from one generator per tree."""
+    """Per-tree, per-feature loop: one descent of every OOB row per permuted
+    feature, the permutations drawn one call each, in feature order, from one
+    generator per tree."""
     x = np.ascontiguousarray(table.values)
     y = table.labels.astype(np.int8)
     diffs = []
@@ -292,14 +329,14 @@ def reference_importance(forest, table):
             continue
         xo = x[oob].copy()
         yo = y[oob]
-        base_acc = float(np.mean((rf.descend(tree, xo, len(xo)) >= 0.5) == (yo == 1)))
+        base_acc = float(np.mean((reference_tree_predict(tree, xo) >= 0.5) == (yo == 1)))
         row = np.zeros(table.n_features)
         rng = np.random.default_rng([forest.params.seed, t, 1])  # one per tree
         for f in sorted(set(tree.feature[tree.feature >= 0].tolist())):
-            perm = rf._oob_permutation(rng, oob.size)
+            perm = rng.permutation(oob.size)
             original = xo[:, f].copy()
             xo[:, f] = original[perm]
-            perm_acc = float(np.mean((rf.descend(tree, xo, len(xo)) >= 0.5) == (yo == 1)))
+            perm_acc = float(np.mean((reference_tree_predict(tree, xo) >= 0.5) == (yo == 1)))
             xo[:, f] = original
             row[f] = base_acc - perm_acc
         diffs.append(row)
@@ -487,8 +524,11 @@ def test_trees_match_reference_builder(case):
     assert all(trees_equal(a, b) for a, b in zip(fo.trees, reference))
     # rows on the grid, rows at the cuts and rows off both
     x = np.vstack([table.values, table.values + 0.125, table.values - 0.3])
-    for tree in fo.trees:
-        assert np.array_equal(rf.descend(tree, x, len(x)), reference_tree_predict(tree, x))
+    stack, roots = rf._stack(fo.trees)
+    leaf = rf.descend(stack, x, np.repeat(roots, len(x)), lambda i, f: i % len(x))
+    per_tree = stack.leaf_prob[leaf].reshape(len(fo.trees), len(x))
+    for tree, prob in zip(fo.trees, per_tree):
+        assert np.array_equal(prob, reference_tree_predict(tree, x))
 
 
 def test_cut_with_rounding_sized_gain_is_not_taken():
@@ -503,3 +543,26 @@ def test_cut_with_rounding_sized_gain_is_not_taken():
     reference = reference_trees(table, params, rejected)
     assert any(0 < gain <= 1e-12 for gain in rejected)
     assert all(trees_equal(a, b) for a, b in zip(rf.fit_forest(table, params).trees, reference))
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest_cases())
+def test_importance_matches_reference(case):
+    table, params = case
+    fo = rf.fit_forest(table, params)
+    skipped = sum(rf._tree_stream(params.seed, t, table.n_samples)[2].size == 0
+                  for t in range(params.ntree))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if skipped == params.ntree:
+            with pytest.raises(ModelError, match="no tree had out-of-bag rows"):
+                rf.oob_permutation_importance(fo, table)
+        else:
+            rep = rf.oob_permutation_importance(fo, table)
+    assert any("no out-of-bag rows" in str(w.message) for w in caught) == (skipped > 0)
+    if skipped < params.ntree:
+        mean, se, normalized, ref_skipped = reference_importance(fo, table)
+        assert ref_skipped == skipped
+        assert np.array_equal(rep.mean_decrease, mean)
+        assert np.array_equal(rep.std_error, se)
+        assert np.array_equal(rep.normalized, normalized)
