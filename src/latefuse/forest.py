@@ -483,23 +483,39 @@ def to_doc(forest: Forest) -> dict:
     }
 
 
+def _tree_from_doc(t: dict, p: int) -> Tree:
+    """A tree document's node arrays, if `descend` ends on them: equal-length
+    1-d arrays, each feature -1 (leaf) or in 0..p-1, and each split's
+    children after it."""
+    tree = Tree(
+        feature=np.asarray(t["feature"], dtype=np.int64),
+        threshold=np.asarray([math.nan if v is None else v for v in t["threshold"]]),
+        left=np.asarray(t["left"], dtype=np.int64),
+        right=np.asarray(t["right"], dtype=np.int64),
+        leaf_prob=np.asarray(t["leaf_prob"], dtype=float),
+    )
+    n = tree.feature.size
+    if n == 0 or any(a.ndim != 1 or a.size != n for a in
+                     (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_prob)):
+        raise ModelError("forest tree node arrays must be non-empty and of equal length")
+    if np.any((tree.feature < -1) | (tree.feature >= p)):
+        raise ModelError(f"forest tree feature index outside -1..{p - 1}")
+    split = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[split], tree.right[split]):
+        if np.any((child <= split) | (child >= n)):
+            raise ModelError("forest tree child index not after its node or past the last node")
+    return tree
+
+
 def from_doc(doc: dict) -> Forest:
     if doc.get("format") != "latefuse-forest" or doc.get("version") != 2:
         raise ModelError("unrecognized forest document")
-    trees = tuple(
-        Tree(
-            feature=np.asarray(t["feature"], dtype=np.int64),
-            threshold=np.asarray([math.nan if v is None else v for v in t["threshold"]]),
-            left=np.asarray(t["left"], dtype=np.int64),
-            right=np.asarray(t["right"], dtype=np.int64),
-            leaf_prob=np.asarray(t["leaf_prob"], dtype=float),
-        )
-        for t in doc["trees"]
-    )
+    trees = doc["trees"]
+    feature_names = tuple(doc["feature_names"])
     p = doc["params"]
     return Forest(
-        trees=trees,
-        feature_names=tuple(doc["feature_names"]),
+        trees=tuple(_tree_from_doc(t, len(feature_names)) for t in trees),
+        feature_names=feature_names,
         params=ForestParams(mtry=p["mtry"], ntree=p["ntree"], min_leaf=p["min_leaf"],
                             seed=p["seed"], weighted=p["weighted"]),
         class_weights={int(k): float(v) for k, v in doc["class_weights"].items()},

@@ -22,8 +22,8 @@ CELLS = 2 ** 14
 # a batched candidate whose Cholesky pivot falls to this fraction of its
 # diagonal entry is nearly collinear; the scalar fit decides whether it is singular
 _PIVOT_TOL = 1e-10
-# batched BICs agree with the scalar fit's to ~1e-12; candidates within this
-# margin of the best are refitted by `fit`, whose BICs decide the step
+# a batched BIC exceeds the scalar fit's by at most ~1e-12; candidates within
+# this margin of the best refitted BIC are refitted by `fit`, whose BICs decide
 _BIC_MARGIN = 1e-6
 
 
@@ -122,11 +122,15 @@ def fit(table: FeatureTable, features: list[str] | tuple[str, ...] = ()) -> Fitt
     )
 
 
+def _beta(model: FittedLogReg) -> np.ndarray:
+    """[intercept, *coefficients], the coefficient vector of `_design`'s columns."""
+    return np.array([model.intercept, *model.coefficients.values()])
+
+
 def predict_proba(model: FittedLogReg, table: FeatureTable) -> np.ndarray:
     """Per-row sigmoid(intercept + beta . x), clipped into the open interval (0,1)."""
     x = _design(table, list(model.selected_order), for_fit=False)
-    beta = np.concatenate([[model.intercept], list(model.coefficients.values())])
-    return np.clip(_sigmoid(x @ beta), _P_EPS, 1.0 - _P_EPS)
+    return np.clip(_sigmoid(x @ _beta(model)), _P_EPS, 1.0 - _P_EPS)
 
 
 def _loglik_rows(eta: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,11 +161,20 @@ def _cholesky_solve(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return s, ok
 
 
-def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """BIC of the design [x0 | z] for every row z of zt, by `fit`'s iteration
-    run on all candidates at once: start at beta = 0, damped Newton steps with
-    the same acceptance rule, GRAD_TOL, MAX_ITER and COEF_CAP stop. NaN marks
-    a candidate whose Hessian was (nearly) singular, for `fit` to decide.
+def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
+                    start: np.ndarray) -> np.ndarray:
+    """BIC of the maximum-likelihood fit of the design [x0 | z] for every row z
+    of zt, by damped Newton steps run on all candidates at once. Every
+    candidate starts at (start, 0): `start` is the fitted model of x0, so the
+    first step begins at that model's log-likelihood. Steps are accepted by
+    `fit`'s rule and a candidate converges when its largest score-gradient
+    component falls below GRAD_TOL.
+
+    NaN marks a candidate left to `fit`: its Hessian was (nearly) singular,
+    a coefficient passed COEF_CAP, no step length was accepted, MAX_ITER
+    iterations ended without convergence, or it converged to a predictor
+    that separates the classes. Every other BIC is the MLE's, so it is at
+    most `fit`'s BIC (from beta = 0, maybe capped) plus rounding.
 
     Candidate c's coefficients are (b0[c], b1[c]); its Hessian is assembled from
     the shared block x0' W x0, the column x0' W z and the corner z' W z, so no
@@ -170,22 +183,30 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray) -> np.ndarray
     c, n = zt.shape
     k0 = x0.shape[1]
     outer0 = (x0[:, :, None] * x0[:, None, :]).reshape(n, k0 * k0)
-    b0, b1 = np.zeros((c, k0)), np.zeros(c)
-    ll, p = _loglik_rows(np.zeros((c, n)), y)
+    b0, b1 = np.tile(start, (c, 1)), np.zeros(c)
+    ll0, p0 = _loglik_rows((x0 @ start)[None, :], y)
+    ll, p = np.repeat(ll0, c), np.repeat(p0, c, axis=0)
     failed = np.zeros(c, dtype=bool)
     live = np.arange(c)
 
     def eta(rows, beta0, beta1):
         return beta0 @ x0.T + beta1[:, None] * zt[rows]
 
-    for _ in range(MAX_ITER):
-        if live.size == 0:
-            break
+    for it in range(MAX_ITER):
         r = y - p[live]
         z = zt[live]
         grad = np.column_stack([r @ x0, np.einsum("cn,cn->c", r, z)])
-        moving = np.abs(grad).max(axis=1) >= GRAD_TOL
+        converged = np.abs(grad).max(axis=1) < GRAD_TOL
+        # a linear predictor that classifies every row has no MLE, only a
+        # supremum that `fit` and this loop stop short of at different points
+        done = live[converged]
+        failed[done[((p[done] > 0.5) == (y > 0.5)).all(axis=1)]] = True
+        # every Hessian is checked at the start, where a column collinear with
+        # x0 (a copy of a selected one, a constant) is already stationary
+        moving = ~converged | (it == 0)
         live, grad, z = live[moving], grad[moving], z[moving]
+        if live.size == 0:
+            break
         pl = p[live]
         w = pl * (1.0 - pl)
         wz = w * z
@@ -209,15 +230,11 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray) -> np.ndarray
             ll[took], p[took] = ll_cand[accept], p_cand[accept]
             pending = pending[~accept]
             lam /= 2.0
-        capped = np.maximum(np.abs(b0[live]).max(axis=1), np.abs(b1[live])) > COEF_CAP
-        over = live[capped]
-        if over.size:
-            b0[over] = np.clip(b0[over], -COEF_CAP, COEF_CAP)
-            b1[over] = np.clip(b1[over], -COEF_CAP, COEF_CAP)
-            ll[over] = _loglik_rows(eta(over, b0[over], b1[over]), y)[0]
-        keep = ~capped
-        keep[pending] = False  # no accepted step: `fit` would repeat this iteration unchanged
-        live = live[keep]
+        stop = np.maximum(np.abs(b0[live]).max(axis=1), np.abs(b1[live])) > COEF_CAP
+        stop[pending] = True
+        failed[live[stop]] = True
+        live = live[~stop]
+    failed[live] = True  # MAX_ITER iterations without convergence
     bic = (k0 + 1) * math.log(n) - 2.0 * ll
     bic[failed] = np.nan
     return bic
@@ -234,11 +251,12 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
     fails are skipped with a warning. A NaN cell in a candidate column
     raises ModelError (filter_missingness imputes every cell).
 
-    The extensions of a step are fitted together in blocks (`_candidate_bics`);
-    the candidates whose batched BIC lies within _BIC_MARGIN of the best are
-    refitted by `fit`, so the chosen model and its BIC are exactly `fit`'s.
-    Candidates with a (nearly) singular batched Hessian are fitted by `fit`
-    alone.
+    The extensions of a step are fitted together in blocks (`_candidate_bics`),
+    each starting from the current model's coefficients. A batched BIC is the
+    candidate's MLE, never above its `fit` BIC by more than rounding, or NaN
+    for a candidate that `fit` alone decides. Candidates are refitted by `fit`
+    in batched order until the next batched BIC exceeds the best refitted BIC
+    plus _BIC_MARGIN, so the chosen model and its BIC are exactly `fit`'s.
     """
     remaining = list(dict.fromkeys(candidates))
     if not remaining:
@@ -253,8 +271,9 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
         cols = [table.feature_index(f) for f in remaining]
         zt = np.ascontiguousarray(table.values[:, cols].T)
         x0 = _design(table, selected, for_fit=True)
-        bic = np.concatenate([_candidate_bics(x0, zt[start:start + block], y)
-                              for start in range(0, len(remaining), block)])
+        beta = _beta(current)
+        bic = np.concatenate([_candidate_bics(x0, zt[i:i + block], y, beta)
+                              for i in range(0, len(remaining), block)])
         refits: dict[str, FittedLogReg | None] = {}
 
         def refit(name: str) -> FittedLogReg | None:

@@ -336,6 +336,19 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
         assert str(path) in err[0] and detail in err[0], err[0]
 
 
+def test_evaluate_refuses_a_cyclic_forest(config_path, tmp_path, capsys):
+    run(config_path, "synth")
+    assert run(config_path, "train", "--modality", "a", "--model", "rf") == 0
+    path = tmp_path / "out" / "model_a_rf.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["model"]["trees"][0]["left"][0] = 0  # descending from the root never ends
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run(config_path, "evaluate", "--modality", "a", "--model", "rf") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "child index" in err[0]
+
+
 def test_fusing_modality_with_itself_under_mean_is_identity(config_path, tmp_path):
     run(config_path, "synth")
     run(config_path, "train", "--modality", "a", "--model", "lr")

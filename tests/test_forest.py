@@ -299,6 +299,22 @@ def test_only_version_2_documents_load():
         rf.from_doc(doc)
 
 
+@pytest.mark.parametrize("edit, detail", [
+    (lambda t: t["left"].__setitem__(0, 0), "child index"),  # the root is its own child
+    (lambda t: t["right"].__setitem__(0, len(t["feature"])), "child index"),
+    (lambda t: t["feature"].__setitem__(0, 3), "feature index"),
+    (lambda t: t["leaf_prob"].pop(), "equal length"),
+])
+def test_from_doc_refuses_trees_descend_cannot_walk(edit, detail):
+    t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=13)
+    doc = json.loads(json.dumps(rf.to_doc(rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=3,
+                                                                            seed=41)))))
+    assert doc["trees"][1]["feature"][0] >= 0  # the root splits
+    edit(doc["trees"][1])
+    with pytest.raises(ModelError, match=detail):
+        rf.from_doc(doc)
+
+
 def test_importance_requires_the_training_table():
     t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=16)
     fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=5, seed=47))

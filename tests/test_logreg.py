@@ -240,32 +240,36 @@ def reference_forward_select(table, candidates, delta_bic_stop=2.0):
     return current
 
 
-@st.composite
-def selection_tables(draw):
+def selection_table(n, seed, positives, shift, sep_noise, constant, order):
     """Labels plus noise, shifted, duplicated, mirrored, constant and
-    near-separating columns, in a drawn order; n=2500 puts the candidates of
-    each step in more than one block."""
-    n = draw(st.sampled_from([24, 90, 2500]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    positives = draw(st.integers(3, n - 3))
+    near-separating columns, in the given order."""
+    rng = np.random.default_rng(seed)
     y = np.zeros(n, dtype=np.int8)
     y[rng.choice(n, positives, replace=False)] = 1
     sign = 2.0 * y - 1.0
-    shifted = rng.normal(size=n) + draw(st.floats(0.3, 2.0)) * y
-    near_sep = sign * np.abs(rng.normal(size=n)) \
-        + draw(st.sampled_from([0.0, 0.05, 0.5])) * rng.normal(size=n)
+    shifted = rng.normal(size=n) + shift * y
+    near_sep = sign * np.abs(rng.normal(size=n)) + sep_noise * rng.normal(size=n)
     columns = [rng.normal(size=n), shifted, shifted.copy(), -shifted, near_sep, -near_sep,
-               np.full(n, draw(st.floats(-3.0, 3.0))), rng.normal(size=n) + 0.5 * y,
+               np.full(n, constant), rng.normal(size=n) + 0.5 * y,
                rng.normal(size=n), rng.normal(size=n) + y]
-    order = draw(st.permutations(range(len(columns))))
-    table = make_table(np.column_stack([columns[i] for i in order]), y)
+    return make_table(np.column_stack([columns[i] for i in order]), y)
+
+
+@st.composite
+def selection_tables(draw):
+    """selection_table with drawn parameters and candidate order; n=2500 puts
+    the candidates of each step in more than one block."""
+    n = draw(st.sampled_from([24, 90, 2500]))
+    table = selection_table(
+        n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(3, n - 3)),
+        draw(st.floats(0.3, 2.0)), draw(st.sampled_from([0.0, 0.05, 0.5])),
+        draw(st.floats(-3.0, 3.0)), draw(st.permutations(range(10))))
     return table, draw(st.permutations(table.feature_names))
 
 
-@settings(max_examples=40, deadline=None)
-@given(selection_tables(), st.sampled_from([2.0, -math.inf]))
-def test_forward_select_matches_scalar_reference(case, delta_bic_stop):
-    table, candidates = case
+def assert_matches_reference(table, candidates, delta_bic_stop):
+    """forward_select gives the scalar reference's model, document and skip
+    warnings; returns the reference model."""
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
         batched = lr.forward_select(table, candidates, delta_bic_stop)
@@ -276,21 +280,101 @@ def test_forward_select_matches_scalar_reference(case, delta_bic_stop):
     assert json.dumps(lr.to_doc(batched)) == json.dumps(lr.to_doc(scalar))
     skipped = [str(w.message) for w in want if str(w.message).startswith("skipping")]
     assert [str(w.message) for w in got if str(w.message).startswith("skipping")] == skipped
+    return scalar
 
-    y = table.labels.astype(float)
+
+def candidate_bics(table, selected, names):
+    """_candidate_bics of each of `names` added to the fitted model of `selected`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeparationWarning)
+        current = lr.fit(table, selected)
+    zt = table.values[:, [table.feature_index(f) for f in names]].T
+    return lr._candidate_bics(lr._design(table, list(selected), for_fit=True),
+                              np.ascontiguousarray(zt), table.labels.astype(float),
+                              lr._beta(current))
+
+
+@settings(max_examples=40, deadline=None)
+@given(selection_tables(), st.sampled_from([2.0, -math.inf]))
+def test_forward_select_matches_scalar_reference(case, delta_bic_stop):
+    table, candidates = case
+    scalar = assert_matches_reference(table, candidates, delta_bic_stop)
+
+    # the property the refit rule rests on: a batched BIC is NaN (left to
+    # `fit`) or the candidate's MLE, so never above `fit`'s, and equal to it
+    # wherever `fit` converged without separation
     for k in range(len(scalar.selected_order) + 1):
         selected = list(scalar.selected_order[:k])
         names = [f for f in candidates if f not in selected]
-        zt = table.values[:, [table.feature_index(f) for f in names]].T
-        bics = lr._candidate_bics(lr._design(table, selected, for_fit=True),
-                                  np.ascontiguousarray(zt), y)
-        for name, bic in zip(names, bics):
+        for name, bic in zip(names, candidate_bics(table, selected, names)):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", SeparationWarning)
-                    exact = lr.fit(table, selected + [name]).bic
+                    exact = lr.fit(table, selected + [name])
             except ModelError:
                 assert np.isnan(bic)  # batched failures go to `fit`, which warns
                 continue
-            if not np.isnan(bic):  # NaN: nearly collinear, left to `fit`
-                assert abs(bic - exact) <= 1e-9
+            if np.isnan(bic):
+                continue
+            assert bic <= exact.bic + 1e-9
+            if exact.converged and not exact.separated:
+                assert abs(bic - exact.bic) <= 1e-9
+
+
+def test_capped_candidates_are_nan():
+    # f004 and f005 separate the classes; f006 is constant
+    table = selection_table(500, 3, 150, 1.0, 0.0, 1.0, range(10))
+    names = list(table.feature_names)
+    bics = candidate_bics(table, [], names)
+    assert np.isnan(bics[[4, 5, 6]]).all() and not np.isnan(bics[[0, 1, 7, 8, 9]]).any()
+    with pytest.warns(SeparationWarning):
+        assert lr.fit(table, ["f004"]).separated
+    for stop in (2.0, -math.inf):
+        assert assert_matches_reference(table, names, stop).selected_order[0] == "f004"
+
+
+def test_stalled_candidates_are_nan(monkeypatch):
+    table = selection_table(90, 5, 40, 1.0, 0.5, 1.0, range(10))
+    names = list(table.feature_names)
+    solve = lr._cholesky_solve
+
+    def uphill(h, g):  # every step lowers the log-likelihood, so no step length is taken
+        step, ok = solve(h, g)
+        return -step, ok
+
+    monkeypatch.setattr(lr, "_cholesky_solve", uphill)
+    assert np.isnan(candidate_bics(table, [], names)).all()
+    assert np.isnan(candidate_bics(table, ["f001"], names[2:])).all()
+    for stop in (2.0, -math.inf):
+        assert_matches_reference(table, names, stop)
+
+
+def test_max_iter_candidates_are_nan(monkeypatch):
+    # near-separating f004/f005 take many Newton steps, shifted f001 a few
+    table = selection_table(90, 6, 40, 1.0, 0.05, 1.0, range(10))
+    names = list(table.feature_names)
+    assert not np.isnan(candidate_bics(table, [], names)[1])
+    monkeypatch.setattr(lr, "MAX_ITER", 2)
+    assert np.isnan(candidate_bics(table, [], names)[[1, 4, 5]]).all()
+    for stop in (2.0, -math.inf):
+        assert_matches_reference(table, names, stop)
+
+
+def test_forward_select_newton_iteration_count(monkeypatch):
+    """A work count, not a time: each _cholesky_solve call is one Newton
+    iteration of one block of candidates (here 6 and 4 of 10 at step 1)."""
+    table = selection_table(2500, 0, 700, 0.5, 0.5, 1.5, range(10))
+    solve, calls = lr._cholesky_solve, []
+
+    def counted(h, g):
+        calls.append(g.shape[0])
+        return solve(h, g)
+
+    monkeypatch.setattr(lr, "_cholesky_solve", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = lr.forward_select(table, list(table.feature_names))
+    assert model.selected_order == ("f004", "f009", "f007", "f001")
+    # 72 calls when every candidate started from beta = 0; 40 when it starts
+    # from the current model. The ceiling is 60% of 72.
+    assert len(calls) <= 43
