@@ -36,8 +36,8 @@ from .reports import (folds_csv, fused_scores_csv, importance_csv, metrics_csv,
                       ranking_csv, read_metrics_csv, read_scores_csv, roc_csv,
                       scores_csv, summary_csv, univariate_csv, write_text)
 from .synth import generate_pair
-from .tables import (ClassLabel, FeatureTable, align_common_samples, load_feature_table,
-                     partition, read_roles, save_feature_table)
+from .tables import (FeatureTable, align_common_samples, load_feature_table, partition,
+                     read_roles, save_feature_table)
 from .univariate import univariate_screen
 
 EXIT_MISSING_INPUT = 2
@@ -75,7 +75,7 @@ def _load_table(cfg: RunConfig, modality: str) -> FeatureTable:
 
 def _preprocess_full(cfg: RunConfig, table: FeatureTable) -> FeatureTable:
     if cfg.scale:
-        scaler = fit_robust_scaler(table, ClassLabel.BENIGN, per_cohort=cfg.per_cohort)
+        scaler = fit_robust_scaler(table, per_cohort=cfg.per_cohort)
         table = apply_scaler(scaler, table)
     return filter_missingness(table, cfg.max_missing_fraction)
 
@@ -152,7 +152,7 @@ def _final_rf_params(cfg: RunConfig, outcomes, selected: list[str],
     grid_order = {pair: gi for gi, pair
                   in enumerate(itertools.product(cfg.rf_mtry, cfg.rf_ntree))}
     (mtry, ntree), _ = max(votes.items(),
-                           key=lambda kv: (kv[1], -grid_order.get(kv[0], 10 ** 9)))
+                           key=lambda kv: (kv[1], -grid_order[kv[0]]))
     return rf.ForestParams(mtry=min(mtry, len(selected)), ntree=ntree,
                            min_leaf=cfg.rf_min_leaf, seed=final_seed,
                            weighted=cfg.rf_weighted)

@@ -65,13 +65,23 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _classifies_every_row(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each row of the fitted probabilities `p` ((n,) or (C, n))
+    classifies every row of `y` at 0.5. Such a predictor separates the
+    classes, so the likelihood has no maximum, only a supremum that a fit
+    stops short of wherever its gradient falls below GRAD_TOL."""
+    return ((p > 0.5) == (y > 0.5)).all(axis=-1)
+
+
 def fit(table: FeatureTable, features: list[str] | tuple[str, ...] = ()) -> FittedLogReg:
     """Maximum-likelihood fit with a logit link.
 
     Damped Newton steps guarantee a non-decreasing log-likelihood; the fit
     converges when the largest score-gradient component falls below 1e-8.
-    Perfect separation is reported through SeparationWarning and the
-    coefficients are capped at |beta| <= 30; a singular design raises.
+    Perfect separation is reported through SeparationWarning: coefficients
+    that pass |beta| = 30 are capped there, and a converged fit whose
+    predictor classifies every row keeps its coefficients. A singular design
+    raises.
     """
     features = list(features)
     y = table.labels.astype(float)
@@ -108,6 +118,10 @@ def fit(table: FeatureTable, features: list[str] | tuple[str, ...] = ()) -> Fitt
             warnings.warn("perfect separation detected; coefficients capped",
                           SeparationWarning)
             break
+    if converged and _classifies_every_row(p, y):
+        separated = True
+        warnings.warn("perfect separation detected; the fit converged below the "
+                      "coefficient cap", SeparationWarning)
     k = 1 + len(features)
     n = table.n_samples
     return FittedLogReg(
@@ -197,10 +211,8 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
         z = zt[live]
         grad = np.column_stack([r @ x0, np.einsum("cn,cn->c", r, z)])
         converged = np.abs(grad).max(axis=1) < GRAD_TOL
-        # a linear predictor that classifies every row has no MLE, only a
-        # supremum that `fit` and this loop stop short of at different points
         done = live[converged]
-        failed[done[((p[done] > 0.5) == (y > 0.5)).all(axis=1)]] = True
+        failed[done[_classifies_every_row(p[done], y)]] = True
         # every Hessian is checked at the start, where a column collinear with
         # x0 (a copy of a selected one, a constant) is already stationary
         moving = ~converged | (it == 0)

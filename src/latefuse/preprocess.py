@@ -18,14 +18,14 @@ from .univariate import _midranks
 
 @dataclass(frozen=True)
 class RobustScaler:
-    """Per-feature median/IQR computed on reference-class rows.
-
-    Quartiles use linear interpolation between order statistics (the type-7
-    convention). Features whose IQR is zero, or with fewer than two observed
-    reference values, are flagged unusable and dropped by apply_scaler.
-    """
+    """Per-feature median/IQR of the benign rows, as (groups, features) arrays:
+    one group when pooled (`cohorts` is None), else one per sorted cohort.
+    Quartiles are type-7 (linear interpolation) over a group's observed values;
+    a feature whose IQR is zero, or with fewer than two observed values, in any
+    group is flagged unusable and dropped by apply_scaler."""
 
     feature_names: tuple[str, ...]
+    cohorts: tuple[str, ...] | None
     median: np.ndarray
     iqr: np.ndarray
     unusable: np.ndarray  # bool per feature
@@ -48,91 +48,60 @@ class CorrelationMatrix:
         self.undefined.flags.writeable = False
 
 
-def _fit_single_scaler(table: FeatureTable, reference_label: ClassLabel,
-                       reference_desc: str) -> RobustScaler:
-    ref_rows = table.labels == int(reference_label)
-    if not ref_rows.any():
-        raise PreprocessError(f"no {reference_label} reference samples ({reference_desc})")
-    n_feat = table.n_features
-    median = np.full(n_feat, np.nan)
-    iqr = np.full(n_feat, np.nan)
-    unusable = np.zeros(n_feat, dtype=bool)
-    for j in range(n_feat):
-        vals = table.values[ref_rows, j]
-        vals = vals[~np.isnan(vals)]
-        if vals.size < 2:
-            unusable[j] = True
-            continue
-        q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
-        median[j] = med
-        iqr[j] = q3 - q1
-        if iqr[j] == 0:
-            unusable[j] = True
+def _group_rows(cohorts: tuple[str, ...] | None, table: FeatureTable) -> list[np.ndarray]:
+    """Row mask of each scaler group in `table`: all rows when pooled."""
+    tags = np.asarray(table.cohort, dtype=str)
+    return [np.ones(len(tags), dtype=bool)] if cohorts is None else [tags == c for c in cohorts]
+
+
+def fit_robust_scaler(table: FeatureTable, per_cohort: bool = False) -> RobustScaler:
+    """Median/IQR over the benign rows, pooled or within each cohort."""
+    cohorts = tuple(sorted(set(table.cohort))) if per_cohort else None
+    groups = _group_rows(cohorts, table)
+    median = np.full((len(groups), table.n_features), np.nan)
+    iqr = median.copy()
+    unusable = np.zeros(table.n_features, dtype=bool)
+    for g, rows in enumerate(groups):
+        ref = table.values[rows & (table.labels == ClassLabel.BENIGN)]
+        if not len(ref):
+            where = "(all cohorts)" if cohorts is None else f"within {cohorts[g]}"
+            raise PreprocessError(f"no Benign reference samples (Benign {where})")
+        enough = (~np.isnan(ref)).sum(axis=0) >= 2
+        unusable |= ~enough
+        if enough.any():
+            q1, median[g, enough], q3 = np.nanpercentile(ref[:, enough], [25.0, 50.0, 75.0],
+                                                         axis=0)
+            iqr[g, enough] = q3 - q1
+    unusable |= (iqr == 0).any(axis=0)
     if unusable.any():
         bad = [table.feature_names[j] for j in np.flatnonzero(unusable)]
         warnings.warn(f"{len(bad)} feature(s) unusable for scaling (zero IQR or "
                       f"too few reference values): {bad[:5]}")
-    return RobustScaler(
-        feature_names=table.feature_names,
-        median=median,
-        iqr=iqr,
-        unusable=unusable,
-    )
+    return RobustScaler(table.feature_names, cohorts, median, iqr, unusable)
 
 
-def fit_robust_scaler(table: FeatureTable,
-                      reference_label: ClassLabel = ClassLabel.BENIGN,
-                      per_cohort: bool = False) -> RobustScaler | dict[str, RobustScaler]:
-    """Median/IQR over reference-class rows; one scaler per cohort when flagged."""
-    if not per_cohort:
-        return _fit_single_scaler(table, reference_label, f"{reference_label} (all cohorts)")
-    scalers: dict[str, RobustScaler] = {}
-    for cohort in sorted(set(table.cohort)):
-        rows = [i for i, c in enumerate(table.cohort) if c == cohort]
-        sub = table.select_rows(rows)
-        scalers[cohort] = _fit_single_scaler(sub, reference_label,
-                                             f"{reference_label} within {cohort}")
-    return scalers
-
-
-def apply_scaler(scaler: RobustScaler | dict[str, RobustScaler],
-                 table: FeatureTable) -> FeatureTable:
-    """Transform to (x - median) / IQR; missing cells stay missing.
-
-    Features flagged unusable (in any cohort's scaler) are excluded from the
-    output with a warning. A table feature absent from the scaler is an error.
-    """
-    scalers = scaler if isinstance(scaler, dict) else {None: scaler}
-    for s in scalers.values():
-        missing_feats = set(table.feature_names) - set(s.feature_names)
-        if missing_feats:
-            raise PreprocessError(f"scaler does not cover features {sorted(missing_feats)[:5]}")
-    drop = set()
-    for s in scalers.values():
-        pos = {n: j for j, n in enumerate(s.feature_names)}
-        drop |= {n for n in table.feature_names if s.unusable[pos[n]]}
-    keep = [n for n in table.feature_names if n not in drop]
-    if drop:
-        warnings.warn(f"excluding {len(drop)} unusable feature(s) from scaled output")
-    if not keep:
+def apply_scaler(scaler: RobustScaler, table: FeatureTable) -> FeatureTable:
+    """Transform each row to (x - median) / IQR of its group; missing cells stay
+    missing and unusable features are excluded with a warning. A table feature
+    or cohort the scaler does not cover is an error."""
+    pos = {n: j for j, n in enumerate(scaler.feature_names)}
+    uncovered = sorted(set(table.feature_names) - set(pos))
+    if uncovered:
+        raise PreprocessError(f"scaler does not cover features {uncovered[:5]}")
+    cols = [j for j, n in enumerate(table.feature_names) if not scaler.unusable[pos[n]]]
+    if len(cols) < table.n_features:
+        warnings.warn(f"excluding {table.n_features - len(cols)} unusable feature(s) "
+                      "from scaled output")
+    if not cols:
         raise PreprocessError("no usable features left after scaling")
-
+    unknown = set(table.cohort) - set(scaler.cohorts or ())
+    if scaler.cohorts is not None and unknown:
+        raise PreprocessError(f"no scaler fitted for cohort {min(unknown)!r}")
+    keep = [table.feature_names[j] for j in cols]
+    at = [pos[n] for n in keep]
     out = np.empty((table.n_samples, len(keep)))
-    if isinstance(scaler, dict):
-        for cohort in set(table.cohort):
-            if cohort not in scaler:
-                raise PreprocessError(f"no scaler fitted for cohort {cohort!r}")
-        row_groups = [(scaler[c], np.array([i for i, rc in enumerate(table.cohort) if rc == c]))
-                      for c in sorted(set(table.cohort))]
-    else:
-        row_groups = [(scaler, np.arange(table.n_samples))]
-    col_of = {n: j for j, n in enumerate(table.feature_names)}
-    for s, rows in row_groups:
-        pos = {n: j for j, n in enumerate(s.feature_names)}
-        med = np.array([s.median[pos[n]] for n in keep])
-        iqr = np.array([s.iqr[pos[n]] for n in keep])
-        cols = [col_of[n] for n in keep]
-        out[rows[:, None], np.arange(len(keep))] = (table.values[np.ix_(rows, cols)] - med) / iqr
+    for g, rows in enumerate(_group_rows(scaler.cohorts, table)):
+        out[rows] = (table.values[np.ix_(rows, cols)] - scaler.median[g, at]) / scaler.iqr[g, at]
     return table.with_matrix(out, False, feature_names=keep)
 
 

@@ -45,24 +45,16 @@ def _render(lines: list[str], rows: list[list[str]]) -> str:
 
 
 def univariate_csv(screen: ScreenResult) -> str:
-    """Screen report with the published univariate column set, sorted by FDR
-    then raw p (flagged rows last). Effect-size orientation is stated in the
+    """Screen report with the published univariate column set, sorted by FDR,
+    then raw p, then feature name. Effect-size orientation is stated in the
     header; per-feature flags become comment lines to keep the column set exact."""
     lines = _schema_line("univariate") + \
         ["# rg orientation: positive = elevated in malignant"]
     for r in screen.rows:
         if r.note:
             lines.append(f"# flagged {r.feature}: {r.note}")
-    order = sorted(
-        range(len(screen.rows)),
-        key=lambda i: (math.isnan(screen.rows[i].fdr),
-                       screen.rows[i].fdr if not math.isnan(screen.rows[i].fdr) else 0.0,
-                       screen.rows[i].p_value if not math.isnan(screen.rows[i].p_value) else 0.0,
-                       screen.rows[i].feature),
-    )
     rows = [list(UNIVARIATE_COLUMNS)]
-    for i in order:
-        r = screen.rows[i]
+    for r in sorted(screen.rows, key=lambda r: (r.fdr, r.p_value, r.feature)):
         rows.append([r.feature, _num(r.normality_p_benign), _num(r.normality_p_malignant),
                      _num(r.rg), _num(r.p_value), _num(r.fdr)])
     return _render(lines, rows)

@@ -58,6 +58,19 @@ def test_separation_detected_and_capped():
     assert max(abs(v) for v in m.coefficients.values()) <= 30.0 + 1e-9
 
 
+def test_separation_detected_below_the_cap():
+    # the gradient falls below GRAD_TOL at coefficient ~4.2, long before the
+    # cap, with a predictor that classifies every row
+    x = 10.0 * np.array([-3, -2, -1, -0.5, 0.5, 1, 2, 3])
+    t = make_table(x[:, None], (x > 0).astype(int))
+    with pytest.warns(SeparationWarning, match="below the coefficient cap"):
+        m = lr.fit(t, ["f000"])
+    assert m.converged and m.separated
+    assert m.coefficients["f000"] == pytest.approx(4.1757, abs=1e-4)
+    assert m.log_likelihood > -1e-8
+    assert lr._classifies_every_row(lr.predict_proba(m, t), t.labels.astype(float))
+
+
 def test_singular_design_rejected():
     t = gaussian_table(25, 25, 3, seed=5)
     values = t.values.copy()

@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import warnings
 from types import SimpleNamespace
 
@@ -9,9 +11,9 @@ from scipy import stats as sps
 
 from latefuse.cli import _preprocess_full
 from latefuse.errors import PreprocessError
-from latefuse.preprocess import (apply_scaler, drop_correlated, filter_missingness,
-                                 fit_robust_scaler, spearman_matrix)
-from latefuse.tables import ClassLabel
+from latefuse.preprocess import (RobustScaler, apply_scaler, drop_correlated,
+                                 filter_missingness, fit_robust_scaler, spearman_matrix)
+from latefuse.tables import ClassLabel, FeatureTable
 
 from conftest import gaussian_table, make_table
 
@@ -21,7 +23,7 @@ def test_scaler_hand_quartiles():
     values = np.array([[1.0], [2.0], [3.0], [4.0], [5.0], [100.0]])
     t = make_table(values, [0, 0, 0, 0, 0, 1])
     scaler = fit_robust_scaler(t)
-    assert scaler.median[0] == 3.0 and scaler.iqr[0] == 2.0
+    assert scaler.median[0, 0] == 3.0 and scaler.iqr[0, 0] == 2.0
     out = apply_scaler(scaler, t)
     benign = out.values[:5, 0]
     assert np.median(benign) == 0.0
@@ -44,7 +46,7 @@ def test_scaler_constant_feature_flagged_and_dropped():
 def test_scaler_requires_reference_samples():
     t = make_table(np.eye(3), [1, 1, 1])
     with pytest.raises(PreprocessError):
-        fit_robust_scaler(t, ClassLabel.BENIGN)
+        fit_robust_scaler(t)
 
 
 def test_scaler_per_cohort_centers_each_cohort():
@@ -55,9 +57,9 @@ def test_scaler_per_cohort_centers_each_cohort():
     values = rng.normal(size=(n, 3))
     values[60:] += 50.0  # cohort-level batch offset
     t = make_table(values, labels, cohorts=cohorts)
-    scalers = fit_robust_scaler(t, per_cohort=True)
-    assert set(scalers) == {"EARLY", "LATE"}
-    out = apply_scaler(scalers, t)
+    scaler = fit_robust_scaler(t, per_cohort=True)
+    assert scaler.cohorts == ("EARLY", "LATE")
+    out = apply_scaler(scaler, t)
     for cohort in ("EARLY", "LATE"):
         rows = [i for i, c in enumerate(out.cohort) if c == cohort]
         benign = [i for i in rows if out.labels[i] == 0]
@@ -94,6 +96,214 @@ def test_scaler_unknown_feature_rejected():
     scaler = fit_robust_scaler(t.select_features(["f000"]))
     with pytest.raises(PreprocessError):
         apply_scaler(scaler, t)
+
+
+# The pooled/per-cohort scaler that the single-group scaler replaced, kept
+# verbatim as the reference its output is checked against: only the names
+# carry a `reference_` prefix and a namespace stands in for the old scaler.
+def reference_fit_single_scaler(table: FeatureTable, reference_label: ClassLabel,
+                                reference_desc: str) -> RobustScaler:
+    ref_rows = table.labels == int(reference_label)
+    if not ref_rows.any():
+        raise PreprocessError(f"no {reference_label} reference samples ({reference_desc})")
+    n_feat = table.n_features
+    median = np.full(n_feat, np.nan)
+    iqr = np.full(n_feat, np.nan)
+    unusable = np.zeros(n_feat, dtype=bool)
+    for j in range(n_feat):
+        vals = table.values[ref_rows, j]
+        vals = vals[~np.isnan(vals)]
+        if vals.size < 2:
+            unusable[j] = True
+            continue
+        q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
+        median[j] = med
+        iqr[j] = q3 - q1
+        if iqr[j] == 0:
+            unusable[j] = True
+    if unusable.any():
+        bad = [table.feature_names[j] for j in np.flatnonzero(unusable)]
+        warnings.warn(f"{len(bad)} feature(s) unusable for scaling (zero IQR or "
+                      f"too few reference values): {bad[:5]}")
+    return SimpleNamespace(
+        feature_names=table.feature_names,
+        median=median,
+        iqr=iqr,
+        unusable=unusable,
+    )
+
+
+def reference_fit_robust_scaler(table: FeatureTable,
+                                reference_label: ClassLabel = ClassLabel.BENIGN,
+                                per_cohort: bool = False
+                                ) -> RobustScaler | dict[str, RobustScaler]:
+    """Median/IQR over reference-class rows; one scaler per cohort when flagged."""
+    if not per_cohort:
+        return reference_fit_single_scaler(table, reference_label,
+                                           f"{reference_label} (all cohorts)")
+    scalers: dict[str, RobustScaler] = {}
+    for cohort in sorted(set(table.cohort)):
+        rows = [i for i, c in enumerate(table.cohort) if c == cohort]
+        sub = table.select_rows(rows)
+        scalers[cohort] = reference_fit_single_scaler(sub, reference_label,
+                                                      f"{reference_label} within {cohort}")
+    return scalers
+
+
+def reference_apply_scaler(scaler: RobustScaler | dict[str, RobustScaler],
+                           table: FeatureTable) -> FeatureTable:
+    """Transform to (x - median) / IQR; missing cells stay missing.
+
+    Features flagged unusable (in any cohort's scaler) are excluded from the
+    output with a warning. A table feature absent from the scaler is an error.
+    """
+    scalers = scaler if isinstance(scaler, dict) else {None: scaler}
+    for s in scalers.values():
+        missing_feats = set(table.feature_names) - set(s.feature_names)
+        if missing_feats:
+            raise PreprocessError(f"scaler does not cover features {sorted(missing_feats)[:5]}")
+    drop = set()
+    for s in scalers.values():
+        pos = {n: j for j, n in enumerate(s.feature_names)}
+        drop |= {n for n in table.feature_names if s.unusable[pos[n]]}
+    keep = [n for n in table.feature_names if n not in drop]
+    if drop:
+        warnings.warn(f"excluding {len(drop)} unusable feature(s) from scaled output")
+    if not keep:
+        raise PreprocessError("no usable features left after scaling")
+
+    out = np.empty((table.n_samples, len(keep)))
+    if isinstance(scaler, dict):
+        for cohort in set(table.cohort):
+            if cohort not in scaler:
+                raise PreprocessError(f"no scaler fitted for cohort {cohort!r}")
+        row_groups = [(scaler[c], np.array([i for i, rc in enumerate(table.cohort) if rc == c]))
+                      for c in sorted(set(table.cohort))]
+    else:
+        row_groups = [(scaler, np.arange(table.n_samples))]
+    col_of = {n: j for j, n in enumerate(table.feature_names)}
+    for s, rows in row_groups:
+        pos = {n: j for j, n in enumerate(s.feature_names)}
+        med = np.array([s.median[pos[n]] for n in keep])
+        iqr = np.array([s.iqr[pos[n]] for n in keep])
+        cols = [col_of[n] for n in keep]
+        out[rows[:, None], np.arange(len(keep))] = (table.values[np.ix_(rows, cols)] - med) / iqr
+    return table.with_matrix(out, False, feature_names=keep)
+
+
+def run_scaler(fit, apply, fit_table, apply_table, per_cohort):
+    """("fit"/"apply", exception type, message) for a failure, else
+    ("ok", scaler, scaled table); warnings are silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stage = "fit"
+        try:
+            scaler = fit(fit_table, per_cohort=per_cohort)
+            stage = "apply"
+            return "ok", scaler, apply(scaler, apply_table)
+        except Exception as exc:
+            return stage, type(exc), str(exc)
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def assert_scaler_matches_reference(fit_table, apply_table, per_cohort):
+    """The scaler's fields, the scaled table and every exception (type and
+    message) are those of the reference; returns the outcome."""
+    got = run_scaler(fit_robust_scaler, apply_scaler, fit_table, apply_table, per_cohort)
+    want = run_scaler(reference_fit_robust_scaler, reference_apply_scaler,
+                      fit_table, apply_table, per_cohort)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1:] == want[1:]
+        return got
+    (_, scaler, out), (_, ref, ref_out) = got, want
+    groups = list(ref.values()) if per_cohort else [ref]
+    assert scaler.cohorts == (tuple(ref) if per_cohort else None)
+    assert scaler.feature_names == fit_table.feature_names
+    for field in ("median", "iqr"):
+        want_field = np.array([getattr(s, field) for s in groups])
+        assert np.array_equal(bits(getattr(scaler, field)), bits(want_field))
+    assert np.array_equal(scaler.unusable, np.any([s.unusable for s in groups], axis=0))
+    assert out.feature_names == ref_out.feature_names
+    assert np.array_equal(bits(out.values), bits(ref_out.values))
+    return got
+
+
+@st.composite
+def scaler_cases(draw):
+    """A table to fit on and a table to apply to: 1-3 cohorts, tie-heavy or
+    continuous values at magnitudes 1 and 1e+-300, 0-90% blank cells, names
+    out of column order. The applied table holds fresh values in a shuffled
+    subset of the columns, maybe a feature the scaler lacks, and maybe rows
+    of a cohort it lacks."""
+    n = draw(st.integers(2, 24))
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=n, max_size=n))
+    tags = "ABC"[:draw(st.integers(1, 3))]
+    cohorts = draw(st.lists(st.sampled_from(tags), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    ties = draw(st.booleans())
+    blank = draw(st.sampled_from([0.0, 0.0, 0.3, 0.6, 0.9]))
+
+    def matrix(cols):
+        values = rng.integers(-2, 3, (n, cols)) if ties else rng.normal(size=(n, cols))
+        return np.where(rng.random((n, cols)) < blank, np.nan, values * scale)
+
+    names = [f"f{j}" for j in range(p)][::-1]
+    fit_table = make_table(matrix(p), labels, feature_names=names, cohorts=cohorts)
+    cols = draw(st.permutations(range(p)))[:draw(st.integers(1, p))]
+    apply_names = [names[j] for j in cols] + (["extra"] if draw(st.integers(0, 4)) == 0 else [])
+    apply_cohorts = list(cohorts)
+    if draw(st.integers(0, 3)) == 0:
+        apply_cohorts[draw(st.integers(0, n - 1))] = "D"
+    apply_table = make_table(matrix(len(apply_names)), labels, feature_names=apply_names,
+                             cohorts=apply_cohorts)
+    return fit_table, apply_table
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaler_cases(), st.booleans())
+def test_scaler_matches_pooled_and_per_cohort_reference(case, per_cohort):
+    assert_scaler_matches_reference(*case, per_cohort)
+
+
+def test_scaler_matches_reference_on_named_cases():
+    rng = np.random.default_rng(21)
+    values = rng.normal(size=(12, 3))
+    labels = [0, 0, 0, 1] * 3
+    cohorts = ["A"] * 4 + ["B"] * 4 + ["C"] * 4
+    t = make_table(values, labels, cohorts=cohorts)
+    # every pooled and per-cohort scaling succeeds, on the fitted table and
+    # on a shuffled subset of its columns
+    subset = t.select_features(["f002", "f000"])
+    for per_cohort in (False, True):
+        assert assert_scaler_matches_reference(t, t, per_cohort)[0] == "ok"
+        _, _, out = assert_scaler_matches_reference(t, subset, per_cohort)
+        assert out.feature_names == ("f002", "f000")
+    # a cohort with no benign row
+    no_benign = make_table(values, [0, 0, 0, 1] * 2 + [1] * 4, cohorts=cohorts)
+    assert assert_scaler_matches_reference(no_benign, no_benign, True)[1:] == (
+        PreprocessError, "no Benign reference samples (Benign within C)")
+    assert assert_scaler_matches_reference(no_benign, no_benign, False)[0] == "ok"
+    # a feature unusable in one cohort only: dropped when per cohort
+    tied = values.copy()
+    tied[4:7, 1] = 5.0
+    one_cohort = make_table(tied, labels, cohorts=cohorts)
+    _, scaler, out = assert_scaler_matches_reference(one_cohort, one_cohort, True)
+    assert scaler.unusable.tolist() == [False, True, False]
+    assert out.feature_names == ("f000", "f002")
+    assert assert_scaler_matches_reference(one_cohort, one_cohort, False)[2].n_features == 3
+    # a table cohort the scaler lacks, and a table feature it lacks
+    fit_ab = t.select_rows(range(8))
+    assert assert_scaler_matches_reference(fit_ab, t, True)[1:] == (
+        PreprocessError, "no scaler fitted for cohort 'C'")
+    assert assert_scaler_matches_reference(fit_ab, t, False)[0] == "ok"
+    assert assert_scaler_matches_reference(subset, t, True)[1:] == (
+        PreprocessError, "scaler does not cover features ['f001']")
 
 
 def test_filter_missingness_drops_above_threshold():
