@@ -141,7 +141,7 @@ def cmd_univariate(cfg: RunConfig, modality: str) -> None:
          f"({screen.n_up} up, {screen.n_down} down) -> {out}")
 
 
-def _final_rf_params(cfg: RunConfig, outcomes, selected: list[str],
+def _final_rf_params(grid: list[tuple[int, int]], outcomes, selected: list[str],
                      final_seed: int) -> rf.ForestParams:
     """Most frequently chosen grid point across repeats (grid order on ties),
     with mtry clamped to the selected feature count."""
@@ -149,13 +149,9 @@ def _final_rf_params(cfg: RunConfig, outcomes, selected: list[str],
                     for o in outcomes if o.chosen_params is not None)
     if not votes:
         raise LatefuseError("no successful MRCV repeat to choose forest parameters from")
-    grid_order = {pair: gi for gi, pair
-                  in enumerate(itertools.product(cfg.rf_mtry, cfg.rf_ntree))}
-    (mtry, ntree), _ = max(votes.items(),
-                           key=lambda kv: (kv[1], -grid_order[kv[0]]))
-    return rf.ForestParams(mtry=min(mtry, len(selected)), ntree=ntree,
-                           min_leaf=cfg.rf_min_leaf, seed=final_seed,
-                           weighted=cfg.rf_weighted)
+    grid_order = {pair: gi for gi, pair in enumerate(grid)}
+    (mtry, ntree), _ = max(votes.items(), key=lambda kv: (kv[1], -grid_order[kv[0]]))
+    return rf.ForestParams(mtry=min(mtry, len(selected)), ntree=ntree, seed=final_seed)
 
 
 def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
@@ -177,8 +173,7 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
         grid = list(itertools.product(cfg.rf_mtry, cfg.rf_ntree))
         outcomes = run_mrcv_rf(train, candidates, repeats=cfg.repeats,
                                validation_fraction=cfg.rf_validation_fraction,
-                               grid=grid, min_leaf=cfg.rf_min_leaf, base_seed=seed,
-                               weighted=cfg.rf_weighted)
+                               grid=grid, base_seed=seed)
         ranking = rank_features_rf(outcomes, candidates)
     selected = elbow_cut(ranking)
     if model == "lr":
@@ -186,7 +181,7 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
         scores = lr.predict_proba(final, train)
         model_doc = lr.to_doc(final)
     else:
-        params = _final_rf_params(cfg, outcomes, selected,
+        params = _final_rf_params(grid, outcomes, selected,
                                   _derive_seed(cfg.base_seed, modality, model, "final"))
         train_view = train.select_features(selected)
         final = rf.fit_forest(train_view, params)

@@ -20,20 +20,6 @@ from .fuse import FusionRule
 from .synth import SynthSpec
 from .tables import ColumnSchema
 
-DEFAULTS = {
-    "schema": {"id_column": "id", "cohort_column": "cohort", "label_column": "label"},
-    "split": {"test_ids_file": "", "test_benign": "20", "test_malignant": "20"},
-    "preprocess": {"scale": "true", "per_cohort": "false",
-                   "max_missing_fraction": "0.5", "correlation_threshold": "0.95"},
-    "univariate": {"alpha": "0.05"},
-    "mrcv": {"repeats": "100", "lr_validation_fraction": "0.3",
-             "rf_validation_fraction": "0.2", "delta_bic_stop": "2.0",
-             "rf_mtry": "5,10,15,20,25,30", "rf_ntree": "100,500,1000,2000",
-             "rf_min_leaf": "1", "rf_weighted": "true"},
-    "fusion": {"rules": "stouffer,mean,max,product"},
-}
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -105,8 +91,6 @@ class RunConfig:
     delta_bic_stop: float
     rf_mtry: tuple[int, ...]
     rf_ntree: tuple[int, ...]
-    rf_min_leaf: int
-    rf_weighted: bool
     rules: tuple[FusionRule, ...]
     synth: SynthSettings | None = None
 
@@ -117,7 +101,6 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_dict(DEFAULTS)
     try:
         parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -134,6 +117,9 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
             parser.set(section, option, value)
         except (configparser.Error, ValueError) as exc:  # e.g. section DEFAULT
             raise ConfigError(f"invalid override {item!r}: {exc}") from None
+    # [DEFAULT] keys reach every section, and no key is read in every section
+    if parser.defaults():
+        raise ConfigError(f"unknown config key [DEFAULT] {next(iter(parser.defaults()))}")
 
     read: set[tuple[str, str]] = set()
 
@@ -151,9 +137,9 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
 
     base_seed = get("mrcv", "base_seed", int)
     schema = ColumnSchema(
-        id_column=get("schema", "id_column"),
-        cohort_column=get("schema", "cohort_column"),
-        label_column=get("schema", "label_column"),
+        id_column=get("schema", "id_column", fallback="id"),
+        cohort_column=get("schema", "cohort_column", fallback="cohort"),
+        label_column=get("schema", "label_column", fallback="label"),
     )
     synth = None
     if parser.has_section("synth"):
@@ -175,7 +161,7 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
 
         synth = SynthSettings(spec_a=spec_for("a"), spec_b=spec_for("b"))
 
-    test_ids_file = get("split", "test_ids_file").strip()
+    test_ids_file = get("split", "test_ids_file", fallback="").strip()
     cfg = RunConfig(
         modality_a=Path(get("inputs", "modality_a")),
         modality_b=Path(get("inputs", "modality_b")),
@@ -183,32 +169,31 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
         out_dir=Path(get("output", "directory")),
         base_seed=base_seed,
         test_ids_file=Path(test_ids_file) if test_ids_file else None,
-        test_benign=get("split", "test_benign", _count),
-        test_malignant=get("split", "test_malignant", _count),
-        scale=get("preprocess", "scale", _bool),
-        per_cohort=get("preprocess", "per_cohort", _bool),
+        test_benign=get("split", "test_benign", _count, fallback="20"),
+        test_malignant=get("split", "test_malignant", _count, fallback="20"),
+        scale=get("preprocess", "scale", _bool, fallback="true"),
+        per_cohort=get("preprocess", "per_cohort", _bool, fallback="false"),
         max_missing_fraction=get("preprocess", "max_missing_fraction",
-                                 _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
+                                 _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+                                 fallback="0.5"),
         correlation_threshold=get("preprocess", "correlation_threshold",
-                                  _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
-        alpha=get("univariate", "alpha", _open_unit),
-        repeats=get("mrcv", "repeats", _positive),
-        lr_validation_fraction=get("mrcv", "lr_validation_fraction", _open_unit),
-        rf_validation_fraction=get("mrcv", "rf_validation_fraction", _open_unit),
+                                  _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+                                  fallback="0.95"),
+        alpha=get("univariate", "alpha", _open_unit, fallback="0.05"),
+        repeats=get("mrcv", "repeats", _positive, fallback="100"),
+        lr_validation_fraction=get("mrcv", "lr_validation_fraction", _open_unit,
+                                   fallback="0.3"),
+        rf_validation_fraction=get("mrcv", "rf_validation_fraction", _open_unit,
+                                   fallback="0.2"),
         delta_bic_stop=get("mrcv", "delta_bic_stop",
-                           _checked(float, lambda v: not math.isnan(v), "a number or +/-inf")),
-        rf_mtry=get("mrcv", "rf_mtry", _positive_list),
-        rf_ntree=get("mrcv", "rf_ntree", _positive_list),
-        rf_min_leaf=get("mrcv", "rf_min_leaf", _positive),
-        rf_weighted=get("mrcv", "rf_weighted", _bool),
-        rules=get("fusion", "rules", _rule_list),
+                           _checked(float, lambda v: not math.isnan(v), "a number or +/-inf"),
+                           fallback="2.0"),
+        rf_mtry=get("mrcv", "rf_mtry", _positive_list, fallback="5,10,15,20,25,30"),
+        rf_ntree=get("mrcv", "rf_ntree", _positive_list, fallback="100,500,1000,2000"),
+        rules=get("fusion", "rules", _rule_list, fallback="stouffer,mean,max,product"),
         synth=synth,
     )
-    # a key is known only if some read above asked for it; [DEFAULT] keys
-    # reach every section, so each section must read them
-    for option in parser.defaults():
-        if any((section, option) not in read for section in parser.sections()):
-            raise ConfigError(f"unknown config key [DEFAULT] {option}")
+    # a key is known only if some read above asked for it
     for section in parser.sections():
         unread = [o for o in parser.options(section) if (section, o) not in read]
         if unread:

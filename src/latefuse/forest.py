@@ -1,4 +1,5 @@
-"""Random forest of CART-style trees with class-weighted Gini splits.
+"""Random forest of fully grown CART-style trees with Gini splits weighted by
+balanced class weights, which each tree takes from its own bootstrap.
 
 Determinism contract: tree t is grown from one generator seeded by (forest
 seed, t). It draws the bootstrap first, then, per depth level, the features
@@ -36,13 +37,11 @@ _PERMUTATION_KEY = 1
 class ForestParams:
     mtry: int
     ntree: int
-    min_leaf: int = 1
     seed: int = 0
-    weighted: bool = True  # balanced class weighting inside Gini and leaves
 
     def __post_init__(self) -> None:
-        if self.mtry < 1 or self.ntree < 1 or self.min_leaf < 1:
-            raise ModelError("mtry, ntree, and min_leaf must all be >= 1")
+        if self.mtry < 1 or self.ntree < 1:
+            raise ModelError("mtry and ntree must both be >= 1")
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class Forest:
     trees: tuple[Tree, ...]
     feature_names: tuple[str, ...]
     params: ForestParams
-    class_weights: dict[int, float]
     n_train: int
 
 
@@ -72,12 +70,6 @@ class ImportanceReport:
     mean_decrease: np.ndarray
     std_error: np.ndarray
     normalized: np.ndarray  # mean/SE; 0 when both are 0, +/-inf flagged when SE=0
-
-
-def class_weights_for(y: np.ndarray) -> dict[int, float]:
-    """Balanced weights w_c = n / (2 * n_c) for the classes present in y."""
-    n = y.size
-    return {int(c): n / (2.0 * float(np.sum(y == c))) for c in np.unique(y)}
 
 
 def _tree_stream(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
@@ -106,7 +98,7 @@ def _rank_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
                 streams: list[tuple[np.random.Generator, np.ndarray]],
-                mtry: int, min_leaf: int, weighted: bool) -> list[Tree]:
+                mtry: int) -> list[Tree]:
     """Grow one tree per (generator, sorted bootstrap) stream, breadth first;
     each array call covers every node of a level of every tree in the block.
 
@@ -128,8 +120,7 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     low = y[row].astype(np.int64) << k | mult[at]
     n_c = np.stack([n - y[boots].sum(axis=1), y[boots].sum(axis=1)])
     # balanced weights n / (2 n_c) per bootstrap (0 for a class it lacks)
-    cw0, cw1 = (np.divide(n, 2.0 * n_c, out=np.zeros((2, b)), where=n_c > 0)
-                if weighted else np.ones((2, b)))
+    cw0, cw1 = np.divide(n, 2.0 * n_c, out=np.zeros((2, b)), where=n_c > 0)
     features = np.arange(p)
     f_bits = p.bit_length()
     f_mask = (1 << f_bits) - 1
@@ -150,7 +141,7 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         left = np.full(node_tree.size, -1, dtype=np.int64)
         right = left.copy()
         levels.append((node_tree, feature, threshold, left, right, w1 / (w0 + w1)))
-        cand = np.flatnonzero((nm >= 2 * min_leaf) & (n0 > 0) & (n1 > 0))
+        cand = np.flatnonzero((n0 > 0) & (n1 > 0))
         if not cand.size:
             break
         # each tree draws one key per (splittable node, feature) in one call,
@@ -194,10 +185,6 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         # column
         l0 = m0[cut] - np.r_[0, m0[first[1:] - 1]][col]
         l1 = m1[cut] - np.r_[0, m1[first[1:] - 1]][col]
-        if min_leaf > 1:
-            nl = l0 + l1
-            ok = (nl >= min_leaf) & (np.repeat(nm[cand], mtry)[col] - nl >= min_leaf)
-            cut, col, l0, l1 = cut[ok], col[ok], l0[ok], l1[ok]
         # a node's cuts run in draw order, then by position
         seg = np.searchsorted(col, np.arange(cand.size) * mtry)
         count = np.diff(seg, append=col.size)
@@ -253,10 +240,11 @@ def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
 
     Balanced class weights (n / 2n_c, recomputed on each tree's bootstrap so
     the weighted class masses are always equal) enter both the Gini criterion
-    and the leaf proportions. Trees have no depth limit; growth stops at pure
-    nodes, min_leaf, or when no split reduces impurity. The trees grow
-    together in blocks of about CELLS cells; a tree does not depend on its
-    block.
+    and the leaf proportions. Trees are fully grown, with no depth limit or
+    minimum leaf size: a node is a leaf when it is pure, when its rows share
+    each drawn feature's value, or when no cut reduces impurity. The trees
+    grow together in blocks of about CELLS cells; a tree does not depend on
+    its block.
     """
     y = table.labels.astype(np.int8)
     if y.min() == y.max():
@@ -277,15 +265,9 @@ def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
     for first in range(0, params.ntree, block):
         streams = [_tree_stream(params.seed, t, n)[:2]
                    for t in range(first, min(first + block, params.ntree))]
-        trees += _grow_block(rank, value, y, streams, params.mtry, params.min_leaf,
-                             params.weighted)
-    return Forest(
-        trees=tuple(trees),
-        feature_names=table.feature_names,
-        params=params,
-        class_weights=class_weights_for(y) if params.weighted else {0: 1.0, 1: 1.0},
-        n_train=table.n_samples,
-    )
+        trees += _grow_block(rank, value, y, streams, params.mtry)
+    return Forest(trees=tuple(trees), feature_names=table.feature_names, params=params,
+                  n_train=table.n_samples)
 
 
 def _check_features(forest: Forest, table: FeatureTable) -> np.ndarray:
@@ -466,9 +448,7 @@ def to_doc(forest: Forest) -> dict:
         "version": 2,
         "feature_names": list(forest.feature_names),
         "params": {"mtry": forest.params.mtry, "ntree": forest.params.ntree,
-                   "min_leaf": forest.params.min_leaf, "seed": forest.params.seed,
-                   "weighted": forest.params.weighted},
-        "class_weights": {str(k): v for k, v in forest.class_weights.items()},
+                   "seed": forest.params.seed},
         "n_train": forest.n_train,
         "trees": [
             {
@@ -508,6 +488,9 @@ def _tree_from_doc(t: dict, p: int) -> Tree:
 
 
 def from_doc(doc: dict) -> Forest:
+    """The forest of a version-2 document. Of `params` only mtry, ntree and
+    seed are read; earlier version-2 documents carry more keys, which are
+    ignored, so they load and predict the same."""
     if doc.get("format") != "latefuse-forest" or doc.get("version") != 2:
         raise ModelError("unrecognized forest document")
     trees = doc["trees"]
@@ -516,8 +499,6 @@ def from_doc(doc: dict) -> Forest:
     return Forest(
         trees=tuple(_tree_from_doc(t, len(feature_names)) for t in trees),
         feature_names=feature_names,
-        params=ForestParams(mtry=p["mtry"], ntree=p["ntree"], min_leaf=p["min_leaf"],
-                            seed=p["seed"], weighted=p["weighted"]),
-        class_weights={int(k): float(v) for k, v in doc["class_weights"].items()},
+        params=ForestParams(mtry=p["mtry"], ntree=p["ntree"], seed=p["seed"]),
         n_train=int(doc["n_train"]),
     )

@@ -39,7 +39,7 @@ class FusedScores:
 
 
 def _fuse_arrays(p1: np.ndarray, p2: np.ndarray, rule: FusionRule) -> np.ndarray:
-    if np.any((p1 < 0) | (p1 > 1) | (p2 < 0) | (p2 > 1)):
+    if not np.all((p1 >= 0) & (p1 <= 1) & (p2 >= 0) & (p2 <= 1)):  # NaN fails too
         raise FusionError("probabilities must lie in [0, 1]")
     if rule is FusionRule.MEAN:
         return (p1 + p2) / 2.0

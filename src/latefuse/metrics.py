@@ -80,9 +80,13 @@ class RocCurve:
 
 def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=float)
-    y = np.asarray([int(v) for v in labels], dtype=np.int8)
+    y = np.asarray([int(v) for v in labels], dtype=np.int64)
     if scores.shape != y.shape or scores.ndim != 1:
         raise MetricsError("scores and labels must be 1-D and of equal length")
+    if np.any((y != 0) & (y != 1)):
+        raise MetricsError("labels must be 0 or 1")
+    if np.isnan(scores).any():
+        raise MetricsError("scores must not be NaN")
     return scores, y
 
 

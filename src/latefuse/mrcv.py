@@ -115,8 +115,8 @@ def _grid_seed(base_seed: int, repeat: int, mtry: int) -> int:
 
 def run_mrcv_rf(table: FeatureTable, candidates: Sequence[str], repeats: int = 100,
                 validation_fraction: float = 0.2,
-                grid: Sequence[tuple[int, int]] = ((5, 100),), min_leaf: int = 1,
-                base_seed: int = 0, weighted: bool = True) -> list[FoldOutcome]:
+                grid: Sequence[tuple[int, int]] = ((5, 100),),
+                base_seed: int = 0) -> list[FoldOutcome]:
     """Per repeat: split, fit one forest per (mtry, ntree) grid point, keep
     the point with the best validation balanced accuracy (first in grid order
     wins ties), and record that forest's normalized permutation importances.
@@ -145,8 +145,7 @@ def run_mrcv_rf(table: FeatureTable, candidates: Sequence[str], repeats: int = 1
             for mtry, mtry_points in points.items():
                 sizes = [ntree for _, ntree in mtry_points]
                 fitted = rf.fit_forest(train, rf.ForestParams(
-                    mtry=mtry, ntree=max(sizes), min_leaf=min_leaf,
-                    seed=_grid_seed(base_seed, r, mtry), weighted=weighted))
+                    mtry=mtry, ntree=max(sizes), seed=_grid_seed(base_seed, r, mtry)))
                 scores = zip(rf.prefix_proba(fitted, train, sizes),
                              rf.prefix_proba(fitted, val, sizes))
                 for (gi, ntree), (p_train, p_val) in zip(mtry_points, scores):

@@ -116,14 +116,16 @@ def scores_csv(sample_ids: Sequence[str], labels: Sequence[int],
 def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, float]:
     """Parse a scores CSV back into (ids, labels, scores, threshold).
 
-    A data row without exactly three cells, or a label, score or threshold
-    that does not parse, raises DataError naming the file and line.
+    A data row without exactly three cells, a repeated sample id, a label
+    other than 0 or 1, a score or threshold that does not parse or is NaN
+    raises DataError naming the file and line.
     """
     path = Path(path)
     threshold = None
     ids: list[str] = []
     labels: list[int] = []
     scores: list[float] = []
+    seen: set[str] = set()
     with path.open(newline="", encoding="utf-8") as fh:
         header_seen = False
         reader = csv.reader(fh)
@@ -135,14 +137,24 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray
                     text = row[0].lstrip("# ")
                     if text.startswith("threshold="):
                         threshold = float(text.split("=", 1)[1])
+                        if math.isnan(threshold):
+                            raise ValueError("threshold is nan")
                 elif not header_seen:
                     header_seen = True
                 elif len(row) != 3:
                     raise ValueError(f"{len(row)} cells, expected 3")
                 else:
+                    label, score = int(row[1]), float(row[2])
+                    if row[0] in seen:
+                        raise ValueError(f"repeated sample id {row[0]!r}")
+                    if label not in (0, 1):
+                        raise ValueError(f"label {label} is not 0 or 1")
+                    if math.isnan(score):
+                        raise ValueError("score is nan")
+                    seen.add(row[0])
                     ids.append(row[0])
-                    labels.append(int(row[1]))
-                    scores.append(float(row[2]))
+                    labels.append(label)
+                    scores.append(score)
             except ValueError as exc:
                 raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if threshold is None:

@@ -105,12 +105,13 @@ def test_config_missing_file():
     # out of the range the library enforces
     "preprocess.correlation_threshold=1.5", "preprocess.correlation_threshold=0",
     "preprocess.max_missing_fraction=2", "mrcv.lr_validation_fraction=1.5",
-    "mrcv.rf_validation_fraction=0", "mrcv.repeats=0", "mrcv.rf_min_leaf=0",
+    "mrcv.rf_validation_fraction=0", "mrcv.repeats=0",
     "mrcv.rf_ntree=0", "mrcv.rf_mtry=", "mrcv.rf_mtry=5,-1", "split.test_benign=-1",
     "split.test_malignant=-2", "univariate.alpha=7", "univariate.alpha=nan",
     "mrcv.delta_bic_stop=nan", "fusion.rules=foo", "fusion.rules=",
-    # keys that load_config does not read
-    "mrcv.repeat=5", "mrcv.rf_mtyr=3", "schema.group_column=patient"])
+    # keys that load_config does not read, among them the removed forest options
+    "mrcv.repeat=5", "mrcv.rf_mtyr=3", "schema.group_column=patient",
+    "mrcv.rf_min_leaf=0", "mrcv.rf_weighted=false"])
 def test_malformed_typed_value_is_a_config_error(config_path, capsys, override):
     section, option = override.split("=")[0].split(".")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {option}"):
@@ -294,6 +295,10 @@ def test_fuse_empty_intersection_exit_5(config_path, tmp_path):
     ("A2,benign,0.5\n", "line 4: invalid literal"),
     ("A2,1,high\n", "line 4: could not convert"),
     ("A2,1,0.5,extra\n", "line 4: 4 cells, expected 3"),
+    ("A2,2,0.5\n", "line 4: label 2 is not 0 or 1"),
+    ("A2,1,0.5\nA3,0,0.2\nA2,0,0.3\n", "line 6: repeated sample id 'A2'"),
+    ("A2,1,nan\n", "line 4: score is nan"),
+    ("# threshold=nan\nA2,1,0.5\n", "line 4: threshold is nan"),
 ])
 def test_malformed_scores_file_is_an_error_line(config_path, tmp_path, capsys, body, line):
     run(config_path, "synth")
@@ -388,6 +393,42 @@ def test_rf_train_rerun_is_byte_identical(config_path, tmp_path):
 
     first = train_rf()
     assert first == train_rf()
+
+
+def test_per_cohort_scaling_cancels_a_cohort_scale_factor(config_path, tmp_path):
+    # every other sample is in cohort C2; multiplying C2's feature cells by 4
+    # (a power of two, so exact in floating point) scales its benign medians
+    # and IQRs by 4 too, and per-cohort robust scaling cancels the factor
+    run(config_path, "synth")
+    data = tmp_path / "data"
+    tables = {p: list(csv.reader(p.open(newline="", encoding="utf-8")))
+              for p in sorted(data.glob("modality_*.csv"))}
+
+    def artifacts(factor, per_cohort):
+        for path, rows in tables.items():
+            body = [rows[0]] + [
+                [row[0], "C2" if i % 2 else "C1", row[2]]
+                + [repr(float(v) * factor) if i % 2 and v else v for v in row[3:]]
+                for i, row in enumerate(rows[1:])]
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(body)
+        out = tmp_path / "out"
+        for p in out.glob("*"):
+            p.unlink()
+        for model in ("lr", "rf"):
+            for verb in ("train", "evaluate"):
+                assert run(config_path, "--set", f"preprocess.per_cohort={per_cohort}",
+                           verb, "--modality", "a", "--model", model) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    per_cohort = artifacts(1.0, "true")
+    assert len(per_cohort) == 19  # train and evaluate of both model families
+    assert artifacts(4.0, "true") == per_cohort
+    pooled, pooled_scaled = artifacts(1.0, "false"), artifacts(4.0, "false")
+    assert pooled.keys() == pooled_scaled.keys() == per_cohort.keys()
+    changed = {name for name in pooled if pooled[name] != pooled_scaled[name]}
+    assert {"model_a_lr.json", "scores_a_lr.csv", "model_a_rf.json",
+            "scores_a_rf.csv"} <= changed
 
 
 @pytest.mark.parametrize("id_file", [False, True])

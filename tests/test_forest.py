@@ -28,8 +28,8 @@ def test_params_validation():
 
 
 def test_single_leaf_forest_predicts_balanced_prior():
-    t = gaussian_table(50, 50, 3, seed=0)
-    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=1, min_leaf=t.n_samples, seed=3))
+    t = make_table(np.ones((100, 3)), [0] * 50 + [1] * 50)  # constant: no cut
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=1, seed=3))
     tree = fo.trees[0]
     assert len(tree.feature) == 1 and tree.feature[0] == -1
     # per-bootstrap balanced weights make the weighted prior exactly one half
@@ -123,7 +123,7 @@ def test_prefix_sizes_outside_the_forest_rejected(sizes, bad):
 def test_trees_do_not_depend_on_the_block(monkeypatch):
     t = gaussian_table(30, 30, 6, shifts={0: 1.0}, seed=4)
     for params in (rf.ForestParams(mtry=3, ntree=12, seed=5),
-                   rf.ForestParams(mtry=2, ntree=12, min_leaf=3, seed=6, weighted=False)):
+                   rf.ForestParams(mtry=2, ntree=12, seed=6)):
         whole = rf.fit_forest(t, params)  # one block under the default CELLS
         assert rf.CELLS // (t.n_samples * params.mtry) >= params.ntree
         for cells in (1, 5 * t.n_samples * params.mtry):  # blocks of one tree, of five
@@ -136,7 +136,7 @@ def test_trees_do_not_depend_on_the_block(monkeypatch):
 def test_scores_and_importance_do_not_depend_on_the_block(monkeypatch):
     t = gaussian_table(30, 30, 6, shifts={0: 1.0}, seed=4)
     for params in (rf.ForestParams(mtry=3, ntree=12, seed=5),
-                   rf.ForestParams(mtry=2, ntree=12, min_leaf=3, seed=6, weighted=False)):
+                   rf.ForestParams(mtry=2, ntree=12, seed=6)):
         fo = rf.fit_forest(t, params)
 
         def outputs():
@@ -225,29 +225,6 @@ def test_planted_feature_tops_importance_single_seed():
     assert int(np.argmax(rep.normalized)) == 4
 
 
-def test_weighting_lifts_minority_sensitivity():
-    # 10:1 imbalance with moderate signal; mixed leaves (min_leaf) let the
-    # weighted proportions act, otherwise fully grown trees memorize either way
-    t = gaussian_table(300, 30, 5, shifts={0: 1.5, 1: 1.0}, seed=11)
-    weighted = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=150, min_leaf=20, seed=31))
-    plain = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=150, min_leaf=20, seed=31,
-                                             weighted=False))
-
-    def oob_sensitivity(forest):
-        votes = np.zeros(t.n_samples)
-        counts = np.zeros(t.n_samples)
-        for tree_index, tree in enumerate(forest.trees):
-            _, _, oob = rf._tree_stream(forest.params.seed, tree_index, forest.n_train)
-            votes[oob] += reference_tree_predict(tree, t.values[oob])
-            counts[oob] += 1
-        seen = counts > 0
-        pred = (votes[seen] / counts[seen]) >= 0.5
-        actual = t.labels[seen] == 1
-        return np.sum(pred & actual) / np.sum(actual)
-
-    assert oob_sensitivity(weighted) > oob_sensitivity(plain) + 0.05
-
-
 def test_gini_split_gains_nonnegative():
     # every accepted split must strictly reduce weighted impurity
     t = gaussian_table(50, 50, 4, shifts={0: 1.0}, seed=12)
@@ -256,8 +233,7 @@ def test_gini_split_gains_nonnegative():
         _, boot, _ = rf._tree_stream(fo.params.seed, tree_index, t.n_samples)
         x = t.values[boot]
         y = (t.labels[boot] == 1).astype(float)
-        cw = rf.class_weights_for(t.labels[boot])
-        w = np.where(y == 1, cw[1], cw[0])
+        w = np.where(y == 1, y.size / (2 * y.sum()), y.size / (2 * (y.size - y.sum())))
         idx_sets = {0: np.arange(len(boot))}
         for node in range(len(tree.feature)):
             if tree.feature[node] < 0:
@@ -294,9 +270,24 @@ def test_only_version_2_documents_load():
                                                                             seed=41)))))
     with pytest.raises(ModelError, match="unrecognized forest document"):
         rf.from_doc(dict(doc, version=1))
-    del doc["params"]["weighted"]
-    with pytest.raises(KeyError, match="weighted"):
+    del doc["params"]["seed"]
+    with pytest.raises(KeyError, match="seed"):
         rf.from_doc(doc)
+
+
+def test_documents_with_the_removed_forest_options_still_load():
+    # version-2 documents written while the forest had min_leaf and weighted
+    # options carry them and the whole table's class weights; none is read
+    t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=13)
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=10, seed=41))
+    doc = json.loads(json.dumps(rf.to_doc(fo)))
+    assert set(doc["params"]) == {"mtry", "ntree", "seed"} and "class_weights" not in doc
+    doc["params"].update(min_leaf=1, weighted=True)
+    doc["class_weights"] = {"0": 1.0, "1": 1.0}
+    back = rf.from_doc(doc)
+    assert back.params == fo.params
+    assert all(trees_equal(a, b) for a, b in zip(fo.trees, back.trees))
+    assert np.array_equal(rf.predict_proba(back, t), rf.predict_proba(fo, t))
 
 
 @pytest.mark.parametrize("edit, detail", [
@@ -368,14 +359,13 @@ def reference_importance(forest, table):
     return mean, se, normalized, skipped
 
 
-@pytest.mark.parametrize("n_benign, n_malignant, mtry, min_leaf", [
-    (45, 35, 1, 1), (45, 35, 5, 1), (45, 35, 5, 4), (60, 20, 1, 9),
-    (40, 40, 5, 80),  # min_leaf = n: single-leaf trees, no used feature
-    (2, 2, 1, 1),  # tiny n: some trees draw every row and have no OOB rows
+@pytest.mark.parametrize("n_benign, n_malignant, mtry", [
+    (45, 35, 1), (45, 35, 5), (60, 20, 1),
+    (2, 2, 1),  # tiny n: some trees draw every row and have no OOB rows
 ])
-def test_importance_matches_per_feature_reference(n_benign, n_malignant, mtry, min_leaf):
+def test_importance_matches_per_feature_reference(n_benign, n_malignant, mtry):
     t = gaussian_table(n_benign, n_malignant, 8, shifts={0: 1.5, 3: 0.7}, seed=17)
-    fo = rf.fit_forest(t, rf.ForestParams(mtry=mtry, ntree=30, min_leaf=min_leaf, seed=53))
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=mtry, ntree=30, seed=53))
     mean, se, normalized, skipped = reference_importance(fo, t)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -386,9 +376,16 @@ def test_importance_matches_per_feature_reference(n_benign, n_malignant, mtry, m
     assert any("no out-of-bag rows" in str(w.message) for w in caught) == (skipped > 0)
     if n_benign + n_malignant == 4:
         assert skipped > 0
-    if min_leaf == t.n_samples:
-        assert all(tree.feature.size == 1 for tree in fo.trees)
-        assert np.array_equal(rep.normalized, np.zeros(8))
+
+
+def test_single_leaf_trees_have_zero_importance():
+    t = make_table(np.ones((80, 8)), [0] * 40 + [1] * 40)  # constant: no used feature
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=5, ntree=30, seed=53))
+    assert all(tree.feature.size == 1 for tree in fo.trees)
+    rep = rf.oob_permutation_importance(fo, t)
+    mean, se, normalized, _ = reference_importance(fo, t)
+    assert np.array_equal(rep.mean_decrease, mean) and np.array_equal(rep.normalized, normalized)
+    assert np.array_equal(rep.normalized, np.zeros(8))
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -414,11 +411,9 @@ def reference_tree(x, y, params, t, rejected=None):
     gain > 1e-12 are appended to `rejected`."""
     n, p = x.shape
     rng, boot, _ = rf._tree_stream(params.seed, t, n)
-    if params.weighted:
-        cw = rf.class_weights_for(y[boot])
-        c0, c1 = cw.get(0, 0.0), cw.get(1, 0.0)
-    else:
-        c0 = c1 = 1.0
+    # balanced weights n / (2 n_c) of the bootstrap, 0 for a class it lacks
+    n1 = int(y[boot].sum())
+    c0, c1 = (n / (2 * m) if m else 0.0 for m in (n - n1, n1))
     feature, threshold, left, right, prob = [], [], [], [], []
     level = [boot]  # bootstrap rows of each node, duplicates included
     while level:
@@ -432,8 +427,7 @@ def reference_tree(x, y, params, t, rejected=None):
             left.append(-1)
             right.append(-1)
             prob.append(n1 * c1 / (n0 * c0 + n1 * c1))
-        splittable = [s for s in splittable
-                      if s[1].size >= 2 * params.min_leaf and s[2] and s[3]]
+        splittable = [s for s in splittable if s[2] and s[3]]
         draws = rng.random((len(splittable), p))
         level = []
         for (node, rows, n0, n1), u in zip(splittable, draws):
@@ -449,8 +443,6 @@ def reference_tree(x, y, params, t, rejected=None):
                 for lo, hi in zip(values, values[1:]):
                     go_left = x[rows, f] <= lo
                     nl = int(go_left.sum())
-                    if nl < params.min_leaf or rows.size - nl < params.min_leaf:
-                        continue
                     l1 = int(y[rows][go_left].sum())
                     # halved Gini of each side from its class weights; the
                     # right side's are the node's minus the left side's
@@ -524,9 +516,7 @@ def forest_cases(draw):
     labels[draw(st.permutations(range(n)))[:n_pos]] = 1
     params = rf.ForestParams(mtry=draw(st.integers(1, n_feat)),
                              ntree=draw(st.integers(1, 4)),
-                             min_leaf=draw(st.sampled_from([1, 2, 5])),
-                             seed=draw(st.integers(0, 2**32 - 1)),
-                             weighted=draw(st.booleans()))
+                             seed=draw(st.integers(0, 2**32 - 1)))
     return make_table(values, labels), params
 
 

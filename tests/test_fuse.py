@@ -42,10 +42,9 @@ def test_stouffer_extremes_clipped_not_nan():
 
 def test_out_of_range_rejected():
     for rule in RULES:
-        with pytest.raises(FusionError):
-            fuse_pair(-0.1, 0.5, rule)
-        with pytest.raises(FusionError):
-            fuse_pair(0.5, 1.1, rule)
+        for p1, p2 in ((-0.1, 0.5), (0.5, 1.1), (np.nan, 0.5), (0.5, np.nan)):
+            with pytest.raises(FusionError):
+                fuse_pair(p1, p2, rule)
 
 
 @settings(max_examples=300, deadline=None)

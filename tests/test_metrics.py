@@ -26,6 +26,16 @@ def test_confusion_length_mismatch():
         confusion([0.1, 0.2], [1], 0.5)
 
 
+def test_labels_outside_0_1_and_nan_scores_rejected():
+    with pytest.raises(MetricsError, match="labels must be 0 or 1"):
+        confusion([0.3, 0.2, 0.9], [2, 0, 1], 0.5)
+    with pytest.raises(MetricsError, match="labels must be 0 or 1"):
+        auc([0.3, 0.2, 0.9], [256, 0, 1])  # out of int8 range
+    for check in (lambda s, y: confusion(s, y, 0.5), auc, roc_curve, best_threshold_bacc):
+        with pytest.raises(MetricsError, match="NaN"):
+            check([0.3, math.nan, 0.9], [1, 0, 1])
+
+
 def test_metrics_published_row_reconstruction():
     # sens 0.60 / spec 0.85 at 20/20 requires exactly tp=12, fn=8, tn=17, fp=3
     row = metrics_from_confusion(Confusion(tp=12, fn=8, tn=17, fp=3))
