@@ -24,8 +24,8 @@ import numpy as np
 from . import forest as rf
 from . import logreg as lr
 from .config import RunConfig, load_config
-from .errors import (ConfigError, DataError, LatefuseError, ModelError, PredictError,
-                     PreprocessError)
+from .errors import (ConfigError, DataError, LatefuseError, ModelError,
+                     NoFeaturesLeftError, PredictError, PreprocessError, UnknownFeatureError)
 from .fuse import fuse_modalities
 from .metrics import auc, best_threshold_bacc, confusion, metrics_from_confusion, roc_curve
 from .mrcv import elbow_cut, rank_features_lr, rank_features_rf, run_mrcv_lr, run_mrcv_rf
@@ -69,8 +69,9 @@ def _table_file(cfg: RunConfig, modality: str) -> Path:
     return _require_file(path, f"modality {modality} table")
 
 
-def _load_table(cfg: RunConfig, modality: str) -> FeatureTable:
-    return load_feature_table(_table_file(cfg, modality), cfg.schema)
+def _load_table(cfg: RunConfig, modality: str,
+                features: list[str] | None = None) -> FeatureTable:
+    return load_feature_table(_table_file(cfg, modality), cfg.schema, features)
 
 
 def _preprocess_full(cfg: RunConfig, table: FeatureTable) -> FeatureTable:
@@ -104,11 +105,13 @@ def _test_ids(cfg: RunConfig, modality: str, raw: FeatureTable) -> frozenset[str
     return frozenset(chosen)
 
 
-def _split(cfg: RunConfig, modality: str) -> tuple[FeatureTable, FeatureTable]:
-    """Parse one modality once, scale and impute the full table (internal
-    standardization), and split it into (train, test). Correlation pruning
-    is left to `cmd_train`; `cmd_evaluate` scores the stored features."""
-    raw = _load_table(cfg, modality)
+def _split(cfg: RunConfig, modality: str,
+           features: list[str] | None = None) -> tuple[FeatureTable, FeatureTable]:
+    """Parse one modality once (its `features` only, when given), scale and
+    impute the full table (internal standardization), and split it into
+    (train, test). Correlation pruning is left to `cmd_train`; `cmd_evaluate`
+    scores the stored features."""
+    raw = _load_table(cfg, modality, features)
     table = _preprocess_full(cfg, raw)
     return partition(table, _test_ids(cfg, modality, raw))
 
@@ -228,8 +231,11 @@ def _load_model(cfg: RunConfig, modality: str, model: str):
     if not isinstance(doc, dict) or doc.get("format") != "latefuse-model":
         raise LatefuseError(f"{path} is not a model document")
     try:
-        return (list(doc["selected_features"]), float(doc["threshold"]),
-                (lr if model == "lr" else rf).from_doc(doc["model"]))
+        selected = list(doc["selected_features"])
+        if not selected:  # train selects at least one; evaluate parses only these
+            raise ValueError("no selected features")
+        return selected, float(doc["threshold"]), (lr if model == "lr" else rf).from_doc(
+            doc["model"])
     except KeyError as exc:  # here or in a sub-document
         raise LatefuseError(f"{path}: model document lacks key {exc}") from None
     except (TypeError, ValueError, AttributeError, ModelError) as exc:
@@ -237,14 +243,25 @@ def _load_model(cfg: RunConfig, modality: str, model: str):
 
 
 def cmd_evaluate(cfg: RunConfig, modality: str, model: str) -> None:
-    _, test = _split(cfg, modality)
+    """Score the test rows with a trained model. Only the role columns and
+    the model's selected features are parsed: scaling, the missingness filter
+    and imputation work column by column, so the other columns cannot move a
+    score. A selected feature that the table lacks, or that preprocessing
+    drops, is a model/data mismatch (exit 4)."""
     selected, threshold, fitted = _load_model(cfg, modality, model)
+    mismatch = f"model/data mismatch for {modality}/{model}"
+    try:
+        _, test = _split(cfg, modality, selected)
+    except UnknownFeatureError as exc:
+        raise PipelineExit(EXIT_MODEL_MISMATCH, f"{mismatch}: {exc}") from None
+    except NoFeaturesLeftError:  # every selected feature dropped
+        raise PipelineExit(EXIT_MODEL_MISMATCH,
+                           f"{mismatch}: unknown feature {selected[0]!r}") from None
     try:
         scores = (lr if model == "lr" else rf).predict_proba(fitted,
                                                              test.select_features(selected))
     except (DataError, PredictError) as exc:
-        raise PipelineExit(EXIT_MODEL_MISMATCH,
-                           f"model/data mismatch for {modality}/{model}: {exc}") from None
+        raise PipelineExit(EXIT_MODEL_MISMATCH, f"{mismatch}: {exc}") from None
     conf = confusion(scores, test.labels, threshold)
     row = metrics_from_confusion(conf).with_auc(auc(scores, test.labels))
     curve = roc_curve(scores, test.labels)
@@ -262,6 +279,17 @@ def cmd_evaluate(cfg: RunConfig, modality: str, model: str) -> None:
     _log(f"evaluated {label}: BAcc {row.balanced_accuracy:.3f}, AUC {row.auc:.3f}")
 
 
+def _fusable_threshold(threshold: float, modality: str, model: str) -> float:
+    """A stored threshold as a probability. best_threshold_bacc stores one
+    below every score when predicting all positive is best: 0.0 predicts the
+    same for scores in [0, 1]. One above every score (all negative) has no
+    equivalent, as no threshold in [0, 1] puts a score of 1.0 below it."""
+    if threshold > 1.0:
+        raise LatefuseError(f"cannot fuse {modality}/{model}: its threshold {threshold!r} "
+                            "lies above every probability (all predicted negative)")
+    return max(threshold, 0.0)
+
+
 def cmd_fuse(cfg: RunConfig, model: str) -> None:
     out = _out(cfg)
     ids_a, y_a, p_a, t_a = read_scores_csv(
@@ -276,6 +304,7 @@ def cmd_fuse(cfg: RunConfig, model: str) -> None:
     b_rows = [pos_b[s] for s in ids]
     if any(y_a[i] != y_b[j] for i, j in zip(shared, b_rows)):
         raise DataError("conflicting labels between modality score files")
+    t_a, t_b = _fusable_threshold(t_a, "a", model), _fusable_threshold(t_b, "b", model)
     labels = y_a[shared]
     pa = p_a[shared]
     pb = p_b[b_rows]

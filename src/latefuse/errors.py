@@ -9,8 +9,16 @@ class DataError(LatefuseError):
     """Malformed or inconsistent tabular input."""
 
 
+class UnknownFeatureError(DataError):
+    """A feature name that is not a column of the table."""
+
+
 class PreprocessError(LatefuseError):
     """Scaling, imputation, or pruning cannot proceed."""
+
+
+class NoFeaturesLeftError(PreprocessError):
+    """Preprocessing dropped every feature of the table."""
 
 
 class StatsError(LatefuseError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreprocessError
+from .errors import NoFeaturesLeftError, PreprocessError
 from .tables import ClassLabel, FeatureTable
 from .univariate import _midranks
 
@@ -93,7 +93,7 @@ def apply_scaler(scaler: RobustScaler, table: FeatureTable) -> FeatureTable:
         warnings.warn(f"excluding {table.n_features - len(cols)} unusable feature(s) "
                       "from scaled output")
     if not cols:
-        raise PreprocessError("no usable features left after scaling")
+        raise NoFeaturesLeftError("no usable features left after scaling")
     unknown = set(table.cohort) - set(scaler.cohorts or ())
     if scaler.cohorts is not None and unknown:
         raise PreprocessError(f"no scaler fitted for cohort {min(unknown)!r}")
@@ -118,8 +118,8 @@ def filter_missingness(table: FeatureTable, max_missing_fraction: float) -> Feat
     holes = np.isnan(table.values)
     keep = np.flatnonzero((holes.mean(axis=0) <= max_missing_fraction) & ~holes.all(axis=0))
     if keep.size == 0:
-        raise PreprocessError("every feature exceeds the missingness threshold "
-                              "or has no observed value")
+        raise NoFeaturesLeftError("every feature exceeds the missingness threshold "
+                                  "or has no observed value")
     values = table.values[:, keep]
     values = np.where(np.isnan(values), np.nanmedian(values, axis=0), values)
     return table.with_matrix(values, False,

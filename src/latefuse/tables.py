@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UnknownFeatureError
 
 
 class ClassLabel(enum.IntEnum):
@@ -99,7 +100,7 @@ class FeatureTable:
         try:
             return self.feature_names.index(name)
         except ValueError:
-            raise DataError(f"unknown feature {name!r}") from None
+            raise UnknownFeatureError(f"unknown feature {name!r}") from None
 
     def select_rows(self, index: Sequence[int] | np.ndarray) -> "FeatureTable":
         index = np.asarray(index, dtype=np.int64)
@@ -135,49 +136,101 @@ class FeatureTable:
         )
 
 
-def _read_rows(path: Path, schema: ColumnSchema
-               ) -> tuple[FeatureTable, list[list[str]], list[int], list[str]]:
-    """Everything of a table file but its feature cells.
+def _records(fh: TextIO) -> Iterator[tuple[int, str | None, list[str] | None]]:
+    """(physical line number, text, cells) of each row of a CSV file that is
+    neither blank nor a comment (a first cell starting with '#').
 
-    Returns the zero-feature table of ids, cohorts and labels, the
-    data rows, the indices of the feature columns and their names. Faults
-    raise in file order: an empty file, a missing role column, then per row
-    a wrong cell count (named by its physical line) and an unknown label,
-    then a duplicate sample id, then a duplicate feature name.
+    Up to the first line that holds a quote, a carriage return or a NUL, or
+    is longer than csv's field size limit, a record cannot span lines and
+    its cells are its text split at commas: such a row comes as (number,
+    text without its line end, None), to be split by the caller. csv.reader
+    reads the rest of the file from that line on, and each of its rows comes
+    as (number of its last line, None, cells). Either way the cells are the
+    ones csv.reader gives for the whole file.
+    """
+    limit = csv.field_size_limit()
+    for num, line in enumerate(fh, 1):
+        if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+            break
+        text = line.rstrip("\n")
+        if text and text[0] != "#":
+            yield num, text, None
+    else:
+        return
+    reader = csv.reader(chain([line], fh))
+    for row in reader:
+        if row and not row[0].startswith("#"):
+            yield num - 1 + reader.line_num, None, row
+
+
+def _read_rows(path: Path, schema: ColumnSchema, features: Sequence[str] | None
+               ) -> tuple[FeatureTable, list[str], list[str]]:
+    """Everything of a table file but the parsed feature values.
+
+    Returns the zero-feature table of ids, cohorts and labels, the text of
+    the feature cells read, row by row, and the names of their columns: all
+    feature columns in file order when `features` is None, else the named
+    ones in the order given. A row is split only up to the last column read.
+    Faults raise in file order: an empty file, a missing role column, then
+    per row a wrong cell count (named by its physical line) and an unknown
+    label, then a duplicate sample id, then a duplicate feature name, then a
+    name in `features` that is not a feature column.
     """
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = rows[0][1]
-    role_columns = [schema.id_column, schema.cohort_column, schema.label_column]
-    for col in role_columns:
-        if col not in header:
-            raise DataError(f"{path}: required column {col!r} not in header")
-    id_ix, cohort_ix, label_ix = (header.index(c) for c in role_columns)
-    feat_ix = [j for j in range(len(header)) if j not in {id_ix, cohort_ix, label_ix}]
-    feature_names = [header[j] for j in feat_ix]
-
-    labels: list[int] = []
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {len(header)}")
-        labels.append(int(ClassLabel.parse(row[label_ix])))
-    data = [row for _, row in rows[1:]]
-    ids = [row[id_ix] for row in data]
-    for name, names in (("sample id", ids), ("feature name", feature_names)):
-        if len(set(names)) != len(names):
-            dupes = sorted(s for s, k in Counter(names).items() if k > 1)
+        records = _records(fh)
+        first = next(records, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        _, text, header = first
+        if header is None:
+            header = text.split(",")
+        role_columns = [schema.id_column, schema.cohort_column, schema.label_column]
+        for col in role_columns:
+            if col not in header:
+                raise DataError(f"{path}: required column {col!r} not in header")
+        role_ix = [header.index(c) for c in role_columns]
+        all_ix = [j for j in range(len(header)) if j not in role_ix]
+        column = {header[j]: j for j in all_ix}
+        names = [header[j] for j in all_ix] if features is None else list(features)
+        unknown = [n for n in names if n not in column]
+        feat_ix = [column[n] for n in names if n in column]
+        pick = itemgetter(*role_ix, *feat_ix)
+        width, cut = len(header), max(role_ix + feat_ix) + 1
+        ids: list[str] = []
+        cohorts: list[str] = []
+        labels: list[int] = []
+        cells: list[str] = []
+        codes: dict[str, int] = {}  # label text -> class, each text parsed once
+        for num, text, row in records:
+            if row is None:
+                row = text.split(",", cut)  # cells past the last one read stay joined
+                n = len(row) if len(row) <= cut else cut + 1 + row[cut].count(",")
+            else:
+                n = len(row)
+            if n != width:
+                raise DataError(f"{path}: row {num} has {n} cells, expected {width}")
+            sid, cohort, label, *values = pick(row)
+            code = codes.get(label)
+            if code is None:
+                code = codes[label] = int(ClassLabel.parse(label))
+            ids.append(sid)
+            cohorts.append(cohort)
+            labels.append(code)
+            cells.extend(values)
+    for name, found in (("sample id", ids), ("feature name", [header[j] for j in all_ix])):
+        if len(set(found)) != len(found):
+            dupes = sorted(s for s, k in Counter(found).items() if k > 1)
             raise DataError(f"{path}: duplicate {name} {dupes[0]!r}")
+    if unknown:
+        raise UnknownFeatureError(f"unknown feature {unknown[0]!r}")
     roles = FeatureTable(
         sample_ids=tuple(ids),
-        cohort=tuple(row[cohort_ix] for row in data),
+        cohort=tuple(cohorts),
         labels=np.asarray(labels, dtype=np.int8),
         feature_names=(),
-        values=np.empty((len(data), 0)),
+        values=np.empty((len(ids), 0)),
     )
-    return roles, data, feat_ix, feature_names
+    return roles, cells, names
 
 
 def _float_or_nan(cell: str) -> float:
@@ -187,31 +240,33 @@ def _float_or_nan(cell: str) -> float:
         return math.nan
 
 
-def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> FeatureTable:
+def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema(),
+                       features: Sequence[str] | None = None) -> FeatureTable:
     """Read a UTF-8, comma-separated file with one header row into a FeatureTable.
 
     Columns named by `schema` supply ids, cohort tags, and labels; every other
-    column is a numeric feature. Feature cells that do not parse as a finite
-    number (empty, "NA", "nan", "inf", any other text) become NaN, the missing mark.
-    Lines starting with '#' are skipped so files written by save_feature_table
-    round-trip.
+    column is a numeric feature. With `features`, only the named feature
+    columns are parsed, in the order given, and a name the file lacks raises
+    DataError: the result equals the full load followed by select_features.
+    Feature cells that do not parse as a finite number (empty, "NA", "nan",
+    "inf", any other text) become NaN, the missing mark. Lines starting with
+    '#' are skipped so files written by save_feature_table round-trip.
+    Quoted fields and CRLF line ends are read as the csv module reads them.
     """
-    roles, data, feat_ix, feature_names = _read_rows(Path(path), schema)
-    # itemgetter of a single index returns the cell itself, not a 1-tuple
-    pick = itemgetter(*feat_ix) if len(feat_ix) > 1 else lambda row: [row[j] for j in feat_ix]
-    cells = [c or "nan" for c in chain.from_iterable(map(pick, data))]
+    roles, cells, names = _read_rows(Path(path), schema, features)
+    cells = [c or "nan" for c in cells]
     try:
         values = np.fromiter(map(float, cells), float, count=len(cells))
     except ValueError:  # text such as "NA": parse cell by cell
         values = np.fromiter(map(_float_or_nan, cells), float, count=len(cells))
-    values = values.reshape(len(data), len(feat_ix))
-    return roles.with_matrix(values, ~np.isfinite(values), feature_names)
+    values = values.reshape(roles.n_samples, len(names))
+    return roles.with_matrix(values, ~np.isfinite(values), names)
 
 
 def read_roles(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> FeatureTable:
     """The ids, cohorts and labels of a table file, with no feature
     columns: load_feature_table's checks and errors without parsing a float."""
-    return _read_rows(Path(path), schema)[0]
+    return _read_rows(Path(path), schema, ())[0]
 
 
 def save_feature_table(table: FeatureTable, path: str | Path,
@@ -219,18 +274,22 @@ def save_feature_table(table: FeatureTable, path: str | Path,
     """Write a table as CSV; float cells use round-trip repr, missing cells are empty.
 
     Role columns (id, cohort, label) come first, then the feature columns in
-    table order.
+    table order. Role cells are quoted as csv.writer quotes them; a float's
+    repr needs no quoting.
     """
+    label_names = (str(ClassLabel.BENIGN), str(ClassLabel.MALIGNANT))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         head = [schema.id_column, schema.cohort_column, schema.label_column]
-        writer.writerow(head + list(table.feature_names))
-        label_names = (str(ClassLabel.BENIGN), str(ClassLabel.MALIGNANT))
-        labels = table.labels.tolist()
-        for i, values in enumerate(table.values.tolist()):
-            cells = [table.sample_ids[i], table.cohort[i], label_names[labels[i]]]
-            cells += ["" if math.isnan(v) else repr(v) for v in values]
-            writer.writerow(cells)
+        csv.writer(fh, lineterminator="\n").writerow(head + list(table.feature_names))
+        quoted: list[str] = []  # the role cells of one row as a csv line
+        roles = csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n")
+        for sid, cohort, label, values in zip(table.sample_ids, table.cohort,
+                                              table.labels.tolist(), table.values.tolist()):
+            roles.writerow((sid, cohort, label_names[label]))
+            line = quoted.pop()[:-1]
+            if values:  # a finite float's repr never holds "nan", and no cell is infinite
+                line += "," + ",".join(map(repr, values)).replace("nan", "")
+            fh.write(line + "\n")
 
 
 def align_common_samples(a: FeatureTable, b: FeatureTable) -> tuple[FeatureTable, FeatureTable]:

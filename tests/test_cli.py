@@ -11,6 +11,7 @@ from latefuse.cli import main
 from latefuse.config import load_config
 from latefuse.errors import ConfigError
 from latefuse.fuse import FusionRule
+from latefuse.metrics import best_threshold_bacc
 
 BASE_CONFIG = """\
 [inputs]
@@ -329,6 +330,7 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
         ("lr", '{"format": "latefuse-model",', "not valid JSON"),
         ("lr", '{"format": "latefuse-model"}', "lacks key 'selected_features'"),
         ("lr", head + "}", "lacks key 'model'"),
+        ("lr", head.replace('["f000"]', "[]") + "}", "no selected features"),
         ("rf", f"{head}, {forest % 2}", "lacks key 'trees'"),
         ("rf", f"{head}, {forest % 1}", "unrecognized forest document"),
     ]:
@@ -487,3 +489,89 @@ def test_conflicting_labels_across_modalities_fail_train(config_path, tmp_path, 
     for modality in ("a", "b"):
         assert run(config_path, "train", "--modality", modality, "--model", "lr") == 1
         assert f"conflicting labels for shared sample {row[0]!r}" in capsys.readouterr().err
+
+
+def test_fuse_reads_a_threshold_below_every_probability_as_zero(config_path, tmp_path, capsys):
+    # non-discriminating training scores store the all-positive sentinel
+    sentinel, _ = best_threshold_bacc([0.5] * 4, [0, 1, 0, 1])
+    assert sentinel < 0.0
+    out = tmp_path / "out"
+    out.mkdir()
+    body = "sample_id,label,score\nA1,0,0.0\nA2,1,0.7\nA3,0,0.4\nA4,1,1.0\n"
+
+    def fuse(threshold_a, threshold_b="0.5"):
+        for m, t in (("a", threshold_a), ("b", threshold_b)):
+            (out / f"scores_{m}_lr.csv").write_text(
+                f"# latefuse-csv v1 kind=scores\n# threshold={t}\n{body}", encoding="utf-8")
+        capsys.readouterr()
+        code = run(config_path, "fuse", "--model", "lr")
+        return code, {p.name: p.read_bytes() for p in sorted(out.glob("*fused*"))}
+
+    code, at_zero = fuse("0.0")
+    assert code == 0 and len(at_zero) == 1 + len(FusionRule)
+    assert fuse(repr(sentinel)) == (0, at_zero)
+    # all predicted negative has no threshold in [0, 1]: one error line
+    for threshold_a, threshold_b, named in (("1.5", "0.5", "a/lr"), ("0.5", "inf", "b/lr")):
+        assert fuse(threshold_a, threshold_b)[0] == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot fuse {named}:"), err
+
+
+def rewrite_rows(path, edit):
+    rows = read_rows(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(edit(rows))
+
+
+def test_evaluate_exit_codes_follow_the_parsed_columns(config_path, tmp_path, capsys):
+    # evaluate parses only the model's columns; a selected column that
+    # preprocessing drops is still a model/data mismatch, a fault of the file
+    # itself is not
+    run(config_path, "synth")
+    assert run(config_path, "train", "--modality", "a", "--model", "lr") == 0
+    selected = json.loads((tmp_path / "out" / "model_a_lr.json").read_text())[
+        "selected_features"]
+    data = tmp_path / "data" / "modality_a.csv"
+    original = data.read_bytes()
+
+    def evaluate():
+        capsys.readouterr()
+        code = run(config_path, "evaluate", "--modality", "a", "--model", "lr")
+        return code, capsys.readouterr().err.strip().splitlines()
+
+    for blank, named in ((selected[-1:], selected[-1]), (selected, selected[0])):
+        data.write_bytes(original)
+        rewrite_rows(data, lambda rows: [rows[0]] + [
+            ["" if name in blank else cell for name, cell in zip(rows[0], row)]
+            for row in rows[1:]])
+        assert evaluate() == (4, [f"error: model/data mismatch for a/lr: "
+                                  f"unknown feature {named!r}"])
+    data.write_bytes(original)
+    rewrite_rows(data, lambda rows: rows + rows[1:2])
+    code, err = evaluate()
+    assert code == 1 and len(err) == 1 and "duplicate sample id" in err[0]
+
+
+def test_quoted_crlf_inputs_give_identical_artifacts(config_path, tmp_path):
+    # CRLF line ends and quoted role cells send the reader down its csv
+    # module path from the first line; the artifacts must not change
+    run(config_path, "synth")
+
+    def artifacts():
+        out = tmp_path / "out"
+        for p in out.glob("*"):
+            p.unlink()
+        for args in (("univariate", "--modality", "a"),
+                     ("train", "--modality", "a", "--model", "lr"),
+                     ("evaluate", "--modality", "a", "--model", "lr")):
+            assert run(config_path, *args) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    plain = artifacts()
+    for path in sorted((tmp_path / "data").glob("modality_*.csv")):
+        rows = read_rows(path)
+        path.write_text("".join(
+            ",".join([f'"{cell}"' for cell in row[:3]] + row[3:]) + "\r\n" for row in rows),
+            encoding="utf-8", newline="")
+        assert read_rows(path) == rows
+    assert artifacts() == plain

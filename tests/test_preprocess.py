@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from latefuse.cli import _preprocess_full
-from latefuse.errors import PreprocessError
+from latefuse.errors import NoFeaturesLeftError, PreprocessError
 from latefuse.preprocess import (RobustScaler, apply_scaler, drop_correlated,
                                  filter_missingness, fit_robust_scaler, spearman_matrix)
 from latefuse.tables import ClassLabel, FeatureTable
@@ -170,7 +170,7 @@ def reference_apply_scaler(scaler: RobustScaler | dict[str, RobustScaler],
     if drop:
         warnings.warn(f"excluding {len(drop)} unusable feature(s) from scaled output")
     if not keep:
-        raise PreprocessError("no usable features left after scaling")
+        raise NoFeaturesLeftError("no usable features left after scaling")
 
     out = np.empty((table.n_samples, len(keep)))
     if isinstance(scaler, dict):

@@ -1,6 +1,7 @@
 import csv
 import io
 import tempfile
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -296,8 +297,12 @@ finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 
 @st.composite
 def table_files(draw, fallback):
-    """CSV text of a table with shuffled role and feature columns; with
-    `fallback`, at least one feature cell is one of REJECTED_CELLS."""
+    """CSV text of a table with shuffled role and feature columns, and the
+    error its first malformed row raises (None when every row is well
+    formed). With `fallback`, at least one feature cell is one of
+    REJECTED_CELLS. Lines end in LF or CRLF; cohorts are plain up to a drawn
+    row and may need quoting after it (one spans two lines), so some files
+    have no quote at all and some have their first after several plain rows."""
     n = draw(st.integers(1 if fallback else 0, 6))
     p = draw(st.integers(1 if fallback else 0, 4))
     header = draw(st.permutations(["id", "cohort", "label"] + [f"f{j}" for j in range(p)]))
@@ -307,17 +312,32 @@ def table_files(draw, fallback):
     if fallback:
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, p - 1))
         cells[i][j] = draw(st.sampled_from(REJECTED_CELLS))
+    first_quoted = draw(st.integers(0, n))
+    bad_row = draw(st.one_of(st.none(), st.integers(0, n - 1))) if n else None
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(("\n", "\r\n"))))
     writer.writerow(header)
+    fault = None
     for i, row in enumerate(cells):
         if draw(st.booleans()):
             out.write("# comment\n\n")
-        by_name = {"id": f"S{i}", "cohort": draw(st.sampled_from(("M", "B, 2", '"q"'))),
+        cohorts = ("M", "B") if i < first_quoted else ("M", "B, 2", '"q"', "two\nlines")
+        by_name = {"id": f"S{i}", "cohort": draw(st.sampled_from(cohorts)),
                    "label": draw(st.sampled_from(("benign", "Malignant", "0", "1"))),
                    **{f"f{j}": c for j, c in enumerate(row)}}
-        writer.writerow([by_name[name] for name in header])
-    return out.getvalue()
+        cells_out = [by_name[name] for name in header]
+        if i == bad_row:  # one cell too many or too few
+            cells_out = cells_out + ["9"] if draw(st.booleans()) else cells_out[:-1]
+        writer.writerow(cells_out)
+        if i == bad_row:  # named by the last physical line of its record
+            fault = (f"row {len(physical_lines(out.getvalue()))} has {len(cells_out)} cells, "
+                     f"expected {len(header)}")
+    return out.getvalue(), fault
+
+
+def physical_lines(text):
+    """The lines of a file as reading it with newline="" gives them."""
+    return list(io.StringIO(text, newline=""))
 
 
 def assert_same_table(got, want):
@@ -330,19 +350,100 @@ def assert_same_table(got, want):
                           want.values[observed].view(np.int64))
 
 
+REAL_CSV_READER = csv.reader
+
+
 @pytest.mark.parametrize("fallback", [False, True])
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_parse_matches_per_cell_reference(fallback, data):
-    text = data.draw(table_files(fallback))
+    # the split path reads every line before the first one holding a quote
+    # or a CR, and csv.reader reads the rest of the file from that line on
+    text, fault = data.draw(table_files(fallback))
+    handed = [(k, line) for k, line in enumerate(physical_lines(text), 1)
+              if '"' in line or "\r" in line][:1]
+    if fault is not None:  # reading stops at the malformed row
+        handed = [(k, line) for k, line in handed if k <= int(fault.split()[1])]
+    handed = [line for _, line in handed]
+    seen = []
+
+    def spy_reader(lines, *args, **kwargs):
+        lines = iter(lines)
+        first = next(lines)
+        seen.append(first)
+        return REAL_CSV_READER(chain([first], lines), *args, **kwargs)
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
-        path.write_text(text, encoding="utf-8")
-        with mock.patch.object(tables, "_float_or_nan", wraps=tables._float_or_nan) as slow:
+        path.write_text(text, encoding="utf-8", newline="")
+        p = text.split("\n", 1)[0].count(",") - 2
+        subset = data.draw(st.permutations([f"f{j}" for j in range(p)]))
+        subset = subset[:data.draw(st.integers(0, p))]
+        with mock.patch.object(tables, "_float_or_nan", wraps=tables._float_or_nan) as slow, \
+                mock.patch.object(tables.csv, "reader", spy_reader):
+            if fault is not None:
+                for read in (load_feature_table, read_roles,
+                             lambda path: load_feature_table(path, features=subset)):
+                    with pytest.raises(DataError) as err:
+                        read(path)
+                    assert str(err.value) == f"{path}: {fault}"
+                assert seen == handed * 3
+                return
             got = load_feature_table(path)
+            got_subset = load_feature_table(path, features=subset)
+            roles = read_roles(path)
+        assert seen == handed * 3
         want = reference_load(path)
     assert slow.called == fallback
     assert_same_table(got, want)
+    assert_same_table(got_subset, want.select_features(subset))
+    assert_same_table(roles, want.select_features([]))
+
+
+def test_each_reader_path_is_taken(tmp_path):
+    body = "id,cohort,label,f0\nS1,M,benign,1.5\nS2,M,1,\n"
+    files = {
+        "no quotes": (body, False),
+        "late quote": (body + 'S3,"B, 2",0,2.5\nS4,M,0,-1\n', True),
+        "crlf": (body.replace("\n", "\r\n"), True),
+    }
+    for name, (text, by_csv) in files.items():
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(tables.csv, "reader", wraps=REAL_CSV_READER) as reader:
+            got = load_feature_table(path)
+        assert reader.called == by_csv, name
+        assert_same_table(got, reference_load(path))
+
+
+def test_load_named_features_equals_load_then_select(tmp_path):
+    path = write_csv(tmp_path, "f1,id,f2,cohort,label,f3\n"
+                               "1.5,S1,,M,benign,x\n"
+                               "2.5,S2,3,B,1,-0.0\n")
+    full = load_feature_table(path)
+    for names in (["f3", "f1"], ["f2"], [], ["f1", "f2", "f3"]):
+        assert_same_table(load_feature_table(path, features=names),
+                          full.select_features(names))
+    with pytest.raises(DataError, match="^unknown feature 'f4'$"):
+        load_feature_table(path, features=["f1", "f4"])
+    with pytest.raises(DataError, match="duplicate feature name"):
+        load_feature_table(path, features=["f1", "f1"])
+    # a fault of the file itself is reported before an unknown name
+    dupe = write_csv(tmp_path, "id,cohort,label,f1\nS1,M,benign,1\nS1,M,benign,2\n", "d.csv")
+    with pytest.raises(DataError, match="duplicate sample id 'S1'"):
+        load_feature_table(dupe, features=["f4"])
+
+
+def assert_save_matches_reference(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        save_feature_table(table, got)
+        reference_save(table, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+# role cells that csv.writer quotes, or (a lone CR) writes as they are
+ROLE_TEXT = ("", ",", '"', "\n", "\r", "a\r\nb", 'B "x"')
 
 
 @settings(max_examples=80, deadline=None)
@@ -351,19 +452,25 @@ def test_save_matches_per_cell_reference(data):
     n, p = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
     values = data.draw(st.lists(finite_floats, min_size=n * p, max_size=n * p))
     missing = data.draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))
-    table = FeatureTable(
-        sample_ids=tuple(f"S,{i}" for i in range(n)),
-        cohort=tuple(data.draw(st.sampled_from(("M", 'B "x"'))) for _ in range(n)),
+    assert_save_matches_reference(FeatureTable(
+        sample_ids=tuple(f"S{i}" + data.draw(st.sampled_from(ROLE_TEXT)) for i in range(n)),
+        cohort=tuple(data.draw(st.sampled_from(("M",) + ROLE_TEXT)) for _ in range(n)),
         labels=np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                           dtype=np.int8),
         feature_names=tuple(f"f{j}" for j in range(p)),
         values=np.where(np.reshape(missing, (n, p)), np.nan, np.reshape(values, (n, p))),
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        save_feature_table(table, got)
-        reference_save(table, want)
-        assert got.read_bytes() == want.read_bytes()
+    ))
+
+
+@pytest.mark.parametrize("n, p", [(0, 0), (0, 3), (3, 0)])
+def test_save_matches_reference_without_rows_or_features(n, p):
+    assert_save_matches_reference(FeatureTable(
+        sample_ids=tuple(f"S{i}{ROLE_TEXT[i + 1]}" for i in range(n)),
+        cohort=ROLE_TEXT[4:4 + n],
+        labels=np.arange(n, dtype=np.int8) % 2,
+        feature_names=tuple(f"f{j}" for j in range(p)),
+        values=np.ones((n, p)),
+    ))
 
 
 def test_align_intersection_order_and_labels():
