@@ -25,7 +25,7 @@ from . import forest as rf
 from . import logreg as lr
 from .config import RunConfig, load_config
 from .errors import (ConfigError, DataError, LatefuseError, ModelError,
-                     NoFeaturesLeftError, PredictError, PreprocessError, UnknownFeatureError)
+                     NoFeaturesLeftError, PredictError, UnknownFeatureError)
 from .fuse import fuse_modalities
 from .metrics import auc, best_threshold_bacc, confusion, metrics_from_confusion, roc_curve
 from .mrcv import elbow_cut, rank_features_lr, rank_features_rf, run_mrcv_lr, run_mrcv_rf
@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineExit as exc:
         _log(f"error: {exc}")
         return exc.code
-    except PreprocessError as exc:
+    except NoFeaturesLeftError as exc:
         _log(f"error: {exc}")
         return EXIT_EMPTY_FEATURES
     except PredictError as exc:

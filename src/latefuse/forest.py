@@ -46,13 +46,13 @@ class ForestParams:
 
 @dataclass(frozen=True)
 class Tree:
-    """Flat node arrays; feature == -1 marks a leaf. leaf_prob is the
-    class-weighted positive proportion of the node's bootstrap rows."""
+    """Flat node arrays in breadth-first order; feature == -1 marks a leaf.
+    leaf_prob is the class-weighted positive proportion of the node's
+    bootstrap rows. Children are not stored: the k-th split node (0-based,
+    in node order) has children 2k + 1 (left) and 2k + 2 (right)."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     leaf_prob: np.ndarray
 
 
@@ -126,7 +126,6 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     f_mask = (1 << f_bits) - 1
     key_shift = max(0, f_bits - 10)
     node_tree = np.arange(b)
-    next_id = np.ones(b, dtype=np.int64)  # breadth-first numbering per tree
     levels = []
     while node_tree.size:
         size = np.bincount(node, minlength=node_tree.size)
@@ -138,9 +137,7 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         w0, w1 = n0 * c0, n1 * c1
         feature = np.full(node_tree.size, -1, dtype=np.int64)
         threshold = np.full(node_tree.size, math.nan)
-        left = np.full(node_tree.size, -1, dtype=np.int64)
-        right = left.copy()
-        levels.append((node_tree, feature, threshold, left, right, w1 / (w0 + w1)))
+        levels.append((node_tree, feature, threshold, w1 / (w0 + w1)))
         cand = np.flatnonzero((n0 > 0) & (n1 > 0))
         if not cand.size:
             break
@@ -214,12 +211,8 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         # the midpoint, or lo when it rounds onto hi or overflows, so the rows
         # sent left are exactly those scored
         split = cand[has]
-        tree = node_tree[split]
-        child = next_id[tree] + 2 * (np.arange(split.size) - np.searchsorted(tree, tree))
-        next_id += 2 * np.bincount(tree, minlength=b)
         feature[split] = f
         threshold[split] = np.where((lo <= mid) & (mid < hi), mid, lo)
-        left[split], right[split] = child, child + 1
         # elements of split nodes move to the children (node 2i, 2i + 1 of the
         # next level for the i-th split); the rest are in leaves
         slot = np.full(cand.size, -1)
@@ -228,7 +221,7 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         inside = enode >= 0
         row, low, enode = erow[inside], elow[inside], enode[inside]
         node = 2 * enode + (rank[f[enode] * n + row] > lo_rank[enode])
-        node_tree = np.repeat(tree, 2)
+        node_tree = np.repeat(node_tree[split], 2)
     tree_of, *cols = (np.concatenate(c) for c in zip(*levels))
     order = np.argsort(tree_of, kind="stable")
     bounds = np.cumsum(np.bincount(tree_of, minlength=b))[:-1]
@@ -278,29 +271,30 @@ def _check_features(forest: Forest, table: FeatureTable) -> np.ndarray:
     return np.ascontiguousarray(table.values)
 
 
-def _stack(trees: Sequence[Tree]) -> tuple[Tree, np.ndarray]:
-    """The node arrays of the trees laid end to end as one Tree, child
-    indices shifted to match, and each tree's root index in it. A leaf's
-    shifted children are never read."""
+def _stack(trees: Sequence[Tree]) -> tuple[Tree, np.ndarray, np.ndarray]:
+    """The node arrays of the trees laid end to end as one Tree, each node's
+    left child in it (2s - 1 after its tree's root for the node with s splits
+    up to and including it, see Tree; a leaf's is never read), and each
+    tree's root index in it."""
     size = np.array([tree.feature.size for tree in trees])
     roots = np.cumsum(size) - size
-    shift = np.repeat(roots, size)
+    splits = np.concatenate([np.cumsum(tree.feature >= 0) for tree in trees])
 
     def cat(name: str) -> np.ndarray:
         return np.concatenate([getattr(tree, name) for tree in trees])
 
-    return Tree(feature=cat("feature"), threshold=cat("threshold"),
-                left=cat("left") + shift, right=cat("right") + shift,
-                leaf_prob=cat("leaf_prob")), roots
+    return (Tree(feature=cat("feature"), threshold=cat("threshold"), leaf_prob=cat("leaf_prob")),
+            2 * splits - 1 + np.repeat(roots, size), roots)
 
 
-def descend(stack: Tree, x: np.ndarray, start: np.ndarray,
+def descend(stack: Tree, left: np.ndarray, x: np.ndarray, start: np.ndarray,
             rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
             path: list[tuple[np.ndarray, np.ndarray]] | None = None) -> np.ndarray:
-    """Leaf nodes of elements walked down `stack` (see _stack) from their
-    start nodes, one array step per level. Element i at a node splitting on
-    feature f reads x[rows(i, f), f]; `rows` gets the live elements and their
-    features. Given `path`, each level appends (live elements, their nodes)."""
+    """Leaf nodes of elements walked down `stack` with left children `left`
+    (see _stack) from their start nodes, one array step per level. Element i
+    at a node splitting on feature f reads x[rows(i, f), f]; `rows` gets the
+    live elements and their features. Given `path`, each level appends
+    (live elements, their nodes)."""
     node = np.array(start, dtype=np.int64)
     live = np.flatnonzero(stack.feature[node] >= 0)
     while live.size:
@@ -309,7 +303,7 @@ def descend(stack: Tree, x: np.ndarray, start: np.ndarray,
         if path is not None:
             path.append((live, at))
         go_left = x.take(rows(live, f) * x.shape[1] + f) <= stack.threshold[at]
-        node[live] = nxt = np.where(go_left, stack.left[at], stack.right[at])
+        node[live] = nxt = left[at] + ~go_left
         live = live[stack.feature[nxt] >= 0]
     return node
 
@@ -334,8 +328,8 @@ def prefix_proba(forest: Forest, table: FeatureTable, sizes: Sequence[int]) -> n
     block = max(1, CELLS // max(n, 1))
     per_tree = np.empty((k.max(), n))
     for first in range(0, k.max(), block):
-        stack, roots = _stack(forest.trees[first:min(first + block, k.max())])
-        leaf = descend(stack, x, np.repeat(roots, n), lambda i, f: i % n)
+        stack, left, roots = _stack(forest.trees[first:min(first + block, k.max())])
+        leaf = descend(stack, left, x, np.repeat(roots, n), lambda i, f: i % n)
         per_tree[first:first + roots.size] = stack.leaf_prob[leaf].reshape(roots.size, n)
     return per_tree.cumsum(axis=0)[k - 1] / k[:, None]
 
@@ -357,12 +351,12 @@ def _accuracy_drops(forest: Forest, x: np.ndarray, positive: np.ndarray,
     reading the permuted row at g-splits and the row's own value elsewhere.
     """
     p = x.shape[1]
-    stack, roots = _stack([forest.trees[t] for t in trees])
+    stack, left, roots = _stack([forest.trees[t] for t in trees])
     m = np.array([oob.size for oob in oobs])
     tree = np.repeat(np.arange(len(trees)), m)  # an element's tree in the block
     row = np.concatenate(oobs)
     path = [(row[:0], row[:0])]  # no records yet; single-leaf trees add none
-    leaf = descend(stack, x, roots[tree], lambda i, f: row[i], path)
+    leaf = descend(stack, left, x, roots[tree], lambda i, f: row[i], path)
     correct = (stack.leaf_prob[leaf] >= 0.5) == positive[row]
     # path records run level by level, so a key's first index is its first node
     elem, node = (np.concatenate(c) for c in zip(*path))
@@ -382,7 +376,8 @@ def _accuracy_drops(forest: Forest, x: np.ndarray, positive: np.ndarray,
     j = e - (np.cumsum(m) - m)[tree[e]]  # the element's place among its tree's OOB rows
     swapped = np.concatenate(permuted)[offset[cell] + j]
     own = row[e]
-    moved = descend(stack, x, node[first], lambda i, f: np.where(f == g[i], swapped[i], own[i]))
+    moved = descend(stack, left, x, node[first],
+                    lambda i, f: np.where(f == g[i], swapped[i], own[i]))
     change = ((stack.leaf_prob[moved] >= 0.5) == positive[own]).astype(np.int64) - correct[e]
     # exact counts, so c / m has the bits of the mean of a boolean vector
     c0 = np.bincount(tree, weights=correct, minlength=len(trees))[:, None]
@@ -445,7 +440,7 @@ def to_doc(forest: Forest) -> dict:
     """Versioned text-serializable document with flat per-tree node arrays."""
     return {
         "format": "latefuse-forest",
-        "version": 2,
+        "version": 3,
         "feature_names": list(forest.feature_names),
         "params": {"mtry": forest.params.mtry, "ntree": forest.params.ntree,
                    "seed": forest.params.seed},
@@ -454,8 +449,6 @@ def to_doc(forest: Forest) -> dict:
             {
                 "feature": t.feature.tolist(),
                 "threshold": [None if math.isnan(v) else v for v in t.threshold.tolist()],
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
                 "leaf_prob": t.leaf_prob.tolist(),
             }
             for t in forest.trees
@@ -465,33 +458,29 @@ def to_doc(forest: Forest) -> dict:
 
 def _tree_from_doc(t: dict, p: int) -> Tree:
     """A tree document's node arrays, if `descend` ends on them: equal-length
-    1-d arrays, each feature -1 (leaf) or in 0..p-1, and each split's
-    children after it."""
+    non-empty 1-d arrays, each feature -1 (leaf) or in 0..p-1, 2s + 1 nodes
+    for s splits, and the k-th split before node 2k + 1, so that its derived
+    children come after it and are nodes of the tree."""
     tree = Tree(
         feature=np.asarray(t["feature"], dtype=np.int64),
         threshold=np.asarray([math.nan if v is None else v for v in t["threshold"]]),
-        left=np.asarray(t["left"], dtype=np.int64),
-        right=np.asarray(t["right"], dtype=np.int64),
         leaf_prob=np.asarray(t["leaf_prob"], dtype=float),
     )
     n = tree.feature.size
     if n == 0 or any(a.ndim != 1 or a.size != n for a in
-                     (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_prob)):
+                     (tree.feature, tree.threshold, tree.leaf_prob)):
         raise ModelError("forest tree node arrays must be non-empty and of equal length")
     if np.any((tree.feature < -1) | (tree.feature >= p)):
         raise ModelError(f"forest tree feature index outside -1..{p - 1}")
     split = np.flatnonzero(tree.feature >= 0)
-    for child in (tree.left[split], tree.right[split]):
-        if np.any((child <= split) | (child >= n)):
-            raise ModelError("forest tree child index not after its node or past the last node")
+    if n != 2 * split.size + 1 or np.any(split > 2 * np.arange(split.size)):
+        raise ModelError("forest tree child index not after its node or past the last node")
     return tree
 
 
 def from_doc(doc: dict) -> Forest:
-    """The forest of a version-2 document. Of `params` only mtry, ntree and
-    seed are read; earlier version-2 documents carry more keys, which are
-    ignored, so they load and predict the same."""
-    if doc.get("format") != "latefuse-forest" or doc.get("version") != 2:
+    """The forest of a version-3 document; any other version is refused."""
+    if doc.get("format") != "latefuse-forest" or doc.get("version") != 3:
         raise ModelError("unrecognized forest document")
     trees = doc["trees"]
     feature_names = tuple(doc["feature_names"])

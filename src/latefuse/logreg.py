@@ -30,17 +30,19 @@ _BIC_MARGIN = 1e-6
 @dataclass(frozen=True)
 class FittedLogReg:
     intercept: float
-    coefficients: dict[str, float]
-    selected_order: tuple[str, ...]
+    coefficients: dict[str, float]  # in selection order
     log_likelihood: float
-    bic: float
     n_train: int
     converged: bool = True
     separated: bool = False
 
-    def __post_init__(self) -> None:
-        if tuple(self.coefficients) != self.selected_order:
-            raise ModelError("coefficient keys must equal selected_order")
+    @property
+    def selected_order(self) -> tuple[str, ...]:
+        return tuple(self.coefficients)
+
+    @property
+    def bic(self) -> float:
+        return (1 + len(self.coefficients)) * math.log(self.n_train) - 2.0 * self.log_likelihood
 
 
 def _design(table: FeatureTable, features: list[str], *, for_fit: bool) -> np.ndarray:
@@ -122,15 +124,11 @@ def fit(table: FeatureTable, features: list[str] | tuple[str, ...] = ()) -> Fitt
         separated = True
         warnings.warn("perfect separation detected; the fit converged below the "
                       "coefficient cap", SeparationWarning)
-    k = 1 + len(features)
-    n = table.n_samples
     return FittedLogReg(
         intercept=float(beta[0]),
         coefficients={f: float(b) for f, b in zip(features, beta[1:])},
-        selected_order=tuple(features),
         log_likelihood=ll,
-        bic=k * math.log(n) - 2.0 * ll,
-        n_train=n,
+        n_train=table.n_samples,
         converged=converged,
         separated=separated,
     )
@@ -336,14 +334,17 @@ def to_doc(model: FittedLogReg) -> dict:
 
 
 def from_doc(doc: dict) -> FittedLogReg:
+    """The model of a version-1 document; its stored selected_order must equal
+    its coefficient keys, and its stored bic is not read (it is derived)."""
     if doc.get("format") != "latefuse-logreg" or doc.get("version") != 1:
         raise ModelError("unrecognized logistic model document")
+    coefficients = {k: float(v) for k, v in doc["coefficients"].items()}
+    if tuple(doc["selected_order"]) != tuple(coefficients):
+        raise ModelError("coefficient keys must equal selected_order")
     return FittedLogReg(
         intercept=float(doc["intercept"]),
-        coefficients={k: float(v) for k, v in doc["coefficients"].items()},
-        selected_order=tuple(doc["selected_order"]),
+        coefficients=coefficients,
         log_likelihood=float(doc["log_likelihood"]),
-        bic=float(doc["bic"]),
         n_train=int(doc["n_train"]),
         converged=bool(doc["converged"]),
         separated=bool(doc["separated"]),

@@ -274,19 +274,26 @@ def save_feature_table(table: FeatureTable, path: str | Path,
     """Write a table as CSV; float cells use round-trip repr, missing cells are empty.
 
     Role columns (id, cohort, label) come first, then the feature columns in
-    table order. Role cells are quoted as csv.writer quotes them; a float's
-    repr needs no quoting.
+    table order. Header and role cells are quoted as csv.writer quotes them,
+    and so is a cell holding a lone CR, so the file loads back as saved. A
+    sample id starting with '#' would load back as a comment line, so it
+    raises DataError. A float's repr needs no quoting.
     """
+    comment = next((sid for sid in table.sample_ids if sid.startswith("#")), None)
+    if comment is not None:
+        raise DataError(f"sample id {comment!r} starts with '#', which marks a comment line")
     label_names = (str(ClassLabel.BENIGN), str(ClassLabel.MALIGNANT))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        head = [schema.id_column, schema.cohort_column, schema.label_column]
-        csv.writer(fh, lineterminator="\n").writerow(head + list(table.feature_names))
-        quoted: list[str] = []  # the role cells of one row as a csv line
-        roles = csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n")
+        # one csv line at a time; a CR in the line terminator gets a lone CR quoted
+        quoted: list[str] = []
+        writer = csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\r\n")
+        writer.writerow([schema.id_column, schema.cohort_column, schema.label_column,
+                         *table.feature_names])
+        fh.write(quoted.pop()[:-2] + "\n")
         for sid, cohort, label, values in zip(table.sample_ids, table.cohort,
                                               table.labels.tolist(), table.values.tolist()):
-            roles.writerow((sid, cohort, label_names[label]))
-            line = quoted.pop()[:-1]
+            writer.writerow((sid, cohort, label_names[label]))
+            line = quoted.pop()[:-2]
             if values:  # a finite float's repr never holds "nan", and no cell is infinite
                 line += "," + ",".join(map(repr, values)).replace("nan", "")
             fh.write(line + "\n")

@@ -190,6 +190,20 @@ def test_empty_feature_set_exit_3(config_path, tmp_path):
     assert run(config_path, "univariate", "--modality", "a") == 3
 
 
+def test_other_preprocessing_errors_exit_1(config_path, tmp_path, capsys):
+    # only an empty feature set exits 3; a modality with no Benign row has no
+    # reference samples to scale by
+    run(config_path, "synth")
+    data = tmp_path / "data" / "modality_a.csv"
+    rows = read_rows(data)
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([rows[0]] + [r[:2] + ["Malignant"] + r[3:] for r in rows[1:]])
+    capsys.readouterr()
+    assert run(config_path, "univariate", "--modality", "a") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no Benign reference samples"), err
+
+
 def test_all_blank_feature_is_dropped_at_any_threshold(config_path, tmp_path):
     # unscaled, at max_missing_fraction 1, so only the "no observed value"
     # rule can drop the column
@@ -331,8 +345,8 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
         ("lr", '{"format": "latefuse-model"}', "lacks key 'selected_features'"),
         ("lr", head + "}", "lacks key 'model'"),
         ("lr", head.replace('["f000"]', "[]") + "}", "no selected features"),
-        ("rf", f"{head}, {forest % 2}", "lacks key 'trees'"),
-        ("rf", f"{head}, {forest % 1}", "unrecognized forest document"),
+        ("rf", f"{head}, {forest % 3}", "lacks key 'trees'"),
+        ("rf", f"{head}, {forest % 2}", "unrecognized forest document"),
     ]:
         path = out / f"model_a_{model}.json"
         path.write_text(body, encoding="utf-8")
@@ -348,7 +362,9 @@ def test_evaluate_refuses_a_cyclic_forest(config_path, tmp_path, capsys):
     assert run(config_path, "train", "--modality", "a", "--model", "rf") == 0
     path = tmp_path / "out" / "model_a_rf.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["model"]["trees"][0]["left"][0] = 0  # descending from the root never ends
+    # node 1 is split 0, whose derived left child is node 1 itself
+    doc["model"]["trees"][0].update(feature=[-1, 0, -1], threshold=[None, 0.0, None],
+                                    leaf_prob=[0.5, 0.5, 0.5])
     path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert run(config_path, "evaluate", "--modality", "a", "--model", "rf") == 1

@@ -16,8 +16,14 @@ from conftest import gaussian_table, make_table
 def trees_equal(a, b):
     return ((a.feature == b.feature).all()
             and np.array_equal(a.threshold, b.threshold, equal_nan=True)
-            and (a.left == b.left).all() and (a.right == b.right).all()
             and (a.leaf_prob == b.leaf_prob).all())
+
+
+def children(tree):
+    """Each node's (left, right) child by the breadth-first rule: the k-th
+    split has children 2k + 1 and 2k + 2 (a leaf's entries are meaningless)."""
+    left = 2 * np.cumsum(tree.feature >= 0) - 1
+    return left, left + 1
 
 
 def test_params_validation():
@@ -235,14 +241,15 @@ def test_gini_split_gains_nonnegative():
         y = (t.labels[boot] == 1).astype(float)
         w = np.where(y == 1, y.size / (2 * y.sum()), y.size / (2 * (y.size - y.sum())))
         idx_sets = {0: np.arange(len(boot))}
+        lefts, rights = children(tree)
         for node in range(len(tree.feature)):
             if tree.feature[node] < 0:
                 continue
             idx = idx_sets[node]
             go_left = x[idx, tree.feature[node]] <= tree.threshold[node]
             left, right = idx[go_left], idx[~go_left]
-            idx_sets[tree.left[node]] = left
-            idx_sets[tree.right[node]] = right
+            idx_sets[lefts[node]] = left
+            idx_sets[rights[node]] = right
 
             def cost(rows):
                 wt = w[rows].sum()
@@ -264,35 +271,26 @@ def test_forest_serialization_round_trip():
     assert np.array_equal(rf.predict_proba(back, t), rf.predict_proba(fo, t))
 
 
-def test_only_version_2_documents_load():
+def test_only_version_3_documents_load():
     t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=13)
     doc = json.loads(json.dumps(rf.to_doc(rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=3,
                                                                             seed=41)))))
-    with pytest.raises(ModelError, match="unrecognized forest document"):
-        rf.from_doc(dict(doc, version=1))
+    assert set(doc["params"]) == {"mtry", "ntree", "seed"}
+    assert set(doc["trees"][0]) == {"feature", "threshold", "leaf_prob"}
+    for version in (1, 2):  # version 2 stored each tree's left and right children
+        with pytest.raises(ModelError, match="unrecognized forest document"):
+            rf.from_doc(dict(doc, version=version))
     del doc["params"]["seed"]
     with pytest.raises(KeyError, match="seed"):
         rf.from_doc(doc)
 
 
-def test_documents_with_the_removed_forest_options_still_load():
-    # version-2 documents written while the forest had min_leaf and weighted
-    # options carry them and the whole table's class weights; none is read
-    t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=13)
-    fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=10, seed=41))
-    doc = json.loads(json.dumps(rf.to_doc(fo)))
-    assert set(doc["params"]) == {"mtry", "ntree", "seed"} and "class_weights" not in doc
-    doc["params"].update(min_leaf=1, weighted=True)
-    doc["class_weights"] = {"0": 1.0, "1": 1.0}
-    back = rf.from_doc(doc)
-    assert back.params == fo.params
-    assert all(trees_equal(a, b) for a, b in zip(fo.trees, back.trees))
-    assert np.array_equal(rf.predict_proba(back, t), rf.predict_proba(fo, t))
-
-
 @pytest.mark.parametrize("edit, detail", [
-    (lambda t: t["left"].__setitem__(0, 0), "child index"),  # the root is its own child
-    (lambda t: t["right"].__setitem__(0, len(t["feature"])), "child index"),
+    # node 1 is split 0, whose derived left child is node 1 itself
+    (lambda t: t.update(feature=[-1, 0, -1], threshold=[None, 0.0, None],
+                        leaf_prob=[0.5, 0.5, 0.5]), "child index"),
+    # 2s nodes for s splits: the last split's right child is past the last node
+    (lambda t: t.update({name: cells[:-1] for name, cells in t.items()}), "child index"),
     (lambda t: t["feature"].__setitem__(0, 3), "feature index"),
     (lambda t: t["leaf_prob"].pop(), "equal length"),
 ])
@@ -408,7 +406,8 @@ def reference_tree(x, y, params, t, rejected=None):
     level one draw of mtry features for each splittable node of the level,
     and per node a scan over the cuts between distinct values with the class
     counts on each side. The Gini gains of best cuts turned down by the rule
-    gain > 1e-12 are appended to `rejected`."""
+    gain > 1e-12 are appended to `rejected`. The builder numbers each split's
+    children itself and asserts they are the ones Tree derives."""
     n, p = x.shape
     rng, boot, _ = rf._tree_stream(params.seed, t, n)
     # balanced weights n / (2 n_c) of the bootstrap, 0 for a class it lacks
@@ -463,13 +462,15 @@ def reference_tree(x, y, params, t, rejected=None):
             left[node] = len(feature) + len(level)
             right[node] = left[node] + 1
             level += [rows[go_left], rows[~go_left]]
-    return rf.Tree(
+    tree = rf.Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
         leaf_prob=np.asarray(prob, dtype=float),
     )
+    split = tree.feature >= 0
+    assert all((np.asarray(own)[split] == derived[split]).all()
+               for own, derived in zip((left, right), children(tree)))
+    return tree
 
 
 def reference_trees(table, params, rejected=None):
@@ -479,6 +480,7 @@ def reference_trees(table, params, rejected=None):
 
 
 def reference_tree_predict(tree, x):
+    left, right = children(tree)
     node = np.zeros(x.shape[0], dtype=np.int64)
     while True:
         feat = tree.feature[node]
@@ -486,8 +488,8 @@ def reference_tree_predict(tree, x):
         if live.size == 0:
             return tree.leaf_prob[node]
         go_left = x[live, feat[live]] <= tree.threshold[node[live]]
-        node[live[go_left]] = tree.left[node[live[go_left]]]
-        node[live[~go_left]] = tree.right[node[live[~go_left]]]
+        node[live[go_left]] = left[node[live[go_left]]]
+        node[live[~go_left]] = right[node[live[~go_left]]]
 
 
 @st.composite
@@ -530,8 +532,8 @@ def test_trees_match_reference_builder(case):
     assert all(trees_equal(a, b) for a, b in zip(fo.trees, reference))
     # rows on the grid, rows at the cuts and rows off both
     x = np.vstack([table.values, table.values + 0.125, table.values - 0.3])
-    stack, roots = rf._stack(fo.trees)
-    leaf = rf.descend(stack, x, np.repeat(roots, len(x)), lambda i, f: i % len(x))
+    stack, left, roots = rf._stack(fo.trees)
+    leaf = rf.descend(stack, left, x, np.repeat(roots, len(x)), lambda i, f: i % len(x))
     per_tree = stack.leaf_prob[leaf].reshape(len(fo.trees), len(x))
     for tree, prob in zip(fo.trees, per_tree):
         assert np.array_equal(prob, reference_tree_predict(tree, x))

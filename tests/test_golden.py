@@ -7,7 +7,8 @@ threshold fails here. After an intended change, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and name every changed artifact, with the reason, in CHANGES.md.
+which prints the artifacts whose hash changed, and name each of them, with
+the reason, in CHANGES.md.
 """
 
 import hashlib
@@ -83,19 +84,27 @@ def read_golden() -> tuple[str, dict[str, str]]:
     return header, {name: digest for digest, name in (line.split("  ", 1) for line in lines[1:])}
 
 
+def changed(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    """Artifacts whose hash differs, or that only one side has, by name."""
+    return sorted(name for name in expected.keys() | actual.keys()
+                  if expected.get(name) != actual.get(name))
+
+
 def test_desk_small_matches_golden(tmp_path):
     recorded_env, expected = read_golden()
     actual = artifact_hashes(tmp_path)
-    changed = sorted(name for name in expected.keys() | actual.keys()
-                     if expected.get(name) != actual.get(name))
-    assert not changed, (f"artifacts differ from {GOLDEN.name}: {changed} "
-                         f"(recorded with {recorded_env}; running {environment()})")
+    changed_names = changed(expected, actual)
+    assert not changed_names, (f"artifacts differ from {GOLDEN.name}: {changed_names} "
+                               f"(recorded with {recorded_env}; running {environment()})")
 
 
 if __name__ == "__main__":
+    previous = read_golden()[1] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         hashes = artifact_hashes(Path(tmp))
     GOLDEN.write_text(f"# {environment()}\n"
                       + "".join(f"{h}  {name}\n" for name, h in sorted(hashes.items())),
                       encoding="utf-8")
     print(f"wrote {len(hashes)} hashes to {GOLDEN}")
+    for name in changed(previous, hashes):
+        print(f"changed: {name}")

@@ -146,20 +146,17 @@ def test_gradient_matches_finite_differences():
 def test_predict_proba_examples():
     t = gaussian_table(4, 4, 1, seed=10)
     flat = lr.FittedLogReg(intercept=0.0, coefficients={"f000": 0.0},
-                           selected_order=("f000",), log_likelihood=-1.0,
-                           bic=1.0, n_train=8)
+                           log_likelihood=-1.0, n_train=8)
     assert np.allclose(lr.predict_proba(flat, t), 0.5)
     prior = lr.FittedLogReg(intercept=math.log(3), coefficients={},
-                            selected_order=(), log_likelihood=-1.0,
-                            bic=1.0, n_train=8)
+                            log_likelihood=-1.0, n_train=8)
     assert np.allclose(lr.predict_proba(prior, t), 0.75)
 
 
 def test_predict_monotone_in_positive_coefficient():
     base = make_table([[0.0], [1.0], [2.0]], [0, 1, 1])
     m = lr.FittedLogReg(intercept=-0.5, coefficients={"f000": 2.0},
-                        selected_order=("f000",), log_likelihood=-1.0,
-                        bic=1.0, n_train=3)
+                        log_likelihood=-1.0, n_train=3)
     p = lr.predict_proba(m, base)
     assert p[0] < p[1] < p[2]
 
@@ -169,8 +166,7 @@ def test_predict_missing_cell_rejected():
     missing[1, 0] = True
     t = make_table([[0.5], [0.5]], [0, 1], missing=missing)
     m = lr.FittedLogReg(intercept=0.0, coefficients={"f000": 1.0},
-                        selected_order=("f000",), log_likelihood=-1.0,
-                        bic=1.0, n_train=2)
+                        log_likelihood=-1.0, n_train=2)
     with pytest.raises(PredictError):
         lr.predict_proba(m, t)
 
@@ -225,6 +221,15 @@ def test_serialization_round_trip():
     doc = json.loads(json.dumps(lr.to_doc(m)))
     back = lr.from_doc(doc)
     assert back == m
+    assert lr.to_doc(back) == doc  # selected_order and bic are derived, to the same bits
+
+
+def test_from_doc_refuses_a_selected_order_other_than_the_coefficient_keys():
+    t = gaussian_table(40, 40, 3, shifts={0: 2.0, 1: 1.0}, seed=15)
+    doc = lr.to_doc(lr.fit(t, ["f000", "f001"]))
+    for order in (["f001", "f000"], ["f000"], ["f000", "f001", "f002"]):
+        with pytest.raises(ModelError, match="selected_order"):
+            lr.from_doc(dict(doc, selected_order=order))
 
 
 def reference_forward_select(table, candidates, delta_bic_stop=2.0):

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tempfile
 from itertools import chain
 from pathlib import Path
@@ -268,21 +269,26 @@ def reference_load(path, schema=ColumnSchema()):
     )
 
 
+def csv_cell(text):
+    """A text cell as a CSV file must hold it: quoted, with its quotes
+    doubled, when it holds a comma, a quote, a LF or a CR."""
+    return '"' + text.replace('"', '""') + '"' if set(text) & set(',"\n\r') else text
+
+
 def reference_save(table, path, schema=ColumnSchema()):
-    """The per-cell writer that save_feature_table replaced, kept verbatim as
-    the reference its bytes are checked against."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        head = [schema.id_column, schema.cohort_column, schema.label_column]
-        writer.writerow(head + list(table.feature_names))
-        for i in range(table.n_samples):
-            cells = [table.sample_ids[i], table.cohort[i],
-                     str(ClassLabel(int(table.labels[i])))]
-            for j in range(table.n_features):
-                cells.append("" if np.isnan(table.values[i, j])
-                             else repr(float(table.values[i, j])))
-            writer.writerow(cells)
+    """The per-cell writer that save_feature_table replaced, the reference its
+    bytes are checked against. It quotes text cells by csv_cell, where the
+    original's csv.writer left a cell holding a lone CR unquoted."""
+    head = [schema.id_column, schema.cohort_column, schema.label_column]
+    lines = [",".join(map(csv_cell, head + list(table.feature_names)))]
+    for i in range(table.n_samples):
+        cells = [csv_cell(table.sample_ids[i]), csv_cell(table.cohort[i]),
+                 str(ClassLabel(int(table.labels[i])))]
+        for j in range(table.n_features):
+            cells.append("" if np.isnan(table.values[i, j])
+                         else repr(float(table.values[i, j])))
+        lines.append(",".join(cells))
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="")
 
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7, 1e308, -1e308,
@@ -442,7 +448,7 @@ def assert_save_matches_reference(table):
         assert got.read_bytes() == want.read_bytes()
 
 
-# role cells that csv.writer quotes, or (a lone CR) writes as they are
+# role cells that need quoting (a lone CR too), and a blank one
 ROLE_TEXT = ("", ",", '"', "\n", "\r", "a\r\nb", 'B "x"')
 
 
@@ -471,6 +477,27 @@ def test_save_matches_reference_without_rows_or_features(n, p):
         feature_names=tuple(f"f{j}" for j in range(p)),
         values=np.ones((n, p)),
     ))
+
+
+def test_role_text_round_trips(tmp_path):
+    texts = ROLE_TEXT + ("c\rd", "\r\r", "plain")
+    table = FeatureTable(
+        sample_ids=texts,
+        cohort=texts[::-1],
+        labels=np.arange(len(texts), dtype=np.int8) % 2,
+        feature_names=("f0", "\r", "f,2"),
+        values=np.arange(3.0 * len(texts)).reshape(-1, 3),
+    )
+    path = tmp_path / "roles.csv"
+    save_feature_table(table, path)
+    assert_same_table(load_feature_table(path), table)
+
+
+@pytest.mark.parametrize("sid", ["#1", "#", '#"x"'])
+def test_save_refuses_an_id_read_back_as_a_comment(tmp_path, sid):
+    table = make_table([[1.0], [2.0]], [0, 1], ids=["S1", sid])
+    with pytest.raises(DataError, match=re.escape(repr(sid))):
+        save_feature_table(table, tmp_path / "t.csv")
 
 
 def test_align_intersection_order_and_labels():
