@@ -37,7 +37,7 @@ from .reports import (folds_csv, fused_scores_csv, importance_csv, metrics_csv,
                       scores_csv, summary_csv, univariate_csv, write_text)
 from .synth import generate_pair
 from .tables import (FeatureTable, align_common_samples, load_feature_table, partition,
-                     read_roles, save_feature_table)
+                     save_feature_table)
 from .univariate import univariate_screen
 
 EXIT_MISSING_INPUT = 2
@@ -91,7 +91,8 @@ def _test_ids(cfg: RunConfig, modality: str, raw: FeatureTable) -> frozenset[str
         ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()
                if line.strip()]
         return frozenset(ids)
-    other = read_roles(_table_file(cfg, "b" if modality == "a" else "a"), cfg.schema)
+    other = load_feature_table(_table_file(cfg, "b" if modality == "a" else "a"), cfg.schema,
+                               features=())
     table_a, table_b = (raw, other) if modality == "a" else (other, raw)
     common_a, _ = align_common_samples(table_a, table_b)
     rng = np.random.default_rng(_derive_seed(cfg.base_seed, "test-split"))
@@ -163,21 +164,20 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
     unpruned, _ = _split(cfg, modality)
     train, removed = drop_correlated(unpruned, spearman_matrix(unpruned),
                                      cfg.correlation_threshold)
-    candidates = list(train.feature_names)
-    if not candidates:
+    if not train.feature_names:
         raise PipelineExit(EXIT_EMPTY_FEATURES, "no candidate features after preprocessing")
     seed = _derive_seed(cfg.base_seed, modality, model)
     if model == "lr":
-        outcomes = run_mrcv_lr(train, candidates, repeats=cfg.repeats,
+        outcomes = run_mrcv_lr(train, repeats=cfg.repeats,
                                validation_fraction=cfg.lr_validation_fraction,
                                base_seed=seed, delta_bic_stop=cfg.delta_bic_stop)
-        ranking = rank_features_lr(outcomes, candidates)
+        ranking = rank_features_lr(outcomes, train.feature_names)
     else:
         grid = list(itertools.product(cfg.rf_mtry, cfg.rf_ntree))
-        outcomes = run_mrcv_rf(train, candidates, repeats=cfg.repeats,
+        outcomes = run_mrcv_rf(train, repeats=cfg.repeats,
                                validation_fraction=cfg.rf_validation_fraction,
                                grid=grid, base_seed=seed)
-        ranking = rank_features_rf(outcomes, candidates)
+        ranking = rank_features_rf(outcomes, train.feature_names)
     selected = elbow_cut(ranking)
     if model == "lr":
         final = lr.fit(train, selected)

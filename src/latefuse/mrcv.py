@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .tables import FeatureTable
 @dataclass(frozen=True)
 class FoldOutcome:
     repeat_index: int
-    train_ids: tuple[str, ...]
-    validation_ids: tuple[str, ...]
+    n_train: int
+    n_validation: int
     bacc_train: float
     bacc_validation: float
     threshold: float
@@ -79,33 +79,36 @@ def _evaluate_fold(p_train, y_train, p_val, y_val) -> tuple[float, float, float]
     return threshold, bacc_train, bacc_val
 
 
-def run_mrcv_lr(table: FeatureTable, candidates: Sequence[str], repeats: int = 100,
-                validation_fraction: float = 0.3, base_seed: int = 0,
-                delta_bic_stop: float = 2.0) -> list[FoldOutcome]:
-    """Per repeat: split, forward-select a logistic model on the training
-    subset, estimate the threshold there, and record balanced accuracies.
-
-    Failures inside a repeat are recorded on its FoldOutcome instead of
-    aborting the run.
-    """
+def _run_repeats(table: FeatureTable, repeats: int, validation_fraction: float,
+                 base_seed: int, fold: Callable) -> list[FoldOutcome]:
+    """The MRCV loop: repeat r splits `table` with the (base_seed, r) stream
+    and `fold(r, train, validation)` returns ((threshold, bacc_train,
+    bacc_validation), family fields). A LatefuseError inside a repeat is
+    recorded on its FoldOutcome instead of aborting the run."""
     outcomes: list[FoldOutcome] = []
     for r in range(repeats):
         try:
             train, val = stratified_split(table, validation_fraction, [base_seed, r])
-            model = lr.forward_select(train, list(candidates), delta_bic_stop)
-            threshold, bacc_tr, bacc_val = _evaluate_fold(
-                lr.predict_proba(model, train), train.labels,
-                lr.predict_proba(model, val), val.labels)
-            outcomes.append(FoldOutcome(
-                repeat_index=r, train_ids=train.sample_ids, validation_ids=val.sample_ids,
-                bacc_train=bacc_tr, bacc_validation=bacc_val, threshold=threshold,
-                lr_selected_order=model.selected_order))
+            (threshold, bacc_tr, bacc_val), fields = fold(r, train, val)
+            outcomes.append(FoldOutcome(r, train.n_samples, val.n_samples,
+                                        bacc_tr, bacc_val, threshold, **fields))
         except LatefuseError as exc:
-            outcomes.append(FoldOutcome(
-                repeat_index=r, train_ids=(), validation_ids=(),
-                bacc_train=float("nan"), bacc_validation=float("nan"),
-                threshold=float("nan"), error=str(exc)))
+            outcomes.append(FoldOutcome(r, 0, 0, np.nan, np.nan, np.nan, error=str(exc)))
     return outcomes
+
+
+def run_mrcv_lr(table: FeatureTable, repeats: int = 100, validation_fraction: float = 0.3,
+                base_seed: int = 0, delta_bic_stop: float = 2.0) -> list[FoldOutcome]:
+    """Per repeat: forward-select a logistic model over the table's features
+    on the training subset, estimate the threshold there, and record balanced
+    accuracies."""
+    def fold(r, train, val):
+        model = lr.forward_select(train, table.feature_names, delta_bic_stop)
+        scores = _evaluate_fold(lr.predict_proba(model, train), train.labels,
+                                lr.predict_proba(model, val), val.labels)
+        return scores, {"lr_selected_order": model.selected_order}
+
+    return _run_repeats(table, repeats, validation_fraction, base_seed, fold)
 
 
 def _grid_seed(base_seed: int, repeat: int, mtry: int) -> int:
@@ -113,13 +116,13 @@ def _grid_seed(base_seed: int, repeat: int, mtry: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def run_mrcv_rf(table: FeatureTable, candidates: Sequence[str], repeats: int = 100,
-                validation_fraction: float = 0.2,
+def run_mrcv_rf(table: FeatureTable, repeats: int = 100, validation_fraction: float = 0.2,
                 grid: Sequence[tuple[int, int]] = ((5, 100),),
                 base_seed: int = 0) -> list[FoldOutcome]:
-    """Per repeat: split, fit one forest per (mtry, ntree) grid point, keep
-    the point with the best validation balanced accuracy (first in grid order
-    wins ties), and record that forest's normalized permutation importances.
+    """Per repeat: fit one forest per (mtry, ntree) grid point over the
+    table's features, keep the point with the best validation balanced
+    accuracy (first in grid order wins ties), and record that forest's
+    normalized permutation importances.
 
     A forest's seed follows from (base_seed, repeat, mtry), so the forests of
     one mtry are nested: each is the first ntree trees of the largest one.
@@ -128,8 +131,7 @@ def run_mrcv_rf(table: FeatureTable, candidates: Sequence[str], repeats: int = 1
     """
     if not grid:
         raise LatefuseError("RF grid must not be empty")
-    sub = table.select_features(candidates)
-    usable = [(m, t) for m, t in grid if m <= sub.n_features]
+    usable = [(m, t) for m, t in grid if m <= table.n_features]
     if len(usable) < len(grid):
         warnings.warn("grid points with mtry > n_features were skipped")
     if not usable:
@@ -137,39 +139,30 @@ def run_mrcv_rf(table: FeatureTable, candidates: Sequence[str], repeats: int = 1
     points: dict[int, list[tuple[int, int]]] = {}  # mtry -> (grid index, ntree)
     for gi, (mtry, ntree) in enumerate(usable):
         points.setdefault(mtry, []).append((gi, ntree))
-    outcomes: list[FoldOutcome] = []
-    for r in range(repeats):
-        try:
-            train, val = stratified_split(sub, validation_fraction, [base_seed, r])
-            best = None
-            for mtry, mtry_points in points.items():
-                sizes = [ntree for _, ntree in mtry_points]
-                fitted = rf.fit_forest(train, rf.ForestParams(
-                    mtry=mtry, ntree=max(sizes), seed=_grid_seed(base_seed, r, mtry)))
-                scores = zip(rf.prefix_proba(fitted, train, sizes),
-                             rf.prefix_proba(fitted, val, sizes))
-                for (gi, ntree), (p_train, p_val) in zip(mtry_points, scores):
-                    threshold, bacc_tr, bacc_val = _evaluate_fold(
-                        p_train, train.labels, p_val, val.labels)
-                    if best is None or (-bacc_val, gi) < (-best[0], best[1]):
-                        best = (bacc_val, gi, bacc_tr, threshold, fitted, ntree)
-            bacc_val, _, bacc_tr, threshold, fitted, ntree = best
-            kept = replace(fitted, trees=fitted.trees[:ntree],
-                           params=replace(fitted.params, ntree=ntree))
-            report = rf.oob_permutation_importance(kept, train)
-            importances = {name: float(v) for name, v
-                           in zip(report.feature_names, report.normalized)}
-            outcomes.append(FoldOutcome(
-                repeat_index=r, train_ids=train.sample_ids, validation_ids=val.sample_ids,
-                bacc_train=bacc_tr, bacc_validation=bacc_val, threshold=threshold,
-                importances=importances,
-                chosen_params={"mtry": kept.params.mtry, "ntree": ntree}))
-        except LatefuseError as exc:
-            outcomes.append(FoldOutcome(
-                repeat_index=r, train_ids=(), validation_ids=(),
-                bacc_train=float("nan"), bacc_validation=float("nan"),
-                threshold=float("nan"), error=str(exc)))
-    return outcomes
+
+    def fold(r, train, val):
+        best = None
+        for mtry, mtry_points in points.items():
+            sizes = [ntree for _, ntree in mtry_points]
+            fitted = rf.fit_forest(train, rf.ForestParams(
+                mtry=mtry, ntree=max(sizes), seed=_grid_seed(base_seed, r, mtry)))
+            scores = zip(rf.prefix_proba(fitted, train, sizes),
+                         rf.prefix_proba(fitted, val, sizes))
+            for (gi, ntree), (p_train, p_val) in zip(mtry_points, scores):
+                evaluated = _evaluate_fold(p_train, train.labels, p_val, val.labels)
+                rank = (-evaluated[2], gi)  # best validation BAcc, then grid order
+                if best is None or rank < best[0]:
+                    best = (rank, evaluated, fitted, ntree)
+        _, evaluated, fitted, ntree = best
+        kept = replace(fitted, trees=fitted.trees[:ntree],
+                       params=replace(fitted.params, ntree=ntree))
+        report = rf.oob_permutation_importance(kept, train)
+        return evaluated, {
+            "importances": {name: float(v) for name, v
+                            in zip(report.feature_names, report.normalized)},
+            "chosen_params": {"mtry": kept.params.mtry, "ntree": ntree}}
+
+    return _run_repeats(table, repeats, validation_fraction, base_seed, fold)
 
 
 def _ranked(scores: dict[str, float]) -> FeatureRanking:
@@ -178,36 +171,35 @@ def _ranked(scores: dict[str, float]) -> FeatureRanking:
 
 
 def rank_features_lr(outcomes: Sequence[FoldOutcome],
-                     features: Sequence[str] | None = None) -> FeatureRanking:
-    """Stability score: sum over folds of proportional addition order times
-    validation BAcc.
+                     features: Sequence[str]) -> FeatureRanking:
+    """Stability score of each of `features`: sum over folds of proportional
+    addition order times validation BAcc.
 
     In a fold that selected m features, the feature added at position i
     contributes ((m - i + 1) / m) * bacc_validation; unselected features
     contribute 0. Flagged folds are skipped.
     """
-    scores: dict[str, float] = {f: 0.0 for f in (features or ())}
+    scores = dict.fromkeys(features, 0.0)
     for out in outcomes:
-        if out.error is not None or out.lr_selected_order is None:
+        if out.error is not None:
             continue
         m = len(out.lr_selected_order)
         for i, name in enumerate(out.lr_selected_order, start=1):
-            scores.setdefault(name, 0.0)
             scores[name] += (m - i + 1) / m * out.bacc_validation
     return _ranked(scores)
 
 
 def rank_features_rf(outcomes: Sequence[FoldOutcome],
-                     features: Sequence[str] | None = None) -> FeatureRanking:
-    """Mean normalized importance across repeats (absent-in-repeat counts 0)."""
-    scores: dict[str, float] = {f: 0.0 for f in (features or ())}
+                     features: Sequence[str]) -> FeatureRanking:
+    """Mean normalized importance of each of `features` across the unflagged
+    repeats (absent-in-repeat counts 0)."""
+    scores = dict.fromkeys(features, 0.0)
     n_ok = 0
     for out in outcomes:
-        if out.error is not None or out.importances is None:
+        if out.error is not None:
             continue
         n_ok += 1
         for name, value in out.importances.items():
-            scores.setdefault(name, 0.0)
             scores[name] += value
     if n_ok:
         scores = {k: v / n_ok for k, v in scores.items()}

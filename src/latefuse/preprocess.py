@@ -21,18 +21,22 @@ class RobustScaler:
     """Per-feature median/IQR of the benign rows, as (groups, features) arrays:
     one group when pooled (`cohorts` is None), else one per sorted cohort.
     Quartiles are type-7 (linear interpolation) over a group's observed values;
-    a feature whose IQR is zero, or with fewer than two observed values, in any
-    group is flagged unusable and dropped by apply_scaler."""
+    the IQR is NaN where a group has fewer than two observed values."""
 
     feature_names: tuple[str, ...]
     cohorts: tuple[str, ...] | None
     median: np.ndarray
     iqr: np.ndarray
-    unusable: np.ndarray  # bool per feature
 
     def __post_init__(self) -> None:
-        for arr in (self.median, self.iqr, self.unusable):
+        for arr in (self.median, self.iqr):
             np.asarray(arr).flags.writeable = False
+
+    @property
+    def unusable(self) -> np.ndarray:
+        """Per feature: its IQR is zero or NaN in some group, so apply_scaler
+        drops it."""
+        return ~(self.iqr > 0).all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -60,24 +64,22 @@ def fit_robust_scaler(table: FeatureTable, per_cohort: bool = False) -> RobustSc
     groups = _group_rows(cohorts, table)
     median = np.full((len(groups), table.n_features), np.nan)
     iqr = median.copy()
-    unusable = np.zeros(table.n_features, dtype=bool)
     for g, rows in enumerate(groups):
         ref = table.values[rows & (table.labels == ClassLabel.BENIGN)]
         if not len(ref):
             where = "(all cohorts)" if cohorts is None else f"within {cohorts[g]}"
             raise PreprocessError(f"no Benign reference samples (Benign {where})")
         enough = (~np.isnan(ref)).sum(axis=0) >= 2
-        unusable |= ~enough
         if enough.any():
             q1, median[g, enough], q3 = np.nanpercentile(ref[:, enough], [25.0, 50.0, 75.0],
                                                          axis=0)
             iqr[g, enough] = q3 - q1
-    unusable |= (iqr == 0).any(axis=0)
-    if unusable.any():
-        bad = [table.feature_names[j] for j in np.flatnonzero(unusable)]
+    scaler = RobustScaler(table.feature_names, cohorts, median, iqr)
+    if scaler.unusable.any():
+        bad = [table.feature_names[j] for j in np.flatnonzero(scaler.unusable)]
         warnings.warn(f"{len(bad)} feature(s) unusable for scaling (zero IQR or "
                       f"too few reference values): {bad[:5]}")
-    return RobustScaler(table.feature_names, cohorts, median, iqr, unusable)
+    return scaler
 
 
 def apply_scaler(scaler: RobustScaler, table: FeatureTable) -> FeatureTable:
@@ -88,7 +90,8 @@ def apply_scaler(scaler: RobustScaler, table: FeatureTable) -> FeatureTable:
     uncovered = sorted(set(table.feature_names) - set(pos))
     if uncovered:
         raise PreprocessError(f"scaler does not cover features {uncovered[:5]}")
-    cols = [j for j, n in enumerate(table.feature_names) if not scaler.unusable[pos[n]]]
+    unusable = scaler.unusable
+    cols = [j for j, n in enumerate(table.feature_names) if not unusable[pos[n]]]
     if len(cols) < table.n_features:
         warnings.warn(f"excluding {table.n_features - len(cols)} unusable feature(s) "
                       "from scaled output")

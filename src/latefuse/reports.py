@@ -71,8 +71,8 @@ def folds_csv(outcomes: Sequence[FoldOutcome]) -> str:
             detail = f"mtry={out.chosen_params['mtry']};ntree={out.chosen_params['ntree']}"
         else:
             detail = ""
-        rows.append([str(out.repeat_index), str(len(out.train_ids)),
-                     str(len(out.validation_ids)), _num(out.bacc_train),
+        rows.append([str(out.repeat_index), str(out.n_train),
+                     str(out.n_validation), _num(out.bacc_train),
                      _num(out.bacc_validation), _num(out.threshold),
                      detail, out.error or ""])
     return _render(_schema_line("mrcv-folds"), rows)

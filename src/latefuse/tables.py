@@ -247,10 +247,12 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema(),
     Columns named by `schema` supply ids, cohort tags, and labels; every other
     column is a numeric feature. With `features`, only the named feature
     columns are parsed, in the order given, and a name the file lacks raises
-    DataError: the result equals the full load followed by select_features.
-    Feature cells that do not parse as a finite number (empty, "NA", "nan",
-    "inf", any other text) become NaN, the missing mark. Lines starting with
-    '#' are skipped so files written by save_feature_table round-trip.
+    DataError: the result equals the full load followed by select_features,
+    and `features=()` reads the role columns alone, with every check of a
+    full load, without parsing a float. Feature cells that do not parse as a
+    finite number (empty, "NA", "nan", "inf", any other text) become NaN, the
+    missing mark. Lines starting with '#' are skipped so files written by
+    save_feature_table round-trip.
     Quoted fields and CRLF line ends are read as the csv module reads them.
     """
     roles, cells, names = _read_rows(Path(path), schema, features)
@@ -263,22 +265,19 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema(),
     return roles.with_matrix(values, ~np.isfinite(values), names)
 
 
-def read_roles(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> FeatureTable:
-    """The ids, cohorts and labels of a table file, with no feature
-    columns: load_feature_table's checks and errors without parsing a float."""
-    return _read_rows(Path(path), schema, ())[0]
-
-
 def save_feature_table(table: FeatureTable, path: str | Path,
                        schema: ColumnSchema = ColumnSchema()) -> None:
     """Write a table as CSV; float cells use round-trip repr, missing cells are empty.
 
     Role columns (id, cohort, label) come first, then the feature columns in
     table order. Header and role cells are quoted as csv.writer quotes them,
-    and so is a cell holding a lone CR, so the file loads back as saved. A
-    sample id starting with '#' would load back as a comment line, so it
-    raises DataError. A float's repr needs no quoting.
+    and so is a cell holding a lone CR, so the file loads back as saved. An
+    id column name or a sample id starting with '#' would load back as a
+    comment line, so either raises DataError. A float's repr needs no quoting.
     """
+    if schema.id_column.startswith("#"):
+        raise DataError(f"id column {schema.id_column!r} starts with '#', "
+                        "which marks a comment line")
     comment = next((sid for sid in table.sample_ids if sid.startswith("#")), None)
     if comment is not None:
         raise DataError(f"sample id {comment!r} starts with '#', which marks a comment line")

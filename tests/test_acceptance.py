@@ -332,18 +332,17 @@ def test_criterion_08_random_forest():
 
 def test_criterion_09_mrcv_harness():
     planted = gaussian_table(100, 100, 10, shifts={0: 2.5, 1: 2.0}, seed=99)
-    names = list(planted.feature_names)
-    outs = run_mrcv_lr(planted, names, repeats=100, base_seed=909)
+    outs = run_mrcv_lr(planted, repeats=100, base_seed=909)
     assert all(o.error is None for o in outs)
     mean_planted = float(np.mean([o.bacc_validation for o in outs]))
     assert mean_planted > 0.8
 
     null = gaussian_table(100, 100, 10, seed=100)
-    null_outs = run_mrcv_lr(null, list(null.feature_names), repeats=100, base_seed=909)
+    null_outs = run_mrcv_lr(null, repeats=100, base_seed=909)
     mean_null = float(np.mean([o.bacc_validation for o in null_outs]))
     assert 0.4 <= mean_null <= 0.6
 
-    again = run_mrcv_lr(planted, names, repeats=100, base_seed=909)
+    again = run_mrcv_lr(planted, repeats=100, base_seed=909)
     assert again == outs
     _passed(f"09 MRCV harness: PASS (planted mean BAcc {mean_planted:.3f}, "
             f"null {mean_null:.3f}, deterministic)")

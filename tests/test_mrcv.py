@@ -9,12 +9,13 @@ from latefuse.metrics import best_threshold_bacc, confusion, metrics_from_confus
 from latefuse.mrcv import (FeatureRanking, FoldOutcome, _grid_seed, elbow_cut,
                            rank_features_lr, rank_features_rf, run_mrcv_lr, run_mrcv_rf,
                            stratified_split)
+from latefuse.reports import folds_csv
 
 from conftest import class_counts, gaussian_table
 
 
 def outcome(repeat=0, bacc_val=0.8, order=None, importances=None, error=None):
-    return FoldOutcome(repeat_index=repeat, train_ids=(), validation_ids=(),
+    return FoldOutcome(repeat_index=repeat, n_train=0, n_validation=0,
                        bacc_train=0.9, bacc_validation=bacc_val, threshold=0.5,
                        lr_selected_order=order, importances=importances, error=error)
 
@@ -73,19 +74,18 @@ def test_split_validation():
 
 def test_mrcv_lr_planted_signal():
     t = gaussian_table(80, 80, 8, shifts={0: 2.5, 1: 2.0}, seed=6)
-    outs = run_mrcv_lr(t, list(t.feature_names), repeats=15, base_seed=42)
+    outs = run_mrcv_lr(t, repeats=15, base_seed=42)
     assert len(outs) == 15
     assert all(o.error is None for o in outs)
     mean_val = np.mean([o.bacc_validation for o in outs])
     assert mean_val > 0.8
     for o in outs:
-        assert set(o.train_ids) | set(o.validation_ids) == set(t.sample_ids)
-        assert not set(o.train_ids) & set(o.validation_ids)
+        assert (o.n_train, o.n_validation) == (112, 48)
 
 
 def test_mrcv_lr_null_signal_near_chance():
     t = gaussian_table(60, 60, 6, seed=7)
-    outs = run_mrcv_lr(t, list(t.feature_names), repeats=15, base_seed=43)
+    outs = run_mrcv_lr(t, repeats=15, base_seed=43)
     mean_val = np.mean([o.bacc_validation for o in outs])
     assert 0.4 <= mean_val <= 0.6
 
@@ -94,11 +94,11 @@ def test_mrcv_lr_single_repeat_matches_forward_select():
     from latefuse import logreg as lr
     from latefuse.metrics import best_threshold_bacc
     t = gaussian_table(50, 50, 5, shifts={2: 2.0}, seed=8)
-    outs = run_mrcv_lr(t, list(t.feature_names), repeats=1, base_seed=44)
+    outs = run_mrcv_lr(t, repeats=1, base_seed=44)
     assert len(outs) == 1
     out = outs[0]
     train, val = stratified_split(t, 0.3, [44, 0])
-    assert out.train_ids == train.sample_ids
+    assert (out.n_train, out.n_validation) == (train.n_samples, val.n_samples)
     model = lr.forward_select(train, list(t.feature_names))
     assert out.lr_selected_order == model.selected_order
     thr, bacc = best_threshold_bacc(lr.predict_proba(model, train), train.labels)
@@ -107,15 +107,14 @@ def test_mrcv_lr_single_repeat_matches_forward_select():
 
 def test_mrcv_lr_determinism():
     t = gaussian_table(40, 40, 4, shifts={0: 1.5}, seed=9)
-    outs1 = run_mrcv_lr(t, list(t.feature_names), repeats=5, base_seed=11)
-    outs2 = run_mrcv_lr(t, list(t.feature_names), repeats=5, base_seed=11)
+    outs1 = run_mrcv_lr(t, repeats=5, base_seed=11)
+    outs2 = run_mrcv_lr(t, repeats=5, base_seed=11)
     assert outs1 == outs2
 
 
 def test_mrcv_rf_grid_selection_and_importances():
     t = gaussian_table(50, 50, 6, shifts={0: 2.0}, seed=10)
-    outs = run_mrcv_rf(t, list(t.feature_names), repeats=4,
-                       grid=[(2, 20), (3, 40)], base_seed=12)
+    outs = run_mrcv_rf(t, repeats=4, grid=[(2, 20), (3, 40)], base_seed=12)
     assert len(outs) == 4
     for o in outs:
         assert o.error is None
@@ -125,16 +124,14 @@ def test_mrcv_rf_grid_selection_and_importances():
 
 def test_mrcv_rf_single_grid_point_records_it():
     t = gaussian_table(30, 30, 4, shifts={0: 2.0}, seed=11)
-    outs = run_mrcv_rf(t, list(t.feature_names), repeats=3,
-                       grid=[(2, 15)], base_seed=13)
+    outs = run_mrcv_rf(t, repeats=3, grid=[(2, 15)], base_seed=13)
     assert all(o.chosen_params == {"mtry": 2, "ntree": 15} for o in outs)
 
 
 def test_mrcv_rf_oversized_mtry_skipped():
     t = gaussian_table(30, 30, 3, shifts={0: 2.0}, seed=12)
     with pytest.warns(UserWarning, match="skipped"):
-        outs = run_mrcv_rf(t, list(t.feature_names), repeats=2,
-                           grid=[(2, 10), (30, 10)], base_seed=14)
+        outs = run_mrcv_rf(t, repeats=2, grid=[(2, 10), (30, 10)], base_seed=14)
     assert all(o.chosen_params["mtry"] == 2 for o in outs)
 
 
@@ -149,7 +146,7 @@ def test_mrcv_rf_nested_ntree_grid_grows_the_largest_forest_once(monkeypatch):
         return fit(table, params)
 
     monkeypatch.setattr(rf, "fit_forest", counting_fit)
-    outs = run_mrcv_rf(t, list(t.feature_names), repeats=4, grid=grid, base_seed=18)
+    outs = run_mrcv_rf(t, repeats=4, grid=grid, base_seed=18)
     assert grown == [(5, 50)] * 4
     monkeypatch.undo()
     for r, out in enumerate(outs):
@@ -176,19 +173,34 @@ def test_mrcv_rf_nested_ntree_grid_grows_the_largest_forest_once(monkeypatch):
 def test_mrcv_planted_beats_null_at_same_seed():
     planted = gaussian_table(50, 50, 5, shifts={0: 2.5}, seed=13)
     null = gaussian_table(50, 50, 5, seed=13)
-    out_p = run_mrcv_rf(planted, list(planted.feature_names), repeats=3,
-                        grid=[(2, 30)], base_seed=15)
-    out_n = run_mrcv_rf(null, list(null.feature_names), repeats=3,
-                        grid=[(2, 30)], base_seed=15)
+    out_p = run_mrcv_rf(planted, repeats=3, grid=[(2, 30)], base_seed=15)
+    out_n = run_mrcv_rf(null, repeats=3, grid=[(2, 30)], base_seed=15)
     assert np.mean([o.bacc_validation for o in out_p]) \
         >= np.mean([o.bacc_validation for o in out_n])
+
+
+def test_mrcv_flags_every_repeat_of_an_unsplittable_table():
+    """A single class-1 row fails every split; both families record each
+    repeat as flagged instead of aborting."""
+    t = gaussian_table(10, 1, 3, seed=14)
+    error = "class 1 has fewer than 2 samples"
+    for outs in (run_mrcv_lr(t, repeats=2, base_seed=16),
+                 run_mrcv_rf(t, repeats=2, grid=[(2, 10)], base_seed=16)):
+        assert [o.repeat_index for o in outs] == [0, 1]
+        for o in outs:
+            assert o.error == error
+            assert np.isnan([o.bacc_train, o.bacc_validation, o.threshold]).all()
+            assert (o.n_train, o.n_validation) == (0, 0)
+            assert (o.lr_selected_order, o.importances, o.chosen_params) == (None, None, None)
+        assert folds_csv(outs).splitlines()[2:] == [f"{r},0,0,NA,NA,NA,,{error}"
+                                                    for r in (0, 1)]
 
 
 # -------------------------------------------------------------------- ranking
 
 def test_rank_lr_hand_computed():
     outs = [outcome(order=("A", "B"), bacc_val=0.8)]
-    r = rank_features_lr(outs)
+    r = rank_features_lr(outs, ["A", "B"])
     assert dict(r.entries) == {"A": pytest.approx(0.8), "B": pytest.approx(0.4)}
 
 
@@ -201,8 +213,8 @@ def test_rank_lr_unselected_scores_zero():
 def test_rank_lr_additive_over_folds():
     one = [outcome(order=("A", "B"), bacc_val=0.8)]
     two = one + [outcome(repeat=1, order=("A", "B"), bacc_val=0.8)]
-    r1 = dict(rank_features_lr(one).entries)
-    r2 = dict(rank_features_lr(two).entries)
+    r1 = dict(rank_features_lr(one, ["A", "B"]).entries)
+    r2 = dict(rank_features_lr(two, ["A", "B"]).entries)
     assert r2 == {k: pytest.approx(2 * v) for k, v in r1.items()}
 
 
@@ -210,26 +222,26 @@ def test_rank_lr_order_invariant_and_skips_errors():
     a = outcome(order=("A",), bacc_val=0.7)
     b = outcome(repeat=1, order=("B", "A"), bacc_val=0.6)
     bad = outcome(repeat=2, error="boom")
-    assert rank_features_lr([a, b, bad]) == rank_features_lr([bad, b, a])
+    assert rank_features_lr([a, b, bad], "AB") == rank_features_lr([bad, b, a], "AB")
 
 
 def test_rank_rf_mean_with_missing_as_zero():
     outs = [outcome(importances={"A": 2.0, "B": 0.0}),
             outcome(repeat=1, importances={"A": 0.0, "B": 4.0})]
-    r = rank_features_rf(outs)
+    r = rank_features_rf(outs, ["A", "B"])
     assert dict(r.entries) == {"A": pytest.approx(1.0), "B": pytest.approx(2.0)}
     assert r.names()[0] == "B"
 
 
 def test_rank_rf_single_repeat_is_that_report():
     outs = [outcome(importances={"A": 1.0, "B": 3.0, "C": 2.0})]
-    r = rank_features_rf(outs)
+    r = rank_features_rf(outs, ["A", "B", "C"])
     assert r.names() == ["B", "C", "A"]
 
 
 def test_rank_all_zero_scores_lexicographic():
     outs = [outcome(importances={"b": 0.0, "a": 0.0, "c": 0.0})]
-    r = rank_features_rf(outs)
+    r = rank_features_rf(outs, ["b", "a", "c"])
     assert r.names() == ["a", "b", "c"]
     assert r.scores() == [0.0, 0.0, 0.0]
 
@@ -266,7 +278,7 @@ def test_elbow_keeps_planted_features_across_seeds():
         warnings.simplefilter("ignore")  # occasional separation on strong plants
         for seed in range(10):
             t = gaussian_table(70, 70, 12, shifts={0: 2.6, 1: 2.2}, seed=seed)
-            outs = run_mrcv_lr(t, list(t.feature_names), repeats=20, base_seed=seed)
+            outs = run_mrcv_lr(t, repeats=20, base_seed=seed)
             ranking = rank_features_lr(outs, t.feature_names)
             selected = set(elbow_cut(ranking))
             hits += {"f000", "f001"} <= selected

@@ -15,7 +15,7 @@ from latefuse import tables
 from latefuse.errors import DataError
 from latefuse.synth import SynthSpec, generate
 from latefuse.tables import (ClassLabel, ColumnSchema, FeatureTable, align_common_samples,
-                             load_feature_table, partition, read_roles, save_feature_table)
+                             load_feature_table, partition, save_feature_table)
 
 from conftest import class_counts, make_table
 
@@ -168,9 +168,9 @@ def test_with_matrix_blanks_marked_cells_through_a_round_trip(tmp_path):
 
 def test_ragged_row_names_its_physical_line(tmp_path):
     path = write_csv(tmp_path, "id,cohort,label,f1\n# note\n\nS1,M,benign,1.0\nS2,M,benign\n")
-    for read in (load_feature_table, read_roles):
+    for features in (None, ()):
         with pytest.raises(DataError, match="row 5 has 3 cells, expected 4"):
-            read(path)
+            load_feature_table(path, features=features)
 
 
 def test_duplicate_ids_named_smallest_first(tmp_path):
@@ -208,7 +208,7 @@ def test_role_read_raises_as_full_load(tmp_path, name):
     with pytest.raises(DataError, match=expected) as full:
         load_feature_table(path)
     with pytest.raises(DataError) as roles:
-        read_roles(path)
+        load_feature_table(path, features=())
     assert str(roles.value) == str(full.value)
 
 
@@ -216,7 +216,7 @@ def test_role_read_keeps_roles_and_drops_features(tmp_path):
     path = write_csv(tmp_path, "f1,id,cohort,label,f2\n"
                                "1.0,S1,M,benign,x\n"
                                "2.0,S2,B,1,3\n")
-    roles, full = read_roles(path), load_feature_table(path)
+    roles, full = load_feature_table(path, features=()), load_feature_table(path)
     assert roles.feature_names == () and roles.values.shape == (2, 0)
     assert (roles.sample_ids, roles.cohort) == (full.sample_ids, full.cohort)
     assert roles.labels.tolist() == full.labels.tolist() == [0, 1]
@@ -388,16 +388,15 @@ def test_parse_matches_per_cell_reference(fallback, data):
         with mock.patch.object(tables, "_float_or_nan", wraps=tables._float_or_nan) as slow, \
                 mock.patch.object(tables.csv, "reader", spy_reader):
             if fault is not None:
-                for read in (load_feature_table, read_roles,
-                             lambda path: load_feature_table(path, features=subset)):
+                for features in (None, (), subset):
                     with pytest.raises(DataError) as err:
-                        read(path)
+                        load_feature_table(path, features=features)
                     assert str(err.value) == f"{path}: {fault}"
                 assert seen == handed * 3
                 return
             got = load_feature_table(path)
             got_subset = load_feature_table(path, features=subset)
-            roles = read_roles(path)
+            roles = load_feature_table(path, features=())
         assert seen == handed * 3
         want = reference_load(path)
     assert slow.called == fallback
@@ -498,6 +497,17 @@ def test_save_refuses_an_id_read_back_as_a_comment(tmp_path, sid):
     table = make_table([[1.0], [2.0]], [0, 1], ids=["S1", sid])
     with pytest.raises(DataError, match=re.escape(repr(sid))):
         save_feature_table(table, tmp_path / "t.csv")
+
+
+def test_save_refuses_an_id_column_read_back_as_a_comment(tmp_path):
+    """The id column heads the header line, so '#id' would hide the header."""
+    table = make_table([[1.0], [2.0]], [0, 1])
+    path = tmp_path / "t.csv"
+    with pytest.raises(DataError, match="id column '#id'"):
+        save_feature_table(table, path, ColumnSchema(id_column="#id"))
+    assert not path.exists()
+    save_feature_table(table, path, ColumnSchema(cohort_column="#cohort"))
+    assert_same_table(load_feature_table(path, ColumnSchema(cohort_column="#cohort")), table)
 
 
 def test_align_intersection_order_and_labels():
