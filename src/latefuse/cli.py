@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import zlib
 from collections import Counter
@@ -234,8 +235,10 @@ def _load_model(cfg: RunConfig, modality: str, model: str):
         selected = list(doc["selected_features"])
         if not selected:  # train selects at least one; evaluate parses only these
             raise ValueError("no selected features")
-        return selected, float(doc["threshold"]), (lr if model == "lr" else rf).from_doc(
-            doc["model"])
+        threshold = float(doc["threshold"])
+        if not math.isfinite(threshold):  # train writes a finite score cut
+            raise ValueError(f"threshold {threshold} is not finite")
+        return selected, threshold, (lr if model == "lr" else rf).from_doc(doc["model"])
     except KeyError as exc:  # here or in a sub-document
         raise LatefuseError(f"{path}: model document lacks key {exc}") from None
     except (TypeError, ValueError, AttributeError, ModelError) as exc:

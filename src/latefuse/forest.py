@@ -24,9 +24,11 @@ import numpy as np
 from .errors import ModelError, PredictError
 from .tables import FeatureTable
 
-# fit_forest grows its trees in blocks of about CELLS (tree x bootstrap row x
-# drawn feature) cells, which bounds the candidate cuts of one level;
-# prediction and importance descend blocks of about CELLS (tree x row) pairs
+# fit_forest grows its trees in blocks of about GROW_CELLS (tree x bootstrap
+# row x drawn feature) cells, which bounds the sorted cells of one level; a
+# level pass has a fixed cost, shared by more trees in a larger block.
+# Prediction and importance descend blocks of about CELLS (tree x row) pairs
+GROW_CELLS = 2 ** 17
 CELLS = 2 ** 15
 # appended to (seed, t) for tree t's importance permutations; SeedSequence
 # pads short entropy with zeros, so 0 would repeat the growth stream
@@ -106,6 +108,16 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     multiplicity packed as `cls << k | mult`. A tree has one weight per
     class, so the weighted Gini of a cut is exact arithmetic on the class
     counts on each side, and a tree does not depend on its block.
+
+    Only boundary cuts are scored (Fayyad & Irani 1992). Along a run of
+    cells of one class, each alone at its rank, the cost is strictly concave
+    in that class's weight left of the cut, all other side weights fixed, so
+    a cut inside the run costs more than one at its ends. Where the run ends
+    a column, that end is the uncut node, which costs at least as much as any
+    cut, so the other end is cheaper. An inside cut is thus never the first
+    minimum: it loses by at least about cost / (8 n**3), above the rounding
+    of a cost at thousands of rows. A cut is scored when its two cells differ
+    in class or either shares its rank: a superset of the run ends.
     """
     n, b = y.size, len(streams)
     p = rank.size // n
@@ -162,26 +174,34 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         key += np.arange(mtry) * stride
         key = key.ravel()
         key.sort()
-        # decoded in place: m1, m0 the class-1 and class-0 multiplicity of
-        # each cell, then their level-wide prefix sums
-        m1 = (key >> k & 1) * (key & mask)
-        m0 = (key & mask) - m1
+        # each cell decoded once: class, multiplicity, then column * n + rank
+        # in place; level-wide prefix sums of all rows and of class-1 rows
+        cls = key >> k & 1
+        mult = key & mask
         srank = key
-        srank >>= k + 1  # column * n + rank
-        m0.cumsum(out=m0)
-        m1.cumsum(out=m1)
+        srank >>= k + 1
+        total = mult.cumsum()
+        mult *= cls
+        ones = mult.cumsum(out=mult)
         width = np.repeat(size[cand], mtry)
         first = np.cumsum(width) - width  # each column's first cell
-        # a cut after cell i is scored when cell i + 1 of the same column has
-        # another rank, so it falls between distinct values
-        cuts = srank[1:] != srank[:-1]
+        # a cut after cell i falls between distinct values when cell i + 1 of
+        # the same column has another rank; it is scored when cells i and
+        # i + 1 differ in class or either shares its rank with another cell
+        new = srank[1:] != srank[:-1]
+        tied = ~new
+        edge = cls[1:] != cls[:-1]
+        edge[1:] |= tied[:-1]
+        edge[:-1] |= tied[1:]
+        cuts = new & edge
         cuts[first[1:] - 1] = False
         cut = np.flatnonzero(cuts)
         col = srank[cut] // n
         # class counts left of a cut: the prefix sums minus those before its
         # column
-        l0 = m0[cut] - np.r_[0, m0[first[1:] - 1]][col]
-        l1 = m1[cut] - np.r_[0, m1[first[1:] - 1]][col]
+        before = first[1:] - 1
+        l1 = ones[cut] - np.r_[0, ones[before]][col]
+        l0 = total[cut] - np.r_[0, total[before]][col] - l1
         # a node's cuts run in draw order, then by position
         seg = np.searchsorted(col, np.arange(cand.size) * mtry)
         count = np.diff(seg, append=col.size)
@@ -228,6 +248,18 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     return [Tree(*parts) for parts in zip(*(np.split(c[order], bounds) for c in cols))]
 
 
+def _growth_block(n: int, mtry: int, ntree: int) -> int:
+    """Trees per growth block over n training rows; ModelError when a block
+    of them would overflow the 64-bit sort keys of _grow_block."""
+    block = max(1, GROW_CELLS // (n * mtry))
+    # a level's sort keys stay below cells * n * 2**n.bit_length(), since
+    # each (node, feature) column holds at least two of its cells
+    if min(block, ntree) * n * mtry * n << n.bit_length() >= 2 ** 63:
+        raise ModelError(f"{n} training rows at mtry={mtry} overflow the "
+                         "forest's 64-bit sort keys")
+    return block
+
+
 def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
     """Grow ntree trees on bootstrap samples of the table.
 
@@ -236,8 +268,8 @@ def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
     and the leaf proportions. Trees are fully grown, with no depth limit or
     minimum leaf size: a node is a leaf when it is pure, when its rows share
     each drawn feature's value, or when no cut reduces impurity. The trees
-    grow together in blocks of about CELLS cells; a tree does not depend on
-    its block.
+    grow together in blocks of about GROW_CELLS cells; a tree does not
+    depend on its block.
     """
     y = table.labels.astype(np.int8)
     if y.min() == y.max():
@@ -247,12 +279,7 @@ def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
     if params.mtry > table.n_features:
         raise ModelError(f"mtry={params.mtry} exceeds {table.n_features} features")
     n = table.n_samples
-    block = max(1, CELLS // (n * params.mtry))
-    # a level's sort keys stay below cells * n * 2**n.bit_length(), since
-    # each (node, feature) column holds at least two of its cells
-    if min(block, params.ntree) * n * params.mtry * n << n.bit_length() >= 2 ** 63:
-        raise ModelError(f"{n} training rows at mtry={params.mtry} overflow the "
-                         "forest's 64-bit sort keys")
+    block = _growth_block(n, params.mtry, params.ntree)
     rank, value = _rank_table(np.ascontiguousarray(table.values))
     trees: list[Tree] = []
     for first in range(0, params.ntree, block):
@@ -458,9 +485,11 @@ def to_doc(forest: Forest) -> dict:
 
 def _tree_from_doc(t: dict, p: int) -> Tree:
     """A tree document's node arrays, if `descend` ends on them: equal-length
-    non-empty 1-d arrays, each feature -1 (leaf) or in 0..p-1, 2s + 1 nodes
-    for s splits, and the k-th split before node 2k + 1, so that its derived
-    children come after it and are nodes of the tree."""
+    non-empty 1-d arrays, each feature an integer, -1 (leaf) or in 0..p-1,
+    2s + 1 nodes for s splits, and the k-th split before node 2k + 1, so
+    that its derived children come after it and are nodes of the tree.
+    Split thresholds are finite and leaf proportions in 0..1, as to_doc
+    writes them."""
     tree = Tree(
         feature=np.asarray(t["feature"], dtype=np.int64),
         threshold=np.asarray([math.nan if v is None else v for v in t["threshold"]]),
@@ -470,11 +499,17 @@ def _tree_from_doc(t: dict, p: int) -> Tree:
     if n == 0 or any(a.ndim != 1 or a.size != n for a in
                      (tree.feature, tree.threshold, tree.leaf_prob)):
         raise ModelError("forest tree node arrays must be non-empty and of equal length")
+    if not np.array_equal(tree.feature, t["feature"]):
+        raise ModelError("forest tree feature index is not an integer")
     if np.any((tree.feature < -1) | (tree.feature >= p)):
         raise ModelError(f"forest tree feature index outside -1..{p - 1}")
     split = np.flatnonzero(tree.feature >= 0)
     if n != 2 * split.size + 1 or np.any(split > 2 * np.arange(split.size)):
         raise ModelError("forest tree child index not after its node or past the last node")
+    if not np.isfinite(tree.threshold[split]).all():
+        raise ModelError("forest tree split threshold is not a finite number")
+    if not ((tree.leaf_prob >= 0) & (tree.leaf_prob <= 1)).all():
+        raise ModelError("forest tree leaf_prob outside 0..1")
     return tree
 
 
@@ -485,6 +520,8 @@ def from_doc(doc: dict) -> Forest:
     trees = doc["trees"]
     feature_names = tuple(doc["feature_names"])
     p = doc["params"]
+    if len(trees) != p["ntree"]:
+        raise ModelError(f"forest document holds {len(trees)} trees, not ntree={p['ntree']}")
     return Forest(
         trees=tuple(_tree_from_doc(t, len(feature_names)) for t in trees),
         feature_names=feature_names,

@@ -357,6 +357,21 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
         assert str(path) in err[0] and detail in err[0], err[0]
 
 
+@pytest.mark.parametrize("model", ["lr", "rf"])
+def test_evaluate_refuses_a_non_finite_threshold(config_path, tmp_path, capsys, model):
+    run(config_path, "synth")
+    assert run(config_path, "train", "--modality", "a", "--model", model) == 0
+    path = tmp_path / "out" / f"model_a_{model}.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for value in ("NaN", "Infinity", "-Infinity"):
+        path.write_text(json.dumps(dict(doc, threshold=float(value))), encoding="utf-8")
+        capsys.readouterr()
+        assert run(config_path, "evaluate", "--modality", "a", "--model", model) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "malformed model document" in err[0] and "not finite" in err[0], err[0]
+
+
 def test_evaluate_refuses_a_cyclic_forest(config_path, tmp_path, capsys):
     run(config_path, "synth")
     assert run(config_path, "train", "--modality", "a", "--model", "rf") == 0

@@ -68,11 +68,19 @@ def test_mtry_exceeding_features_rejected():
 
 def test_sort_key_overflow_rejected(monkeypatch):
     # a block of cells * n * 2**n.bit_length() >= 2**63 would wrap the keys;
-    # reached here by an oversized CELLS and ntree instead of ~4e5 rows
+    # reached here by an oversized GROW_CELLS and ntree instead of ~4e5 rows
     t = gaussian_table(30, 30, 3, seed=3)
-    monkeypatch.setattr(rf, "CELLS", 2 ** 62)
+    monkeypatch.setattr(rf, "GROW_CELLS", 2 ** 62)
+    monkeypatch.setattr(rf, "_rank_table", None)  # a missed guard fails, not grows
     with pytest.raises(ModelError, match="overflow"):
         rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=2 ** 48))
+
+
+def test_default_growth_blocks_fit_the_sort_keys_at_s2_size():
+    # an MRCV split of the paper's S2 table leaves 4,007 training rows; no
+    # block the default budget allows there trips the overflow guard
+    blocks = [rf._growth_block(4007, mtry, ntree=10 ** 6) for mtry in range(5, 31)]
+    assert blocks[0] == 6 and blocks[-1] == 1
 
 
 def test_bootstrap_and_oob_structure():
@@ -130,10 +138,10 @@ def test_trees_do_not_depend_on_the_block(monkeypatch):
     t = gaussian_table(30, 30, 6, shifts={0: 1.0}, seed=4)
     for params in (rf.ForestParams(mtry=3, ntree=12, seed=5),
                    rf.ForestParams(mtry=2, ntree=12, seed=6)):
-        whole = rf.fit_forest(t, params)  # one block under the default CELLS
-        assert rf.CELLS // (t.n_samples * params.mtry) >= params.ntree
+        whole = rf.fit_forest(t, params)  # one block under the default GROW_CELLS
+        assert rf.GROW_CELLS // (t.n_samples * params.mtry) >= params.ntree
         for cells in (1, 5 * t.n_samples * params.mtry):  # blocks of one tree, of five
-            monkeypatch.setattr(rf, "CELLS", cells)
+            monkeypatch.setattr(rf, "GROW_CELLS", cells)
             blocked = rf.fit_forest(t, params)
             assert all(trees_equal(a, b) for a, b in zip(whole.trees, blocked.trees))
             monkeypatch.undo()
@@ -287,19 +295,28 @@ def test_only_version_3_documents_load():
 
 @pytest.mark.parametrize("edit, detail", [
     # node 1 is split 0, whose derived left child is node 1 itself
-    (lambda t: t.update(feature=[-1, 0, -1], threshold=[None, 0.0, None],
-                        leaf_prob=[0.5, 0.5, 0.5]), "child index"),
+    (lambda d, t: t.update(feature=[-1, 0, -1], threshold=[None, 0.0, None],
+                           leaf_prob=[0.5, 0.5, 0.5]), "child index"),
     # 2s nodes for s splits: the last split's right child is past the last node
-    (lambda t: t.update({name: cells[:-1] for name, cells in t.items()}), "child index"),
-    (lambda t: t["feature"].__setitem__(0, 3), "feature index"),
-    (lambda t: t["leaf_prob"].pop(), "equal length"),
+    (lambda d, t: t.update({name: cells[:-1] for name, cells in t.items()}), "child index"),
+    (lambda d, t: t["feature"].__setitem__(0, 3), "feature index"),
+    (lambda d, t: t["feature"].__setitem__(0, 0.5), "not an integer"),
+    (lambda d, t: t["leaf_prob"].pop(), "equal length"),
+    # values to_doc never writes: a split without a finite threshold, a
+    # proportion outside 0..1, more trees named than held
+    (lambda d, t: t["threshold"].__setitem__(0, None), "split threshold"),
+    (lambda d, t: t["threshold"].__setitem__(0, math.inf), "split threshold"),
+    (lambda d, t: t["threshold"].__setitem__(0, -math.inf), "split threshold"),
+    (lambda d, t: t["leaf_prob"].__setitem__(-1, 2.0), "leaf_prob"),
+    (lambda d, t: t["leaf_prob"].__setitem__(-1, -1.0), "leaf_prob"),
+    (lambda d, t: d["params"].__setitem__("ntree", 999), "ntree"),
 ])
 def test_from_doc_refuses_trees_descend_cannot_walk(edit, detail):
     t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=13)
     doc = json.loads(json.dumps(rf.to_doc(rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=3,
                                                                             seed=41)))))
     assert doc["trees"][1]["feature"][0] >= 0  # the root splits
-    edit(doc["trees"][1])
+    edit(doc, doc["trees"][1])
     with pytest.raises(ModelError, match=detail):
         rf.from_doc(doc)
 
@@ -551,6 +568,33 @@ def test_cut_with_rounding_sized_gain_is_not_taken():
     reference = reference_trees(table, params, rejected)
     assert any(0 < gain <= 1e-12 for gain in rejected)
     assert all(trees_equal(a, b) for a, b in zip(rf.fit_forest(table, params).trees, reference))
+
+
+RUNS = np.repeat([0, 1, 0, 1, 0], [40, 15, 30, 20, 15])  # long same-class runs
+
+
+@pytest.mark.parametrize("x, y", [
+    # integer columns, one with a rank per row, one in groups of ten
+    (np.c_[np.arange(120), np.arange(120) // 10], RUNS),
+    # equal class counts; the seed gives four trees a balanced bootstrap
+    (np.c_[np.arange(120) % 40, np.arange(120)], np.repeat([0, 1, 0, 1], 30)),
+    # every row twice, once with each label: each rank group is mixed
+    (np.tile(np.c_[np.arange(60) % 17, np.arange(60)], (2, 1)),
+     np.r_[RUNS[::2], 1 - RUNS[::2]]),
+    # a constant column beside an integer one
+    (np.c_[np.zeros(120), np.arange(120) // 3], RUNS),
+], ids=["runs", "balanced", "mixed-ties", "constant"])
+def test_boundary_cuts_match_the_all_cuts_reference(x, y):
+    # _grow_block scores only cuts at class or tie boundaries; the reference
+    # scans every cut between distinct values
+    table = make_table(np.asarray(x, dtype=float), y)
+    for mtry in (1, 2):
+        params = rf.ForestParams(mtry=mtry, ntree=16, seed=36)
+        reference = reference_trees(table, params)
+        assert all(trees_equal(a, b) for a, b in zip(rf.fit_forest(table, params).trees,
+                                                     reference))
+    if 2 * y.sum() == y.size:  # some bootstraps weigh both classes alike
+        assert any(2 * y[rf._tree_stream(36, t, y.size)[1]].sum() == y.size for t in range(16))
 
 
 @settings(max_examples=150, deadline=None)
