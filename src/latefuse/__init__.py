@@ -9,7 +9,7 @@ the MRCV harness (mrcv), metrics (metrics), probability/threshold fusion
 from .errors import (ConfigError, DataError, ElbowError, FusionError, LatefuseError,
                      MetricsError, ModelError, PredictError, PreprocessError,
                      SeparationWarning, SplitError, StatsError)
-from .fuse import FusedScores, FusionRule, fuse_modalities, fuse_pair
+from .fuse import FusionRule, fuse_modalities
 from .metrics import (Confusion, MetricsRow, RocCurve, auc, best_threshold_bacc,
                       confusion, metrics_from_confusion, roc_curve)
 from .mrcv import (FeatureRanking, FoldOutcome, elbow_cut, rank_features_lr,

@@ -27,7 +27,7 @@ from . import logreg as lr
 from .config import RunConfig, load_config
 from .errors import (ConfigError, DataError, LatefuseError, ModelError,
                      NoFeaturesLeftError, PredictError, UnknownFeatureError)
-from .fuse import fuse_modalities
+from .fuse import FusionRule, fuse_modalities
 from .metrics import auc, best_threshold_bacc, confusion, metrics_from_confusion, roc_curve
 from .mrcv import elbow_cut, rank_features_lr, rank_features_rf, run_mrcv_lr, run_mrcv_rf
 from .plots import confusion_svg, elbow_svg, roc_svg
@@ -94,12 +94,12 @@ def _test_ids(cfg: RunConfig, modality: str, raw: FeatureTable) -> frozenset[str
         return frozenset(ids)
     other = load_feature_table(_table_file(cfg, "b" if modality == "a" else "a"), cfg.schema,
                                features=())
-    table_a, table_b = (raw, other) if modality == "a" else (other, raw)
-    common_a, _ = align_common_samples(table_a, table_b)
+    a, b = (raw, other) if modality == "a" else (other, raw)
+    rows_a, _ = align_common_samples(a.sample_ids, a.labels, b.sample_ids, b.labels)
     rng = np.random.default_rng(_derive_seed(cfg.base_seed, "test-split"))
     chosen: list[str] = []
     for cls, k in ((0, cfg.test_benign), (1, cfg.test_malignant)):
-        ids = [s for s, y in zip(common_a.sample_ids, common_a.labels) if y == cls]
+        ids = [a.sample_ids[i] for i in rows_a if a.labels[i] == cls]
         if len(ids) < k:
             raise ConfigError(f"only {len(ids)} common class-{cls} samples "
                               f"available for a test draw of {k}")
@@ -165,8 +165,6 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
     unpruned, _ = _split(cfg, modality)
     train, removed = drop_correlated(unpruned, spearman_matrix(unpruned),
                                      cfg.correlation_threshold)
-    if not train.feature_names:
-        raise PipelineExit(EXIT_EMPTY_FEATURES, "no candidate features after preprocessing")
     seed = _derive_seed(cfg.base_seed, modality, model)
     if model == "lr":
         outcomes = run_mrcv_lr(train, repeats=cfg.repeats,
@@ -299,27 +297,21 @@ def cmd_fuse(cfg: RunConfig, model: str) -> None:
         _require_file(out / f"scores_a_{model}.csv", "modality a scores"))
     ids_b, y_b, p_b, t_b = read_scores_csv(
         _require_file(out / f"scores_b_{model}.csv", "modality b scores"))
-    pos_b = {s: i for i, s in enumerate(ids_b)}
-    shared = [i for i, s in enumerate(ids_a) if s in pos_b]
-    if not shared:
+    rows_a, rows_b = align_common_samples(ids_a, y_a, ids_b, y_b)
+    if not rows_a:
         raise PipelineExit(EXIT_EMPTY_FUSION, "no common samples between modality outputs")
-    ids = [ids_a[i] for i in shared]
-    b_rows = [pos_b[s] for s in ids]
-    if any(y_a[i] != y_b[j] for i, j in zip(shared, b_rows)):
-        raise DataError("conflicting labels between modality score files")
     t_a, t_b = _fusable_threshold(t_a, "a", model), _fusable_threshold(t_b, "b", model)
-    labels = y_a[shared]
-    pa = p_a[shared]
-    pb = p_b[b_rows]
+    ids = [ids_a[i] for i in rows_a]
+    labels, pa, pb = y_a[rows_a], p_a[rows_a], p_b[rows_b]
     rows = []
-    for rule in cfg.rules:
-        fused = fuse_modalities(ids, pa, t_a, ids, pb, t_b, rule)
-        conf = confusion(fused.fused_probability, labels, fused.fused_threshold)
-        row = metrics_from_confusion(conf).with_auc(auc(fused.fused_probability, labels))
+    for rule in FusionRule:
+        fused = fuse_modalities(pa, pb, rule)
+        threshold = float(fuse_modalities(t_a, t_b, rule))
+        conf = confusion(fused, labels, threshold)
+        row = metrics_from_confusion(conf).with_auc(auc(fused, labels))
         rows.append((f"fused-{rule.value}-{model}", row))
         write_text(out / f"fused_scores_{model}_{rule.value}.csv",
-                   fused_scores_csv(rule.value, ids, pa, pb, fused.fused_probability,
-                                    fused.fused_threshold, fused.predictions()))
+                   fused_scores_csv(rule.value, ids, pa, pb, fused, threshold))
         _log(f"fused {model} under {rule.value}: BAcc {row.balanced_accuracy:.3f}")
     write_text(out / f"metrics_fused_{model}.csv", metrics_csv(rows))
 

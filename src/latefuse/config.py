@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .fuse import FusionRule
 from .synth import SynthSpec
 from .tables import ColumnSchema
 
@@ -46,10 +45,6 @@ _positive = _checked(int, lambda v: v >= 1, ">= 1")
 _positive_list = _checked(_int_list, lambda v: v and min(v) >= 1,
                           "a non-empty list of positive integers")
 _open_unit = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
-# FusionRule(...) raises ValueError for an unknown rule name
-_rule_list = _checked(lambda text: tuple(FusionRule(tok.strip().lower())
-                                         for tok in text.split(",") if tok.strip()),
-                      bool, "a non-empty list of fusion rules")
 
 
 def _pairs(text: str) -> tuple[tuple[int, float], ...]:
@@ -91,7 +86,6 @@ class RunConfig:
     delta_bic_stop: float
     rf_mtry: tuple[int, ...]
     rf_ntree: tuple[int, ...]
-    rules: tuple[FusionRule, ...]
     synth: SynthSettings | None = None
 
 
@@ -190,7 +184,6 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
                            fallback="2.0"),
         rf_mtry=get("mrcv", "rf_mtry", _positive_list, fallback="5,10,15,20,25,30"),
         rf_ntree=get("mrcv", "rf_ntree", _positive_list, fallback="100,500,1000,2000"),
-        rules=get("fusion", "rules", _rule_list, fallback="stouffer,mean,max,product"),
         synth=synth,
     )
     # a key is known only if some read above asked for it

@@ -335,17 +335,26 @@ def to_doc(model: FittedLogReg) -> dict:
 
 def from_doc(doc: dict) -> FittedLogReg:
     """The model of a version-1 document; its stored selected_order must equal
-    its coefficient keys, and its stored bic is not read (it is derived)."""
+    its coefficient keys, and its stored bic is not read (it is derived).
+    The intercept, coefficients and log-likelihood are finite and n_train is
+    a positive integer, as to_doc writes them."""
     if doc.get("format") != "latefuse-logreg" or doc.get("version") != 1:
         raise ModelError("unrecognized logistic model document")
     coefficients = {k: float(v) for k, v in doc["coefficients"].items()}
     if tuple(doc["selected_order"]) != tuple(coefficients):
         raise ModelError("coefficient keys must equal selected_order")
+    intercept, log_likelihood = float(doc["intercept"]), float(doc["log_likelihood"])
+    if not all(map(math.isfinite, (intercept, log_likelihood, *coefficients.values()))):
+        raise ModelError("logistic model intercept, coefficients and log_likelihood "
+                         "must be finite")
+    n_train = doc["n_train"]
+    if not isinstance(n_train, int) or n_train < 1:
+        raise ModelError(f"logistic model n_train {n_train!r} is not a positive integer")
     return FittedLogReg(
-        intercept=float(doc["intercept"]),
+        intercept=intercept,
         coefficients=coefficients,
-        log_likelihood=float(doc["log_likelihood"]),
-        n_train=int(doc["n_train"]),
+        log_likelihood=log_likelihood,
+        n_train=n_train,
         converged=bool(doc["converged"]),
         separated=bool(doc["separated"]),
     )

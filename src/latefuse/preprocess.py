@@ -41,15 +41,13 @@ class RobustScaler:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Symmetric Spearman matrix; `undefined` marks pairs stored as 0 by fiat."""
+    """Symmetric Spearman matrix; an undefined pair is stored as 0."""
 
     feature_names: tuple[str, ...]
     rho: np.ndarray
-    undefined: np.ndarray
 
     def __post_init__(self) -> None:
         self.rho.flags.writeable = False
-        self.undefined.flags.writeable = False
 
 
 def _group_rows(cohorts: tuple[str, ...] | None, table: FeatureTable) -> list[np.ndarray]:
@@ -133,9 +131,9 @@ def spearman_matrix(table: FeatureTable) -> CorrelationMatrix:
     """Spearman rho via midranks followed by Pearson correlation of the ranks.
 
     The table must be fully observed (filter_missingness imputes it); a
-    NaN cell raises PreprocessError. A pair is undefined (and stored as 0
-    with a flag) when either feature is constant or fewer than three rows
-    exist. The diagonal is exactly 1.
+    NaN cell raises PreprocessError. A pair is undefined, and stored as 0,
+    when either feature is constant or fewer than three rows exist. The
+    diagonal is exactly 1.
     """
     if np.isnan(table.values).any():
         raise PreprocessError("Spearman correlation needs a fully observed table")
@@ -147,10 +145,9 @@ def spearman_matrix(table: FeatureTable) -> CorrelationMatrix:
     with np.errstate(invalid="ignore", divide="ignore"):
         full = np.corrcoef(ranks, rowvar=False)
     undefined = np.logical_or.outer(sd == 0, sd == 0) | (table.n_samples < 3)
-    np.fill_diagonal(undefined, False)
     i, j = np.triu_indices(f, 1)  # mirror the upper triangle: full[j, i] may round apart
     rho[i, j] = rho[j, i] = np.where(undefined[i, j], 0.0, np.atleast_2d(full)[i, j])
-    return CorrelationMatrix(tuple(table.feature_names), rho, undefined)
+    return CorrelationMatrix(tuple(table.feature_names), rho)
 
 
 def drop_correlated(table: FeatureTable, matrix: CorrelationMatrix,

@@ -21,6 +21,7 @@ from .univariate import ScreenResult
 
 SCHEMA_VERSION = 1
 
+SCORES_HEADER = ("sample_id", "label", "score")
 UNIVARIATE_COLUMNS = ("Feature", "Normality benign", "Normality malignant",
                       "Rg effect size", "P-value", "FDR")
 
@@ -107,7 +108,7 @@ def scores_csv(sample_ids: Sequence[str], labels: Sequence[int],
     """Per-sample scores of one evaluated model, with its decision threshold
     carried in a header line so fusion can consume this file alone."""
     lines = _schema_line("scores") + [f"# threshold={repr(float(threshold))}"]
-    rows = [["sample_id", "label", "score"]]
+    rows = [list(SCORES_HEADER)]
     for sid, label, score in zip(sample_ids, labels, scores):
         rows.append([sid, str(int(label)), _num(float(score))])
     return _render(lines, rows)
@@ -116,9 +117,10 @@ def scores_csv(sample_ids: Sequence[str], labels: Sequence[int],
 def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, float]:
     """Parse a scores CSV back into (ids, labels, scores, threshold).
 
-    A data row without exactly three cells, a repeated sample id, a label
-    other than 0 or 1, a score or threshold that does not parse or is NaN
-    raises DataError naming the file and line.
+    A first row other than the header sample_id,label,score, a data row
+    without exactly three cells, a repeated sample id, a label other than 0
+    or 1, a score or threshold that does not parse or is NaN raises
+    DataError naming the file and line.
     """
     path = Path(path)
     threshold = None
@@ -140,6 +142,9 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray
                         if math.isnan(threshold):
                             raise ValueError("threshold is nan")
                 elif not header_seen:
+                    if tuple(row) != SCORES_HEADER:
+                        raise ValueError(f"header {','.join(row)!r} is not "
+                                         f"{','.join(SCORES_HEADER)!r}")
                     header_seen = True
                 elif len(row) != 3:
                     raise ValueError(f"{len(row)} cells, expected 3")
@@ -173,13 +178,14 @@ def importance_csv(report) -> str:
 
 
 def fused_scores_csv(rule: str, sample_ids: Sequence[str], p_a, p_b,
-                     fused_p, fused_threshold: float, predictions) -> str:
+                     fused_p, fused_threshold: float) -> str:
+    """Per-sample fused scores; a prediction is 1 iff fused_p >= fused_threshold."""
     lines = _schema_line("fused-scores") + [f"# rule={rule}"]
     rows = [["sample_id", "p_a", "p_b", "fused_p", "fused_threshold", "prediction"]]
     for i, sid in enumerate(sample_ids):
         rows.append([sid, _num(float(p_a[i])), _num(float(p_b[i])),
                      _num(float(fused_p[i])), _num(float(fused_threshold)),
-                     str(int(predictions[i]))])
+                     str(int(fused_p[i] >= fused_threshold))])
     return _render(lines, rows)
 
 

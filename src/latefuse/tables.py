@@ -298,19 +298,20 @@ def save_feature_table(table: FeatureTable, path: str | Path,
             fh.write(line + "\n")
 
 
-def align_common_samples(a: FeatureTable, b: FeatureTable) -> tuple[FeatureTable, FeatureTable]:
-    """Restrict both tables to their shared sample ids, in a's row order.
+def align_common_samples(ids_a: Sequence[str], labels_a: np.ndarray,
+                         ids_b: Sequence[str], labels_b: np.ndarray) -> tuple[list[int], list[int]]:
+    """The rows of the sample ids that a and b share, in a's order: (rows of
+    a, rows of b), so that ids_a[rows_a[k]] == ids_b[rows_b[k]].
 
-    Labels must agree per shared id. Disjoint id sets yield two empty tables
-    that keep their original columns.
+    Labels must agree per shared id. Disjoint id sets yield two empty lists.
     """
-    b_pos = {s: i for i, s in enumerate(b.sample_ids)}
-    a_rows = [i for i, s in enumerate(a.sample_ids) if s in b_pos]
-    b_rows = [b_pos[a.sample_ids[i]] for i in a_rows]
-    for i, j in zip(a_rows, b_rows):
-        if a.labels[i] != b.labels[j]:
-            raise DataError(f"conflicting labels for shared sample {a.sample_ids[i]!r}")
-    return a.select_rows(a_rows), b.select_rows(b_rows)
+    b_pos = {s: i for i, s in enumerate(ids_b)}
+    rows_a = [i for i, s in enumerate(ids_a) if s in b_pos]
+    rows_b = [b_pos[ids_a[i]] for i in rows_a]
+    for i, j in zip(rows_a, rows_b):
+        if labels_a[i] != labels_b[j]:
+            raise DataError(f"conflicting labels for shared sample {ids_a[i]!r}")
+    return rows_a, rows_b
 
 
 def partition(table: FeatureTable, test_ids: Iterable[str]) -> tuple[FeatureTable, FeatureTable]:

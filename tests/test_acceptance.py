@@ -19,7 +19,7 @@ import numpy as np
 from latefuse import forest as rf
 from latefuse import logreg as lr
 from latefuse.cli import main
-from latefuse.fuse import FusionRule, fuse_modalities, fuse_pair
+from latefuse.fuse import FusionRule, fuse_modalities
 from latefuse.metrics import (Confusion, auc, best_threshold_bacc, confusion,
                               metrics_from_confusion)
 from latefuse.mrcv import run_mrcv_lr
@@ -354,18 +354,18 @@ def test_criterion_10_fusion():
     grid = np.linspace(0.0, 1.0, 101)
     for rule in FusionRule:
         for p1 in grid:
-            row = np.array([fuse_pair(p1, p2, rule) for p2 in grid])
-            sym = np.array([fuse_pair(p2, p1, rule) for p2 in grid])
+            row = np.array([fuse_modalities(p1, p2, rule) for p2 in grid])
+            sym = np.array([fuse_modalities(p2, p1, rule) for p2 in grid])
             assert np.array_equal(row, sym)
             assert (np.diff(row) >= 0).all()
     for p1 in grid:
-        prod = np.array([fuse_pair(p1, p2, FusionRule.PRODUCT) for p2 in grid])
-        mean = np.array([fuse_pair(p1, p2, FusionRule.MEAN) for p2 in grid])
-        mx = np.array([fuse_pair(p1, p2, FusionRule.MAX) for p2 in grid])
+        prod = np.array([fuse_modalities(p1, p2, FusionRule.PRODUCT) for p2 in grid])
+        mean = np.array([fuse_modalities(p1, p2, FusionRule.MEAN) for p2 in grid])
+        mx = np.array([fuse_modalities(p1, p2, FusionRule.MAX) for p2 in grid])
         mn = np.minimum(p1, grid)
         assert (prod <= mn).all() and (mn <= mean).all() and (mean <= mx).all()
 
-    stouffer_95 = fuse_pair(0.95, 0.95, FusionRule.STOUFFER)
+    stouffer_95 = fuse_modalities(0.95, 0.95, FusionRule.STOUFFER)
     assert abs(stouffer_95 - 0.9900) <= 1e-4
 
     wins = 0
@@ -383,12 +383,10 @@ def test_criterion_10_fusion():
                 confusion(p_test, test.labels, thr)).balanced_accuracy)
             scores.append(p_test)
             thresholds.append(thr)
-        ids = ta.select_rows(test_rows).sample_ids
-        fused = fuse_modalities(ids, scores[0], thresholds[0],
-                                ids, scores[1], thresholds[1], FusionRule.STOUFFER)
+        fused = fuse_modalities(scores[0], scores[1], FusionRule.STOUFFER)
+        fused_threshold = fuse_modalities(thresholds[0], thresholds[1], FusionRule.STOUFFER)
         fused_bacc = metrics_from_confusion(
-            confusion(fused.fused_probability, ta.labels[test_rows],
-                      fused.fused_threshold)).balanced_accuracy
+            confusion(fused, ta.labels[test_rows], fused_threshold)).balanced_accuracy
         wins += fused_bacc > max(baccs)
     assert wins >= 80
     _passed(f"10 fusion: PASS (grid properties exact, Stouffer(.95,.95)="

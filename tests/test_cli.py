@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -10,8 +11,9 @@ from latefuse import cli
 from latefuse.cli import main
 from latefuse.config import load_config
 from latefuse.errors import ConfigError
-from latefuse.fuse import FusionRule
+from latefuse.fuse import FusionRule, fuse_modalities
 from latefuse.metrics import best_threshold_bacc
+from latefuse.reports import read_scores_csv, scores_csv, write_text
 
 BASE_CONFIG = """\
 [inputs]
@@ -67,11 +69,8 @@ def test_config_defaults_and_overrides(config_path):
     assert cfg.rf_mtry == (3,) and cfg.rf_ntree == (25,)
     assert cfg.delta_bic_stop == 2.0
     assert cfg.correlation_threshold == 0.95
-    assert cfg.rules == tuple(FusionRule)
-    over = load_config(config_path, ["mrcv.repeats=3", "preprocess.scale=false",
-                                     "fusion.rules= Stouffer , MEAN"])
+    over = load_config(config_path, ["mrcv.repeats=3", "preprocess.scale=false"])
     assert over.repeats == 3 and over.scale is False
-    assert over.rules == (FusionRule.STOUFFER, FusionRule.MEAN)
     for stop in ("-inf", "inf"):
         assert load_config(config_path, [f"mrcv.delta_bic_stop={stop}"]).delta_bic_stop \
             == float(stop)
@@ -109,10 +108,12 @@ def test_config_missing_file():
     "mrcv.rf_validation_fraction=0", "mrcv.repeats=0",
     "mrcv.rf_ntree=0", "mrcv.rf_mtry=", "mrcv.rf_mtry=5,-1", "split.test_benign=-1",
     "split.test_malignant=-2", "univariate.alpha=7", "univariate.alpha=nan",
-    "mrcv.delta_bic_stop=nan", "fusion.rules=foo", "fusion.rules=",
+    "mrcv.delta_bic_stop=nan",
     # keys that load_config does not read, among them the removed forest options
+    # and the removed fusion rule list (fuse runs every rule)
     "mrcv.repeat=5", "mrcv.rf_mtyr=3", "schema.group_column=patient",
-    "mrcv.rf_min_leaf=0", "mrcv.rf_weighted=false"])
+    "mrcv.rf_min_leaf=0", "mrcv.rf_weighted=false", "fusion.rules=foo", "fusion.rules=",
+    "fusion.rules=stouffer,mean,max,product"])
 def test_malformed_typed_value_is_a_config_error(config_path, capsys, override):
     section, option = override.split("=")[0].split(".")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {option}"):
@@ -314,13 +315,22 @@ def test_fuse_empty_intersection_exit_5(config_path, tmp_path):
     ("A2,1,0.5\nA3,0,0.2\nA2,0,0.3\n", "line 6: repeated sample id 'A2'"),
     ("A2,1,nan\n", "line 4: score is nan"),
     ("# threshold=nan\nA2,1,0.5\n", "line 4: threshold is nan"),
+    # (header line, rows): the first row that is not a comment must be the header
+    pytest.param(("", "A1,0,0.4\nA2,1,0.9\n"),
+                 "line 3: header 'A1,0,0.4' is not 'sample_id,label,score'", id="no-header"),
+    pytest.param(("label,sample_id,score\n", "0,A1,0.4\n"),
+                 "line 3: header 'label,sample_id,score' is not 'sample_id,label,score'",
+                 id="reordered-header"),
 ])
 def test_malformed_scores_file_is_an_error_line(config_path, tmp_path, capsys, body, line):
     run(config_path, "synth")
     out = tmp_path / "out"
     out.mkdir(exist_ok=True)
-    head = "# latefuse-csv v1 kind=scores\n# threshold=0.5\nsample_id,label,score\n"
-    (out / "scores_a_lr.csv").write_text(head + body, encoding="utf-8")
+    preamble, header = "# latefuse-csv v1 kind=scores\n# threshold=0.5\n", "sample_id,label,score\n"
+    head = preamble + header
+    if isinstance(body, tuple):
+        header, body = body
+    (out / "scores_a_lr.csv").write_text(preamble + header + body, encoding="utf-8")
     (out / "scores_b_lr.csv").write_text(head.replace("0.5", "half") + "A1,0,0.4\n",
                                          encoding="utf-8")
     capsys.readouterr()
@@ -372,6 +382,31 @@ def test_evaluate_refuses_a_non_finite_threshold(config_path, tmp_path, capsys, 
         assert "malformed model document" in err[0] and "not finite" in err[0], err[0]
 
 
+@pytest.mark.parametrize("key, value, detail", [
+    ("intercept", math.nan, "must be finite"),
+    ("coefficients", math.inf, "must be finite"),
+    ("log_likelihood", math.nan, "must be finite"),
+    ("n_train", 2.7, "n_train 2.7 is not a positive integer"),
+    ("n_train", 0, "n_train 0 is not a positive integer"),
+])
+def test_evaluate_refuses_a_logistic_model_that_to_doc_never_writes(
+        config_path, tmp_path, capsys, key, value, detail):
+    run(config_path, "synth")
+    assert run(config_path, "train", "--modality", "a", "--model", "lr") == 0
+    path = tmp_path / "out" / "model_a_lr.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    model = doc["model"]
+    if key == "coefficients":
+        first = next(iter(model[key]))
+        value = dict(model[key], **{first: value})
+    path.write_text(json.dumps(dict(doc, model=dict(model, **{key: value}))), encoding="utf-8")
+    capsys.readouterr()
+    assert run(config_path, "evaluate", "--modality", "a", "--model", "lr") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "malformed model document" in err[0] and detail in err[0], err[0]
+
+
 def test_evaluate_refuses_a_cyclic_forest(config_path, tmp_path, capsys):
     run(config_path, "synth")
     assert run(config_path, "train", "--modality", "a", "--model", "rf") == 0
@@ -399,6 +434,44 @@ def test_fusing_modality_with_itself_under_mean_is_identity(config_path, tmp_pat
     fused_rows = read_rows(out / "metrics_fused_lr.csv")
     mean_row = next(r for r in fused_rows[1:] if r[0].startswith("fused-mean"))
     assert mean_row[1:] == single
+
+
+def test_fused_scores_files_hold_the_aligned_scores_and_derived_predictions(config_path,
+                                                                            tmp_path, capsys):
+    run(config_path, "synth")
+    for modality in ("a", "b"):
+        assert run(config_path, "train", "--modality", modality, "--model", "lr") == 0
+        assert run(config_path, "evaluate", "--modality", modality, "--model", "lr") == 0
+    out = tmp_path / "out"
+    ids_a, y_a, p_a, t_a = read_scores_csv(out / "scores_a_lr.csv")
+    ids_b, y_b, p_b, t_b = read_scores_csv(out / "scores_b_lr.csv")
+    # b lists its rows reversed, lacks a's first id and holds one id of its own
+    keep = [j for j in reversed(range(len(ids_b))) if ids_b[j] != ids_a[0]]
+    ids_b, y_b, p_b = [ids_b[j] for j in keep] + ["B-only"], [*y_b[keep], 1], [*p_b[keep], 0.25]
+    write_text(out / "scores_b_lr.csv", scores_csv(ids_b, y_b, p_b, t_b))
+    assert run(config_path, "fuse", "--model", "lr") == 0
+
+    shared = [i for i, s in enumerate(ids_a) if s in ids_b]
+    assert 0 < len(shared) < len(ids_a)
+    thresholds = (cli._fusable_threshold(t_a, "a", "lr"), cli._fusable_threshold(t_b, "b", "lr"))
+    for rule in FusionRule:
+        rows = read_rows(out / f"fused_scores_lr_{rule.value}.csv")
+        assert rows[0] == ["sample_id", "p_a", "p_b", "fused_p", "fused_threshold", "prediction"]
+        assert [r[0] for r in rows[1:]] == [ids_a[i] for i in shared]
+        assert [float(r[1]) for r in rows[1:]] == [p_a[i] for i in shared]
+        assert [float(r[2]) for r in rows[1:]] == [p_b[ids_b.index(ids_a[i])] for i in shared]
+        threshold = float(fuse_modalities(*thresholds, rule))
+        assert {float(r[4]) for r in rows[1:]} == {threshold}
+        assert [r[5] for r in rows[1:]] == [str(int(float(r[3]) >= threshold)) for r in rows[1:]]
+
+    # a shared id whose labels differ in the two files
+    conflict = ids_b.index(ids_a[shared[0]])
+    y_b[conflict] = 1 - y_b[conflict]
+    write_text(out / "scores_b_lr.csv", scores_csv(ids_b, y_b, p_b, t_b))
+    capsys.readouterr()
+    assert run(config_path, "fuse", "--model", "lr") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: conflicting labels for shared sample {ids_b[conflict]!r}"]
 
 
 def test_rerun_is_byte_identical(config_path, tmp_path):
