@@ -207,7 +207,7 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
         "model": model_doc,
     }
     (out / f"model_{modality}_{model}.json").write_text(
-        json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        json.dumps(doc) + "\n", encoding="utf-8")
     write_text(out / f"folds_{modality}_{model}.csv", folds_csv(outcomes))
     write_text(out / f"ranking_{modality}_{model}.csv", ranking_csv(ranking, selected))
     write_text(out / f"elbow_{modality}_{model}.svg",
@@ -229,6 +229,11 @@ def _load_model(cfg: RunConfig, modality: str, model: str):
         raise LatefuseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != "latefuse-model":
         raise LatefuseError(f"{path} is not a model document")
+    head = {"version": 1, "kind": model, "modality": modality}
+    if {key: doc.get(key) for key in head} != head:
+        raise LatefuseError(f"{path} is not a version-1 {modality}/{model} model document: "
+                            f"version {doc.get('version')!r}, kind {doc.get('kind')!r}, "
+                            f"modality {doc.get('modality')!r}")
     try:
         selected = list(doc["selected_features"])
         if not selected:  # train selects at least one; evaluate parses only these

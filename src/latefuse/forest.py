@@ -49,13 +49,13 @@ class ForestParams:
 @dataclass(frozen=True)
 class Tree:
     """Flat node arrays in breadth-first order; feature == -1 marks a leaf.
-    leaf_prob is the class-weighted positive proportion of the node's
-    bootstrap rows. Children are not stored: the k-th split node (0-based,
-    in node order) has children 2k + 1 (left) and 2k + 2 (right)."""
+    value is a split's threshold and a leaf's class-weighted positive
+    proportion of its bootstrap rows. Children are not stored: the k-th split
+    node (0-based, in node order) has children 2k + 1 (left) and 2k + 2
+    (right)."""
 
     feature: np.ndarray
-    threshold: np.ndarray
-    leaf_prob: np.ndarray
+    value: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,8 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         c0, c1 = cw0[node_tree], cw1[node_tree]
         w0, w1 = n0 * c0, n1 * c1
         feature = np.full(node_tree.size, -1, dtype=np.int64)
-        threshold = np.full(node_tree.size, math.nan)
-        levels.append((node_tree, feature, threshold, w1 / (w0 + w1)))
+        node_value = w1 / (w0 + w1)  # a leaf's; a split overwrites it below
+        levels.append((node_tree, feature, node_value))
         cand = np.flatnonzero((n0 > 0) & (n1 > 0))
         if not cand.size:
             break
@@ -232,7 +232,7 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         # sent left are exactly those scored
         split = cand[has]
         feature[split] = f
-        threshold[split] = np.where((lo <= mid) & (mid < hi), mid, lo)
+        node_value[split] = np.where((lo <= mid) & (mid < hi), mid, lo)
         # elements of split nodes move to the children (node 2i, 2i + 1 of the
         # next level for the i-th split); the rest are in leaves
         slot = np.full(cand.size, -1)
@@ -306,11 +306,8 @@ def _stack(trees: Sequence[Tree]) -> tuple[Tree, np.ndarray, np.ndarray]:
     size = np.array([tree.feature.size for tree in trees])
     roots = np.cumsum(size) - size
     splits = np.concatenate([np.cumsum(tree.feature >= 0) for tree in trees])
-
-    def cat(name: str) -> np.ndarray:
-        return np.concatenate([getattr(tree, name) for tree in trees])
-
-    return (Tree(feature=cat("feature"), threshold=cat("threshold"), leaf_prob=cat("leaf_prob")),
+    return (Tree(feature=np.concatenate([tree.feature for tree in trees]),
+                 value=np.concatenate([tree.value for tree in trees])),
             2 * splits - 1 + np.repeat(roots, size), roots)
 
 
@@ -329,7 +326,7 @@ def descend(stack: Tree, left: np.ndarray, x: np.ndarray, start: np.ndarray,
         f = stack.feature[at]
         if path is not None:
             path.append((live, at))
-        go_left = x.take(rows(live, f) * x.shape[1] + f) <= stack.threshold[at]
+        go_left = x.take(rows(live, f) * x.shape[1] + f) <= stack.value[at]
         node[live] = nxt = left[at] + ~go_left
         live = live[stack.feature[nxt] >= 0]
     return node
@@ -357,7 +354,7 @@ def prefix_proba(forest: Forest, table: FeatureTable, sizes: Sequence[int]) -> n
     for first in range(0, k.max(), block):
         stack, left, roots = _stack(forest.trees[first:min(first + block, k.max())])
         leaf = descend(stack, left, x, np.repeat(roots, n), lambda i, f: i % n)
-        per_tree[first:first + roots.size] = stack.leaf_prob[leaf].reshape(roots.size, n)
+        per_tree[first:first + roots.size] = stack.value[leaf].reshape(roots.size, n)
     return per_tree.cumsum(axis=0)[k - 1] / k[:, None]
 
 
@@ -384,7 +381,7 @@ def _accuracy_drops(forest: Forest, x: np.ndarray, positive: np.ndarray,
     row = np.concatenate(oobs)
     path = [(row[:0], row[:0])]  # no records yet; single-leaf trees add none
     leaf = descend(stack, left, x, roots[tree], lambda i, f: row[i], path)
-    correct = (stack.leaf_prob[leaf] >= 0.5) == positive[row]
+    correct = (stack.value[leaf] >= 0.5) == positive[row]
     # path records run level by level, so a key's first index is its first node
     elem, node = (np.concatenate(c) for c in zip(*path))
     key, first = np.unique(elem * p + stack.feature[node], return_index=True)
@@ -405,7 +402,7 @@ def _accuracy_drops(forest: Forest, x: np.ndarray, positive: np.ndarray,
     own = row[e]
     moved = descend(stack, left, x, node[first],
                     lambda i, f: np.where(f == g[i], swapped[i], own[i]))
-    change = ((stack.leaf_prob[moved] >= 0.5) == positive[own]).astype(np.int64) - correct[e]
+    change = ((stack.value[moved] >= 0.5) == positive[own]).astype(np.int64) - correct[e]
     # exact counts, so c / m has the bits of the mean of a boolean vector
     c0 = np.bincount(tree, weights=correct, minlength=len(trees))[:, None]
     dc = np.bincount(cell, weights=change, minlength=len(trees) * p).reshape(-1, p)
@@ -467,19 +464,13 @@ def to_doc(forest: Forest) -> dict:
     """Versioned text-serializable document with flat per-tree node arrays."""
     return {
         "format": "latefuse-forest",
-        "version": 3,
+        "version": 4,
         "feature_names": list(forest.feature_names),
         "params": {"mtry": forest.params.mtry, "ntree": forest.params.ntree,
                    "seed": forest.params.seed},
         "n_train": forest.n_train,
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": [None if math.isnan(v) else v for v in t.threshold.tolist()],
-                "leaf_prob": t.leaf_prob.tolist(),
-            }
-            for t in forest.trees
-        ],
+        "trees": [{"feature": t.feature.tolist(), "value": t.value.tolist()}
+                  for t in forest.trees],
     }
 
 
@@ -488,16 +479,12 @@ def _tree_from_doc(t: dict, p: int) -> Tree:
     non-empty 1-d arrays, each feature an integer, -1 (leaf) or in 0..p-1,
     2s + 1 nodes for s splits, and the k-th split before node 2k + 1, so
     that its derived children come after it and are nodes of the tree.
-    Split thresholds are finite and leaf proportions in 0..1, as to_doc
-    writes them."""
-    tree = Tree(
-        feature=np.asarray(t["feature"], dtype=np.int64),
-        threshold=np.asarray([math.nan if v is None else v for v in t["threshold"]]),
-        leaf_prob=np.asarray(t["leaf_prob"], dtype=float),
-    )
+    Split thresholds are finite and leaf values in 0..1, as to_doc writes
+    them."""
+    tree = Tree(feature=np.asarray(t["feature"], dtype=np.int64),
+                value=np.asarray(t["value"], dtype=float))
     n = tree.feature.size
-    if n == 0 or any(a.ndim != 1 or a.size != n for a in
-                     (tree.feature, tree.threshold, tree.leaf_prob)):
+    if n == 0 or tree.feature.ndim != 1 or tree.value.shape != (n,):
         raise ModelError("forest tree node arrays must be non-empty and of equal length")
     if not np.array_equal(tree.feature, t["feature"]):
         raise ModelError("forest tree feature index is not an integer")
@@ -506,17 +493,21 @@ def _tree_from_doc(t: dict, p: int) -> Tree:
     split = np.flatnonzero(tree.feature >= 0)
     if n != 2 * split.size + 1 or np.any(split > 2 * np.arange(split.size)):
         raise ModelError("forest tree child index not after its node or past the last node")
-    if not np.isfinite(tree.threshold[split]).all():
+    if not np.isfinite(tree.value[split]).all():
         raise ModelError("forest tree split threshold is not a finite number")
-    if not ((tree.leaf_prob >= 0) & (tree.leaf_prob <= 1)).all():
-        raise ModelError("forest tree leaf_prob outside 0..1")
+    leaf = tree.value[tree.feature < 0]
+    if not ((leaf >= 0) & (leaf <= 1)).all():  # NaN fails too
+        raise ModelError("forest tree leaf value outside 0..1")
     return tree
 
 
 def from_doc(doc: dict) -> Forest:
-    """The forest of a version-3 document; any other version is refused."""
-    if doc.get("format") != "latefuse-forest" or doc.get("version") != 3:
+    """The forest of a version-4 document; any other version is refused."""
+    if doc.get("format") != "latefuse-forest":
         raise ModelError("unrecognized forest document")
+    if doc.get("version") != 4:
+        raise ModelError(f"unrecognized forest document version {doc.get('version')!r}; "
+                         "re-run train to write version 4")
     trees = doc["trees"]
     feature_names = tuple(doc["feature_names"])
     p = doc["params"]

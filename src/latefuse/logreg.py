@@ -318,15 +318,14 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
 
 
 def to_doc(model: FittedLogReg) -> dict:
-    """Serializable document for a fitted model (versioned)."""
+    """Serializable document for a fitted model (versioned). selected_order
+    and bic are derived, so not stored."""
     return {
         "format": "latefuse-logreg",
-        "version": 1,
+        "version": 2,
         "intercept": model.intercept,
         "coefficients": dict(model.coefficients),
-        "selected_order": list(model.selected_order),
         "log_likelihood": model.log_likelihood,
-        "bic": model.bic,
         "n_train": model.n_train,
         "converged": model.converged,
         "separated": model.separated,
@@ -334,15 +333,15 @@ def to_doc(model: FittedLogReg) -> dict:
 
 
 def from_doc(doc: dict) -> FittedLogReg:
-    """The model of a version-1 document; its stored selected_order must equal
-    its coefficient keys, and its stored bic is not read (it is derived).
+    """The model of a version-2 document; any other version is refused.
     The intercept, coefficients and log-likelihood are finite and n_train is
     a positive integer, as to_doc writes them."""
-    if doc.get("format") != "latefuse-logreg" or doc.get("version") != 1:
+    if doc.get("format") != "latefuse-logreg":
         raise ModelError("unrecognized logistic model document")
+    if doc.get("version") != 2:
+        raise ModelError(f"unrecognized logistic model document version "
+                         f"{doc.get('version')!r}; re-run train to write version 2")
     coefficients = {k: float(v) for k, v in doc["coefficients"].items()}
-    if tuple(doc["selected_order"]) != tuple(coefficients):
-        raise ModelError("coefficient keys must equal selected_order")
     intercept, log_likelihood = float(doc["intercept"]), float(doc["log_likelihood"])
     if not all(map(math.isfinite, (intercept, log_likelihood, *coefficients.values()))):
         raise ModelError("logistic model intercept, coefficients and log_likelihood "

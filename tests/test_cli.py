@@ -279,7 +279,6 @@ def test_model_feature_mismatch_exit_4(config_path, tmp_path):
     assert run(config_path, "train", "--modality", "a", "--model", "lr") == 0
     doc = json.loads((tmp_path / "out" / "model_a_lr.json").read_text())
     doc["selected_features"] = ["not_a_feature"]
-    doc["model"]["selected_order"] = ["not_a_feature"]
     doc["model"]["coefficients"] = {"not_a_feature": 1.0}
     (tmp_path / "out" / "model_a_lr.json").write_text(json.dumps(doc), encoding="utf-8")
     assert run(config_path, "evaluate", "--modality", "a", "--model", "lr") == 4
@@ -314,6 +313,9 @@ def test_fuse_empty_intersection_exit_5(config_path, tmp_path):
     ("A2,2,0.5\n", "line 4: label 2 is not 0 or 1"),
     ("A2,1,0.5\nA3,0,0.2\nA2,0,0.3\n", "line 6: repeated sample id 'A2'"),
     ("A2,1,nan\n", "line 4: score is nan"),
+    ("A2,1,1.5\n", "line 4: score 1.5 is outside [0, 1]"),
+    ("A2,1,-0.25\n", "line 4: score -0.25 is outside [0, 1]"),
+    ("A2,1,inf\n", "line 4: score inf is outside [0, 1]"),
     ("# threshold=nan\nA2,1,0.5\n", "line 4: threshold is nan"),
     # (header line, rows): the first row that is not a comment must be the header
     pytest.param(("", "A1,0,0.4\nA2,1,0.9\n"),
@@ -348,23 +350,52 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
     run(config_path, "synth")
     out = tmp_path / "out"
     out.mkdir(exist_ok=True)
-    head = '{"format": "latefuse-model", "selected_features": ["f000"], "threshold": 0.5'
+    head = ('{"format": "latefuse-model", "version": 1, "kind": "%s", "modality": "a", '
+            '"selected_features": ["f000"], "threshold": 0.5')
     forest = '"model": {"format": "latefuse-forest", "version": %d}}'
+    logistic = '"model": {"format": "latefuse-logreg", "version": %d}}'
     for model, body, detail in [
         ("lr", '{"format": "latefuse-model",', "not valid JSON"),
-        ("lr", '{"format": "latefuse-model"}', "lacks key 'selected_features'"),
+        ("lr", '{"format": "latefuse-model"}', "not a version-1 a/lr model document"),
         ("lr", head + "}", "lacks key 'model'"),
         ("lr", head.replace('["f000"]', "[]") + "}", "no selected features"),
-        ("rf", f"{head}, {forest % 3}", "lacks key 'trees'"),
-        ("rf", f"{head}, {forest % 2}", "unrecognized forest document"),
+        ("rf", f"{head}, {forest % 4}", "lacks key 'trees'"),
+        ("rf", f"{head}, {forest % 2}", "unrecognized forest document version 2; re-run train"),
+        ("rf", f"{head}, {forest % 3}", "unrecognized forest document version 3; re-run train"),
+        ("lr", f"{head}, {logistic % 1}",
+         "unrecognized logistic model document version 1; re-run train"),
     ]:
         path = out / f"model_a_{model}.json"
-        path.write_text(body, encoding="utf-8")
+        path.write_text(body.replace("%s", model), encoding="utf-8")
         capsys.readouterr()
         assert run(config_path, "evaluate", "--modality", "a", "--model", model) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), body
         assert str(path) in err[0] and detail in err[0], err[0]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param({"version": 99}, id="version-99"),
+    pytest.param({"version": None}, id="no-version"),
+    pytest.param({"kind": "rf"}, id="kind-rf"),
+    pytest.param({"modality": "a"}, id="modality-a"),
+])
+def test_evaluate_refuses_a_model_document_of_another_version_kind_or_modality(
+        config_path, tmp_path, capsys, edit):
+    run(config_path, "synth")
+    assert run(config_path, "train", "--modality", "a", "--model", "lr") == 0
+    out = tmp_path / "out"
+    doc = json.loads((out / "model_a_lr.json").read_text(encoding="utf-8"))
+    # modality a's document as modality b's, with one outer field wrong
+    doc = {key: value for key, value in {**doc, "modality": "b", **edit}.items()
+           if value is not None}
+    path = out / "model_b_lr.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run(config_path, "evaluate", "--modality", "b", "--model", "lr") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"{path} is not a version-1 b/lr model document" in err[0], err[0]
 
 
 @pytest.mark.parametrize("model", ["lr", "rf"])
@@ -413,8 +444,7 @@ def test_evaluate_refuses_a_cyclic_forest(config_path, tmp_path, capsys):
     path = tmp_path / "out" / "model_a_rf.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
     # node 1 is split 0, whose derived left child is node 1 itself
-    doc["model"]["trees"][0].update(feature=[-1, 0, -1], threshold=[None, 0.0, None],
-                                    leaf_prob=[0.5, 0.5, 0.5])
+    doc["model"]["trees"][0].update(feature=[-1, 0, -1], value=[0.5, 0.0, 0.5])
     path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert run(config_path, "evaluate", "--modality", "a", "--model", "rf") == 1

@@ -14,9 +14,7 @@ from conftest import gaussian_table, make_table
 
 
 def trees_equal(a, b):
-    return ((a.feature == b.feature).all()
-            and np.array_equal(a.threshold, b.threshold, equal_nan=True)
-            and (a.leaf_prob == b.leaf_prob).all())
+    return np.array_equal(a.feature, b.feature) and np.array_equal(a.value, b.value)
 
 
 def children(tree):
@@ -254,7 +252,7 @@ def test_gini_split_gains_nonnegative():
             if tree.feature[node] < 0:
                 continue
             idx = idx_sets[node]
-            go_left = x[idx, tree.feature[node]] <= tree.threshold[node]
+            go_left = x[idx, tree.feature[node]] <= tree.value[node]
             left, right = idx[go_left], idx[~go_left]
             idx_sets[lefts[node]] = left
             idx_sets[rights[node]] = right
@@ -279,14 +277,16 @@ def test_forest_serialization_round_trip():
     assert np.array_equal(rf.predict_proba(back, t), rf.predict_proba(fo, t))
 
 
-def test_only_version_3_documents_load():
+def test_only_version_4_documents_load():
     t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=13)
     doc = json.loads(json.dumps(rf.to_doc(rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=3,
                                                                             seed=41)))))
     assert set(doc["params"]) == {"mtry", "ntree", "seed"}
-    assert set(doc["trees"][0]) == {"feature", "threshold", "leaf_prob"}
-    for version in (1, 2):  # version 2 stored each tree's left and right children
-        with pytest.raises(ModelError, match="unrecognized forest document"):
+    assert set(doc["trees"][0]) == {"feature", "value"}
+    # version 2 stored each tree's left and right children, version 3 a
+    # threshold and a leaf proportion at every node
+    for version in (1, 2, 3):
+        with pytest.raises(ModelError, match=f"document version {version}; re-run train"):
             rf.from_doc(dict(doc, version=version))
     del doc["params"]["seed"]
     with pytest.raises(KeyError, match="seed"):
@@ -295,20 +295,21 @@ def test_only_version_3_documents_load():
 
 @pytest.mark.parametrize("edit, detail", [
     # node 1 is split 0, whose derived left child is node 1 itself
-    (lambda d, t: t.update(feature=[-1, 0, -1], threshold=[None, 0.0, None],
-                           leaf_prob=[0.5, 0.5, 0.5]), "child index"),
+    (lambda d, t: t.update(feature=[-1, 0, -1], value=[0.5, 0.0, 0.5]), "child index"),
     # 2s nodes for s splits: the last split's right child is past the last node
     (lambda d, t: t.update({name: cells[:-1] for name, cells in t.items()}), "child index"),
     (lambda d, t: t["feature"].__setitem__(0, 3), "feature index"),
     (lambda d, t: t["feature"].__setitem__(0, 0.5), "not an integer"),
-    (lambda d, t: t["leaf_prob"].pop(), "equal length"),
-    # values to_doc never writes: a split without a finite threshold, a
-    # proportion outside 0..1, more trees named than held
-    (lambda d, t: t["threshold"].__setitem__(0, None), "split threshold"),
-    (lambda d, t: t["threshold"].__setitem__(0, math.inf), "split threshold"),
-    (lambda d, t: t["threshold"].__setitem__(0, -math.inf), "split threshold"),
-    (lambda d, t: t["leaf_prob"].__setitem__(-1, 2.0), "leaf_prob"),
-    (lambda d, t: t["leaf_prob"].__setitem__(-1, -1.0), "leaf_prob"),
+    (lambda d, t: t["value"].pop(), "equal length"),
+    # values to_doc never writes: a split without a finite threshold, a leaf
+    # value that is not a proportion in 0..1, more trees named than held
+    (lambda d, t: t["value"].__setitem__(0, math.nan), "split threshold"),
+    (lambda d, t: t["value"].__setitem__(0, math.inf), "split threshold"),
+    (lambda d, t: t["value"].__setitem__(0, -math.inf), "split threshold"),
+    (lambda d, t: t["value"].__setitem__(-1, 2.0), "leaf value"),
+    (lambda d, t: t["value"].__setitem__(-1, -1.0), "leaf value"),
+    (lambda d, t: t["value"].__setitem__(-1, math.nan), "leaf value"),
+    (lambda d, t: t["value"].__setitem__(-1, math.inf), "leaf value"),
     (lambda d, t: d["params"].__setitem__("ntree", 999), "ntree"),
 ])
 def test_from_doc_refuses_trees_descend_cannot_walk(edit, detail):
@@ -413,7 +414,7 @@ def test_split_between_values_without_a_midpoint(lo, hi):
     t = make_table([[lo]] * 10 + [[hi]] * 10, [0] * 10 + [1] * 10)
     fo = rf.fit_forest(t, rf.ForestParams(mtry=1, ntree=5, seed=3))
     for tree in fo.trees:
-        assert tree.feature[0] == 0 and lo <= tree.threshold[0] < hi
+        assert tree.feature[0] == 0 and lo <= tree.value[0] < hi
     assert np.array_equal(rf.predict_proba(fo, t), t.labels.astype(float))
 
 
@@ -430,7 +431,7 @@ def reference_tree(x, y, params, t, rejected=None):
     # balanced weights n / (2 n_c) of the bootstrap, 0 for a class it lacks
     n1 = int(y[boot].sum())
     c0, c1 = (n / (2 * m) if m else 0.0 for m in (n - n1, n1))
-    feature, threshold, left, right, prob = [], [], [], [], []
+    feature, value, left, right = [], [], [], []
     level = [boot]  # bootstrap rows of each node, duplicates included
     while level:
         splittable = []
@@ -439,10 +440,9 @@ def reference_tree(x, y, params, t, rejected=None):
             n0 = rows.size - n1
             splittable.append((len(feature), rows, n0, n1))
             feature.append(-1)
-            threshold.append(math.nan)
+            value.append(n1 * c1 / (n0 * c0 + n1 * c1))  # a split's threshold replaces it
             left.append(-1)
             right.append(-1)
-            prob.append(n1 * c1 / (n0 * c0 + n1 * c1))
         splittable = [s for s in splittable if s[2] and s[3]]
         draws = rng.random((len(splittable), p))
         level = []
@@ -475,14 +475,13 @@ def reference_tree(x, y, params, t, rejected=None):
                 if rejected is not None:
                     rejected.append(gain)
                 continue
-            _, feature[node], threshold[node], go_left = best
+            _, feature[node], value[node], go_left = best
             left[node] = len(feature) + len(level)
             right[node] = left[node] + 1
             level += [rows[go_left], rows[~go_left]]
     tree = rf.Tree(
         feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=float),
-        leaf_prob=np.asarray(prob, dtype=float),
+        value=np.asarray(value, dtype=float),
     )
     split = tree.feature >= 0
     assert all((np.asarray(own)[split] == derived[split]).all()
@@ -503,8 +502,8 @@ def reference_tree_predict(tree, x):
         feat = tree.feature[node]
         live = np.flatnonzero(feat >= 0)
         if live.size == 0:
-            return tree.leaf_prob[node]
-        go_left = x[live, feat[live]] <= tree.threshold[node[live]]
+            return tree.value[node]
+        go_left = x[live, feat[live]] <= tree.value[node[live]]
         node[live[go_left]] = left[node[live[go_left]]]
         node[live[~go_left]] = right[node[live[~go_left]]]
 
@@ -551,7 +550,7 @@ def test_trees_match_reference_builder(case):
     x = np.vstack([table.values, table.values + 0.125, table.values - 0.3])
     stack, left, roots = rf._stack(fo.trees)
     leaf = rf.descend(stack, left, x, np.repeat(roots, len(x)), lambda i, f: i % len(x))
-    per_tree = stack.leaf_prob[leaf].reshape(len(fo.trees), len(x))
+    per_tree = stack.value[leaf].reshape(len(fo.trees), len(x))
     for tree, prob in zip(fo.trees, per_tree):
         assert np.array_equal(prob, reference_tree_predict(tree, x))
 

@@ -221,15 +221,10 @@ def test_serialization_round_trip():
     doc = json.loads(json.dumps(lr.to_doc(m)))
     back = lr.from_doc(doc)
     assert back == m
-    assert lr.to_doc(back) == doc  # selected_order and bic are derived, to the same bits
-
-
-def test_from_doc_refuses_a_selected_order_other_than_the_coefficient_keys():
-    t = gaussian_table(40, 40, 3, shifts={0: 2.0, 1: 1.0}, seed=15)
-    doc = lr.to_doc(lr.fit(t, ["f000", "f001"]))
-    for order in (["f001", "f000"], ["f000"], ["f000", "f001", "f002"]):
-        with pytest.raises(ModelError, match="selected_order"):
-            lr.from_doc(dict(doc, selected_order=order))
+    assert lr.to_doc(back) == doc
+    # selected_order and bic are derived, not stored
+    assert "selected_order" not in doc and "bic" not in doc
+    assert back.selected_order == tuple(doc["coefficients"]) and back.bic == m.bic
 
 
 def reference_forward_select(table, candidates, delta_bic_stop=2.0):
