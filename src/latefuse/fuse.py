@@ -12,8 +12,8 @@ import enum
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .errors import FusionError
 
 PROBIT_EPS = 1e-12  # Stouffer inputs are clipped into [eps, 1-eps]

@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import ModelError, PredictError, SeparationWarning
 from .tables import FeatureTable
@@ -101,10 +100,13 @@ def fit(table: FeatureTable, features: list[str] | tuple[str, ...] = ()) -> Fitt
             break
         w = p * (1.0 - p)
         hess = x.T @ (x * w[:, None])
+        if not np.isfinite(hess).all():  # a column too large to square
+            raise ModelError("singular design: the Hessian is not finite")
         try:
-            step = sla.cho_solve(sla.cho_factor(hess), grad)
-        except (sla.LinAlgError, ValueError) as exc:
+            low = np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError as exc:  # a pivot is not positive
             raise ModelError(f"singular design: {exc}") from None
+        step = np.linalg.solve(low.T, np.linalg.solve(low, grad))
         lam = 1.0
         while lam > 1e-8:
             cand = beta + lam * step

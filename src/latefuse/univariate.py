@@ -6,12 +6,13 @@ size, Mann-Whitney p, BH-adjusted p) plus significant/up/down counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .errors import StatsError
 from .tables import ClassLabel, FeatureTable
 
@@ -25,10 +26,15 @@ _C5 = (0.0038915, -0.083751, -0.31082, -1.5861)
 _C6 = (0.0030302, -0.082676, -0.4803)
 
 
+@functools.lru_cache(maxsize=64)
 def _sw_weights(n: int) -> np.ndarray:
-    """Approximate optimal weights for the W statistic (polynomial method)."""
+    """Approximate optimal weights for the W statistic (polynomial method).
+    They depend on n alone, so each n is computed once; the cached array is
+    read-only."""
     if n == 3:
-        return np.array([-math.sqrt(0.5), 0.0, math.sqrt(0.5)])
+        a = np.array([-math.sqrt(0.5), 0.0, math.sqrt(0.5)])
+        a.flags.writeable = False
+        return a
     m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     mm = float(m @ m)
     rsn = 1.0 / math.sqrt(n)
@@ -43,6 +49,7 @@ def _sw_weights(n: int) -> np.ndarray:
         fac = math.sqrt((mm - 2 * m[-1] ** 2) / (1 - 2 * a_top ** 2))
         a = m / fac
     a[-1], a[0] = a_top, -a_top
+    a.flags.writeable = False
     return a
 
 

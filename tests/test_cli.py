@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -14,6 +17,8 @@ from latefuse.errors import ConfigError
 from latefuse.fuse import FusionRule, fuse_modalities
 from latefuse.metrics import best_threshold_bacc
 from latefuse.reports import read_scores_csv, scores_csv, write_text
+
+from test_golden import COMMANDS  # every command, both modalities and models
 
 BASE_CONFIG = """\
 [inputs]
@@ -565,6 +570,25 @@ def test_per_cohort_scaling_cancels_a_cohort_scale_factor(config_path, tmp_path)
     changed = {name for name in pooled if pooled[name] != pooled_scaled[name]}
     assert {"model_a_lr.json", "scores_a_lr.csv", "model_a_rf.json",
             "scores_a_rf.csv"} <= changed
+
+
+def test_no_command_imports_scipy(config_path):
+    """The program runs on numpy and the standard library: a fresh process
+    that runs every command has loaded no scipy module, lazily or not."""
+    script = (
+        "import json, sys, warnings\n"
+        "from latefuse.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        f"codes = [main(['--config', {str(config_path)!r}, *cmd]) for cmd in {COMMANDS!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules"
+        " if m.partition('.')[0] == 'scipy')]))\n")
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(COMMANDS)
+    assert scipy_modules == []
 
 
 @pytest.mark.parametrize("id_file", [False, True])

@@ -18,7 +18,6 @@ import warnings
 from pathlib import Path
 
 import numpy
-import scipy
 
 from latefuse.cli import main
 
@@ -61,8 +60,9 @@ COMMANDS = ([["synth"]] + [["univariate", "--modality", m] for m in "ab"]
 
 
 def environment() -> str:
-    return (f"python {platform.python_version()} numpy {numpy.__version__} "
-            f"scipy {scipy.__version__}")
+    """The versions that can touch an artifact: python and numpy (the
+    program imports nothing else outside the standard library)."""
+    return f"python {platform.python_version()} numpy {numpy.__version__}"
 
 
 def artifact_hashes(root: Path) -> dict[str, str]:

@@ -194,6 +194,23 @@ def test_forward_select_skips_failing_candidates():
     assert "f000" in m.selected_order
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_non_finite_hessian_rejected(scale):
+    # the column is finite, but its square overflows in the Hessian
+    t = gaussian_table(25, 25, 3, shifts={0: 2.0}, seed=13)
+    values = t.values.copy()
+    values[:, 1] *= scale
+    huge = t.with_matrix(values, np.isnan(t.values))
+    with pytest.raises(ModelError, match="singular design: the Hessian is not finite"):
+        lr.fit(huge, ["f001"])
+    with pytest.warns(UserWarning, match="skipping candidate 'f001': singular design"):
+        m = lr.forward_select(huge, list(huge.feature_names))
+    assert "f001" not in m.selected_order
+    assert "f000" in m.selected_order
+
+
 def test_forward_select_refuses_candidate_with_missing_cell():
     t = gaussian_table(25, 25, 3, shifts={0: 2.0, 2: 2.0}, seed=13)
     missing = np.isnan(t.values)

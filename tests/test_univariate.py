@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from latefuse.errors import StatsError
-from latefuse.univariate import (_midranks, bh_fdr, mann_whitney, rank_biserial,
-                                 shapiro_wilk, univariate_screen)
+from latefuse.univariate import (_midranks, _sw_weights, bh_fdr, mann_whitney,
+                                 rank_biserial, shapiro_wilk, univariate_screen)
 
 from conftest import gaussian_table
 
@@ -59,6 +59,20 @@ def test_sw_exponential_sample_rejects_normality():
     _, p = shapiro_wilk(x)
     assert p < 0.001
     assert abs(p - sps.shapiro(x).pvalue) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_sw_weights_are_computed_once_per_n_and_read_only(n):
+    x = np.random.default_rng(n).normal(size=n)
+    _sw_weights.cache_clear()
+    first = shapiro_wilk(x)
+    assert shapiro_wilk(x) == first
+    assert shapiro_wilk(x[::-1].copy()) == first
+    assert _sw_weights.cache_info().misses == 1
+    weights = _sw_weights(n)
+    assert weights is _sw_weights(n)
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 0.0
 
 
 # ---------------------------------------------------------------- Mann-Whitney
