@@ -13,9 +13,10 @@ import pytest
 from latefuse import cli
 from latefuse.cli import main
 from latefuse.config import load_config
-from latefuse.errors import ConfigError
+from latefuse.errors import ConfigError, LatefuseError
 from latefuse.fuse import FusionRule, fuse_modalities
 from latefuse.metrics import best_threshold_bacc
+from latefuse.mrcv import FoldOutcome
 from latefuse.reports import read_scores_csv, scores_csv, write_text
 
 from test_golden import COMMANDS  # every command, both modalities and models
@@ -272,6 +273,65 @@ def test_full_pipeline_and_artifacts(config_path, tmp_path):
     # every emitted CSV carries a schema version line
     for name in out.glob("*.csv"):
         assert name.read_text().startswith("# latefuse-csv v1 kind=")
+
+
+def voted(*pairs):
+    """Repeat outcomes whose chosen (mtry, ntree) are `pairs`; None is a flagged repeat."""
+    return [FoldOutcome(r, 0, 0, math.nan, math.nan, math.nan, error="flagged")
+            if pair is None else
+            FoldOutcome(r, 10, 5, 1.0, 1.0, 0.5,
+                        chosen_params={"mtry": pair[0], "ntree": pair[1]})
+            for r, pair in enumerate(pairs)]
+
+
+@pytest.mark.parametrize("pairs, selected, expected", [
+    # the most-voted grid point wins, wherever it first appears
+    (((3, 25), (5, 50), None, (5, 50)), 6, (5, 50)),
+    # a tie goes to the earlier grid point, not the first vote cast
+    (((5, 50), (3, 25), (5, 50), (3, 25)), 6, (3, 25)),
+    (((5, 25), (3, 25)), 6, (3, 25)),
+    # mtry is clamped to the selected feature count
+    (((5, 50), (5, 50), (3, 25)), 2, (2, 50)),
+])
+def test_final_forest_parameters_are_the_vote_of_the_repeats(pairs, selected, expected):
+    grid = [(3, 25), (3, 50), (5, 25), (5, 50)]
+    names = [f"f{j:03d}" for j in range(selected)]
+    params = cli._final_rf_params(grid, voted(*pairs), names, 77)
+    assert (params.mtry, params.ntree, params.seed) == (*expected, 77)
+
+
+def test_final_forest_vote_with_every_repeat_flagged(config_path, capsys, monkeypatch):
+    with pytest.raises(LatefuseError, match="no successful MRCV repeat"):
+        cli._final_rf_params([(3, 25)], voted(None, None), ["f000"], 77)
+    run(config_path, "synth")
+    monkeypatch.setattr(cli, "run_mrcv_rf", lambda table, repeats, **kw: voted(*[None] * repeats))
+    monkeypatch.setattr(cli, "elbow_cut", lambda ranking: ranking.names()[:2])
+    capsys.readouterr()
+    assert run(config_path, "train", "--modality", "a", "--model", "rf") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no successful MRCV repeat"), err
+
+
+def test_report_without_metrics_exit_2(config_path, tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "scores_a_lr.csv").write_text("# not a metrics file\n")
+    capsys.readouterr()
+    assert run(config_path, "report") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no metrics CSVs found"), err
+    assert not (tmp_path / "out" / "report_summary.csv").exists()
+
+
+def test_report_refuses_a_metrics_file_without_model_header(config_path, tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "metrics_a_lr.csv").write_text(
+        "# latefuse-csv v1 kind=metrics\nLabel,Sensitivity\na-lr,0.5\n")
+    capsys.readouterr()
+    assert run(config_path, "report") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "metrics_a_lr.csv is not a metrics CSV" in err[0]
+    assert not (tmp_path / "out" / "report_summary.csv").exists()
 
 
 def test_evaluate_without_model_exit_2(config_path):
