@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import sys
-import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -29,7 +28,8 @@ from .errors import (ConfigError, DataError, LatefuseError, ModelError,
                      NoFeaturesLeftError, PredictError, UnknownFeatureError)
 from .fuse import FusionRule, fuse_modalities
 from .metrics import auc, best_threshold_bacc, confusion, metrics_from_confusion, roc_curve
-from .mrcv import elbow_cut, rank_features_lr, rank_features_rf, run_mrcv_lr, run_mrcv_rf
+from .mrcv import (derive_seed, elbow_cut, rank_features_lr, rank_features_rf, run_mrcv_lr,
+                   run_mrcv_rf)
 from .plots import confusion_svg, elbow_svg, roc_svg
 from .preprocess import (apply_scaler, drop_correlated, filter_missingness,
                          fit_robust_scaler, spearman_matrix)
@@ -51,12 +51,6 @@ class PipelineExit(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _derive_seed(base: int, *tags) -> int:
-    """Stable stream key from the base seed and string tags."""
-    parts = [int(base)] + [zlib.crc32(str(t).encode()) for t in tags]
-    return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
 
 
 def _require_file(path: Path, role: str) -> Path:
@@ -96,7 +90,7 @@ def _test_ids(cfg: RunConfig, modality: str, raw: FeatureTable) -> frozenset[str
                                features=())
     a, b = (raw, other) if modality == "a" else (other, raw)
     rows_a, _ = align_common_samples(a.sample_ids, a.labels, b.sample_ids, b.labels)
-    rng = np.random.default_rng(_derive_seed(cfg.base_seed, "test-split"))
+    rng = np.random.default_rng(derive_seed(cfg.base_seed, "test-split"))
     chosen: list[str] = []
     for cls, k in ((0, cfg.test_benign), (1, cfg.test_malignant)):
         ids = [a.sample_ids[i] for i in rows_a if a.labels[i] == cls]
@@ -130,7 +124,7 @@ def _log(message: str) -> None:
 def cmd_synth(cfg: RunConfig) -> None:
     if cfg.synth is None:
         raise ConfigError("config has no [synth] section")
-    table_a, table_b = generate_pair(cfg.synth.spec_a, cfg.synth.spec_b)
+    table_a, table_b = generate_pair(*cfg.synth)
     for table, path in ((table_a, cfg.modality_a), (table_b, cfg.modality_b)):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         save_feature_table(table, path, cfg.schema)
@@ -154,8 +148,7 @@ def _final_rf_params(grid: list[tuple[int, int]], outcomes, selected: list[str],
                     for o in outcomes if o.chosen_params is not None)
     if not votes:
         raise LatefuseError("no successful MRCV repeat to choose forest parameters from")
-    grid_order = {pair: gi for gi, pair in enumerate(grid)}
-    (mtry, ntree), _ = max(votes.items(), key=lambda kv: (kv[1], -grid_order[kv[0]]))
+    mtry, ntree = max(grid, key=votes.__getitem__)  # the first of the most voted
     return rf.ForestParams(mtry=min(mtry, len(selected)), ntree=ntree, seed=final_seed)
 
 
@@ -165,7 +158,7 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
     unpruned, _ = _split(cfg, modality)
     train, removed = drop_correlated(unpruned, spearman_matrix(unpruned),
                                      cfg.correlation_threshold)
-    seed = _derive_seed(cfg.base_seed, modality, model)
+    seed = derive_seed(cfg.base_seed, modality, model)
     if model == "lr":
         outcomes = run_mrcv_lr(train, repeats=cfg.repeats,
                                validation_fraction=cfg.lr_validation_fraction,
@@ -184,7 +177,7 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
         model_doc = lr.to_doc(final)
     else:
         params = _final_rf_params(grid, outcomes, selected,
-                                  _derive_seed(cfg.base_seed, modality, model, "final"))
+                                  derive_seed(cfg.base_seed, modality, model, "final"))
         train_view = train.select_features(selected)
         final = rf.fit_forest(train_view, params)
         scores = rf.predict_proba(final, train_view)
@@ -269,7 +262,7 @@ def cmd_evaluate(cfg: RunConfig, modality: str, model: str) -> None:
     except (DataError, PredictError) as exc:
         raise PipelineExit(EXIT_MODEL_MISMATCH, f"{mismatch}: {exc}") from None
     conf = confusion(scores, test.labels, threshold)
-    row = metrics_from_confusion(conf).with_auc(auc(scores, test.labels))
+    row = metrics_from_confusion(conf, auc(scores, test.labels))
     curve = roc_curve(scores, test.labels)
     label = f"{modality}-{model}"
     out = _out(cfg)
@@ -313,7 +306,7 @@ def cmd_fuse(cfg: RunConfig, model: str) -> None:
         fused = fuse_modalities(pa, pb, rule)
         threshold = float(fuse_modalities(t_a, t_b, rule))
         conf = confusion(fused, labels, threshold)
-        row = metrics_from_confusion(conf).with_auc(auc(fused, labels))
+        row = metrics_from_confusion(conf, auc(fused, labels))
         rows.append((f"fused-{rule.value}-{model}", row))
         write_text(out / f"fused_scores_{model}_{rule.value}.csv",
                    fused_scores_csv(rule.value, ids, pa, pb, fused, threshold))
@@ -345,35 +338,30 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="SECTION.KEY=VALUE",
                         help="override a config value (repeatable; flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("synth", help="generate the configured synthetic modality files")
+    sub.add_parser("synth", help="generate the configured synthetic modality files"
+                   ).set_defaults(run=cmd_synth)
     p = sub.add_parser("univariate", help="univariate screen of one modality")
     p.add_argument("--modality", choices=("a", "b"), required=True)
-    for name in ("train", "evaluate"):
+    p.set_defaults(run=cmd_univariate)
+    for name, run in (("train", cmd_train), ("evaluate", cmd_evaluate)):
         p = sub.add_parser(name)
         p.add_argument("--modality", choices=("a", "b"), required=True)
         p.add_argument("--model", choices=("lr", "rf"), required=True)
+        p.set_defaults(run=run)
     p = sub.add_parser("fuse", help="fuse the two modalities' evaluated scores")
     p.add_argument("--model", choices=("lr", "rf"), required=True)
-    sub.add_parser("report", help="merge emitted metric rows into a summary table")
+    p.set_defaults(run=cmd_fuse)
+    sub.add_parser("report", help="merge emitted metric rows into a summary table"
+                   ).set_defaults(run=cmd_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # a subcommand's options are its command function's keyword arguments
+    options = {k: v for k, v in vars(args).items() if k in ("modality", "model")}
     try:
-        cfg = load_config(args.config, args.overrides)
-        if args.command == "synth":
-            cmd_synth(cfg)
-        elif args.command == "univariate":
-            cmd_univariate(cfg, args.modality)
-        elif args.command == "train":
-            cmd_train(cfg, args.modality, args.model)
-        elif args.command == "evaluate":
-            cmd_evaluate(cfg, args.modality, args.model)
-        elif args.command == "fuse":
-            cmd_fuse(cfg, args.model)
-        elif args.command == "report":
-            cmd_report(cfg)
+        args.run(load_config(args.config, args.overrides), **options)
     except PipelineExit as exc:
         _log(f"error: {exc}")
         return exc.code

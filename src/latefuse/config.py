@@ -60,12 +60,6 @@ def _pairs(text: str) -> tuple[tuple[int, float], ...]:
 
 
 @dataclass(frozen=True)
-class SynthSettings:
-    spec_a: SynthSpec
-    spec_b: SynthSpec
-
-
-@dataclass(frozen=True)
 class RunConfig:
     modality_a: Path
     modality_b: Path
@@ -86,7 +80,7 @@ class RunConfig:
     delta_bic_stop: float
     rf_mtry: tuple[int, ...]
     rf_ntree: tuple[int, ...]
-    synth: SynthSettings | None = None
+    synth: tuple[SynthSpec, SynthSpec] | None = None  # (modality a, modality b)
 
 
 def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
@@ -153,7 +147,7 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
                 seed=seed,
             )
 
-        synth = SynthSettings(spec_a=spec_for("a"), spec_b=spec_for("b"))
+        synth = spec_for("a"), spec_for("b")
 
     test_ids_file = get("split", "test_ids_file", fallback="").strip()
     cfg = RunConfig(

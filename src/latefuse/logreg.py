@@ -18,8 +18,9 @@ _P_EPS = 1e-15
 # forward_select fits its candidates in blocks of about CELLS (candidate x row)
 # cells, so that the per-block temporaries stay in cache
 CELLS = 2 ** 14
-# a batched candidate whose Cholesky pivot falls to this fraction of its
-# diagonal entry is nearly collinear; the scalar fit decides whether it is singular
+# a batched candidate whose smallest Hessian eigenvalue falls to this fraction
+# of its largest diagonal entry is nearly collinear; the scalar fit decides
+# whether it is singular
 _PIVOT_TOL = 1e-10
 # a batched BIC exceeds the scalar fit's by at most ~1e-12; candidates within
 # this margin of the best refitted BIC are refitted by `fit`, whose BICs decide
@@ -99,7 +100,8 @@ def fit(table: FeatureTable, features: list[str] | tuple[str, ...] = ()) -> Fitt
             converged = True
             break
         w = p * (1.0 - p)
-        hess = x.T @ (x * w[:, None])
+        with np.errstate(over="ignore"):
+            hess = x.T @ (x * w[:, None])
         if not np.isfinite(hess).all():  # a column too large to square
             raise ModelError("singular design: the Hessian is not finite")
         try:
@@ -153,25 +155,15 @@ def _loglik_rows(eta: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.log(p) @ y + np.log1p(-p) @ (1.0 - y), p
 
 
-def _cholesky_solve(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve each h[c] s[c] = g[c] by Cholesky; ok[c] is False (and s[c]
-    meaningless) when a pivot is not above _PIVOT_TOL times its diagonal entry."""
-    k = g.shape[1]
-    low = np.zeros_like(h)
-    ok = np.ones(g.shape[0], dtype=bool)
-    for j in range(k):
-        pivot = h[:, j, j] - np.einsum("cm,cm->c", low[:, j, :j], low[:, j, :j])
-        ok &= pivot > _PIVOT_TOL * h[:, j, j]
-        low[:, j, j] = np.sqrt(np.where(ok, pivot, 1.0))
-        low[:, j + 1:, j] = (h[:, j + 1:, j] - np.einsum(
-            "cim,cm->ci", low[:, j + 1:, :j], low[:, j, :j])) / low[:, j, j, None]
-    u = np.empty_like(g)
-    for j in range(k):
-        u[:, j] = (g[:, j] - np.einsum("cm,cm->c", low[:, j, :j], u[:, :j])) / low[:, j, j]
-    s = np.empty_like(g)
-    for j in reversed(range(k)):
-        s[:, j] = (u[:, j] - np.einsum("cm,cm->c", low[:, j + 1:, j], s[:, j + 1:])) \
-            / low[:, j, j]
+def _newton_steps(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each h[c] s[c] = g[c]; ok[c] is False (and s[c] is 0) when
+    h[c] is not finite or its smallest eigenvalue is not above _PIVOT_TOL
+    times its largest diagonal entry."""
+    ok = np.isfinite(h).all(axis=(1, 2))
+    ok[ok] = (np.linalg.eigvalsh(h[ok])[:, 0]
+              > _PIVOT_TOL * h[ok].diagonal(axis1=1, axis2=2).max(axis=1))
+    s = np.zeros_like(g)
+    s[ok] = np.linalg.solve(h[ok], g[ok, :, None])[:, :, 0]
     return s, ok
 
 
@@ -184,10 +176,10 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
     `fit`'s rule and a candidate converges when its largest score-gradient
     component falls below GRAD_TOL.
 
-    NaN marks a candidate left to `fit`: its Hessian was (nearly) singular,
-    a coefficient passed COEF_CAP, no step length was accepted, MAX_ITER
-    iterations ended without convergence, or it converged to a predictor
-    that separates the classes. Every other BIC is the MLE's, so it is at
+    NaN marks a candidate left to `fit`: its Hessian was not finite or
+    (nearly) singular, a coefficient passed COEF_CAP, no step length was
+    accepted, MAX_ITER iterations ended without convergence, or it converged
+    to a predictor that separates the classes. Every other BIC is the MLE's, so it is at
     most `fit`'s BIC (from beta = 0, maybe capped) plus rounding.
 
     Candidate c's coefficients are (b0[c], b1[c]); its Hessian is assembled from
@@ -223,10 +215,11 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
         w = pl * (1.0 - pl)
         wz = w * z
         hess = np.empty((live.size, k0 + 1, k0 + 1))
-        hess[:, :k0, :k0] = (w @ outer0).reshape(-1, k0, k0)
-        hess[:, k0, :k0] = hess[:, :k0, k0] = wz @ x0
-        hess[:, k0, k0] = np.einsum("cn,cn->c", wz, z)
-        step, ok = _cholesky_solve(hess, grad)
+        with np.errstate(over="ignore"):  # _newton_steps refuses a non-finite Hessian
+            hess[:, :k0, :k0] = (w @ outer0).reshape(-1, k0, k0)
+            hess[:, k0, :k0] = hess[:, :k0, k0] = wz @ x0
+            hess[:, k0, k0] = np.einsum("cn,cn->c", wz, z)
+        step, ok = _newton_steps(hess, grad)
         failed[live[~ok]] = True
         live, step = live[ok], step[ok]
         pending = np.arange(live.size)

@@ -7,7 +7,7 @@ iff its score is >= the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class MetricsRow:
     f1: float
     balanced_accuracy: float
     auc: float = math.nan
-    flags: tuple[str, ...] = ()
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -58,9 +57,6 @@ class MetricsRow:
             "Balanced Accuracy": self.balanced_accuracy,
             "AUC": self.auc,
         }
-
-    def with_auc(self, auc_value: float) -> "MetricsRow":
-        return replace(self, auc=auc_value)
 
 
 @dataclass(frozen=True)
@@ -102,37 +98,28 @@ def confusion(scores, labels, threshold: float) -> Confusion:
     )
 
 
-def metrics_from_confusion(c: Confusion) -> MetricsRow:
-    """Derive the six threshold-dependent metrics; AUC is left unset.
+def metrics_from_confusion(c: Confusion, auc: float = math.nan) -> MetricsRow:
+    """The six threshold-dependent metrics of `c`, with `auc` (NaN when not given).
 
-    Ratios with a zero denominator (empty predicted class) come back as NaN
-    and are named in `flags` rather than silently zeroed.
+    A ratio with a zero denominator (an empty predicted class) comes back as
+    NaN rather than silently zeroed.
     """
     if c.positives == 0 or c.negatives == 0:
         raise MetricsError("confusion must contain at least one sample of each class")
-    flags: list[str] = []
 
-    def ratio(num: int, den: int, name: str) -> float:
-        if den == 0:
-            flags.append(name)
-            return math.nan
-        return num / den
+    def ratio(num: int, den: int) -> float:
+        return num / den if den else math.nan
 
     sens = c.tp / c.positives
     spec = c.tn / c.negatives
-    ppv = ratio(c.tp, c.tp + c.fp, "PPV")
-    npv = ratio(c.tn, c.tn + c.fn, "NPV")
-    f1 = 2 * c.tp / (2 * c.tp + c.fp + c.fn) if (2 * c.tp + c.fp + c.fn) else math.nan
-    if math.isnan(f1):
-        flags.append("F1")
     return MetricsRow(
         sensitivity=sens,
         specificity=spec,
-        ppv=ppv,
-        npv=npv,
-        f1=f1,
+        ppv=ratio(c.tp, c.tp + c.fp),
+        npv=ratio(c.tn, c.tn + c.fn),
+        f1=ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn),
         balanced_accuracy=(sens + spec) / 2,
-        flags=tuple(flags),
+        auc=auc,
     )
 
 

@@ -9,6 +9,7 @@ a run is a pure function of its inputs regardless of execution order.
 from __future__ import annotations
 
 import warnings
+import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -58,18 +59,15 @@ def stratified_split(table: FeatureTable, validation_fraction: float,
     if not 0.0 < validation_fraction < 1.0:
         raise SplitError("validation fraction must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
-    y = table.labels
-    val_rows: list[int] = []
+    validation = np.zeros(table.n_samples, dtype=bool)
     for cls in (0, 1):
-        rows = np.flatnonzero(y == cls)
+        rows = np.flatnonzero(table.labels == cls)
         if rows.size < 2:
             raise SplitError(f"class {cls} has fewer than 2 samples")
         k = int(np.floor(validation_fraction * rows.size + 0.5))
-        val_rows.extend(rng.choice(rows, size=k, replace=False).tolist())
-    chosen = set(val_rows)
-    train = table.select_rows([i for i in range(table.n_samples) if i not in chosen])
-    validation = table.select_rows([i for i in range(table.n_samples) if i in chosen])
-    return train, validation
+        validation[rng.choice(rows, size=k, replace=False)] = True
+    return (table.select_rows(np.flatnonzero(~validation)),
+            table.select_rows(np.flatnonzero(validation)))
 
 
 def _evaluate_fold(p_train, y_train, p_val, y_val) -> tuple[float, float, float]:
@@ -111,9 +109,11 @@ def run_mrcv_lr(table: FeatureTable, repeats: int = 100, validation_fraction: fl
     return _run_repeats(table, repeats, validation_fraction, base_seed, fold)
 
 
-def _grid_seed(base_seed: int, repeat: int, mtry: int) -> int:
-    return int(np.random.SeedSequence([base_seed, repeat, mtry])
-               .generate_state(1, np.uint64)[0])
+def derive_seed(*keys: int | str) -> int:
+    """Stable 64-bit stream seed from integer keys and string tags; a tag
+    enters the seed sequence as its CRC-32."""
+    entropy = [zlib.crc32(k.encode()) if isinstance(k, str) else int(k) for k in keys]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def run_mrcv_rf(table: FeatureTable, repeats: int = 100, validation_fraction: float = 0.2,
@@ -145,7 +145,7 @@ def run_mrcv_rf(table: FeatureTable, repeats: int = 100, validation_fraction: fl
         for mtry, mtry_points in points.items():
             sizes = [ntree for _, ntree in mtry_points]
             fitted = rf.fit_forest(train, rf.ForestParams(
-                mtry=mtry, ntree=max(sizes), seed=_grid_seed(base_seed, r, mtry)))
+                mtry=mtry, ntree=max(sizes), seed=derive_seed(base_seed, r, mtry)))
             scores = zip(rf.prefix_proba(fitted, train, sizes),
                          rf.prefix_proba(fitted, val, sizes))
             for (gi, ntree), (p_train, p_val) in zip(mtry_points, scores):

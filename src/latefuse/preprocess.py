@@ -39,17 +39,6 @@ class RobustScaler:
         return ~(self.iqr > 0).all(axis=0)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric Spearman matrix; an undefined pair is stored as 0."""
-
-    feature_names: tuple[str, ...]
-    rho: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.rho.flags.writeable = False
-
-
 def _group_rows(cohorts: tuple[str, ...] | None, table: FeatureTable) -> list[np.ndarray]:
     """Row mask of each scaler group in `table`: all rows when pooled."""
     tags = np.asarray(table.cohort, dtype=str)
@@ -127,8 +116,9 @@ def filter_missingness(table: FeatureTable, max_missing_fraction: float) -> Feat
                              feature_names=[table.feature_names[j] for j in keep])
 
 
-def spearman_matrix(table: FeatureTable) -> CorrelationMatrix:
-    """Spearman rho via midranks followed by Pearson correlation of the ranks.
+def spearman_matrix(table: FeatureTable) -> np.ndarray:
+    """Read-only symmetric (features, features) Spearman rho, in the table's
+    feature order, via midranks followed by Pearson correlation of the ranks.
 
     The table must be fully observed (filter_missingness imputes it); a
     NaN cell raises PreprocessError. A pair is undefined, and stored as 0,
@@ -147,12 +137,13 @@ def spearman_matrix(table: FeatureTable) -> CorrelationMatrix:
     undefined = np.logical_or.outer(sd == 0, sd == 0) | (table.n_samples < 3)
     i, j = np.triu_indices(f, 1)  # mirror the upper triangle: full[j, i] may round apart
     rho[i, j] = rho[j, i] = np.where(undefined[i, j], 0.0, np.atleast_2d(full)[i, j])
-    return CorrelationMatrix(tuple(table.feature_names), rho)
+    rho.flags.writeable = False
+    return rho
 
 
-def drop_correlated(table: FeatureTable, matrix: CorrelationMatrix,
+def drop_correlated(table: FeatureTable, rho: np.ndarray,
                     threshold: float) -> tuple[FeatureTable, list[str]]:
-    """Greedy redundancy pruning.
+    """Greedy redundancy pruning by `rho`, the spearman_matrix of `table`.
 
     While any active pair satisfies |rho| >= threshold, take the pair with
     the largest |rho| (ties by lexicographic pair) and remove whichever
@@ -165,10 +156,11 @@ def drop_correlated(table: FeatureTable, matrix: CorrelationMatrix,
     """
     if not 0.0 < threshold <= 1.0:
         raise PreprocessError("threshold must lie in (0, 1]")
-    if tuple(matrix.feature_names) != tuple(table.feature_names):
-        raise PreprocessError("correlation matrix does not match table features")
+    if np.shape(rho) != (table.n_features, table.n_features):
+        raise PreprocessError(f"correlation matrix of shape {np.shape(rho)} does not "
+                              f"match {table.n_features} table features")
     names = list(table.feature_names)
-    absrho = np.abs(matrix.rho).copy()
+    absrho = np.abs(rho)
     np.fill_diagonal(absrho, 0.0)
     upper_i, upper_j = np.triu_indices(len(names), 1)
     strong = absrho[upper_i, upper_j] >= threshold

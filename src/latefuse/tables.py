@@ -321,6 +321,5 @@ def partition(table: FeatureTable, test_ids: Iterable[str]) -> tuple[FeatureTabl
     unknown = test_ids - set(table.sample_ids)
     if unknown:
         raise DataError(f"test ids not in table: {sorted(unknown)[:5]}")
-    test_rows = [i for i, s in enumerate(table.sample_ids) if s in test_ids]
-    train_rows = [i for i, s in enumerate(table.sample_ids) if s not in test_ids]
-    return table.select_rows(train_rows), table.select_rows(test_rows)
+    test = np.array([s in test_ids for s in table.sample_ids], dtype=bool)
+    return table.select_rows(np.flatnonzero(~test)), table.select_rows(np.flatnonzero(test))

@@ -66,8 +66,11 @@ def test_metrics_bacc_identity_exact():
 
 
 def test_metrics_undefined_ratios_flagged():
+    # nothing predicted positive: PPV is undefined, and its NaN is the flag
     row = metrics_from_confusion(Confusion(tp=0, fp=0, tn=3, fn=2))
-    assert math.isnan(row.ppv) and "PPV" in row.flags
+    assert math.isnan(row.ppv) and row.npv == 0.6 and row.f1 == 0.0
+    assert math.isnan(row.auc)
+    assert metrics_from_confusion(Confusion(tp=0, fp=0, tn=3, fn=2), 0.75).auc == 0.75
     with pytest.raises(MetricsError):
         metrics_from_confusion(Confusion(tp=0, fp=1, tn=1, fn=0))
 

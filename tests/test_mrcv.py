@@ -6,7 +6,7 @@ import pytest
 from latefuse import forest as rf
 from latefuse.errors import ElbowError, SplitError
 from latefuse.metrics import best_threshold_bacc, confusion, metrics_from_confusion
-from latefuse.mrcv import (FeatureRanking, FoldOutcome, _grid_seed, elbow_cut,
+from latefuse.mrcv import (FeatureRanking, FoldOutcome, derive_seed, elbow_cut,
                            rank_features_lr, rank_features_rf, run_mrcv_lr, run_mrcv_rf,
                            stratified_split)
 from latefuse.reports import folds_csv
@@ -155,7 +155,7 @@ def test_mrcv_rf_nested_ntree_grid_grows_the_largest_forest_once(monkeypatch):
         best = None
         for mtry, ntree in grid:
             fo = rf.fit_forest(train, rf.ForestParams(mtry=mtry, ntree=ntree,
-                                                      seed=_grid_seed(18, r, mtry)))
+                                                      seed=derive_seed(18, r, mtry)))
             thr, bacc_tr = best_threshold_bacc(rf.predict_proba(fo, train), train.labels)
             bacc_val = metrics_from_confusion(
                 confusion(rf.predict_proba(fo, val), val.labels, thr)).balanced_accuracy

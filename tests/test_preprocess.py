@@ -394,10 +394,10 @@ def test_preprocess_full_leaves_no_missing_cell(table, scale, per_cohort, max_mi
 def test_spearman_monotone_and_antimonotone():
     t = make_table(np.column_stack([[1, 2, 3], [2, 4, 6], [3, 2, 1]]), [0, 0, 1])
     m = spearman_matrix(t)
-    assert m.rho[0, 1] == 1.0
-    assert m.rho[0, 2] == -1.0
-    assert np.array_equal(np.diag(m.rho), np.ones(3))
-    assert np.array_equal(m.rho, m.rho.T)
+    assert m[0, 1] == 1.0
+    assert m[0, 2] == -1.0
+    assert np.array_equal(np.diag(m), np.ones(3))
+    assert np.array_equal(m, m.T)
 
 
 def test_spearman_midranks_hand_computed():
@@ -407,9 +407,9 @@ def test_spearman_midranks_hand_computed():
     expected = np.corrcoef(rx, ry)[0, 1]
     t = make_table(np.column_stack([[1, 2, 2, 3], [1, 3, 2, 4]]), [0, 0, 1, 1])
     m = spearman_matrix(t)
-    assert m.rho[0, 1] == pytest.approx(expected, abs=1e-12)
+    assert m[0, 1] == pytest.approx(expected, abs=1e-12)
     # by hand: cov 4.5, sd^2 4.5 and 5.0 -> rho = 4.5/sqrt(22.5) = sqrt(0.9)
-    assert m.rho[0, 1] == pytest.approx(np.sqrt(0.9), abs=1e-12)
+    assert m[0, 1] == pytest.approx(np.sqrt(0.9), abs=1e-12)
 
 
 def test_spearman_matches_reference_with_missing():
@@ -421,7 +421,7 @@ def test_spearman_matches_reference_with_missing():
     with pytest.raises(PreprocessError, match="fully observed"):
         spearman_matrix(t)
     m = spearman_matrix(make_table(values, t.labels))
-    assert np.allclose(m.rho, sps.spearmanr(values).statistic, rtol=0, atol=1e-12)
+    assert np.allclose(m, sps.spearmanr(values).statistic, rtol=0, atol=1e-12)
 
 
 def test_spearman_monotone_transform_invariance():
@@ -432,17 +432,17 @@ def test_spearman_monotone_transform_invariance():
     transformed[:, 1] = np.exp(transformed[:, 1])  # strictly monotone
     t2 = make_table(transformed, t1.labels)
     m1, m2 = spearman_matrix(t1), spearman_matrix(t2)
-    assert np.max(np.abs(m1.rho - m2.rho)) <= 1e-12
+    assert np.max(np.abs(m1 - m2)) <= 1e-12
 
 
 def test_spearman_constant_feature_flagged_zero():
     t = make_table(np.column_stack([np.ones(5), np.arange(5.0)]), [0, 0, 0, 1, 1])
     m = spearman_matrix(t)
     # a pair with a constant feature is undefined and stored as 0
-    assert np.array_equal(m.rho, np.eye(2))
+    assert np.array_equal(m, np.eye(2))
     # fewer than three samples: every off-diagonal pair is undefined and 0
     m = spearman_matrix(make_table([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]], [0, 1]))
-    assert np.array_equal(m.rho, np.eye(3))
+    assert np.array_equal(m, np.eye(3))
 
 
 def test_drop_correlated_duplicate_column():
@@ -452,6 +452,9 @@ def test_drop_correlated_duplicate_column():
     pruned, removed = drop_correlated(t, m, 0.95)
     assert removed == ["f2"]  # lexicographically later member of the tied pair
     assert pruned.feature_names == ("f1", "other")
+    assert not m.flags.writeable
+    with pytest.raises(PreprocessError, match="does not match 2 table features"):
+        drop_correlated(t.select_features(["f1", "other"]), m, 0.95)
 
 
 def test_drop_correlated_identity_when_uncorrelated():
@@ -482,16 +485,16 @@ def test_drop_correlated_output_has_no_offending_pair():
     t = make_table(values, [0] * 50 + [1] * 50)
     pruned, _ = drop_correlated(t, spearman_matrix(t), 0.8)
     m2 = spearman_matrix(pruned)
-    off_diag = m2.rho[~np.eye(pruned.n_features, dtype=bool)]
+    off_diag = m2[~np.eye(pruned.n_features, dtype=bool)]
     assert np.all(np.abs(off_diag) < 0.8)
 
 
-def reference_drop_correlated(table, matrix, threshold):
+def reference_drop_correlated(table, rho, threshold):
     """The loop drop_correlated replaced, kept verbatim as the reference its
     removal order and kept table are checked against: it rebuilds and sorts
     the active pairs after every removal."""
     names = list(table.feature_names)
-    absrho = np.abs(matrix.rho).copy()
+    absrho = np.abs(rho).copy()
     np.fill_diagonal(absrho, 0.0)
     active = list(range(len(names)))
     removed = []
@@ -534,11 +537,10 @@ def test_drop_correlated_matches_rebuilding_reference(threshold, data):
     names = [f"f{j:02d}" for j in rng.permutation(p)]
     t = make_table(values, [0, 1] * 20, feature_names=names)
     m = spearman_matrix(t)
-    rho = np.round(m.rho, decimals) * rng.choice((-1.0, 1.0), size=(p, p))
+    rho = np.round(m, decimals) * rng.choice((-1.0, 1.0), size=(p, p))
     rho = np.triu(rho, 1) + np.triu(rho, 1).T + np.eye(p)
-    tied = SimpleNamespace(feature_names=m.feature_names, rho=rho)
-    got_table, got_removed = drop_correlated(t, tied, threshold)
-    want_table, want_removed = reference_drop_correlated(t, tied, threshold)
+    got_table, got_removed = drop_correlated(t, rho, threshold)
+    want_table, want_removed = reference_drop_correlated(t, rho, threshold)
     assert got_removed == want_removed
     assert got_table.feature_names == want_table.feature_names
     assert np.array_equal(got_table.values, want_table.values)
