@@ -86,9 +86,10 @@ def _tree_stream(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.nda
 def _rank_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feature-major flat tables over the n training rows: rank[f * n + i] is
     the number of values in column f below x[i, f], so tied values share a
-    rank, and value[f * n + r] is the value of rank r in column f."""
+    rank and their order in the sort does not matter, and value[f * n + r]
+    is the value of rank r in column f."""
     n, p = x.shape
-    order = x.argsort(axis=0, kind="stable")
+    order = x.argsort(axis=0)
     xs = np.take_along_axis(x, order, axis=0)
     new = np.ones((n, p), dtype=bool)
     new[1:] = xs[1:] != xs[:-1]
@@ -391,7 +392,7 @@ def _accuracy_drops(forest: Forest, x: np.ndarray, positive: np.ndarray,
     permuted, offset, at = [], np.zeros(len(trees) * p, dtype=np.int64), 0
     for i, (t, oob) in enumerate(zip(trees, oobs)):
         feature = forest.trees[t].feature
-        used = np.unique(feature[feature >= 0])
+        used = np.flatnonzero(np.bincount(feature[feature >= 0]))
         rng = np.random.default_rng([forest.params.seed, t, _PERMUTATION_KEY])
         permuted.append(oob[_oob_permutations(rng, used.size, oob.size)].ravel())
         offset[i * p + used] = at + oob.size * np.arange(used.size)

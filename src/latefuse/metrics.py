@@ -76,10 +76,10 @@ class RocCurve:
 
 def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=float)
-    y = np.asarray([int(v) for v in labels], dtype=np.int64)
+    y = np.asarray(labels)
     if scores.shape != y.shape or scores.ndim != 1:
         raise MetricsError("scores and labels must be 1-D and of equal length")
-    if np.any((y != 0) & (y != 1)):
+    if not ((y == 0) | (y == 1)).all():
         raise MetricsError("labels must be 0 or 1")
     if np.isnan(scores).any():
         raise MetricsError("scores must not be NaN")
@@ -124,8 +124,9 @@ def metrics_from_confusion(c: Confusion, auc: float = math.nan) -> MetricsRow:
 
 
 def _sweep_counts(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct score values (descending) with cumulative tp/fp when thresholding at each."""
-    order = np.argsort(-scores, kind="stable")
+    """Distinct score values (descending) with cumulative tp/fp when thresholding at each.
+    Each tie group is read at its end, so the order within a tie does not matter."""
+    order = np.argsort(-scores)
     s_sorted = scores[order]
     y_sorted = y[order]
     distinct = np.flatnonzero(np.diff(s_sorted) != 0)

@@ -45,6 +45,27 @@ def _group_rows(cohorts: tuple[str, ...] | None, table: FeatureTable) -> list[np
     return [np.ones(len(tags), dtype=bool)] if cohorts is None else [tags == c for c in cohorts]
 
 
+def _sorted_observed(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column of `block` sorted ascending with its NaNs last, and each
+    column's count of observed values."""
+    return np.sort(block, axis=0), block.shape[0] - np.isnan(block).sum(axis=0)
+
+
+def _type7(xs: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
+    """The q-quantile of each column's n >= 2 observed values, sorted first
+    in `xs`, bit for bit as np.nanpercentile gives it: virtual index
+    v = (n - 1) * q between a = xs[floor(v)] and b the next value, and
+    numpy's lerp with g = v - floor(v): b - (b - a) * (1 - g) when g >= 0.5,
+    else a + (b - a) * g (Hyndman & Fan 1996, type 7)."""
+    v = (n - 1) * q
+    i = v.astype(np.intp)  # v >= 0, so this is floor(v); i + 1 <= n - 1 as q < 1
+    g = v - i
+    cols = np.arange(xs.shape[1])
+    a, b = xs[i, cols], xs[i + 1, cols]
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
+
+
 def fit_robust_scaler(table: FeatureTable, per_cohort: bool = False) -> RobustScaler:
     """Median/IQR over the benign rows, pooled or within each cohort."""
     cohorts = tuple(sorted(set(table.cohort))) if per_cohort else None
@@ -56,10 +77,11 @@ def fit_robust_scaler(table: FeatureTable, per_cohort: bool = False) -> RobustSc
         if not len(ref):
             where = "(all cohorts)" if cohorts is None else f"within {cohorts[g]}"
             raise PreprocessError(f"no Benign reference samples (Benign {where})")
-        enough = (~np.isnan(ref)).sum(axis=0) >= 2
+        xs, n = _sorted_observed(ref)
+        enough = n >= 2
         if enough.any():
-            q1, median[g, enough], q3 = np.nanpercentile(ref[:, enough], [25.0, 50.0, 75.0],
-                                                         axis=0)
+            q1, median[g, enough], q3 = (_type7(xs[:, enough], n[enough], q)
+                                         for q in (0.25, 0.5, 0.75))
             iqr[g, enough] = q3 - q1
     scaler = RobustScaler(table.feature_names, cohorts, median, iqr)
     if scaler.unusable.any():
@@ -111,7 +133,14 @@ def filter_missingness(table: FeatureTable, max_missing_fraction: float) -> Feat
         raise NoFeaturesLeftError("every feature exceeds the missingness threshold "
                                   "or has no observed value")
     values = table.values[:, keep]
-    values = np.where(np.isnan(values), np.nanmedian(values, axis=0), values)
+    gappy = np.flatnonzero(holes[:, keep].any(axis=0))
+    if gappy.size:
+        block = values[:, gappy]
+        xs, n = _sorted_observed(block)
+        cols = np.arange(gappy.size)
+        # low and high middle values, the same one when n is odd
+        median = (xs[(n - 1) // 2, cols] + xs[n // 2, cols]) / 2
+        values[:, gappy] = np.where(np.isnan(block), median, block)
     return table.with_matrix(values, False,
                              feature_names=[table.feature_names[j] for j in keep])
 
@@ -130,7 +159,7 @@ def spearman_matrix(table: FeatureTable) -> np.ndarray:
     f = table.n_features
     rho = np.zeros((f, f))
     np.fill_diagonal(rho, 1.0)
-    ranks = np.column_stack([_midranks(table.values[:, j]) for j in range(f)])
+    ranks = np.column_stack([_midranks(table.values[:, j])[0] for j in range(f)])
     sd = ranks.std(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         full = np.corrcoef(ranks, rowvar=False)

@@ -171,10 +171,10 @@ def _read_rows(path: Path, schema: ColumnSchema, features: Sequence[str] | None
     the feature cells read, row by row, and the names of their columns: all
     feature columns in file order when `features` is None, else the named
     ones in the order given. A row is split only up to the last column read.
-    Faults raise in file order: an empty file, a missing role column, then
-    per row a wrong cell count (named by its physical line) and an unknown
-    label, then a duplicate sample id, then a duplicate feature name, then a
-    name in `features` that is not a feature column.
+    Faults raise in file order: an empty file, a missing or repeated role
+    column, then per row a wrong cell count (named by its physical line) and
+    an unknown label, then a duplicate sample id, then a duplicate feature
+    name, then a name in `features` that is not a feature column.
     """
     with path.open(newline="", encoding="utf-8") as fh:
         records = _records(fh)
@@ -188,6 +188,8 @@ def _read_rows(path: Path, schema: ColumnSchema, features: Sequence[str] | None
         for col in role_columns:
             if col not in header:
                 raise DataError(f"{path}: required column {col!r} not in header")
+            if header.count(col) > 1:
+                raise DataError(f"{path}: duplicate role column {col!r}")
         role_ix = [header.index(c) for c in role_columns]
         all_ix = [j for j in range(len(header)) if j not in role_ix]
         column = {header[j]: j for j in all_ix}
@@ -273,7 +275,9 @@ def save_feature_table(table: FeatureTable, path: str | Path,
     table order. Header and role cells are quoted as csv.writer quotes them,
     and so is a cell holding a lone CR, so the file loads back as saved. An
     id column name or a sample id starting with '#' would load back as a
-    comment line, so either raises DataError. A float's repr needs no quoting.
+    comment line, so either raises DataError, and so does a feature named
+    like a role column, which would load back as that role. A float's repr
+    needs no quoting.
     """
     if schema.id_column.startswith("#"):
         raise DataError(f"id column {schema.id_column!r} starts with '#', "
@@ -281,6 +285,10 @@ def save_feature_table(table: FeatureTable, path: str | Path,
     comment = next((sid for sid in table.sample_ids if sid.startswith("#")), None)
     if comment is not None:
         raise DataError(f"sample id {comment!r} starts with '#', which marks a comment line")
+    roles = (schema.id_column, schema.cohort_column, schema.label_column)
+    clash = next((name for name in table.feature_names if name in roles), None)
+    if clash is not None:
+        raise DataError(f"feature {clash!r} has the name of a role column")
     label_names = (str(ClassLabel.BENIGN), str(ClassLabel.MALIGNANT))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         # one csv line at a time; a CR in the line terminator gets a lone CR quoted

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import ndtr, ndtri
+from ._normal import _polevl, ndtr, ndtri
 from .errors import StatsError
 from .tables import ClassLabel, FeatureTable
 
@@ -38,9 +38,9 @@ def _sw_weights(n: int) -> np.ndarray:
     m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     mm = float(m @ m)
     rsn = 1.0 / math.sqrt(n)
-    a_top = m[-1] / math.sqrt(mm) + np.polyval(_C1, rsn)
+    a_top = m[-1] / math.sqrt(mm) + _polevl(rsn, _C1)
     if n > 5:
-        a_next = m[-2] / math.sqrt(mm) + np.polyval(_C2, rsn)
+        a_next = m[-2] / math.sqrt(mm) + _polevl(rsn, _C2)
         fac = math.sqrt((mm - 2 * m[-1] ** 2 - 2 * m[-2] ** 2)
                         / (1 - 2 * a_top ** 2 - 2 * a_next ** 2))
         a = m / fac
@@ -82,34 +82,37 @@ def shapiro_wilk(sample) -> tuple[float, float]:
         if arg <= 0:
             return w, 0.0
         y = -math.log(arg)
-        mu = np.polyval(_C3, n)
-        sigma = math.exp(np.polyval(_C4, n))
+        mu = _polevl(n, _C3)
+        sigma = math.exp(_polevl(n, _C4))
     else:
         ln_n = math.log(n)
         y = math.log(1.0 - w)
-        mu = np.polyval(_C5, ln_n)
-        sigma = math.exp(np.polyval(_C6, ln_n))
+        mu = _polevl(ln_n, _C5)
+        sigma = math.exp(_polevl(ln_n, _C6))
     z = (y - mu) / sigma
     return w, float(ndtr(-z))
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values sharing the mean of their rank range: a tie
-    run (equal neighbours in the stably sorted values) starting at 0-based
-    position i with m members gets rank i + (m + 1) / 2."""
-    order = np.argsort(values, kind="stable")
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n with tied values sharing the mean of their rank range, and
+    the size of each tie run (equal neighbours in the sorted values): a run
+    starting at 0-based position i with m members gets rank i + (m + 1) / 2.
+    Ties are averaged, so the order of a run's members in the sort does not
+    matter."""
+    order = np.argsort(values)
     sorted_vals = values[order]
     starts = np.flatnonzero(np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1]]))
     sizes = np.diff(np.append(starts, values.size))
     ranks = np.empty(values.size, dtype=float)
     ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
-    return ranks
+    return ranks, sizes
 
 
-def _u_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """U for group a (ties count half)."""
-    ranks = _midranks(np.concatenate([a, b]))
-    return float(ranks[: a.size].sum()) - a.size * (a.size + 1) / 2.0
+def _u_statistic(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """U for group a (ties count half), and the tie run sizes of a and b
+    together."""
+    ranks, ties = _midranks(np.concatenate([a, b]))
+    return float(ranks[: a.size].sum()) - a.size * (a.size + 1) / 2.0, ties
 
 
 def _exact_u_counts(n_a: int, n_b: int) -> np.ndarray:
@@ -146,9 +149,8 @@ def mann_whitney(a, b) -> tuple[float, float]:
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise StatsError("Mann-Whitney requires two non-empty groups")
-    u_a = _u_statistic(a, b)
+    u_a, tie_counts = _u_statistic(a, b)
     n_a, n_b, n = a.size, b.size, a.size + b.size
-    _, tie_counts = np.unique(np.concatenate([a, b]), return_counts=True)
     has_ties = bool((tie_counts > 1).any())
 
     if n <= 12 and not has_ties:
@@ -182,7 +184,7 @@ def rank_biserial(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise StatsError("rank-biserial requires two non-empty groups")
-    return _rank_biserial_from_u(_u_statistic(a, b), a.size, b.size)
+    return _rank_biserial_from_u(_u_statistic(a, b)[0], a.size, b.size)
 
 
 def _rank_biserial_from_u(u_a: float, n_a: int, n_b: int) -> float:

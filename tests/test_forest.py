@@ -617,3 +617,30 @@ def test_importance_matches_reference(case):
         assert np.array_equal(rep.mean_decrease, mean)
         assert np.array_equal(rep.std_error, se)
         assert np.array_equal(rep.normalized, normalized)
+
+
+def stable_rank_table(x):
+    """_rank_table with a stable sort, the reference for the default sort."""
+    n, p = x.shape
+    order = x.argsort(axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    new = np.ones((n, p), dtype=bool)
+    new[1:] = xs[1:] != xs[:-1]
+    rank = np.empty((n, p), dtype=np.int64)
+    np.put_along_axis(rank, order, np.maximum.accumulate(
+        np.where(new, np.arange(n)[:, None], 0), axis=0), axis=0)
+    return rank.T.ravel(), xs.T.ravel()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_rank_table_matches_a_stable_sort(n, p, seed):
+    # tie-heavy columns, -0.0 beside 0.0; values compare with ==, as a sort
+    # may place either zero first
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.5, -0.0, 0.0, 2.0, 7.0], (n, p))
+    x[:, 0] = rng.integers(0, max(1, n // 8), n)
+    rank, value = rf._rank_table(x)
+    want_rank, want_value = stable_rank_table(x)
+    assert np.array_equal(rank, want_rank)
+    assert np.array_equal(value, want_value)

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from latefuse import metrics
 from latefuse.errors import MetricsError
 from latefuse.metrics import (Confusion, auc, best_threshold_bacc, confusion,
                               metrics_from_confusion, roc_curve)
@@ -31,6 +33,9 @@ def test_labels_outside_0_1_and_nan_scores_rejected():
         confusion([0.3, 0.2, 0.9], [2, 0, 1], 0.5)
     with pytest.raises(MetricsError, match="labels must be 0 or 1"):
         auc([0.3, 0.2, 0.9], [256, 0, 1])  # out of int8 range
+    for check in (lambda s, y: confusion(s, y, 0.5), auc, roc_curve, best_threshold_bacc):
+        with pytest.raises(MetricsError, match="labels must be 0 or 1"):
+            check([0.1, 0.9, 0.4], [0.7, 1.0, 0.2])  # not truncated to 0, 1, 0
     for check in (lambda s, y: confusion(s, y, 0.5), auc, roc_curve, best_threshold_bacc):
         with pytest.raises(MetricsError, match="NaN"):
             check([0.3, math.nan, 0.9], [1, 0, 1])
@@ -187,3 +192,33 @@ def test_best_threshold_matches_exhaustive_oracle():
         # the returned threshold actually realises the reported bacc
         row = metrics_from_confusion(confusion(scores, labels, threshold))
         assert abs(row.balanced_accuracy - bacc) <= 1e-12
+
+
+def stable_sweep_counts(scores, y):
+    """_sweep_counts with a stable sort, the reference for the default sort."""
+    order = np.argsort(-scores, kind="stable")
+    s_sorted = scores[order]
+    y_sorted = y[order]
+    distinct = np.flatnonzero(np.diff(s_sorted) != 0)
+    last = np.concatenate([distinct, [len(s_sorted) - 1]])
+    tp = np.cumsum(y_sorted == 1)[last]
+    fp = np.cumsum(y_sorted == 0)[last]
+    return s_sorted[last], tp, fp
+
+
+def test_sweeps_match_a_stable_sort_on_tied_scores():
+    # values compare with ==: a sort may place -0.0 and 0.0 in either order
+    rng = np.random.default_rng(24)
+    for n in (2, 3, 17, 200, 1500):
+        for _ in range(20):
+            scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0], n)
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            got = (roc_curve(scores, labels), auc(scores, labels),
+                   best_threshold_bacc(scores, labels))
+            with mock.patch.object(metrics, "_sweep_counts", stable_sweep_counts):
+                want = (roc_curve(scores, labels), auc(scores, labels),
+                        best_threshold_bacc(scores, labels))
+            for field in ("thresholds", "fpr", "tpr"):
+                assert np.array_equal(getattr(got[0], field), getattr(want[0], field))
+            assert got[1:] == want[1:]

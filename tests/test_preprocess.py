@@ -11,8 +11,9 @@ from scipy import stats as sps
 
 from latefuse.cli import _preprocess_full
 from latefuse.errors import NoFeaturesLeftError, PreprocessError
-from latefuse.preprocess import (RobustScaler, apply_scaler, drop_correlated,
-                                 filter_missingness, fit_robust_scaler, spearman_matrix)
+from latefuse.preprocess import (RobustScaler, _sorted_observed, _type7, apply_scaler,
+                                 drop_correlated, filter_missingness, fit_robust_scaler,
+                                 spearman_matrix)
 from latefuse.tables import ClassLabel, FeatureTable
 
 from conftest import gaussian_table, make_table
@@ -544,3 +545,52 @@ def test_drop_correlated_matches_rebuilding_reference(threshold, data):
     assert got_removed == want_removed
     assert got_table.feature_names == want_table.feature_names
     assert np.array_equal(got_table.values, want_table.values)
+
+
+@st.composite
+def gappy_blocks(draw):
+    """A float block whose columns hold 1-3 observed values or a random
+    blank fraction; rows on both sides of np.nanmedian's 600-row switch,
+    values tie-heavy (with -0.0 beside 0.0) or continuous."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 31, 599, 600, 601, 640]))
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        values = rng.choice([-2.0, -0.0, 0.0, 0.5, 3.0], (n, p))
+    else:
+        values = rng.normal(size=(n, p)) * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    blank = np.empty((n, p), dtype=bool)
+    for j in range(p):
+        few = draw(st.integers(0, 3))  # 0: a random blank fraction
+        if few:
+            blank[:, j] = True
+            blank[rng.choice(n, min(few, n), replace=False), j] = False
+        else:
+            blank[:, j] = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    return np.where(blank, np.nan, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gappy_blocks())
+def test_quartiles_equal_nanpercentile(block):
+    # == rather than bits: a sort may place -0.0 and 0.0 in either order
+    xs, n = _sorted_observed(block)
+    assert np.array_equal(n, (~np.isnan(block)).sum(axis=0))
+    enough = n >= 2
+    if enough.any():
+        want = np.nanpercentile(block[:, enough], [25.0, 50.0, 75.0], axis=0)
+        got = [_type7(xs[:, enough], n[enough], q) for q in (0.25, 0.5, 0.75)]
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gappy_blocks())
+def test_imputed_medians_equal_nanmedian(block):
+    observed = ~np.isnan(block).all(axis=0)
+    if not observed.any():
+        return
+    t = make_table(block, [0, 1] * (len(block) // 2) + [0] * (len(block) % 2))
+    out = filter_missingness(t, 1.0)
+    kept = block[:, observed]
+    assert out.feature_names == tuple(np.array(t.feature_names)[observed])
+    assert np.array_equal(out.values, np.where(np.isnan(kept), np.nanmedian(kept, axis=0), kept))

@@ -63,6 +63,14 @@ def test_duplicate_id_rejected(tmp_path):
         load_feature_table(path)
 
 
+@pytest.mark.parametrize("role", ["id", "cohort", "label"])
+def test_role_column_named_twice_rejected(tmp_path, role):
+    # the second copy would otherwise load as a feature of that name
+    path = write_csv(tmp_path, f"id,cohort,label,f0,{role}\nS1,M,benign,1,0\n")
+    with pytest.raises(DataError, match=f"duplicate role column '{role}'"):
+        load_feature_table(path)
+
+
 def test_ragged_row_rejected(tmp_path):
     path = write_csv(tmp_path, "id,cohort,label,f1,f2\nS1,M,benign,1\n")
     with pytest.raises(DataError, match="row 2"):
@@ -508,6 +516,16 @@ def test_save_refuses_an_id_column_read_back_as_a_comment(tmp_path):
     assert not path.exists()
     save_feature_table(table, path, ColumnSchema(cohort_column="#cohort"))
     assert_same_table(load_feature_table(path, ColumnSchema(cohort_column="#cohort")), table)
+
+
+def test_save_refuses_a_feature_named_like_a_role_column(tmp_path):
+    table = make_table([[1.0, 2.0], [3.0, 4.0]], [0, 1], feature_names=["f0", "cohort"])
+    path = tmp_path / "t.csv"
+    with pytest.raises(DataError, match="feature 'cohort' has the name of a role column"):
+        save_feature_table(table, path)
+    assert not path.exists()
+    save_feature_table(table, path, ColumnSchema(cohort_column="site"))
+    assert_same_table(load_feature_table(path, ColumnSchema(cohort_column="site")), table)
 
 
 def test_align_intersection_order_and_labels():

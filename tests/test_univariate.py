@@ -81,7 +81,7 @@ def test_sw_weights_are_computed_once_per_n_and_read_only(n):
 @given(st.lists(st.sampled_from([-0.0, 0.0, -1.5, 1.0, 2.0, 1e300]), max_size=60))
 def test_midranks_match_reference_ranks_under_heavy_ties(values):
     x = np.array(values, dtype=float)
-    assert np.array_equal(_midranks(x), sps.rankdata(x))
+    assert np.array_equal(_midranks(x)[0], sps.rankdata(x))
 
 
 def _enumeration_p(a, b):
