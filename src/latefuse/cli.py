@@ -213,7 +213,8 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
 
 
 def _load_model(cfg: RunConfig, modality: str, model: str):
-    """The selected features, threshold and fitted model of a model file."""
+    """The selected features, threshold and fitted model of a model file; the
+    selected features are the model's own, in its order, as train writes them."""
     path = _require_file(_out(cfg) / f"model_{modality}_{model}.json",
                          f"model file for {modality}/{model}")
     try:
@@ -228,13 +229,21 @@ def _load_model(cfg: RunConfig, modality: str, model: str):
                             f"version {doc.get('version')!r}, kind {doc.get('kind')!r}, "
                             f"modality {doc.get('modality')!r}")
     try:
-        selected = list(doc["selected_features"])
+        selected = doc["selected_features"]
+        if not (isinstance(selected, list) and all(isinstance(f, str) for f in selected)
+                and len(set(selected)) == len(selected)):
+            raise ValueError(f"selected_features {selected!r} is not a list of distinct names")
         if not selected:  # train selects at least one; evaluate parses only these
             raise ValueError("no selected features")
         threshold = float(doc["threshold"])
         if not math.isfinite(threshold):  # train writes a finite score cut
             raise ValueError(f"threshold {threshold} is not finite")
-        return selected, threshold, (lr if model == "lr" else rf).from_doc(doc["model"])
+        fitted = (lr if model == "lr" else rf).from_doc(doc["model"])
+        features = fitted.selected_order if model == "lr" else fitted.feature_names
+        if list(features) != selected:
+            raise ValueError(f"selected_features {selected} are not the model's "
+                             f"features {list(features)}")
+        return selected, threshold, fitted
     except KeyError as exc:  # here or in a sub-document
         raise LatefuseError(f"{path}: model document lacks key {exc}") from None
     except (TypeError, ValueError, AttributeError, ModelError) as exc:
@@ -315,15 +324,17 @@ def cmd_fuse(cfg: RunConfig, model: str) -> None:
 
 
 def cmd_report(cfg: RunConfig) -> None:
-    """Collect all emitted metric rows into one summary table (metrics as rows)."""
+    """Collect all emitted metric rows into one summary table (metrics as rows).
+    Every metrics file must carry the same metric header."""
     out = _out(cfg)
     files = sorted(out.glob("metrics_*.csv"))
     if not files:
         raise PipelineExit(EXIT_MISSING_INPUT, f"no metrics CSVs found in {out}")
-    columns: list[tuple[str, list[str]]] = []
-    header: list[str] = []
-    for path in files:
-        header, rows = read_metrics_csv(path)
+    header, columns = read_metrics_csv(files[0])
+    for path in files[1:]:
+        names, rows = read_metrics_csv(path)
+        if names != header:
+            raise DataError(f"{files[0]} and {path} have different metric headers")
         columns.extend(rows)
     write_text(out / "report_summary.csv", summary_csv(header, columns))
     _log(f"summary over {len(columns)} model column(s) -> {out / 'report_summary.csv'}")

@@ -191,12 +191,19 @@ def fused_scores_csv(rule: str, sample_ids: Sequence[str], p_a, p_b,
 
 
 def read_metrics_csv(path: str | Path) -> tuple[list[str], list[tuple[str, list[str]]]]:
-    """Return (metric header, [(model label, metric cells)]) without reparsing floats."""
+    """Return (metric header, [(model label, metric cells)]) without reparsing
+    floats. A data row with more or fewer cells than the header raises
+    DataError naming the file and line."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or rows[0][0] != "Model":
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    if not rows or rows[0][1][0] != "Model":
         raise DataError(f"{path} is not a metrics CSV")
-    return rows[0][1:], [(r[0], r[1:]) for r in rows[1:]]
+    header = rows[0][1]
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {line}: {len(row)} cells, expected {len(header)}")
+    return header[1:], [(r[0], r[1:]) for _, r in rows[1:]]
 
 
 def summary_csv(metric_names: Sequence[str],

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import _polevl, ndtr, ndtri
+from ._normal import ndtr, ndtri
 from .errors import StatsError
 from .tables import ClassLabel, FeatureTable
 
@@ -24,6 +24,14 @@ _C3 = (-0.0006714, 0.025054, -0.39978, 0.5440)
 _C4 = (-0.0020322, 0.062767, -0.77857, 1.3822)
 _C5 = (0.0038915, -0.083751, -0.31082, -1.5861)
 _C6 = (0.0030302, -0.082676, -0.4803)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """coef[0] x^N + ... + coef[N], by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
 
 
 @functools.lru_cache(maxsize=64)
@@ -59,12 +67,14 @@ def shapiro_wilk(sample) -> tuple[float, float]:
     W uses the standard polynomial approximation to the optimal weights;
     the p-value comes from the exact n=3 formula, a log-gamma transform of
     1-W for n in 4..11, and the log-normal transform of 1-W for n >= 12.
-    Valid for 3 <= n <= 5000; constant samples are rejected.
+    Valid for 3 <= n <= 5000; a constant sample or a NaN value is rejected.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
     if n < 3 or n > 5000:
         raise StatsError(f"Shapiro-Wilk requires 3 <= n <= 5000, got {n}")
+    if np.isnan(x[-1]):  # the sort puts NaN last
+        raise StatsError("Shapiro-Wilk is undefined for a sample with a NaN value")
     if x[-1] == x[0]:
         raise StatsError("Shapiro-Wilk is undefined for a constant sample (zero variance)")
     a = _sw_weights(n)
@@ -108,6 +118,17 @@ def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, sizes
 
 
+def _groups(a, b, test: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two non-empty float groups; NaN, which would rank above every number, is refused."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.size == 0 or b.size == 0:
+        raise StatsError(f"{test} requires two non-empty groups")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise StatsError(f"{test} is undefined for a group with a NaN value")
+    return a, b
+
+
 def _u_statistic(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     """U for group a (ties count half), and the tie run sizes of a and b
     together."""
@@ -145,10 +166,7 @@ def mann_whitney(a, b) -> tuple[float, float]:
     within 6e-4 of exact at 8v8). The kurtosis term uses the tie-free closed
     form.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise StatsError("Mann-Whitney requires two non-empty groups")
+    a, b = _groups(a, b, "Mann-Whitney")
     u_a, tie_counts = _u_statistic(a, b)
     n_a, n_b, n = a.size, b.size, a.size + b.size
     has_ties = bool((tie_counts > 1).any())
@@ -180,10 +198,7 @@ def rank_biserial(a, b) -> float:
     Callers pass a = malignant group, b = benign group; rg = 2*U_a/(n_a*n_b) - 1
     where U_a counts (a > b) pairs with ties as one half.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise StatsError("rank-biserial requires two non-empty groups")
+    a, b = _groups(a, b, "rank-biserial")
     return _rank_biserial_from_u(_u_statistic(a, b)[0], a.size, b.size)
 
 

@@ -334,6 +334,32 @@ def test_report_refuses_a_metrics_file_without_model_header(config_path, tmp_pat
     assert not (tmp_path / "out" / "report_summary.csv").exists()
 
 
+def test_report_refuses_a_metrics_row_shorter_than_its_header(config_path, tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "metrics_a_lr.csv").write_text(
+        "# latefuse-csv v1 kind=metrics\nModel,Sensitivity,Specificity\na-lr,0.5\n")
+    capsys.readouterr()
+    assert run(config_path, "report") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "metrics_a_lr.csv: line 3: 2 cells, expected 3" in err[0], err[0]
+    assert not (tmp_path / "out" / "report_summary.csv").exists()
+
+
+def test_report_refuses_metrics_files_with_different_headers(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "metrics_a_lr.csv").write_text("Model,Sensitivity\na-lr,0.5\n")
+    (out / "metrics_b_lr.csv").write_text("Model,Specificity\nb-lr,0.25\n")
+    capsys.readouterr()
+    assert run(config_path, "report") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert (f"{out / 'metrics_a_lr.csv'} and {out / 'metrics_b_lr.csv'} have different "
+            "metric headers") in err[0], err[0]
+    assert not (out / "report_summary.csv").exists()
+
+
 def test_evaluate_without_model_exit_2(config_path):
     run(config_path, "synth")
     assert run(config_path, "evaluate", "--modality", "a", "--model", "lr") == 2
@@ -419,6 +445,14 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
             '"selected_features": ["f000"], "threshold": 0.5')
     forest = '"model": {"format": "latefuse-forest", "version": %d}}'
     logistic = '"model": {"format": "latefuse-logreg", "version": %d}}'
+    # well-formed models of features f000, f001 (logistic in that order)
+    stump = (', "model": {"format": "latefuse-forest", "version": 4, "n_train": 10, '
+             '"feature_names": ["f000", "f001"], "params": {"mtry": 1, "ntree": 1, '
+             '"seed": 1}, "trees": [{"feature": [-1], "value": [0.5]}]}}')
+    two = (', "model": {"format": "latefuse-logreg", "version": 2, "intercept": 0.0, '
+           '"coefficients": {"f000": 1.0, "f001": 0.5}, "log_likelihood": -1.0, '
+           '"n_train": 10, "converged": true, "separated": false}}')
+    names = lambda text: head.replace('["f000"]', text)  # noqa: E731
     for model, body, detail in [
         ("lr", '{"format": "latefuse-model",', "not valid JSON"),
         ("lr", '{"format": "latefuse-model"}', "not a version-1 a/lr model document"),
@@ -429,6 +463,10 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
         ("rf", f"{head}, {forest % 3}", "unrecognized forest document version 3; re-run train"),
         ("lr", f"{head}, {logistic % 1}",
          "unrecognized logistic model document version 1; re-run train"),
+        ("lr", names('"f000"') + two, "selected_features 'f000' is not a list of distinct"),
+        ("rf", names('["f000", "f000"]') + stump, "is not a list of distinct names"),
+        ("rf", names('["f001", "f000"]') + stump, "are not the model's features"),
+        ("lr", names('["f001", "f000", "f002"]') + two, "are not the model's features"),
     ]:
         path = out / f"model_a_{model}.json"
         path.write_text(body.replace("%s", model), encoding="utf-8")

@@ -60,9 +60,12 @@ COMMANDS = ([["synth"]] + [["univariate", "--modality", m] for m in "ab"]
 
 
 def environment() -> str:
-    """The versions that can touch an artifact: python and numpy (the
-    program imports nothing else outside the standard library)."""
-    return f"python {platform.python_version()} numpy {numpy.__version__}"
+    """The versions that can touch an artifact: python, numpy (the program
+    imports nothing else outside the standard library) and the C library,
+    whose libm computes `math.erfc`, `math.exp` and `math.log`, and so the
+    last bits of the univariate p-values and of Stouffer fusion."""
+    return (f"python {platform.python_version()} numpy {numpy.__version__} "
+            f"libc {' '.join(platform.libc_ver())}").rstrip()
 
 
 def artifact_hashes(root: Path) -> dict[str, str]:

@@ -117,6 +117,17 @@ def test_mw_empty_group_rejected():
         mann_whitney([], [1.0])
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: mann_whitney([math.nan, 1.0], [2.0, 3.0]), id="mann-whitney-a"),
+    pytest.param(lambda: mann_whitney([1.0, 4.0], [2.0, math.nan]), id="mann-whitney-b"),
+    pytest.param(lambda: rank_biserial([math.nan, 1.0], [2.0, 3.0]), id="rank-biserial"),
+    pytest.param(lambda: shapiro_wilk([1.0, 2.0, math.nan, 4.0]), id="shapiro-wilk"),
+])
+def test_nan_value_rejected(call):
+    with pytest.raises(StatsError, match="NaN"):
+        call()
+
+
 def test_mw_exact_equals_enumeration_oracle():
     rng = np.random.default_rng(17)
     for _ in range(300):
