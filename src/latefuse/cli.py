@@ -230,9 +230,8 @@ def _load_model(cfg: RunConfig, modality: str, model: str):
                             f"modality {doc.get('modality')!r}")
     try:
         selected = doc["selected_features"]
-        if not (isinstance(selected, list) and all(isinstance(f, str) for f in selected)
-                and len(set(selected)) == len(selected)):
-            raise ValueError(f"selected_features {selected!r} is not a list of distinct names")
+        if not (isinstance(selected, list) and all(isinstance(f, str) for f in selected)):
+            raise ValueError(f"selected_features {selected!r} is not a list of names")
         if not selected:  # train selects at least one; evaluate parses only these
             raise ValueError("no selected features")
         threshold = float(doc["threshold"])

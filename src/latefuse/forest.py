@@ -510,7 +510,11 @@ def from_doc(doc: dict) -> Forest:
         raise ModelError(f"unrecognized forest document version {doc.get('version')!r}; "
                          "re-run train to write version 4")
     trees = doc["trees"]
-    feature_names = tuple(doc["feature_names"])
+    names = doc["feature_names"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names)):
+        raise ModelError(f"feature_names {names!r} is not a list of distinct names")
+    feature_names = tuple(names)
     p = doc["params"]
     if len(trees) != p["ntree"]:
         raise ModelError(f"forest document holds {len(trees)} trees, not ntree={p['ntree']}")

@@ -1,7 +1,8 @@
 """Benign-referenced robust scaling, missingness handling, and redundancy pruning.
 
 All operations are pure: they return new FeatureTables and leave inputs
-untouched.
+untouched. Scaling and imputation work in place in the one fresh matrix
+that becomes the result's.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFeaturesLeftError, PreprocessError
-from .tables import ClassLabel, FeatureTable
+from .tables import ClassLabel, FeatureTable, _frozen
 from .univariate import _midranks
 
 
@@ -46,9 +47,11 @@ def _group_rows(cohorts: tuple[str, ...] | None, table: FeatureTable) -> list[np
 
 
 def _sorted_observed(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column of `block` sorted ascending with its NaNs last, and each
-    column's count of observed values."""
-    return np.sort(block, axis=0), block.shape[0] - np.isnan(block).sum(axis=0)
+    """`block`, each column sorted ascending in place with its NaNs last, and
+    each column's count of observed values."""
+    n = block.shape[0] - np.isnan(block).sum(axis=0)
+    block.sort(axis=0)
+    return block, n
 
 
 def _type7(xs: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
@@ -111,10 +114,12 @@ def apply_scaler(scaler: RobustScaler, table: FeatureTable) -> FeatureTable:
         raise PreprocessError(f"no scaler fitted for cohort {min(unknown)!r}")
     keep = [table.feature_names[j] for j in cols]
     at = [pos[n] for n in keep]
-    out = np.empty((table.n_samples, len(keep)))
+    out = table.values.take(cols, axis=1)
     for g, rows in enumerate(_group_rows(scaler.cohorts, table)):
-        out[rows] = (table.values[np.ix_(rows, cols)] - scaler.median[g, at]) / scaler.iqr[g, at]
-    return table.with_matrix(out, False, feature_names=keep)
+        where = rows[:, None]
+        np.subtract(out, scaler.median[g, at], out=out, where=where)
+        np.divide(out, scaler.iqr[g, at], out=out, where=where)
+    return table.with_matrix(_frozen(out), False, feature_names=keep)
 
 
 def filter_missingness(table: FeatureTable, max_missing_fraction: float) -> FeatureTable:
@@ -132,16 +137,17 @@ def filter_missingness(table: FeatureTable, max_missing_fraction: float) -> Feat
     if keep.size == 0:
         raise NoFeaturesLeftError("every feature exceeds the missingness threshold "
                                   "or has no observed value")
-    values = table.values[:, keep]
-    gappy = np.flatnonzero(holes[:, keep].any(axis=0))
+    values = table.values.take(keep, axis=1)
+    holes = holes.take(keep, axis=1)
+    gappy = np.flatnonzero(holes.any(axis=0))
     if gappy.size:
-        block = values[:, gappy]
-        xs, n = _sorted_observed(block)
+        xs, n = _sorted_observed(values.take(gappy, axis=1))
         cols = np.arange(gappy.size)
+        fill = np.zeros(keep.size)
         # low and high middle values, the same one when n is odd
-        median = (xs[(n - 1) // 2, cols] + xs[n // 2, cols]) / 2
-        values[:, gappy] = np.where(np.isnan(block), median, block)
-    return table.with_matrix(values, False,
+        fill[gappy] = (xs[(n - 1) // 2, cols] + xs[n // 2, cols]) / 2
+        np.copyto(values, fill, where=holes)
+    return table.with_matrix(_frozen(values), False,
                              feature_names=[table.feature_names[j] for j in keep])
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .tables import FeatureTable
+from .tables import FeatureTable, _frozen
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def generate(spec: SynthSpec, id_prefix: str = "S") -> FeatureTable:
         cohort=tuple([spec.cohort] * n),
         labels=labels,
         feature_names=_feature_names(spec.n_features),
-        values=values,
+        values=_frozen(values),
     )
 
 
@@ -109,6 +109,6 @@ def generate_pair(spec_a: SynthSpec, spec_b: SynthSpec) -> tuple[FeatureTable, F
             cohort=tuple([spec.cohort] * labels.size),
             labels=labels,
             feature_names=_feature_names(spec.n_features),
-            values=values,
+            values=_frozen(values),
         ))
     return tables[0], tables[1]

@@ -2,7 +2,9 @@
 
 A FeatureTable is an immutable samples-by-features matrix with sample ids,
 per-sample cohort tags, and binary class labels. A missing cell is NaN in
-the values matrix, and every other value is finite.
+the values matrix, and every other value is finite. A table holds one copy
+of its matrix: an array that no one can write (the library's fresh,
+read-only results) becomes the table's as it is, and any other is copied.
 """
 
 from __future__ import annotations
@@ -53,6 +55,23 @@ class ColumnSchema:
     label_column: str = "label"
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only: a fresh array handed to a FeatureTable this way
+    becomes its matrix without a copy."""
+    a.flags.writeable = False
+    return a
+
+
+def _owned(a: np.ndarray) -> np.ndarray:
+    """`a` itself when it is C-contiguous and neither it nor any array it
+    views is writeable, so no one can change its cells; else a read-only
+    C-ordered copy, so that a caller's array never reaches a table."""
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return a if base is None and a.flags.c_contiguous else _frozen(a.copy())
+
+
 @dataclass(frozen=True)
 class FeatureTable:
     sample_ids: tuple[str, ...]
@@ -79,14 +98,11 @@ class FeatureTable:
             raise DataError("labels must be Benign(0) or Malignant(1)")
         if np.isinf(values).any():
             raise DataError("infinite value; a missing cell must be NaN")
-        values = values.copy()
-        for arr in (labels, values):
-            arr.flags.writeable = False
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
         object.__setattr__(self, "cohort", tuple(self.cohort))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", _owned(labels))
+        object.__setattr__(self, "values", _owned(values))
 
     @property
     def n_samples(self) -> int:
@@ -107,9 +123,9 @@ class FeatureTable:
         return FeatureTable(
             sample_ids=tuple(self.sample_ids[i] for i in index),
             cohort=tuple(self.cohort[i] for i in index),
-            labels=self.labels[index],
+            labels=_frozen(self.labels[index]),
             feature_names=self.feature_names,
-            values=self.values[index],
+            values=_frozen(self.values[index]),
         )
 
     def select_features(self, names: Iterable[str]) -> "FeatureTable":
@@ -120,25 +136,29 @@ class FeatureTable:
             cohort=self.cohort,
             labels=self.labels,
             feature_names=tuple(names),
-            values=self.values[:, cols],
+            values=_frozen(self.values.take(cols, axis=1)),
         )
 
     def with_matrix(self, values: np.ndarray, missing: np.ndarray | bool,
                     feature_names: Sequence[str] | None = None) -> "FeatureTable":
         """Same samples, new feature matrix; the cells marked in `missing`
-        (False for none) become NaN."""
+        (False for none) become NaN. A read-only `values` with none marked is
+        taken as it is, without a copy (see FeatureTable)."""
+        if np.any(missing):
+            values = _frozen(np.where(missing, np.nan, values))
         return FeatureTable(
             sample_ids=self.sample_ids,
             cohort=self.cohort,
             labels=self.labels,
             feature_names=tuple(feature_names) if feature_names is not None else self.feature_names,
-            values=np.where(missing, np.nan, values),
+            values=values,
         )
 
 
-def _records(fh: TextIO) -> Iterator[tuple[int, str | None, list[str] | None]]:
-    """(physical line number, text, cells) of each row of a CSV file that is
-    neither blank nor a comment (a first cell starting with '#').
+def _records(fh: TextIO, path: Path) -> Iterator[tuple[int, str | None, list[str] | None]]:
+    """(physical line number, text, cells) of each row of the CSV file `path`,
+    open as `fh`, that is neither blank nor a comment (a first cell starting
+    with '#').
 
     Up to the first line that holds a quote, a carriage return or a NUL, or
     is longer than csv's field size limit, a record cannot span lines and
@@ -146,7 +166,8 @@ def _records(fh: TextIO) -> Iterator[tuple[int, str | None, list[str] | None]]:
     text without its line end, None), to be split by the caller. csv.reader
     reads the rest of the file from that line on, and each of its rows comes
     as (number of its last line, None, cells). Either way the cells are the
-    ones csv.reader gives for the whole file.
+    ones csv.reader gives for the whole file. A record csv.reader refuses (a
+    field longer than its limit) raises DataError naming the line.
     """
     limit = csv.field_size_limit()
     for num, line in enumerate(fh, 1):
@@ -158,26 +179,52 @@ def _records(fh: TextIO) -> Iterator[tuple[int, str | None, list[str] | None]]:
     else:
         return
     reader = csv.reader(chain([line], fh))
-    for row in reader:
-        if row and not row[0].startswith("#"):
-            yield num - 1 + reader.line_num, None, row
+    try:
+        for row in reader:
+            if row and not row[0].startswith("#"):
+                yield num - 1 + reader.line_num, None, row
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {num - 1 + reader.line_num}: {exc}") from None
+
+
+CHUNK_CELLS = 4096  # feature cells held as text before they are parsed to floats
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _parse_cells(cells: list[str]) -> np.ndarray:
+    """The float of each cell by float(), NaN where it is empty, where
+    float() refuses it (text such as "NA") or where it is not finite."""
+    cells = [c or "nan" for c in cells]
+    try:
+        values = np.fromiter(map(float, cells), float, count=len(cells))
+    except ValueError:  # text such as "NA": parse cell by cell
+        values = np.fromiter(map(_float_or_nan, cells), float, count=len(cells))
+    values[~np.isfinite(values)] = np.nan
+    return values
 
 
 def _read_rows(path: Path, schema: ColumnSchema, features: Sequence[str] | None
-               ) -> tuple[FeatureTable, list[str], list[str]]:
-    """Everything of a table file but the parsed feature values.
+               ) -> FeatureTable:
+    """The table of a file, as load_feature_table describes it.
 
-    Returns the zero-feature table of ids, cohorts and labels, the text of
-    the feature cells read, row by row, and the names of their columns: all
-    feature columns in file order when `features` is None, else the named
-    ones in the order given. A row is split only up to the last column read.
+    The feature columns read are all of them in file order when `features`
+    is None, else the named ones in the order given. A row is split only up
+    to the last column read, and its feature cells are parsed to floats
+    CHUNK_CELLS or so at a time, whole rows together, so that the text of
+    no more cells than that is held at once.
     Faults raise in file order: an empty file, a missing or repeated role
     column, then per row a wrong cell count (named by its physical line) and
     an unknown label, then a duplicate sample id, then a duplicate feature
     name, then a name in `features` that is not a feature column.
     """
     with path.open(newline="", encoding="utf-8") as fh:
-        records = _records(fh)
+        records = _records(fh, path)
         first = next(records, None)
         if first is None:
             raise DataError(f"{path}: empty file")
@@ -202,6 +249,7 @@ def _read_rows(path: Path, schema: ColumnSchema, features: Sequence[str] | None
         cohorts: list[str] = []
         labels: list[int] = []
         cells: list[str] = []
+        chunks: list[np.ndarray] = []
         codes: dict[str, int] = {}  # label text -> class, each text parsed once
         for num, text, row in records:
             if row is None:
@@ -218,28 +266,25 @@ def _read_rows(path: Path, schema: ColumnSchema, features: Sequence[str] | None
             ids.append(sid)
             cohorts.append(cohort)
             labels.append(code)
-            cells.extend(values)
+            cells += values
+            if len(cells) >= CHUNK_CELLS:
+                chunks.append(_parse_cells(cells))
+                cells = []
     for name, found in (("sample id", ids), ("feature name", [header[j] for j in all_ix])):
         if len(set(found)) != len(found):
             dupes = sorted(s for s, k in Counter(found).items() if k > 1)
             raise DataError(f"{path}: duplicate {name} {dupes[0]!r}")
     if unknown:
         raise UnknownFeatureError(f"unknown feature {unknown[0]!r}")
-    roles = FeatureTable(
+    chunks.append(_parse_cells(cells))
+    flat = _frozen(np.concatenate(chunks))
+    return FeatureTable(
         sample_ids=tuple(ids),
         cohort=tuple(cohorts),
-        labels=np.asarray(labels, dtype=np.int8),
-        feature_names=(),
-        values=np.empty((len(ids), 0)),
+        labels=_frozen(np.asarray(labels, dtype=np.int8)),
+        feature_names=tuple(names),
+        values=flat.reshape(len(ids), len(names)),
     )
-    return roles, cells, names
-
-
-def _float_or_nan(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
 
 
 def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema(),
@@ -256,15 +301,15 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema(),
     missing mark. Lines starting with '#' are skipped so files written by
     save_feature_table round-trip.
     Quoted fields and CRLF line ends are read as the csv module reads them.
+    A file that is not UTF-8, or holds a field longer than csv's field size
+    limit, raises DataError.
     """
-    roles, cells, names = _read_rows(Path(path), schema, features)
-    cells = [c or "nan" for c in cells]
+    path = Path(path)
     try:
-        values = np.fromiter(map(float, cells), float, count=len(cells))
-    except ValueError:  # text such as "NA": parse cell by cell
-        values = np.fromiter(map(_float_or_nan, cells), float, count=len(cells))
-    values = values.reshape(roles.n_samples, len(names))
-    return roles.with_matrix(values, ~np.isfinite(values), names)
+        return _read_rows(path, schema, features)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} "
+                        f"(byte 0x{exc.object[exc.start]:02x})") from None
 
 
 def save_feature_table(table: FeatureTable, path: str | Path,
@@ -297,10 +342,11 @@ def save_feature_table(table: FeatureTable, path: str | Path,
         writer.writerow([schema.id_column, schema.cohort_column, schema.label_column,
                          *table.feature_names])
         fh.write(quoted.pop()[:-2] + "\n")
-        for sid, cohort, label, values in zip(table.sample_ids, table.cohort,
-                                              table.labels.tolist(), table.values.tolist()):
+        for sid, cohort, label, row in zip(table.sample_ids, table.cohort,
+                                           table.labels.tolist(), table.values):
             writer.writerow((sid, cohort, label_names[label]))
             line = quoted.pop()[:-2]
+            values = row.tolist()  # one row at a time
             if values:  # a finite float's repr never holds "nan", and no cell is infinite
                 line += "," + ",".join(map(repr, values)).replace("nan", "")
             fh.write(line + "\n")

@@ -211,6 +211,23 @@ def test_other_preprocessing_errors_exit_1(config_path, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: no Benign reference samples"), err
 
 
+@pytest.mark.parametrize("fault, cell, detail", [
+    ("long-field", b"1" * (csv.field_size_limit() + 1),
+     f": line 5: field larger than field limit ({csv.field_size_limit()})"),
+    ("not-utf-8", b"\xff", ": not UTF-8 text: invalid start byte (byte 0xff)"),
+])
+def test_unreadable_table_is_an_error_line(config_path, tmp_path, capsys, fault, cell, detail):
+    run(config_path, "synth")
+    data = tmp_path / "data" / "modality_a.csv"
+    lines = data.read_bytes().split(b"\n")
+    row = lines[4].split(b",")  # the fourth data row, line 5
+    lines[4] = b",".join(row[:3] + [cell] + row[4:])
+    data.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run(config_path, "univariate", "--modality", "a") == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {data}{detail}"]
+
+
 def test_all_blank_feature_is_dropped_at_any_threshold(config_path, tmp_path):
     # unscaled, at max_missing_fraction 1, so only the "no observed value"
     # rule can drop the column
@@ -463,8 +480,10 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
         ("rf", f"{head}, {forest % 3}", "unrecognized forest document version 3; re-run train"),
         ("lr", f"{head}, {logistic % 1}",
          "unrecognized logistic model document version 1; re-run train"),
-        ("lr", names('"f000"') + two, "selected_features 'f000' is not a list of distinct"),
-        ("rf", names('["f000", "f000"]') + stump, "is not a list of distinct names"),
+        ("lr", names('"f000"') + two, "selected_features 'f000' is not a list of names"),
+        ("rf", names('["f000", "f000"]') + stump, "are not the model's features"),
+        ("rf", names('["f000", "f000"]') + stump.replace('"f001"', '"f000"'),
+         "feature_names ['f000', 'f000'] is not a list of distinct names"),
         ("rf", names('["f001", "f000"]') + stump, "are not the model's features"),
         ("lr", names('["f001", "f000", "f002"]') + two, "are not the model's features"),
     ]:

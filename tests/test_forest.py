@@ -311,6 +311,10 @@ def test_only_version_4_documents_load():
     (lambda d, t: t["value"].__setitem__(-1, math.nan), "leaf value"),
     (lambda d, t: t["value"].__setitem__(-1, math.inf), "leaf value"),
     (lambda d, t: d["params"].__setitem__("ntree", 999), "ntree"),
+    # feature names no table can match: repeated, not text, not a list
+    (lambda d, t: d["feature_names"].__setitem__(1, d["feature_names"][0]), "distinct names"),
+    (lambda d, t: d["feature_names"].__setitem__(2, 3), "distinct names"),
+    (lambda d, t: d.__setitem__("feature_names", "f000"), "distinct names"),
 ])
 def test_from_doc_refuses_trees_descend_cannot_walk(edit, detail):
     t = gaussian_table(25, 25, 3, shifts={0: 1.5}, seed=13)
