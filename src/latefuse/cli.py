@@ -25,7 +25,7 @@ from . import forest as rf
 from . import logreg as lr
 from .config import RunConfig, load_config
 from .errors import (ConfigError, DataError, LatefuseError, ModelError,
-                     NoFeaturesLeftError, PredictError, UnknownFeatureError)
+                     NoFeaturesLeftError, PredictError, UnknownFeatureError, not_utf8)
 from .fuse import FusionRule, fuse_modalities
 from .metrics import auc, best_threshold_bacc, confusion, metrics_from_confusion, roc_curve
 from .mrcv import (derive_seed, elbow_cut, rank_features_lr, rank_features_rf, run_mrcv_lr,
@@ -83,9 +83,11 @@ def _test_ids(cfg: RunConfig, modality: str, raw: FeatureTable) -> frozenset[str
     and labels are read."""
     if cfg.test_ids_file is not None:
         path = _require_file(cfg.test_ids_file, "test id file")
-        ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()
-               if line.strip()]
-        return frozenset(ids)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from None
+        return frozenset(line.strip() for line in text.splitlines() if line.strip())
     other = load_feature_table(_table_file(cfg, "b" if modality == "a" else "a"), cfg.schema,
                                features=())
     a, b = (raw, other) if modality == "a" else (other, raw)

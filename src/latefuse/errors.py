@@ -9,6 +9,11 @@ class DataError(LatefuseError):
     """Malformed or inconsistent tabular input."""
 
 
+def not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    """The DataError for a file that is not UTF-8 text, naming its first bad byte."""
+    return DataError(f"{path}: not UTF-8 text: {exc.reason} (byte 0x{exc.object[exc.start]:02x})")
+
+
 class UnknownFeatureError(DataError):
     """A feature name that is not a column of the table."""
 

@@ -87,16 +87,19 @@ def _rank_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feature-major flat tables over the n training rows: rank[f * n + i] is
     the number of values in column f below x[i, f], so tied values share a
     rank and their order in the sort does not matter, and value[f * n + r]
-    is the value of rank r in column f."""
+    is the value of rank r in column f. Ranks are int32, as n is far below
+    2**31."""
     n, p = x.shape
-    order = x.argsort(axis=0)
-    xs = np.take_along_axis(x, order, axis=0)
-    new = np.ones((n, p), dtype=bool)
-    new[1:] = xs[1:] != xs[:-1]
-    rank = np.empty((n, p), dtype=np.int64)
-    np.put_along_axis(rank, order, np.maximum.accumulate(
-        np.where(new, np.arange(n)[:, None], 0), axis=0), axis=0)
-    return rank.T.ravel(), xs.T.ravel()
+    order = x.T.argsort(axis=1)
+    xs = np.take_along_axis(x.T, order, axis=1)
+    new = np.ones((p, n), dtype=bool)
+    new[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    first = np.where(new, np.arange(n, dtype=np.int32), 0)
+    del new
+    np.maximum.accumulate(first, axis=1, out=first)  # each value's first position
+    rank = np.empty((p, n), dtype=np.int32)
+    np.put_along_axis(rank, order, first, axis=1)
+    return rank.ravel(), xs.ravel()
 
 
 def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
@@ -108,7 +111,10 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     An element is one distinct bootstrap row of a node, with its class and
     multiplicity packed as `cls << k | mult`. A tree has one weight per
     class, so the weighted Gini of a cut is exact arithmetic on the class
-    counts on each side, and a tree does not depend on its block.
+    counts on each side, and a tree does not depend on its block. A child's
+    distinct rows and class counts are those left (or right) of its parent's
+    winning cut. The level's arrays of one entry per cell set the fit's
+    working memory, so each is released as soon as it has been used.
 
     Only boundary cuts are scored (Fayyad & Irani 1992). Along a run of
     cells of one class, each alone at its rank, the cost is strictly concave
@@ -122,18 +128,24 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     """
     n, b = y.size, len(streams)
     p = rank.size // n
-    k = n.bit_length()  # 2**k > n >= any multiplicity
-    mask = (1 << k) - 1
-    stride = n << (k + 1)  # key span of one (node, drawn feature) column
-    rank_key = rank << (k + 1)
     boots = np.stack([boot for _, boot in streams])
     mult = np.bincount((boots + n * np.arange(b)[:, None]).ravel(), minlength=b * n)
+    k = int(mult.max()).bit_length()  # 2**k > any multiplicity of the block
+    mask = (1 << k) - 1
+    stride = n << (k + 1)  # key span of one (node, drawn feature) column
+    rank_key = rank.astype(_key_dtype(stride))  # one key table per block
+    rank_key <<= k + 1
     at = np.flatnonzero(mult)
     node, row = np.divmod(at, n)  # the roots are nodes 0..b-1
-    low = y[row].astype(np.int64) << k | mult[at]
+    low = mult[at].astype(np.int32)
+    low |= y[row].astype(np.int32) << k
+    del mult, at
     n_c = np.stack([n - y[boots].sum(axis=1), y[boots].sum(axis=1)])
     # balanced weights n / (2 n_c) per bootstrap (0 for a class it lacks)
     cw0, cw1 = np.divide(n, 2.0 * n_c, out=np.zeros((2, b)), where=n_c > 0)
+    # each node's bootstrap rows of either class, and its distinct rows
+    n0, n1 = n_c
+    size = np.bincount(node, minlength=b)
     features = np.arange(p)
     f_bits = p.bit_length()
     f_mask = (1 << f_bits) - 1
@@ -141,11 +153,6 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     node_tree = np.arange(b)
     levels = []
     while node_tree.size:
-        size = np.bincount(node, minlength=node_tree.size)
-        m = low & mask
-        nm = np.bincount(node, weights=m)
-        n1 = np.bincount(node, weights=(low >> k) * m)
-        n0 = nm - n1
         c0, c1 = cw0[node_tree], cw1[node_tree]
         w0, w1 = n0 * c0, n1 * c1
         feature = np.full(node_tree.size, -1, dtype=np.int64)
@@ -159,29 +166,41 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         # in key order. A key is the draw's 53 bits (fewer when p > 1023) over
         # the feature index, so keys are distinct and ties go to the lower one
         per_tree = np.bincount(node_tree[cand], minlength=b)
-        keys = np.concatenate([streams[t][0].random((per_tree[t], p))
-                               for t in np.flatnonzero(per_tree)])
-        keys = (keys * 2.0 ** 53).astype(np.int64) >> key_shift << f_bits | features
+        draws = np.concatenate([streams[t][0].random((per_tree[t], p))
+                                for t in np.flatnonzero(per_tree)])
+        draws *= 2.0 ** 53
+        keys = draws.astype(np.int64)
+        del draws
+        keys >>= key_shift
+        keys <<= f_bits
+        keys |= features
         feats = np.sort(np.partition(keys, mtry - 1, axis=1)[:, :mtry], axis=1) & f_mask
+        del keys
         slot = np.full(node_tree.size, -1)
         slot[cand] = np.arange(cand.size)
         enode = slot[node]
         inside = enode >= 0
         erow, elow, enode = row[inside], low[inside], enode[inside]
+        del node, row, low, inside
         # one sort orders every (node, drawn feature) column: by column, then
         # by rank; class and multiplicity ride in the low bits
-        key = rank_key[(feats * n)[enode] + erow[:, None]]
-        key += (elow + enode * (mtry * stride))[:, None]
-        key += np.arange(mtry) * stride
+        dtype = _key_dtype(cand.size * mtry * stride)
+        cell = (feats * n)[enode]
+        cell += erow[:, None]
+        key = rank_key.take(cell).astype(dtype, copy=False)
+        del cell
+        key += (elow + enode * (mtry * stride)).astype(dtype)[:, None]
+        key += np.arange(0, mtry * stride, stride, dtype=dtype)
         key = key.ravel()
         key.sort()
         # each cell decoded once: class, multiplicity, then column * n + rank
-        # in place; level-wide prefix sums of all rows and of class-1 rows
-        cls = key >> k & 1
+        # in place; level-wide prefix sums of all rows and of class-1 rows,
+        # in the key's width, since their total is at most cand * mtry * n
+        cls = (key & 1 << k) != 0
         mult = key & mask
         srank = key
         srank >>= k + 1
-        total = mult.cumsum()
+        total = mult.cumsum(dtype=dtype)
         mult *= cls
         ones = mult.cumsum(out=mult)
         width = np.repeat(size[cand], mtry)
@@ -192,41 +211,63 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         new = srank[1:] != srank[:-1]
         tied = ~new
         edge = cls[1:] != cls[:-1]
+        del cls
         edge[1:] |= tied[:-1]
         edge[:-1] |= tied[1:]
-        cuts = new & edge
+        del tied
+        cuts = np.logical_and(new, edge, out=edge)
+        del new
         cuts[first[1:] - 1] = False
         cut = np.flatnonzero(cuts)
+        del cuts
         col = srank[cut] // n
         # class counts left of a cut: the prefix sums minus those before its
         # column
         before = first[1:] - 1
         l1 = ones[cut] - np.r_[0, ones[before]][col]
         l0 = total[cut] - np.r_[0, total[before]][col] - l1
+        del ones, total
         # a node's cuts run in draw order, then by position
         seg = np.searchsorted(col, np.arange(cand.size) * mtry)
         count = np.diff(seg, append=col.size)
+        del col
         at = np.repeat(cand, count)
-        # the halved Gini w0 w1 / (w0 + w1) of both sides; a side's class
-        # weight is its count times the class weight, or for the right side
-        # the node's minus the left side's
-        a0, a1 = l0 * c0[at], l1 * c1[at]
-        b0, b1 = w0[at] - a0, w1[at] - a1
-        cost = a0 * a1 / (a0 + a1) + b0 * b1 / (b0 + b1)
+        # the halved Gini w0 w1 / (w0 + w1) of both sides, in place; a side's
+        # class weight is its count times the class weight, or for the right
+        # side the node's minus the left side's
+        a0, a1 = c0[at], c1[at]
+        a0 *= l0
+        a1 *= l1
+        b0, b1 = w0[at], w1[at]
+        del at
+        b0 -= a0
+        b1 -= a1
+        cost = a0 + a1
+        a0 *= a1
+        a0 /= cost
+        np.add(b0, b1, out=cost)
+        b0 *= b1
+        b0 /= cost
+        cost = a0
+        cost += b0
+        del a1, b0, b1
         # best cut per node: the first minimum, i.e. the earliest drawn
         # feature, then the lowest cut; its Gini gain must exceed 1e-12
         has = np.flatnonzero(count)
         seg = seg[has]
         best = np.minimum.reduceat(cost, seg)
         hit = np.flatnonzero(cost == np.repeat(best, count[has]))
-        pick = hit[np.searchsorted(hit, seg)]
+        del cost
+        won_cut = hit[np.searchsorted(hit, seg)]
         won = (w0 * w1 / (w0 + w1))[cand[has]] - best > 0.5e-12
-        has, pick = has[won], cut[pick[won]]
+        has, won_cut = has[won], won_cut[won]
+        pick = cut[won_cut]
         col = srank[pick] // n
         f = feats[has, col % mtry]
         lo_rank = srank[pick] - col * n
         lo = value[f * n + lo_rank]
         hi = value[f * n + srank[pick + 1] - col * n]
+        del srank, key
         with np.errstate(over="ignore"):
             mid = (lo + hi) / 2.0
         # the midpoint, or lo when it rounds onto hi or overflows, so the rows
@@ -235,18 +276,36 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         feature[split] = f
         node_value[split] = np.where((lo <= mid) & (mid < hi), mid, lo)
         # elements of split nodes move to the children (node 2i, 2i + 1 of the
-        # next level for the i-th split); the rest are in leaves
+        # next level for the i-th split); the rest are in leaves. The left
+        # child holds its parent's cells up to the cut, the right one the rest
         slot = np.full(cand.size, -1)
         slot[has] = np.arange(has.size)
         enode = slot[enode]
         inside = enode >= 0
         row, low, enode = erow[inside], elow[inside], enode[inside]
+        del erow, elow, inside
         node = 2 * enode + (rank[f[enode] * n + row] > lo_rank[enode])
+        size = _children(pick - first[col] + 1, size[split])
+        n0 = _children(l0[won_cut], n0[split])
+        n1 = _children(l1[won_cut], n1[split])
         node_tree = np.repeat(node_tree[split], 2)
     tree_of, *cols = (np.concatenate(c) for c in zip(*levels))
     order = np.argsort(tree_of, kind="stable")
     bounds = np.cumsum(np.bincount(tree_of, minlength=b))[:-1]
     return [Tree(*parts) for parts in zip(*(np.split(c[order], bounds) for c in cols))]
+
+
+def _key_dtype(bound: int) -> type:
+    """The integer type of growth keys below `bound`: int32 where it holds
+    them, else int64. numpy integers wrap without a warning, so this bound is
+    the only guard."""
+    return np.int32 if bound <= 2 ** 31 else np.int64
+
+
+def _children(left: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """A count of each split's children, left then right, in child order,
+    from the left child's count and the parent's."""
+    return np.stack([left, parent - left], axis=1).ravel()
 
 
 def _growth_block(n: int, mtry: int, ntree: int) -> int:
@@ -385,25 +444,33 @@ def _accuracy_drops(forest: Forest, x: np.ndarray, positive: np.ndarray,
     correct = (stack.value[leaf] >= 0.5) == positive[row]
     # path records run level by level, so a key's first index is its first node
     elem, node = (np.concatenate(c) for c in zip(*path))
+    del path
     key, first = np.unique(elem * p + stack.feature[node], return_index=True)
+    start = node[first]
+    del elem, node, first
     e, g = np.divmod(key, p)
+    del key
     # tree t's permutation of used feature f, used[b], sits at
-    # offset[t * p + f] = (its block start) + b * m_t in permuted
-    permuted, offset, at = [], np.zeros(len(trees) * p, dtype=np.int64), 0
-    for i, (t, oob) in enumerate(zip(trees, oobs)):
-        feature = forest.trees[t].feature
-        used = np.flatnonzero(np.bincount(feature[feature >= 0]))
+    # offset[t * p + f] = (its block start) + b * m_t in one buffer of rows
+    used = [np.flatnonzero(np.bincount(f[f >= 0]))
+            for f in (forest.trees[t].feature for t in trees)]
+    permuted = np.empty(sum(u.size * oob.size for u, oob in zip(used, oobs)), dtype=np.int32)
+    offset, at = np.zeros(len(trees) * p, dtype=np.int64), 0
+    for i, (t, oob, u) in enumerate(zip(trees, oobs, used)):
         rng = np.random.default_rng([forest.params.seed, t, _PERMUTATION_KEY])
-        permuted.append(oob[_oob_permutations(rng, used.size, oob.size)].ravel())
-        offset[i * p + used] = at + oob.size * np.arange(used.size)
-        at += used.size * oob.size
+        out = permuted[at:at + u.size * oob.size].reshape(u.size, oob.size)
+        np.take(oob, _oob_permutations(rng, u.size, oob.size), out=out, mode="clip")
+        offset[i * p + u] = at + oob.size * np.arange(u.size)
+        at += out.size
     cell = tree[e] * p + g
     j = e - (np.cumsum(m) - m)[tree[e]]  # the element's place among its tree's OOB rows
-    swapped = np.concatenate(permuted)[offset[cell] + j]
-    own = row[e]
-    moved = descend(stack, left, x, node[first],
+    swapped = permuted[offset[cell] + j]
+    del permuted, j
+    own, was = row[e], correct[e]
+    del e
+    moved = descend(stack, left, x, start,
                     lambda i, f: np.where(f == g[i], swapped[i], own[i]))
-    change = ((stack.value[moved] >= 0.5) == positive[own]).astype(np.int64) - correct[e]
+    change = ((stack.value[moved] >= 0.5) == positive[own]).astype(np.int64) - was
     # exact counts, so c / m has the bits of the mean of a boolean vector
     c0 = np.bincount(tree, weights=correct, minlength=len(trees))[:, None]
     dc = np.bincount(cell, weights=change, minlength=len(trees) * p).reshape(-1, p)

@@ -10,11 +10,11 @@ import csv
 import io
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, not_utf8
 from .metrics import METRIC_NAMES, MetricsRow, RocCurve
 from .mrcv import FeatureRanking, FoldOutcome
 from .univariate import ScreenResult
@@ -114,13 +114,30 @@ def scores_csv(sample_ids: Sequence[str], labels: Sequence[int],
     return _render(lines, rows)
 
 
+def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of each non-empty row of a UTF-8 CSV file. A byte
+    that is not UTF-8, or a row csv cannot read (such as a field over its
+    size limit), raises DataError naming the file."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, float]:
     """Parse a scores CSV back into (ids, labels, scores, threshold).
 
     A first row other than the header sample_id,label,score, a data row
     without exactly three cells, a repeated sample id, a label other than 0
     or 1, a score or threshold that does not parse or is NaN, or a score
-    outside [0, 1] raises DataError naming the file and line.
+    outside [0, 1] raises DataError naming the file and line; so does a file
+    csv cannot read (see _csv_rows).
     """
     path = Path(path)
     threshold = None
@@ -128,41 +145,37 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray
     labels: list[int] = []
     scores: list[float] = []
     seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        header_seen = False
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if row[0].startswith("#"):
-                    text = row[0].lstrip("# ")
-                    if text.startswith("threshold="):
-                        threshold = float(text.split("=", 1)[1])
-                        if math.isnan(threshold):
-                            raise ValueError("threshold is nan")
-                elif not header_seen:
-                    if tuple(row) != SCORES_HEADER:
-                        raise ValueError(f"header {','.join(row)!r} is not "
-                                         f"{','.join(SCORES_HEADER)!r}")
-                    header_seen = True
-                elif len(row) != 3:
-                    raise ValueError(f"{len(row)} cells, expected 3")
-                else:
-                    label, score = int(row[1]), float(row[2])
-                    if row[0] in seen:
-                        raise ValueError(f"repeated sample id {row[0]!r}")
-                    if label not in (0, 1):
-                        raise ValueError(f"label {label} is not 0 or 1")
-                    if not 0.0 <= score <= 1.0:
-                        raise ValueError("score is nan" if math.isnan(score)
-                                         else f"score {row[2]} is outside [0, 1]")
-                    seen.add(row[0])
-                    ids.append(row[0])
-                    labels.append(label)
-                    scores.append(score)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    header_seen = False
+    for line, row in _csv_rows(path):
+        try:
+            if row[0].startswith("#"):
+                text = row[0].lstrip("# ")
+                if text.startswith("threshold="):
+                    threshold = float(text.split("=", 1)[1])
+                    if math.isnan(threshold):
+                        raise ValueError("threshold is nan")
+            elif not header_seen:
+                if tuple(row) != SCORES_HEADER:
+                    raise ValueError(f"header {','.join(row)!r} is not "
+                                     f"{','.join(SCORES_HEADER)!r}")
+                header_seen = True
+            elif len(row) != 3:
+                raise ValueError(f"{len(row)} cells, expected 3")
+            else:
+                label, score = int(row[1]), float(row[2])
+                if row[0] in seen:
+                    raise ValueError(f"repeated sample id {row[0]!r}")
+                if label not in (0, 1):
+                    raise ValueError(f"label {label} is not 0 or 1")
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError("score is nan" if math.isnan(score)
+                                     else f"score {row[2]} is outside [0, 1]")
+                seen.add(row[0])
+                ids.append(row[0])
+                labels.append(label)
+                scores.append(score)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line}: {exc}") from None
     if threshold is None:
         raise DataError(f"{path}: no threshold header line")
     return ids, np.asarray(labels, dtype=np.int8), np.asarray(scores, dtype=float), threshold
@@ -192,11 +205,9 @@ def fused_scores_csv(rule: str, sample_ids: Sequence[str], p_a, p_b,
 
 def read_metrics_csv(path: str | Path) -> tuple[list[str], list[tuple[str, list[str]]]]:
     """Return (metric header, [(model label, metric cells)]) without reparsing
-    floats. A data row with more or fewer cells than the header raises
-    DataError naming the file and line."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    floats. A data row with more or fewer cells than the header, or a file
+    csv cannot read (see _csv_rows), raises DataError naming the file."""
+    rows = [(line, r) for line, r in _csv_rows(Path(path)) if not r[0].startswith("#")]
     if not rows or rows[0][1][0] != "Model":
         raise DataError(f"{path} is not a metrics CSV")
     header = rows[0][1]

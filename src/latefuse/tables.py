@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DataError, UnknownFeatureError
+from .errors import DataError, UnknownFeatureError, not_utf8
 
 
 class ClassLabel(enum.IntEnum):
@@ -308,8 +308,7 @@ def load_feature_table(path: str | Path, schema: ColumnSchema = ColumnSchema(),
     try:
         return _read_rows(path, schema, features)
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc.reason} "
-                        f"(byte 0x{exc.object[exc.start]:02x})") from None
+        raise not_utf8(path, exc) from None
 
 
 def save_feature_table(table: FeatureTable, path: str | Path,

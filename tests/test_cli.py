@@ -454,6 +454,47 @@ def test_malformed_scores_file_is_an_error_line(config_path, tmp_path, capsys, b
     assert len(err) == 1 and "scores_b_lr.csv: line 2: could not convert" in err[0]
 
 
+@pytest.mark.parametrize("tail, detail", [
+    (b"\xff", ": not UTF-8 text: invalid start byte (byte 0xff)"),
+    (b"A2,1," + b"1" * (csv.field_size_limit() + 1) + b"\n",
+     f": line 5: field larger than field limit ({csv.field_size_limit()})"),
+], ids=["not-utf-8", "long-field"])
+def test_unreadable_scores_file_is_an_error_line(config_path, tmp_path, capsys, tail, detail):
+    out = tmp_path / "out"
+    out.mkdir()
+    head = b"# latefuse-csv v1 kind=scores\n# threshold=0.5\nsample_id,label,score\nA1,0,0.4\n"
+    (out / "scores_a_lr.csv").write_bytes(head + tail)
+    (out / "scores_b_lr.csv").write_bytes(head)
+    capsys.readouterr()
+    assert run(config_path, "fuse", "--model", "lr") == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {out / 'scores_a_lr.csv'}{detail}"]
+
+
+def test_metrics_file_not_utf8_is_an_error_line(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "metrics_a_lr.csv").write_bytes(b"Model,Sensitivity\na-lr,0.5\n\xff")
+    capsys.readouterr()
+    assert run(config_path, "report") == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {out / 'metrics_a_lr.csv'}: not UTF-8 text: invalid start byte (byte 0xff)"]
+    assert not (out / "report_summary.csv").exists()
+
+
+def test_test_id_file_not_utf8_is_an_error_line(config_path, tmp_path, capsys):
+    run(config_path, "synth")
+    ids = tmp_path / "test_ids.txt"
+    ids.write_bytes("".join(f"P{i:04d}\n" for i in (*range(10), *range(100, 110))).encode()
+                    + b"\xff")
+    text = config_path.read_text().replace("[split]", f"[split]\ntest_ids_file = {ids}")
+    config_path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(config_path, "train", "--modality", "a", "--model", "lr") == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {ids}: not UTF-8 text: invalid start byte (byte 0xff)"]
+
+
 def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
     run(config_path, "synth")
     out = tmp_path / "out"

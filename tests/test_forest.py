@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -79,6 +80,28 @@ def test_default_growth_blocks_fit_the_sort_keys_at_s2_size():
     # block the default budget allows there trips the overflow guard
     blocks = [rf._growth_block(4007, mtry, ntree=10 ** 6) for mtry in range(5, 31)]
     assert blocks[0] == 6 and blocks[-1] == 1
+
+
+def traced_peak(call):
+    """call() and tracemalloc's peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forest_working_memory():
+    """A memory count, not a time: the traced peak of one fit_forest and of
+    one importance pass at the shape of a desk benchmark MRCV split."""
+    t = gaussian_table(168, 168, 100, shifts={f: 0.5 + 0.1 * f for f in range(8)}, seed=3)
+    fo, growth = traced_peak(lambda: rf.fit_forest(t, rf.ForestParams(mtry=10, ntree=25, seed=7)))
+    _, importance = traced_peak(lambda: rf.oob_permutation_importance(fo, t))
+    # GROW_CELLS and CELLS bound the cells; these bound the bytes per cell.
+    # 2.77 and 2.54 MB measured; 6.06 and 4.31 MB with 64-bit growth keys and
+    # rank table, per-level node counts from np.bincount and a list of
+    # permutation arrays
+    assert growth <= 2.9e6 and importance <= 2.65e6, (growth, importance)
 
 
 def test_bootstrap_and_oob_structure():
@@ -598,6 +621,35 @@ def test_boundary_cuts_match_the_all_cuts_reference(x, y):
                                                      reference))
     if 2 * y.sum() == y.size:  # some bootstraps weigh both classes alike
         assert any(2 * y[rf._tree_stream(36, t, y.size)[1]].sum() == y.size for t in range(16))
+
+
+@pytest.mark.parametrize("mtry", [1, 3])
+def test_key_widths_grow_the_same_trees(monkeypatch, mtry):
+    # _grow_block types its rank-key table and each level's keys by
+    # _key_dtype of their bound. Keys that are int32 wherever they fit (the
+    # default), int64 everywhere, or int32 only below 2**13 (here the table
+    # and some levels) grow the reference's trees. Tree 0 draws a row 8 or
+    # more times, so the block's multiplicity field is 4 bits wide.
+    t = gaussian_table(20, 20, 5, shifts={0: 1.0, 2: 0.5}, seed=21)
+    params = rf.ForestParams(mtry=mtry, ntree=6, seed=508)
+    assert np.bincount(rf._tree_stream(params.seed, 0, t.n_samples)[1]).max() >= 8
+    reference = reference_trees(t, params)
+    policies = [(rf._key_dtype, {np.int32}),
+                (lambda bound: np.int64, {np.int64}),
+                (lambda bound: np.int32 if bound < 2 ** 13 else np.int64, {np.int32, np.int64})]
+    for policy, want in policies:
+        widths = set()
+
+        def recorded(bound, policy=policy):
+            width = policy(bound)
+            widths.add(width)
+            return width
+
+        monkeypatch.setattr(rf, "_key_dtype", recorded)
+        fo = rf.fit_forest(t, params)
+        monkeypatch.undo()
+        assert widths == want
+        assert all(trees_equal(a, b) for a, b in zip(fo.trees, reference))
 
 
 @settings(max_examples=150, deadline=None)
