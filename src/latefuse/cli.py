@@ -5,8 +5,7 @@ artifacts (CSV, SVG, model JSON) go only to the configured output
 directory; diagnostics go to stderr. A full run is a pure function of
 (config, input files): re-running produces byte-identical artifacts.
 
-Exit codes: 0 success, 2 missing input, 3 empty feature set, 4 model/data
-mismatch, 5 empty fusion intersection, 1 any other error.
+Exit codes: 0 success, else the `exit_code` of the error's class (errors.py).
 """
 
 from __future__ import annotations
@@ -24,8 +23,9 @@ import numpy as np
 from . import forest as rf
 from . import logreg as lr
 from .config import RunConfig, load_config
-from .errors import (ConfigError, DataError, LatefuseError, ModelError,
-                     NoFeaturesLeftError, PredictError, UnknownFeatureError, not_utf8)
+from .errors import (ConfigError, DataError, LatefuseError, MissingInputError, ModelError,
+                     NoCommonSamplesError, NoFeaturesLeftError, PredictError,
+                     UnknownFeatureError, not_utf8)
 from .fuse import FusionRule, fuse_modalities
 from .metrics import auc, best_threshold_bacc, confusion, metrics_from_confusion, roc_curve
 from .mrcv import (derive_seed, elbow_cut, rank_features_lr, rank_features_rf, run_mrcv_lr,
@@ -41,21 +41,10 @@ from .tables import (FeatureTable, align_common_samples, load_feature_table, par
                      save_feature_table)
 from .univariate import univariate_screen
 
-EXIT_MISSING_INPUT = 2
-EXIT_EMPTY_FEATURES = 3
-EXIT_MODEL_MISMATCH = 4
-EXIT_EMPTY_FUSION = 5
-
-
-class PipelineExit(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
 
 def _require_file(path: Path, role: str) -> Path:
     if not Path(path).exists():
-        raise PipelineExit(EXIT_MISSING_INPUT, f"missing {role}: {path}")
+        raise MissingInputError(f"missing {role}: {path}")
     return Path(path)
 
 
@@ -84,7 +73,7 @@ def _test_ids(cfg: RunConfig, modality: str, raw: FeatureTable) -> frozenset[str
     if cfg.test_ids_file is not None:
         path = _require_file(cfg.test_ids_file, "test id file")
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise not_utf8(path, exc) from None
         return frozenset(line.strip() for line in text.splitlines() if line.strip())
@@ -166,30 +155,28 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
                                validation_fraction=cfg.lr_validation_fraction,
                                base_seed=seed, delta_bic_stop=cfg.delta_bic_stop)
         ranking = rank_features_lr(outcomes, train.feature_names)
+        selected = elbow_cut(ranking)
+        final = lr.fit(train, selected)
+        scores = lr.predict_proba(final, train)
+        model_doc = lr.to_doc(final)
     else:
         grid = list(itertools.product(cfg.rf_mtry, cfg.rf_ntree))
         outcomes = run_mrcv_rf(train, repeats=cfg.repeats,
                                validation_fraction=cfg.rf_validation_fraction,
                                grid=grid, base_seed=seed)
         ranking = rank_features_rf(outcomes, train.feature_names)
-    selected = elbow_cut(ranking)
-    if model == "lr":
-        final = lr.fit(train, selected)
-        scores = lr.predict_proba(final, train)
-        model_doc = lr.to_doc(final)
-    else:
+        selected = elbow_cut(ranking)
         params = _final_rf_params(grid, outcomes, selected,
                                   derive_seed(cfg.base_seed, modality, model, "final"))
         train_view = train.select_features(selected)
         final = rf.fit_forest(train_view, params)
         scores = rf.predict_proba(final, train_view)
         model_doc = rf.to_doc(final)
+        write_text(_out(cfg) / f"importance_{modality}_rf.csv",
+                   importance_csv(rf.oob_permutation_importance(final, train_view)))
     threshold, bacc_train = best_threshold_bacc(scores, train.labels)
 
     out = _out(cfg)
-    if model == "rf":
-        report = rf.oob_permutation_importance(final, train_view)
-        write_text(out / f"importance_{modality}_rf.csv", importance_csv(report))
     doc = {
         "format": "latefuse-model",
         "version": 1,
@@ -256,21 +243,20 @@ def cmd_evaluate(cfg: RunConfig, modality: str, model: str) -> None:
     the model's selected features are parsed: scaling, the missingness filter
     and imputation work column by column, so the other columns cannot move a
     score. A selected feature that the table lacks, or that preprocessing
-    drops, is a model/data mismatch (exit 4)."""
+    drops, is a model/data mismatch (a PredictError, exit 4)."""
     selected, threshold, fitted = _load_model(cfg, modality, model)
     mismatch = f"model/data mismatch for {modality}/{model}"
     try:
         _, test = _split(cfg, modality, selected)
     except UnknownFeatureError as exc:
-        raise PipelineExit(EXIT_MODEL_MISMATCH, f"{mismatch}: {exc}") from None
+        raise PredictError(f"{mismatch}: {exc}") from None
     except NoFeaturesLeftError:  # every selected feature dropped
-        raise PipelineExit(EXIT_MODEL_MISMATCH,
-                           f"{mismatch}: unknown feature {selected[0]!r}") from None
+        raise PredictError(f"{mismatch}: unknown feature {selected[0]!r}") from None
     try:
         scores = (lr if model == "lr" else rf).predict_proba(fitted,
                                                              test.select_features(selected))
     except (DataError, PredictError) as exc:
-        raise PipelineExit(EXIT_MODEL_MISMATCH, f"{mismatch}: {exc}") from None
+        raise PredictError(f"{mismatch}: {exc}") from None
     conf = confusion(scores, test.labels, threshold)
     row = metrics_from_confusion(conf, auc(scores, test.labels))
     curve = roc_curve(scores, test.labels)
@@ -307,7 +293,7 @@ def cmd_fuse(cfg: RunConfig, model: str) -> None:
         _require_file(out / f"scores_b_{model}.csv", "modality b scores"))
     rows_a, rows_b = align_common_samples(ids_a, y_a, ids_b, y_b)
     if not rows_a:
-        raise PipelineExit(EXIT_EMPTY_FUSION, "no common samples between modality outputs")
+        raise NoCommonSamplesError("no common samples between modality outputs")
     t_a, t_b = _fusable_threshold(t_a, "a", model), _fusable_threshold(t_b, "b", model)
     ids = [ids_a[i] for i in rows_a]
     labels, pa, pb = y_a[rows_a], p_a[rows_a], p_b[rows_b]
@@ -330,7 +316,7 @@ def cmd_report(cfg: RunConfig) -> None:
     out = _out(cfg)
     files = sorted(out.glob("metrics_*.csv"))
     if not files:
-        raise PipelineExit(EXIT_MISSING_INPUT, f"no metrics CSVs found in {out}")
+        raise MissingInputError(f"no metrics CSVs found in {out}")
     header, columns = read_metrics_csv(files[0])
     for path in files[1:]:
         names, rows = read_metrics_csv(path)
@@ -374,18 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     options = {k: v for k, v in vars(args).items() if k in ("modality", "model")}
     try:
         args.run(load_config(args.config, args.overrides), **options)
-    except PipelineExit as exc:
-        _log(f"error: {exc}")
-        return exc.code
-    except NoFeaturesLeftError as exc:
-        _log(f"error: {exc}")
-        return EXIT_EMPTY_FEATURES
-    except PredictError as exc:
-        _log(f"error: {exc}")
-        return EXIT_MODEL_MISMATCH
     except (LatefuseError, OSError) as exc:
         _log(f"error: {exc}")
-        return 1
+        return getattr(exc, "exit_code", 1)
     return 0
 
 

@@ -90,7 +90,7 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         detail = " ".join(str(exc).splitlines())
         raise ConfigError(f"cannot parse config file {path}: {detail}") from None
@@ -123,7 +123,7 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
             raise ConfigError(f"invalid config value [{section}] {option} = {text!r}: "
                               f"{exc}") from None
 
-    base_seed = get("mrcv", "base_seed", int)
+    base_seed = get("mrcv", "base_seed", _count)
     schema = ColumnSchema(
         id_column=get("schema", "id_column", fallback="id"),
         cohort_column=get("schema", "cohort_column", fallback="cohort"),
@@ -131,7 +131,7 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
     )
     synth = None
     if parser.has_section("synth"):
-        seed = get("synth", "seed", int)
+        seed = get("synth", "seed", _count)
         n_benign = get("synth", "n_benign", int)
         n_malignant = get("synth", "n_malignant", int)
         common = get("synth", "common_fraction", float, fallback=1.0)

@@ -2,7 +2,16 @@
 
 
 class LatefuseError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. `exit_code` is the
+    CLI's exit status for the error: 1 unless a subclass says otherwise."""
+
+    exit_code = 1
+
+
+class MissingInputError(LatefuseError):
+    """An input file or output of an earlier step does not exist."""
+
+    exit_code = 2
 
 
 class DataError(LatefuseError):
@@ -25,6 +34,8 @@ class PreprocessError(LatefuseError):
 class NoFeaturesLeftError(PreprocessError):
     """Preprocessing dropped every feature of the table."""
 
+    exit_code = 3
+
 
 class StatsError(LatefuseError):
     """A statistical test's preconditions are violated."""
@@ -36,6 +47,8 @@ class ModelError(LatefuseError):
 
 class PredictError(LatefuseError):
     """Prediction inputs are incompatible with the fitted model."""
+
+    exit_code = 4
 
 
 class MetricsError(LatefuseError):
@@ -52,6 +65,12 @@ class ElbowError(LatefuseError):
 
 class FusionError(LatefuseError):
     """Fusion inputs are out of range or misaligned."""
+
+
+class NoCommonSamplesError(FusionError):
+    """The two modalities' outputs share no sample."""
+
+    exit_code = 5
 
 
 class ConfigError(LatefuseError):

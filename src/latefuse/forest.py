@@ -378,8 +378,9 @@ def descend(stack: Tree, left: np.ndarray, x: np.ndarray, start: np.ndarray,
     (see _stack) from their start nodes, one array step per level. Element i
     at a node splitting on feature f reads x[rows(i, f), f]; `rows` gets the
     live elements and their features. Given `path`, each level appends
-    (live elements, their nodes)."""
-    node = np.array(start, dtype=np.int64)
+    (live elements, their nodes). An int64 `start` is overwritten with the
+    leaves and returned."""
+    node = np.asarray(start, dtype=np.int64)
     live = np.flatnonzero(stack.feature[node] >= 0)
     while live.size:
         at = node[live]

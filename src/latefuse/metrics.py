@@ -7,7 +7,7 @@ iff its score is >= the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class Confusion:
 
 
 @dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow:  # the fields of METRIC_NAMES, in its order
     sensitivity: float
     specificity: float
     ppv: float
@@ -48,15 +48,7 @@ class MetricsRow:
     auc: float = math.nan
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "Sensitivity": self.sensitivity,
-            "Specificity": self.specificity,
-            "PPV": self.ppv,
-            "NPV": self.npv,
-            "F1": self.f1,
-            "Balanced Accuracy": self.balanced_accuracy,
-            "AUC": self.auc,
-        }
+        return dict(zip(METRIC_NAMES, astuple(self), strict=True))
 
 
 @dataclass(frozen=True)
@@ -136,18 +128,24 @@ def _sweep_counts(scores: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
     return s_sorted[last], tp, fp
 
 
+def _sweep(scores, labels, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """_sweep_counts of validated scores and labels, with the positive and
+    negative counts; `what` needs both classes."""
+    s, y = _check_scores_labels(scores, labels)
+    pos = int(np.sum(y == 1))
+    neg = y.size - pos
+    if pos == 0 or neg == 0:
+        raise MetricsError(f"{what} requires both classes")
+    return *_sweep_counts(s, y), pos, neg
+
+
 def roc_curve(scores, labels) -> RocCurve:
     """Sweep distinct score thresholds in descending order.
 
     The first point is (0,0) at threshold +inf (nothing predicted positive);
     the last, at the minimum score, is (1,1).
     """
-    s, y = _check_scores_labels(scores, labels)
-    pos = int(np.sum(y == 1))
-    neg = int(np.sum(y == 0))
-    if pos == 0 or neg == 0:
-        raise MetricsError("ROC requires both classes")
-    values, tp, fp = _sweep_counts(s, y)
+    values, tp, fp, pos, neg = _sweep(scores, labels, "ROC")
     thresholds = np.concatenate([[math.inf], values])
     tpr = np.concatenate([[0.0], tp / pos])
     fpr = np.concatenate([[0.0], fp / neg])
@@ -160,12 +158,7 @@ def auc(scores, labels) -> float:
     Tied positive/negative scores contribute half a pair each, which the
     trapezoid over tie groups yields exactly.
     """
-    s, y = _check_scores_labels(scores, labels)
-    pos = int(np.sum(y == 1))
-    neg = int(np.sum(y == 0))
-    if pos == 0 or neg == 0:
-        raise MetricsError("AUC requires both classes")
-    _, tp, fp = _sweep_counts(s, y)
+    _, tp, fp, pos, neg = _sweep(scores, labels, "AUC")
     tp = np.concatenate([[0], tp]).astype(float)
     fp = np.concatenate([[0], fp]).astype(float)
     # trapezoids in integer count units, normalized once at the end
@@ -183,12 +176,7 @@ def best_threshold_bacc(scores, labels) -> tuple[float, float]:
     gives the counts it is scored with. Ties on BAcc resolve to the median
     tied candidate (lower middle for an even count) for stability.
     """
-    s, y = _check_scores_labels(scores, labels)
-    pos = int(np.sum(y == 1))
-    neg = int(np.sum(y == 0))
-    if pos == 0 or neg == 0:
-        raise MetricsError("threshold search requires both classes")
-    values, tp, fp = _sweep_counts(s, y)  # distinct values descending; tp/fp at >= value
+    values, tp, fp, pos, neg = _sweep(scores, labels, "threshold search")
     hi, lo = values[:-1], values[1:]
     with np.errstate(over="ignore"):
         mid = (lo + hi) / 2.0

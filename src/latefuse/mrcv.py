@@ -213,12 +213,18 @@ def elbow_cut(ranking: FeatureRanking) -> list[str]:
     chord between (1, score_1) and (K, score_K); the cut keeps every feature
     strictly before the point of maximum distance, i.e. the shoulder of the
     curve. A strictly linear curve has no interior extremum and returns the
-    top feature with a warning; identical scores admit no elbow at all.
+    top feature with a warning; identical scores admit no elbow at all, and
+    neither does a score that is not finite (a forest of one tree has a zero
+    importance SE, so its normalized importances are infinite or NaN).
     """
     k_total = len(ranking.entries)
     if k_total < 3:
         raise ElbowError("elbow needs at least 3 ranked features")
     s = np.asarray(ranking.scores(), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        raise ElbowError(f"no elbow: the score {s[bad[0]]} of feature "
+                         f"{ranking.names()[bad[0]]!r} is not finite")
     if s[0] == s[-1]:
         raise ElbowError("all scores are equal; no elbow exists")
     k = np.arange(1, k_total + 1, dtype=float)

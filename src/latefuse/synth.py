@@ -43,8 +43,13 @@ class SynthSpec:
                            tuple((int(s), float(r)) for s, r in self.correlation_blocks))
 
 
-def _matrix(rng: np.random.Generator, labels: np.ndarray, spec: SynthSpec) -> np.ndarray:
+def _table(spec: SynthSpec, sample_ids: list[str], labels: list[int], seed) -> FeatureTable:
+    """A modality of `spec` over the given samples, its values drawn from the
+    stream `seed`: Gaussian noise, then the correlation blocks, then the
+    planted shifts of the class-1 rows."""
+    labels = np.array(labels, dtype=np.int8)
     n = labels.size
+    rng = np.random.default_rng(seed)
     values = rng.normal(size=(n, spec.n_features))
     col = 0
     for size, rho in spec.correlation_blocks:
@@ -54,26 +59,20 @@ def _matrix(rng: np.random.Generator, labels: np.ndarray, spec: SynthSpec) -> np
         col += size
     for idx, shift in spec.planted:
         values[labels == 1, idx] += shift
-    return values
-
-
-def _feature_names(n: int) -> tuple[str, ...]:
-    return tuple(f"f{j:03d}" for j in range(n))
-
-
-def generate(spec: SynthSpec, id_prefix: str = "S") -> FeatureTable:
-    """One modality: benign rows first, then malignant."""
-    labels = np.array([0] * spec.n_benign + [1] * spec.n_malignant, dtype=np.int8)
-    rng = np.random.default_rng(spec.seed)
-    values = _matrix(rng, labels, spec)
-    n = labels.size
     return FeatureTable(
-        sample_ids=tuple(f"{id_prefix}{i:04d}" for i in range(n)),
+        sample_ids=tuple(sample_ids),
         cohort=tuple([spec.cohort] * n),
         labels=labels,
-        feature_names=_feature_names(spec.n_features),
+        feature_names=tuple(f"f{j:03d}" for j in range(spec.n_features)),
         values=_frozen(values),
     )
+
+
+def generate(spec: SynthSpec) -> FeatureTable:
+    """One modality: benign rows first, then malignant."""
+    n = spec.n_benign + spec.n_malignant
+    return _table(spec, [f"S{i:04d}" for i in range(n)],
+                  [0] * spec.n_benign + [1] * spec.n_malignant, spec.seed)
 
 
 def generate_pair(spec_a: SynthSpec, spec_b: SynthSpec) -> tuple[FeatureTable, FeatureTable]:
@@ -91,24 +90,12 @@ def generate_pair(spec_a: SynthSpec, spec_b: SynthSpec) -> tuple[FeatureTable, F
     cb = shared_count(spec_a.n_benign, spec_b.n_benign)
     cm = shared_count(spec_a.n_malignant, spec_b.n_malignant)
 
-    def ids_labels(spec: SynthSpec, prefix: str) -> tuple[tuple[str, ...], np.ndarray]:
+    def table(m: int, spec: SynthSpec, prefix: str) -> FeatureTable:
         benign = [f"P{i:04d}" for i in range(cb)] \
             + [f"{prefix}{i:04d}" for i in range(spec.n_benign - cb)]
         malignant = [f"P{cb + i:04d}" for i in range(cm)] \
             + [f"{prefix}{spec.n_benign - cb + i:04d}" for i in range(spec.n_malignant - cm)]
-        labels = np.array([0] * len(benign) + [1] * len(malignant), dtype=np.int8)
-        return tuple(benign + malignant), labels
+        return _table(spec, benign + malignant, [0] * len(benign) + [1] * len(malignant),
+                      [spec_a.seed, m])
 
-    tables = []
-    for m, (spec, prefix) in enumerate(((spec_a, "A"), (spec_b, "B"))):
-        ids, labels = ids_labels(spec, prefix)
-        rng = np.random.default_rng([spec_a.seed, m])
-        values = _matrix(rng, labels, spec)
-        tables.append(FeatureTable(
-            sample_ids=ids,
-            cohort=tuple([spec.cohort] * labels.size),
-            labels=labels,
-            feature_names=_feature_names(spec.n_features),
-            values=_frozen(values),
-        ))
-    return tables[0], tables[1]
+    return table(0, spec_a, "A"), table(1, spec_b, "B")

@@ -223,7 +223,7 @@ def _read_rows(path: Path, schema: ColumnSchema, features: Sequence[str] | None
     an unknown label, then a duplicate sample id, then a duplicate feature
     name, then a name in `features` that is not a feature column.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # a BOM is not data
         records = _records(fh, path)
         first = next(records, None)
         if first is None:

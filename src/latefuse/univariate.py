@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -260,36 +260,24 @@ def univariate_screen(table: FeatureTable, alpha: float = 0.05) -> ScreenResult:
     if np.isnan(table.values).any():
         raise StatsError("screen requires a fully observed table")
 
-    partial: list[dict] = []
+    rows = []
     for j, name in enumerate(table.feature_names):
         ben = table.values[benign_rows, j]
         mal = table.values[malignant_rows, j]
-        row = {"feature": name, "nb": math.nan, "nm": math.nan, "notes": []}
-        for key, grp, tag in (("nb", ben, "benign"), ("nm", mal, "malignant")):
+        normality, notes = [], []
+        for grp, tag in ((ben, "benign"), (mal, "malignant")):
             try:
-                row[key] = shapiro_wilk(grp)[1]
+                normality.append(shapiro_wilk(grp)[1])
             except StatsError as exc:
-                row["notes"].append(f"normality[{tag}]: {exc}")
-        u_mal, row["p"] = mann_whitney(mal, ben)
-        row["rg"] = _rank_biserial_from_u(u_mal, mal.size, ben.size)
-        partial.append(row)
-
-    rows = []
-    n_sig = n_up = n_down = 0
-    for row, fdr in zip(partial, bh_fdr([row["p"] for row in partial])):
-        if fdr < alpha:
-            n_sig += 1
-            if row["rg"] > 0:
-                n_up += 1
-            elif row["rg"] < 0:
-                n_down += 1
+                normality.append(math.nan)
+                notes.append(f"normality[{tag}]: {exc}")
+        u_mal, p = mann_whitney(mal, ben)
         rows.append(UnivariateResult(
-            feature=row["feature"],
-            normality_p_benign=row["nb"],
-            normality_p_malignant=row["nm"],
-            rg=row["rg"],
-            p_value=row["p"],
-            fdr=fdr,
-            note="; ".join(row["notes"]),
-        ))
-    return ScreenResult(rows=tuple(rows), n_significant=n_sig, n_up=n_up, n_down=n_down)
+            feature=name, normality_p_benign=normality[0], normality_p_malignant=normality[1],
+            rg=_rank_biserial_from_u(u_mal, mal.size, ben.size), p_value=p,
+            fdr=math.nan, note="; ".join(notes)))  # fdr comes from BH over every row
+    rows = [replace(row, fdr=fdr) for row, fdr in zip(rows, bh_fdr([r.p_value for r in rows]))]
+    significant = [row.rg for row in rows if row.fdr < alpha]
+    return ScreenResult(rows=tuple(rows), n_significant=len(significant),
+                        n_up=sum(rg > 0 for rg in significant),
+                        n_down=sum(rg < 0 for rg in significant))

@@ -269,7 +269,7 @@ def test_criterion_07_forward_selection_rates():
     names = [f"f{j:03d}" for j in range(20)]
     first = 0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         for seed in range(100):
             t = gaussian_table(100, 100, 20, shifts={0: 3.0}, seed=seed)
             m = lr.forward_select(t, names)
@@ -313,7 +313,7 @@ def test_criterion_08_random_forest():
 
     tops = 0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         for seed in range(100):
             planted = gaussian_table(40, 40, 21, shifts={0: 1.5}, seed=seed)
             forest = rf.fit_forest(planted, rf.ForestParams(mtry=5, ntree=500, seed=seed))
@@ -440,7 +440,7 @@ def test_criterion_11_end_to_end_reproducibility(tmp_path):
                 commands.append(["evaluate", "--modality", modality, "--model", model])
         commands += [["fuse", "--model", "lr"], ["fuse", "--model", "rf"], ["report"]]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             for cmd in commands:
                 assert main(["--config", str(config), *cmd]) == 0, cmd
         out = tmp_path / outdir

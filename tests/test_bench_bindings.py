@@ -64,7 +64,7 @@ def test_model_documents_hold_what_the_benchmark_reads(tmp_path):
     config.write_text(TINY_CONFIG.format(root=tmp_path), encoding="utf-8")
     args = ["--config", str(config)]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         assert main(args + ["synth"]) == 0
         for model in ("lr", "rf"):
             assert main(args + ["train", "--modality", "a", "--model", model]) == 0

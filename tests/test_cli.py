@@ -60,7 +60,7 @@ def config_path(tmp_path):
 
 def run(config_path, *args):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         return main(["--config", str(config_path), *args])
 
 
@@ -114,7 +114,7 @@ def test_config_missing_file():
     "mrcv.rf_validation_fraction=0", "mrcv.repeats=0",
     "mrcv.rf_ntree=0", "mrcv.rf_mtry=", "mrcv.rf_mtry=5,-1", "split.test_benign=-1",
     "split.test_malignant=-2", "univariate.alpha=7", "univariate.alpha=nan",
-    "mrcv.delta_bic_stop=nan",
+    "mrcv.delta_bic_stop=nan", "mrcv.base_seed=-1", "synth.seed=-1",
     # keys that load_config does not read, among them the removed forest options
     # and the removed fusion rule list (fuse runs every rule)
     "mrcv.repeat=5", "mrcv.rf_mtyr=3", "schema.group_column=patient",
@@ -493,6 +493,32 @@ def test_test_id_file_not_utf8_is_an_error_line(config_path, tmp_path, capsys):
     assert run(config_path, "train", "--modality", "a", "--model", "lr") == 1
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: {ids}: not UTF-8 text: invalid start byte (byte 0xff)"]
+
+
+def test_byte_order_mark_starts_no_config_key_or_test_id(config_path, tmp_path):
+    # Excel's "CSV UTF-8" export and Notepad begin the file with U+FEFF
+    ids = tmp_path / "test_ids.txt"
+    ids.write_bytes(b"\xef\xbb\xbfP0000\nP0100\n")
+    text = config_path.read_text().replace("[split]", f"[split]\ntest_ids_file = {ids}")
+    config_path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    cfg = load_config(config_path)
+    assert cfg.test_ids_file == ids
+    assert cli._test_ids(cfg, "a", None) == {"P0000", "P0100"}
+    assert run(config_path, "synth") == 0
+
+
+def test_one_tree_forest_has_no_elbow(config_path, capsys):
+    # one tree has a zero importance SE, so every normalized importance is
+    # infinite or NaN: the elbow refuses them, and no RuntimeWarning fires
+    run(config_path, "synth")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(config_path, "--set", "mrcv.rf_ntree=1",
+                   "train", "--modality", "a", "--model", "rf") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no elbow: the score ")
+    assert err[0].endswith(" is not finite")
 
 
 def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):

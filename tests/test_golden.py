@@ -74,7 +74,7 @@ def artifact_hashes(root: Path) -> dict[str, str]:
     config = root / "run.ini"
     config.write_text(CONFIG.format(root=root), encoding="utf-8")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         for cmd in COMMANDS:
             assert main(["--config", str(config), *cmd]) == 0, cmd
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()

@@ -404,7 +404,7 @@ def test_forward_select_newton_iteration_count(monkeypatch):
 
     monkeypatch.setattr(lr, "_newton_steps", counted)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         model = lr.forward_select(table, list(table.feature_names))
     assert model.selected_order == ("f004", "f009", "f007", "f001")
     # 72 calls when every candidate started from beta = 0; 40 when it starts

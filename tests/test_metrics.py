@@ -222,3 +222,11 @@ def test_sweeps_match_a_stable_sort_on_tied_scores():
             for field in ("thresholds", "fpr", "tpr"):
                 assert np.array_equal(getattr(got[0], field), getattr(want[0], field))
             assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("sweep, what", [
+    (roc_curve, "ROC"), (auc, "AUC"), (best_threshold_bacc, "threshold search")])
+def test_sweeps_name_themselves_when_a_class_is_missing(sweep, what):
+    for labels in ([0, 0, 0], [1, 1, 1]):
+        with pytest.raises(MetricsError, match=f"^{what} requires both classes$"):
+            sweep([0.1, 0.5, 0.9], labels)

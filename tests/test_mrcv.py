@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -272,10 +273,23 @@ def test_elbow_rejects_degenerate_inputs():
         elbow_cut(ranking(("a", 1.0), ("b", 1.0), ("c", 1.0)))
 
 
+@pytest.mark.parametrize("at, bad", [(0, math.inf), (3, -math.inf), (1, math.nan)])
+def test_elbow_refuses_a_score_that_is_not_finite(at, bad):
+    # a one-tree forest's normalized importances are infinite or NaN
+    scores = [3.0, 2.0, 1.5, 1.0]
+    scores[at] = bad
+    r = ranking(*zip("abcd", scores))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ElbowError, match=f"no elbow: the score {bad} of feature "
+                                             f"'{'abcd'[at]}' is not finite"):
+            elbow_cut(r)
+
+
 def test_elbow_keeps_planted_features_across_seeds():
     hits = 0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # occasional separation on strong plants
+        warnings.simplefilter("ignore", UserWarning)  # occasional separation on strong plants
         for seed in range(10):
             t = gaussian_table(70, 70, 12, shifts={0: 2.6, 1: 2.2}, seed=seed)
             outs = run_mrcv_lr(t, repeats=20, base_seed=seed)
@@ -294,7 +308,7 @@ def test_elbow_output_is_prefix():
         names = [f"f{i}" for i in range(scores.size)]
         r = ranking(*zip(names, scores.tolist()))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             cut = elbow_cut(r)
         assert cut == names[: len(cut)]
         assert 1 <= len(cut) < scores.size

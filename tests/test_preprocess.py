@@ -196,7 +196,7 @@ def run_scaler(fit, apply, fit_table, apply_table, per_cohort):
     """("fit"/"apply", exception type, message) for a failure, else
     ("ok", scaler, scaled table); warnings are silenced."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         stage = "fit"
         try:
             scaler = fit(fit_table, per_cohort=per_cohort)
@@ -380,7 +380,7 @@ def test_preprocess_full_leaves_no_missing_cell(table, scale, per_cohort, max_mi
     cfg = SimpleNamespace(scale=scale, per_cohort=per_cohort,
                           max_missing_fraction=max_missing)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         try:
             out = _preprocess_full(cfg, table)
         except PreprocessError:

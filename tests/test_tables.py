@@ -41,6 +41,22 @@ def test_load_basic_three_rows(tmp_path):
     assert t.cohort == ("M", "M", "B")
 
 
+@pytest.mark.parametrize("header", ["id,cohort,label,f1,f2", "f1,id,cohort,label,f2"])
+def test_byte_order_mark_is_not_data(tmp_path, header):
+    # Excel's "CSV UTF-8" export and Notepad begin the file with U+FEFF
+    cells = {"id": ("S1", "S2"), "cohort": ("M", "M"), "label": ("benign", "malignant"),
+             "f1": ("1.0", "2.0"), "f2": ("3.0", "4.0")}
+    text = header + "\n" + "".join(
+        ",".join(cells[c][i] for c in header.split(",")) + "\n" for i in range(2))
+    plain = load_feature_table(write_csv(tmp_path, text))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    bom = load_feature_table(path)
+    assert bom.feature_names == plain.feature_names == ("f1", "f2")
+    for field in ("sample_ids", "cohort", "labels", "values"):
+        assert np.array_equal(getattr(bom, field), getattr(plain, field))
+
+
 @pytest.mark.parametrize("text,expected", [
     ("MALIGNANT", ClassLabel.MALIGNANT),
     ("Malignant", ClassLabel.MALIGNANT),
