@@ -177,7 +177,11 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
                            _checked(float, lambda v: not math.isnan(v), "a number or +/-inf"),
                            fallback="2.0"),
         rf_mtry=get("mrcv", "rf_mtry", _positive_list, fallback="5,10,15,20,25,30"),
-        rf_ntree=get("mrcv", "rf_ntree", _positive_list, fallback="100,500,1000,2000"),
+        # one tree has no importance spread, so its normalized importances are infinite
+        rf_ntree=get("mrcv", "rf_ntree",
+                     _checked(_int_list, lambda v: v and min(v) >= 2,
+                              "a non-empty list of integers >= 2"),
+                     fallback="100,500,1000,2000"),
         synth=synth,
     )
     # a key is known only if some read above asked for it

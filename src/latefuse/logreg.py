@@ -22,8 +22,9 @@ CELLS = 2 ** 14
 # of its largest diagonal entry is nearly collinear; the scalar fit decides
 # whether it is singular
 _PIVOT_TOL = 1e-10
-# a batched BIC exceeds the scalar fit's by at most ~1e-12; candidates within
-# this margin of the best refitted BIC are refitted by `fit`, whose BICs decide
+# a batched BIC exceeds the scalar fit's by rounding only (~1e-12, ~1e-8 seen
+# on a column with rows 40-60 SD out); candidates within this margin of the
+# best refitted BIC, or of the ceiling, are refitted by `fit`, whose BICs decide
 _BIC_MARGIN = 1e-6
 
 
@@ -167,8 +168,37 @@ def _newton_steps(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return s, ok
 
 
+def _dual_bounds(x0: np.ndarray, z: np.ndarray, y: np.ndarray, p: np.ndarray,
+                 w: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """An upper bound on the log-likelihood of every beta with |beta| <= COEF_CAP
+    on the design [x0 | z[c]], for each candidate c at clipped probabilities
+    p[c] (weights w[c]) with Newton step step[c]; NaN where no bound is taken.
+
+    For any alpha in (0, 1)^n, log(1 + e^eta) >= alpha eta + H(alpha) (H the
+    binary entropy), so LL(beta) <= -sum H(alpha) + (y - alpha)' X beta
+    <= -sum H(alpha) + COEF_CAP |X'(y - alpha)|_1 (weak duality for the
+    logistic dual, Jaakkola & Haussler 1999). alpha = p + w (X step), the
+    linearized probabilities after the step, makes X'(y - alpha) = g - H step,
+    zero but for rounding, and the bound tight as the step shrinks. The bound
+    is on the unclipped log-likelihood; `fit`'s clipped one differs only on
+    rows whose probability passes _P_EPS, so a candidate with a row of p at
+    the clip gets NaN.
+    """
+    k0 = x0.shape[1]
+    # an alpha outside (0, 1) makes its entropy term, so the bound, NaN
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = p + w * (step[:, :k0] @ x0.T + step[:, k0, None] * z)
+        log_b = np.log1p(-a)
+        entropy = -np.einsum("cn,cn->c", a, np.log(a) - log_b) - log_b.sum(axis=1)
+        r = y - a
+        gap = np.abs(r @ x0).sum(axis=1) + np.abs(np.einsum("cn,cn->c", r, z))
+        bound = COEF_CAP * gap - entropy
+    bound[(p.min(axis=1) <= _P_EPS) | (p.max(axis=1) >= 1.0 - _P_EPS)] = np.nan
+    return bound
+
+
 def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
-                    start: np.ndarray) -> np.ndarray:
+                    start: np.ndarray, ceiling: float = math.inf) -> np.ndarray:
     """BIC of the maximum-likelihood fit of the design [x0 | z] for every row z
     of zt, by damped Newton steps run on all candidates at once. Every
     candidate starts at (start, 0): `start` is the fitted model of x0, so the
@@ -182,12 +212,20 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
     to a predictor that separates the classes. Every other BIC is the MLE's, so it is at
     most `fit`'s BIC (from beta = 0, maybe capped) plus rounding.
 
+    A finite `ceiling` also rules candidates out. A candidate stops iterating
+    once `_dual_bounds` puts a lower bound on the BIC of every coefficient
+    vector within COEF_CAP (a box `fit` never leaves) above `ceiling` plus
+    _BIC_MARGIN, and that bound is its value. So every value is NaN, the MLE's
+    BIC, or a lower bound on `fit`'s BIC above the ceiling; the default
+    ceiling returns no bounds.
+
     Candidate c's coefficients are (b0[c], b1[c]); its Hessian is assembled from
     the shared block x0' W x0, the column x0' W z and the corner z' W z, so no
     per-candidate design is ever formed.
     """
     c, n = zt.shape
     k0 = x0.shape[1]
+    penalty = (k0 + 1) * math.log(n)
     outer0 = (x0[:, :, None] * x0[:, None, :]).reshape(n, k0 * k0)
     b0, b1 = np.tile(start, (c, 1)), np.zeros(c)
     ll0, p0 = _loglik_rows((x0 @ start)[None, :], y)
@@ -222,6 +260,12 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
         step, ok = _newton_steps(hess, grad)
         failed[live[~ok]] = True
         live, step = live[ok], step[ok]
+        if ceiling < math.inf:
+            bar = ceiling + _BIC_MARGIN
+            ll_max = _dual_bounds(x0, z[ok], y, pl[ok], w[ok], step)
+            out = np.flatnonzero(penalty - 2.0 * ll_max > bar)
+            ll[live[out]] = ll_max[out]  # so its value is the bound's BIC
+            live, step = np.delete(live, out), np.delete(step, out, axis=0)
         pending = np.arange(live.size)
         lam = 1.0
         while lam > 1e-8 and pending.size:
@@ -240,7 +284,7 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
         failed[live[stop]] = True
         live = live[~stop]
     failed[live] = True  # MAX_ITER iterations without convergence
-    bic = (k0 + 1) * math.log(n) - 2.0 * ll
+    bic = penalty - 2.0 * ll
     bic[failed] = np.nan
     return bic
 
@@ -257,11 +301,16 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
     raises ModelError (filter_missingness imputes every cell).
 
     The extensions of a step are fitted together in blocks (`_candidate_bics`),
-    each starting from the current model's coefficients. A batched BIC is the
-    candidate's MLE, never above its `fit` BIC by more than rounding, or NaN
-    for a candidate that `fit` alone decides. Candidates are refitted by `fit`
-    in batched order until the next batched BIC exceeds the best refitted BIC
-    plus _BIC_MARGIN, so the chosen model and its BIC are exactly `fit`'s.
+    each starting from the current model's coefficients, under a ceiling: the
+    current BIC minus delta_bic_stop, lowered to the lowest BIC an earlier
+    block of the step reached. A batched value is NaN for a candidate that
+    `fit` alone decides, the candidate's MLE BIC, or, for a candidate ruled
+    out above the ceiling, a proven lower bound on the BIC of every
+    coefficient vector within COEF_CAP, the box `fit` never leaves. So no value
+    is above the candidate's `fit` BIC by more than rounding. Candidates are
+    refitted by `fit` in batched order until the next value exceeds the best
+    refitted BIC, or the stop rule's ceiling, plus _BIC_MARGIN, so the chosen
+    model and its BIC are exactly `fit`'s.
     """
     remaining = list(dict.fromkeys(candidates))
     if not remaining:
@@ -277,8 +326,14 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
         zt = np.ascontiguousarray(table.values[:, cols].T)
         x0 = _design(table, selected, for_fit=True)
         beta = _beta(current)
-        bic = np.concatenate([_candidate_bics(x0, zt[i:i + block], y, beta)
-                              for i in range(0, len(remaining), block)])
+        # a candidate whose BIC is not below the ceiling cannot pass the stop
+        # rule, nor can one above the lowest BIC an earlier block reached win
+        ceiling = current.bic - delta_bic_stop
+        bic = np.empty(len(remaining))
+        lowest = ceiling
+        for i in range(0, len(remaining), block):
+            bic[i:i + block] = _candidate_bics(x0, zt[i:i + block], y, beta, lowest)
+            lowest = float(np.fmin(lowest, bic[i:i + block]).min())
         refits: dict[str, FittedLogReg | None] = {}
 
         def refit(name: str) -> FittedLogReg | None:
@@ -296,7 +351,8 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
                 bic[i] = model.bic
         scored: list[tuple[float, str, FittedLogReg]] = []
         for i in np.argsort(bic, kind="stable"):
-            if np.isnan(bic[i]) or (scored and bic[i] > scored[0][0] + _BIC_MARGIN):
+            best = scored[0][0] if scored else math.inf
+            if np.isnan(bic[i]) or bic[i] > min(best, ceiling) + _BIC_MARGIN:
                 break
             model = refit(remaining[i])
             if model is not None:

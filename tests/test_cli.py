@@ -115,6 +115,8 @@ def test_config_missing_file():
     "mrcv.rf_ntree=0", "mrcv.rf_mtry=", "mrcv.rf_mtry=5,-1", "split.test_benign=-1",
     "split.test_malignant=-2", "univariate.alpha=7", "univariate.alpha=nan",
     "mrcv.delta_bic_stop=nan", "mrcv.base_seed=-1", "synth.seed=-1",
+    # a one-tree forest fits, but its importances cannot be normalized
+    "mrcv.rf_ntree=1,25",
     # keys that load_config does not read, among them the removed forest options
     # and the removed fusion rule list (fuse runs every rule)
     "mrcv.repeat=5", "mrcv.rf_mtyr=3", "schema.group_column=patient",
@@ -508,17 +510,15 @@ def test_byte_order_mark_starts_no_config_key_or_test_id(config_path, tmp_path):
 
 
 def test_one_tree_forest_has_no_elbow(config_path, capsys):
-    # one tree has a zero importance SE, so every normalized importance is
-    # infinite or NaN: the elbow refuses them, and no RuntimeWarning fires
+    # one tree has a zero importance SE, so its normalized importances would
+    # be infinite and sink every repeat's ranking: the config refuses it
     run(config_path, "synth")
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run(config_path, "--set", "mrcv.rf_ntree=1",
-                   "train", "--modality", "a", "--model", "rf") == 1
+    assert run(config_path, "--set", "mrcv.rf_ntree=1",
+               "train", "--modality", "a", "--model", "rf") == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: no elbow: the score ")
-    assert err[0].endswith(" is not finite")
+    assert err == ["error: invalid config value [mrcv] rf_ntree = '1': "
+                   "must be a non-empty list of integers >= 2"]
 
 
 def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):

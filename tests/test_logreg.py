@@ -274,7 +274,9 @@ def reference_forward_select(table, candidates, delta_bic_stop=2.0):
 
 def selection_table(n, seed, positives, shift, sep_noise, constant, order):
     """Labels plus noise, shifted, duplicated, mirrored, constant and
-    near-separating columns, in the given order."""
+    near-separating columns, and a shifted column with three rows at +-40-60 on
+    the side of their class (fitted probabilities there can reach the _P_EPS
+    clip), in the given order."""
     rng = np.random.default_rng(seed)
     y = np.zeros(n, dtype=np.int8)
     y[rng.choice(n, positives, replace=False)] = 1
@@ -284,6 +286,10 @@ def selection_table(n, seed, positives, shift, sep_noise, constant, order):
     columns = [rng.normal(size=n), shifted, shifted.copy(), -shifted, near_sep, -near_sep,
                np.full(n, constant), rng.normal(size=n) + 0.5 * y,
                rng.normal(size=n), rng.normal(size=n) + y]
+    outlier = rng.normal(size=n) + shift * y
+    far = rng.choice(n, 3, replace=False)
+    outlier[far] = sign[far] * rng.uniform(40.0, 60.0, 3)
+    columns.append(outlier)
     return make_table(np.column_stack([columns[i] for i in order]), y)
 
 
@@ -295,7 +301,7 @@ def selection_tables(draw):
     table = selection_table(
         n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(3, n - 3)),
         draw(st.floats(0.3, 2.0)), draw(st.sampled_from([0.0, 0.05, 0.5])),
-        draw(st.floats(-3.0, 3.0)), draw(st.permutations(range(10))))
+        draw(st.floats(-3.0, 3.0)), draw(st.permutations(range(11))))
     return table, draw(st.permutations(table.feature_names))
 
 
@@ -315,37 +321,47 @@ def assert_matches_reference(table, candidates, delta_bic_stop):
     return scalar
 
 
-def candidate_bics(table, selected, names):
-    """_candidate_bics of each of `names` added to the fitted model of `selected`."""
+def candidate_bics(table, selected, names, offset=math.inf):
+    """_candidate_bics of each of `names` added to the fitted model of
+    `selected`, under the ceiling that model's BIC + `offset`."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SeparationWarning)
         current = lr.fit(table, selected)
     zt = table.values[:, [table.feature_index(f) for f in names]].T
     return lr._candidate_bics(lr._design(table, list(selected), for_fit=True),
                               np.ascontiguousarray(zt), table.labels.astype(float),
-                              lr._beta(current))
+                              lr._beta(current), current.bic + offset)
 
 
 @settings(max_examples=40, deadline=None)
-@given(selection_tables(), st.sampled_from([2.0, -math.inf]))
-def test_forward_select_matches_scalar_reference(case, delta_bic_stop):
+@given(selection_tables(), st.sampled_from([2.0, -math.inf]), st.floats(-10.0, 10.0))
+def test_forward_select_matches_scalar_reference(case, delta_bic_stop, offset):
     table, candidates = case
     scalar = assert_matches_reference(table, candidates, delta_bic_stop)
 
     # the property the refit rule rests on: a batched BIC is NaN (left to
     # `fit`) or the candidate's MLE, so never above `fit`'s, and equal to it
-    # wherever `fit` converged without separation
+    # wherever `fit` converged without separation. Under a finite ceiling a
+    # value may also be a lower bound on `fit`'s BIC, but only above the ceiling.
     for k in range(len(scalar.selected_order) + 1):
         selected = list(scalar.selected_order[:k])
         names = [f for f in candidates if f not in selected]
-        for name, bic in zip(names, candidate_bics(table, selected, names)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeparationWarning)
+            ceiling = lr.fit(table, selected).bic + offset
+        bounded = candidate_bics(table, selected, names, offset)
+        for name, bic, value in zip(names, candidate_bics(table, selected, names), bounded):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", SeparationWarning)
                     exact = lr.fit(table, selected + [name])
             except ModelError:
                 assert np.isnan(bic)  # batched failures go to `fit`, which warns
+                assert np.isnan(value)
                 continue
+            assert not value > exact.bic + 1e-9
+            if value <= ceiling and exact.converged and not exact.separated:
+                assert abs(value - exact.bic) <= 1e-9
             if np.isnan(bic):
                 continue
             assert bic <= exact.bic + 1e-9
@@ -392,6 +408,24 @@ def test_max_iter_candidates_are_nan(monkeypatch):
         assert_matches_reference(table, names, stop)
 
 
+def test_rows_at_the_clip_get_no_bound():
+    # f000's fit puts a negative row at eta ~ 55, where the clipped probability
+    # scores ~20 log-likelihood units above the unclipped one the bound is on
+    rng = np.random.default_rng(0)
+    y = (rng.random(400) < 0.5).astype(np.int8)
+    z = rng.normal(size=400) + 2.0 * y
+    z[np.flatnonzero(y == 0)[0]] = 60.0
+    table = make_table(np.column_stack([z, rng.normal(size=400)]), y)
+    fits = [lr.fit(table, [name]) for name in table.feature_names]
+    assert lr.predict_proba(fits[0], table).max() == 1.0 - lr._P_EPS
+    mle = candidate_bics(table, [], ["f000", "f001"])
+    # a ceiling far below every candidate asks for a bound wherever one is taken
+    ruled = candidate_bics(table, [], ["f000", "f001"], -1000.0)
+    assert mle[0] == pytest.approx(fits[0].bic, abs=1e-9)
+    assert ruled[0] == pytest.approx(fits[0].bic, abs=1e-9)
+    assert ruled[1] < mle[1] and ruled[1] <= fits[1].bic + 1e-9
+
+
 def test_forward_select_newton_iteration_count(monkeypatch):
     """A work count, not a time: each _newton_steps call is one Newton
     iteration of one block of candidates (here 6 and 4 of 10 at step 1)."""
@@ -410,3 +444,24 @@ def test_forward_select_newton_iteration_count(monkeypatch):
     # 72 calls when every candidate started from beta = 0; 40 when it starts
     # from the current model. The ceiling is 60% of 72.
     assert len(calls) <= 43
+
+
+def test_forward_select_rules_out_candidates_on_a_noisy_table(monkeypatch):
+    """A desk-shaped table, 300 rows and 60 features of which 3 are weakly
+    planted: most candidates of each step are ruled out by the duality-gap
+    bound after one Newton solve. Candidate rows are counted over the
+    _newton_steps calls, a work count, not a time."""
+    table = gaussian_table(150, 150, 60, shifts={7: 0.9, 23: 0.7, 41: 0.5}, seed=0)
+    names = list(table.feature_names)
+    for stop in (2.0, -math.inf):
+        assert_matches_reference(table, names, stop)
+    solve, rows = lr._newton_steps, []
+
+    def counted(h, g):
+        rows.append(g.shape[0])
+        return solve(h, g)
+
+    monkeypatch.setattr(lr, "_newton_steps", counted)
+    assert lr.forward_select(table, names).selected_order == ("f007", "f023", "f041")
+    # 715 candidate rows when every candidate ran to its MLE; 253 with the bound
+    assert sum(rows) <= 0.45 * 715
