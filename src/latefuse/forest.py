@@ -221,12 +221,13 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         cut = np.flatnonzero(cuts)
         del cuts
         col = srank[cut] // n
-        # class counts left of a cut: the prefix sums minus those before its
-        # column
-        before = first[1:] - 1
-        l1 = ones[cut] - np.r_[0, ones[before]][col]
-        l0 = total[cut] - np.r_[0, total[before]][col] - l1
-        del ones, total
+        # class counts left of a cut: the prefix sums minus those at the last
+        # cell before its column (none before the first column)
+        before1, before = ones[first - 1], total[first - 1]
+        before1[0] = before[0] = 0
+        l1 = ones[cut] - before1[col]
+        l0 = total[cut] - before[col] - l1
+        del ones, total, before1, before
         # a node's cuts run in draw order, then by position
         seg = np.searchsorted(col, np.arange(cand.size) * mtry)
         count = np.diff(seg, append=col.size)
@@ -305,7 +306,10 @@ def _key_dtype(bound: int) -> type:
 def _children(left: np.ndarray, parent: np.ndarray) -> np.ndarray:
     """A count of each split's children, left then right, in child order,
     from the left child's count and the parent's."""
-    return np.stack([left, parent - left], axis=1).ravel()
+    counts = np.empty(2 * left.size, dtype=np.result_type(left, parent))
+    counts[0::2] = left
+    np.subtract(parent, left, out=counts[1::2])
+    return counts
 
 
 def _growth_block(n: int, mtry: int, ntree: int) -> int:

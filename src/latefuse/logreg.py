@@ -16,7 +16,13 @@ GRAD_TOL = 1e-8
 MAX_ITER = 100
 _P_EPS = 1e-15
 # forward_select fits its candidates in blocks of about CELLS (candidate x row)
-# cells, so that the per-block temporaries stay in cache
+# cells. On the perfbench workloads' selections (2-vCPU Xeon, one BLAS thread,
+# best of 9-15 interleaved rounds) 2**15 was faster than 2**14: 127 against
+# 144 ms on desk (294 rows), 49 against 54 ms on cohort (3,198 rows; 2**16
+# took 54 ms). But at 2**15 the cohort bench (seed 7) read a peak RSS of
+# 53.8 MB, against 52.0 MB at 2**14 and 52.5 MB before the shared start. The
+# traced peak of a cohort-shaped selection is 2.2 MB at 2**14, 2.7 MB at 2**15
+# and 3.8 MB at 2**16 (test_forward_select_working_memory)
 CELLS = 2 ** 14
 # a batched candidate whose smallest Hessian eigenvalue falls to this fraction
 # of its largest diagonal entry is nearly collinear; the scalar fit decides
@@ -173,6 +179,7 @@ def _dual_bounds(x0: np.ndarray, z: np.ndarray, y: np.ndarray, p: np.ndarray,
     """An upper bound on the log-likelihood of every beta with |beta| <= COEF_CAP
     on the design [x0 | z[c]], for each candidate c at clipped probabilities
     p[c] (weights w[c]) with Newton step step[c]; NaN where no bound is taken.
+    p and w may also be one row that every candidate shares.
 
     For any alpha in (0, 1)^n, log(1 + e^eta) >= alpha eta + H(alpha) (H the
     binary entropy), so LL(beta) <= -sum H(alpha) + (y - alpha)' X beta
@@ -185,26 +192,64 @@ def _dual_bounds(x0: np.ndarray, z: np.ndarray, y: np.ndarray, p: np.ndarray,
     the clip gets NaN.
     """
     k0 = x0.shape[1]
-    # an alpha outside (0, 1) makes its entropy term, so the bound, NaN
+    # an alpha outside (0, 1) makes its entropy term, so the bound, NaN;
+    # the (candidate x row) arrays are updated in place, so at most three are
+    # alive at once
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a = p + w * (step[:, :k0] @ x0.T + step[:, k0, None] * z)
-        log_b = np.log1p(-a)
-        entropy = -np.einsum("cn,cn->c", a, np.log(a) - log_b) - log_b.sum(axis=1)
-        r = y - a
+        a = step[:, :k0] @ x0.T
+        a += step[:, k0, None] * z
+        a *= w
+        a += p
+        log_b = np.negative(a)
+        np.log1p(log_b, out=log_b)
+        log_a = np.log(a)
+        log_a -= log_b
+        entropy = -np.einsum("cn,cn->c", a, log_a) - log_b.sum(axis=1)
+        del log_a, log_b
+        r = np.subtract(y, a, out=a)
         gap = np.abs(r @ x0).sum(axis=1) + np.abs(np.einsum("cn,cn->c", r, z))
         bound = COEF_CAP * gap - entropy
-    bound[(p.min(axis=1) <= _P_EPS) | (p.max(axis=1) >= 1.0 - _P_EPS)] = np.nan
-    return bound
+    at_clip = (p.min(axis=-1) <= _P_EPS) | (p.max(axis=-1) >= 1.0 - _P_EPS)
+    return np.where(at_clip, np.nan, bound)
+
+
+@dataclass(frozen=True)
+class _Start:
+    """The current model of a forward-selection step, where every candidate
+    starts: its coefficients, log-likelihood and clipped probabilities p on
+    the design x0, the weights w = p (1 - p), the residual y - p, the x0 part
+    of the gradient x0' (y - p), the rows of x0 times w, x0' W x0, and the
+    outer products of x0's rows (row i is x0[i] x0[i]', flattened)."""
+    beta: np.ndarray
+    ll: float
+    p: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
+    grad: np.ndarray
+    wx0: np.ndarray
+    hess: np.ndarray
+    outer: np.ndarray
+
+
+def _shared_start(x0: np.ndarray, y: np.ndarray, beta: np.ndarray) -> _Start:
+    """What all candidates of a step share, computed once for the step."""
+    n, k0 = x0.shape
+    ll, p = _loglik_rows(x0 @ beta, y)
+    w = p * (1.0 - p)
+    r = y - p
+    outer = (x0[:, :, None] * x0[:, None, :]).reshape(n, k0 * k0)
+    return _Start(beta=beta, ll=float(ll), p=p, w=w, r=r, grad=r @ x0,
+                  wx0=x0 * w[:, None], hess=(w @ outer).reshape(k0, k0), outer=outer)
 
 
 def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
-                    start: np.ndarray, ceiling: float = math.inf) -> np.ndarray:
+                    start: _Start, ceiling: float = math.inf) -> np.ndarray:
     """BIC of the maximum-likelihood fit of the design [x0 | z] for every row z
     of zt, by damped Newton steps run on all candidates at once. Every
-    candidate starts at (start, 0): `start` is the fitted model of x0, so the
-    first step begins at that model's log-likelihood. Steps are accepted by
-    `fit`'s rule and a candidate converges when its largest score-gradient
-    component falls below GRAD_TOL.
+    candidate starts at (start.beta, 0): `start` is the fitted model of x0
+    (`_shared_start`), so the first step begins at that model's
+    log-likelihood. Steps are accepted by `fit`'s rule and a candidate
+    converges when its largest score-gradient component falls below GRAD_TOL.
 
     NaN marks a candidate left to `fit`: its Hessian was not finite or
     (nearly) singular, a coefficient passed COEF_CAP, no step length was
@@ -220,16 +265,17 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
     ceiling returns no bounds.
 
     Candidate c's coefficients are (b0[c], b1[c]); its Hessian is assembled from
-    the shared block x0' W x0, the column x0' W z and the corner z' W z, so no
-    per-candidate design is ever formed.
+    the block x0' W x0, the column x0' W z and the corner z' W z, so no
+    per-candidate design is ever formed. At the first iteration every
+    candidate shares the start's probabilities, so only z' r, z' W x0 and
+    z' W z are its own; a candidate gets its own row of probabilities when it
+    takes a step.
     """
     c, n = zt.shape
     k0 = x0.shape[1]
     penalty = (k0 + 1) * math.log(n)
-    outer0 = (x0[:, :, None] * x0[:, None, :]).reshape(n, k0 * k0)
-    b0, b1 = np.tile(start, (c, 1)), np.zeros(c)
-    ll0, p0 = _loglik_rows((x0 @ start)[None, :], y)
-    ll, p = np.repeat(ll0, c), np.repeat(p0, c, axis=0)
+    b0, b1 = np.tile(start.beta, (c, 1)), np.zeros(c)
+    ll, p = np.full(c, start.ll), np.empty((c, n))
     failed = np.zeros(c, dtype=bool)
     live = np.arange(c)
 
@@ -237,35 +283,44 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
         return beta0 @ x0.T + beta1[:, None] * zt[rows]
 
     for it in range(MAX_ITER):
-        r = y - p[live]
-        z = zt[live]
-        grad = np.column_stack([r @ x0, np.einsum("cn,cn->c", r, z)])
-        converged = np.abs(grad).max(axis=1) < GRAD_TOL
-        done = live[converged]
-        failed[done[_classifies_every_row(p[done], y)]] = True
-        # every Hessian is checked at the start, where a column collinear with
-        # x0 (a copy of a selected one, a constant) is already stationary
-        moving = ~converged | (it == 0)
-        live, grad, z = live[moving], grad[moving], z[moving]
-        if live.size == 0:
-            break
-        pl = p[live]
-        w = pl * (1.0 - pl)
-        wz = w * z
-        hess = np.empty((live.size, k0 + 1, k0 + 1))
-        with np.errstate(over="ignore"):  # _newton_steps refuses a non-finite Hessian
-            hess[:, :k0, :k0] = (w @ outer0).reshape(-1, k0, k0)
-            hess[:, k0, :k0] = hess[:, :k0, k0] = wz @ x0
-            hess[:, k0, k0] = np.einsum("cn,cn->c", wz, z)
+        if it == 0:
+            # every candidate takes a step here, even one already stationary
+            # (a column collinear with x0: a copy of a selected one, a
+            # constant), so that every Hessian is checked
+            z, pl, w = zt, start.p, start.w
+            grad = np.column_stack([np.broadcast_to(start.grad, (c, k0)), z @ start.r])
+            if _classifies_every_row(pl, y):
+                failed[np.abs(grad).max(axis=1) < GRAD_TOL] = True
+            hess = np.empty((c, k0 + 1, k0 + 1))
+            with np.errstate(over="ignore"):  # _newton_steps refuses a non-finite Hessian
+                hess[:, :k0, :k0] = start.hess
+                hess[:, k0, :k0] = z @ start.wx0
+                hess[:, k0, k0] = (z * z) @ w
+        else:
+            z, pl = zt[live], p[live]
+            r = y - pl
+            grad = np.column_stack([r @ x0, np.einsum("cn,cn->c", r, z)])
+            converged = np.abs(grad).max(axis=1) < GRAD_TOL
+            failed[live[converged][_classifies_every_row(pl[converged], y)]] = True
+            live, grad, z, pl = (a[~converged] for a in (live, grad, z, pl))
+            if live.size == 0:
+                break
+            w = pl * (1.0 - pl)
+            wz = w * z
+            hess = np.empty((live.size, k0 + 1, k0 + 1))
+            with np.errstate(over="ignore"):
+                hess[:, :k0, :k0] = (w @ start.outer).reshape(-1, k0, k0)
+                hess[:, k0, :k0] = wz @ x0
+                hess[:, k0, k0] = np.einsum("cn,cn->c", wz, z)
+        hess[:, :k0, k0] = hess[:, k0, :k0]
         step, ok = _newton_steps(hess, grad)
         failed[live[~ok]] = True
-        live, step = live[ok], step[ok]
         if ceiling < math.inf:
-            bar = ceiling + _BIC_MARGIN
-            ll_max = _dual_bounds(x0, z[ok], y, pl[ok], w[ok], step)
-            out = np.flatnonzero(penalty - 2.0 * ll_max > bar)
+            ll_max = _dual_bounds(x0, z, y, pl, w, step)
+            out = ok & (penalty - 2.0 * ll_max > ceiling + _BIC_MARGIN)
             ll[live[out]] = ll_max[out]  # so its value is the bound's BIC
-            live, step = np.delete(live, out), np.delete(step, out, axis=0)
+            ok &= ~out
+        live, step = live[ok], step[ok]
         pending = np.arange(live.size)
         lam = 1.0
         while lam > 1e-8 and pending.size:
@@ -300,17 +355,21 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
     fails are skipped with a warning. A NaN cell in a candidate column
     raises ModelError (filter_missingness imputes every cell).
 
-    The extensions of a step are fitted together in blocks (`_candidate_bics`),
-    each starting from the current model's coefficients, under a ceiling: the
-    current BIC minus delta_bic_stop, lowered to the lowest BIC an earlier
-    block of the step reached. A batched value is NaN for a candidate that
-    `fit` alone decides, the candidate's MLE BIC, or, for a candidate ruled
-    out above the ceiling, a proven lower bound on the BIC of every
-    coefficient vector within COEF_CAP, the box `fit` never leaves. So no value
-    is above the candidate's `fit` BIC by more than rounding. Candidates are
-    refitted by `fit` in batched order until the next value exceeds the best
-    refitted BIC, or the stop rule's ceiling, plus _BIC_MARGIN, so the chosen
-    model and its BIC are exactly `fit`'s.
+    The extensions of a step are fitted together (`_candidate_bics`), in
+    blocks of about CELLS (candidate x row) cells, all from the current
+    model, whose probabilities, weights and x0 parts of the gradient and
+    Hessian are computed once for the step (`_shared_start`). They run under
+    one ceiling, the current BIC minus delta_bic_stop. At delta_bic_stop =
+    -inf it is +inf, and the one finite ceiling known before any fit, the
+    current BIC + log n, would rule nothing out: no candidate's MLE BIC is
+    above it. A batched value is NaN for a candidate that `fit` alone
+    decides, the candidate's MLE BIC, or, for a candidate ruled out above the
+    ceiling, a proven lower bound on the BIC of every coefficient vector
+    within COEF_CAP, the box `fit` never leaves. So no value is above the
+    candidate's `fit` BIC by more than rounding. Candidates are refitted by
+    `fit` in batched order until the next value exceeds the best refitted
+    BIC, or the stop rule's ceiling, plus _BIC_MARGIN, so the chosen model and
+    its BIC are exactly `fit`'s.
     """
     remaining = list(dict.fromkeys(candidates))
     if not remaining:
@@ -323,17 +382,14 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
     while remaining:
         selected = list(current.selected_order)
         cols = [table.feature_index(f) for f in remaining]
-        zt = np.ascontiguousarray(table.values[:, cols].T)
+        zt = table.values.T[cols]  # one C-ordered copy, (candidate x row)
         x0 = _design(table, selected, for_fit=True)
-        beta = _beta(current)
-        # a candidate whose BIC is not below the ceiling cannot pass the stop
-        # rule, nor can one above the lowest BIC an earlier block reached win
+        start = _shared_start(x0, y, _beta(current))
+        # a candidate whose BIC is not below the ceiling cannot pass the stop rule
         ceiling = current.bic - delta_bic_stop
-        bic = np.empty(len(remaining))
-        lowest = ceiling
-        for i in range(0, len(remaining), block):
-            bic[i:i + block] = _candidate_bics(x0, zt[i:i + block], y, beta, lowest)
-            lowest = float(np.fmin(lowest, bic[i:i + block]).min())
+        bic = np.concatenate([_candidate_bics(x0, zt[i:i + block], y, start, ceiling)
+                              for i in range(0, len(remaining), block)])
+        del zt, start  # so the next step's are built without them
         refits: dict[str, FittedLogReg | None] = {}
 
         def refit(name: str) -> FittedLogReg | None:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,8 +296,8 @@ def selection_table(n, seed, positives, shift, sep_noise, constant, order):
 
 @st.composite
 def selection_tables(draw):
-    """selection_table with drawn parameters and candidate order; n=2500 puts
-    the candidates of each step in more than one block."""
+    """selection_table with drawn parameters and candidate order, from 24 to
+    2500 rows."""
     n = draw(st.sampled_from([24, 90, 2500]))
     table = selection_table(
         n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(3, n - 3)),
@@ -328,9 +329,9 @@ def candidate_bics(table, selected, names, offset=math.inf):
         warnings.simplefilter("ignore", SeparationWarning)
         current = lr.fit(table, selected)
     zt = table.values[:, [table.feature_index(f) for f in names]].T
-    return lr._candidate_bics(lr._design(table, list(selected), for_fit=True),
-                              np.ascontiguousarray(zt), table.labels.astype(float),
-                              lr._beta(current), current.bic + offset)
+    x0, y = lr._design(table, list(selected), for_fit=True), table.labels.astype(float)
+    return lr._candidate_bics(x0, np.ascontiguousarray(zt), y,
+                              lr._shared_start(x0, y, lr._beta(current)), current.bic + offset)
 
 
 @settings(max_examples=40, deadline=None)
@@ -367,6 +368,165 @@ def test_forward_select_matches_scalar_reference(case, delta_bic_stop, offset):
             assert bic <= exact.bic + 1e-9
             if exact.converged and not exact.separated:
                 assert abs(bic - exact.bic) <= 1e-9
+
+
+def reference_candidate_bics(x0, zt, y, start, ceiling=math.inf):
+    """_candidate_bics as it was before the shared start: every block builds
+    the start model and its outer products, and every candidate recomputes its
+    probabilities, weights and Hessian at the first iteration."""
+    c, n = zt.shape
+    k0 = x0.shape[1]
+    penalty = (k0 + 1) * math.log(n)
+    outer0 = (x0[:, :, None] * x0[:, None, :]).reshape(n, k0 * k0)
+    b0, b1 = np.tile(start, (c, 1)), np.zeros(c)
+    ll0, p0 = lr._loglik_rows((x0 @ start)[None, :], y)
+    ll, p = np.repeat(ll0, c), np.repeat(p0, c, axis=0)
+    failed = np.zeros(c, dtype=bool)
+    live = np.arange(c)
+
+    def eta(rows, beta0, beta1):
+        return beta0 @ x0.T + beta1[:, None] * zt[rows]
+
+    for it in range(lr.MAX_ITER):
+        r = y - p[live]
+        z = zt[live]
+        grad = np.column_stack([r @ x0, np.einsum("cn,cn->c", r, z)])
+        converged = np.abs(grad).max(axis=1) < lr.GRAD_TOL
+        done = live[converged]
+        failed[done[lr._classifies_every_row(p[done], y)]] = True
+        moving = ~converged | (it == 0)
+        live, grad, z = live[moving], grad[moving], z[moving]
+        if live.size == 0:
+            break
+        pl = p[live]
+        w = pl * (1.0 - pl)
+        wz = w * z
+        hess = np.empty((live.size, k0 + 1, k0 + 1))
+        with np.errstate(over="ignore"):
+            hess[:, :k0, :k0] = (w @ outer0).reshape(-1, k0, k0)
+            hess[:, k0, :k0] = hess[:, :k0, k0] = wz @ x0
+            hess[:, k0, k0] = np.einsum("cn,cn->c", wz, z)
+        step, ok = lr._newton_steps(hess, grad)
+        failed[live[~ok]] = True
+        live, step = live[ok], step[ok]
+        if ceiling < math.inf:
+            bar = ceiling + lr._BIC_MARGIN
+            ll_max = lr._dual_bounds(x0, z[ok], y, pl[ok], w[ok], step)
+            out = np.flatnonzero(penalty - 2.0 * ll_max > bar)
+            ll[live[out]] = ll_max[out]
+            live, step = np.delete(live, out), np.delete(step, out, axis=0)
+        pending = np.arange(live.size)
+        lam = 1.0
+        while lam > 1e-8 and pending.size:
+            rows = live[pending]
+            cand0 = b0[rows] + lam * step[pending, :k0]
+            cand1 = b1[rows] + lam * step[pending, k0]
+            ll_cand, p_cand = lr._loglik_rows(eta(rows, cand0, cand1), y)
+            accept = ll_cand >= ll[rows] - 1e-10
+            took = rows[accept]
+            b0[took], b1[took] = cand0[accept], cand1[accept]
+            ll[took], p[took] = ll_cand[accept], p_cand[accept]
+            pending = pending[~accept]
+            lam /= 2.0
+        stop = np.maximum(np.abs(b0[live]).max(axis=1), np.abs(b1[live])) > lr.COEF_CAP
+        stop[pending] = True
+        failed[live[stop]] = True
+        live = live[~stop]
+    failed[live] = True
+    bic = penalty - 2.0 * ll
+    bic[failed] = np.nan
+    return bic
+
+
+def assert_same_bics(got, want):
+    """The same NaN set, and finite values within 1e-9."""
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert np.allclose(got[finite], want[finite], rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(selection_tables(), st.sampled_from([2.0, -math.inf]), st.floats(-10.0, 10.0),
+       st.integers(1, 4))
+def test_candidate_bics_match_the_per_block_reference(case, delta_bic_stop, offset, per_block):
+    """Every block forward_select fits from the step's one shared start gives
+    the values of the reference, which starts each block afresh; blocks of
+    1-4 candidates put each step's candidates in several blocks."""
+    table, candidates = case
+    fitted = lr._candidate_bics
+    blocks = []
+
+    def spy(x0, zt, y, start, ceiling):
+        bics = fitted(x0, zt, y, start, ceiling)
+        blocks.append((x0, zt, y, start.beta, ceiling, bics))
+        return bics
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lr, "CELLS", per_block * table.n_samples)
+        mp.setattr(lr, "_candidate_bics", spy)
+        assert_matches_reference(table, candidates, delta_bic_stop)
+    assert len(blocks) >= -(-len(candidates) // per_block)
+    for x0, zt, y, beta, ceiling, bics in blocks:
+        assert_same_bics(bics, reference_candidate_bics(x0, zt, y, beta, ceiling))
+    # one block of every candidate, under a drawn finite ceiling
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeparationWarning)
+        current = lr.fit(table, [])
+    zt = np.ascontiguousarray(table.values[:, [table.feature_index(f) for f in candidates]].T)
+    want = reference_candidate_bics(np.ones((table.n_samples, 1)), zt, table.labels.astype(float),
+                                    lr._beta(current), current.bic + offset)
+    assert_same_bics(candidate_bics(table, [], candidates, offset), want)
+
+
+def test_forward_select_builds_one_shared_start_per_step(monkeypatch):
+    """A work count: the start every candidate of a step shares is built once
+    for the step, whatever the number of blocks its candidates are fitted in."""
+    table = selection_table(2500, 0, 700, 0.5, 0.5, 1.5, range(10))
+    shared, fitted = lr._shared_start, lr._candidate_bics
+    starts, blocks = [], []
+
+    def counted_start(x0, y, beta):
+        starts.append(x0.shape[1])
+        return shared(x0, y, beta)
+
+    def counted_block(x0, zt, y, start, ceiling):
+        blocks.append(zt.shape[0])
+        return fitted(x0, zt, y, start, ceiling)
+
+    monkeypatch.setattr(lr, "_shared_start", counted_start)
+    monkeypatch.setattr(lr, "_candidate_bics", counted_block)
+    for per_block in (10, 3, 1):
+        starts.clear()
+        blocks.clear()
+        monkeypatch.setattr(lr, "CELLS", per_block * table.n_samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            model = lr.forward_select(table, list(table.feature_names))
+        assert model.selected_order == ("f004", "f009", "f007", "f001")
+        # four steps that add a feature and one that stops: x0 has 1..5 columns
+        assert starts == [1, 2, 3, 4, 5]
+        assert len(blocks) == sum(-(-c // per_block) for c in (10, 9, 8, 7, 6))
+
+
+def test_forward_select_working_memory():
+    """A CI guard on the selection's working memory, since blocks of CELLS
+    cells set it: the tracemalloc peak of one forward_select on a split of
+    the cohort bench workload's shape, 3,198 rows (281 malignant) and 41
+    candidates, 3 of them planted."""
+    table = gaussian_table(2917, 281, 41, shifts={10: 1.6, 11: 1.2, 12: 1.0}, seed=3)
+    names = list(table.feature_names)
+    lr.forward_select(table, names)  # numpy's and the interpreter's first-call allocations
+    tracemalloc.start()
+    try:
+        model = lr.forward_select(table, names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {"f010", "f011", "f012"} <= set(model.selected_order)
+    # 2,220,786 bytes (blocks of 5 candidates); 3,209,529 at the same CELLS
+    # when every block rebuilt the start and the candidate matrix was copied
+    # twice. CELLS = 2**15 reads 2,726,097
+    assert peak <= 2_450_000
 
 
 def test_capped_candidates_are_nan():
