@@ -59,10 +59,8 @@ def _load_table(cfg: RunConfig, modality: str,
 
 
 def _preprocess_full(cfg: RunConfig, table: FeatureTable) -> FeatureTable:
-    if cfg.scale:
-        scaler = fit_robust_scaler(table, per_cohort=cfg.per_cohort)
-        table = apply_scaler(scaler, table)
-    return filter_missingness(table, cfg.max_missing_fraction)
+    scaled = apply_scaler(fit_robust_scaler(table, per_cohort=cfg.per_cohort), table)
+    return filter_missingness(scaled, cfg.max_missing_fraction)
 
 
 def _test_ids(cfg: RunConfig, modality: str, raw: FeatureTable) -> frozenset[str]:

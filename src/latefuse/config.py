@@ -69,7 +69,6 @@ class RunConfig:
     test_ids_file: Path | None
     test_benign: int
     test_malignant: int
-    scale: bool
     per_cohort: bool
     max_missing_fraction: float
     correlation_threshold: float
@@ -159,7 +158,6 @@ def load_config(path: str | Path, overrides: list[str] = ()) -> RunConfig:
         test_ids_file=Path(test_ids_file) if test_ids_file else None,
         test_benign=get("split", "test_benign", _count, fallback="20"),
         test_malignant=get("split", "test_malignant", _count, fallback="20"),
-        scale=get("preprocess", "scale", _bool, fallback="true"),
         per_cohort=get("preprocess", "per_cohort", _bool, fallback="false"),
         max_missing_fraction=get("preprocess", "max_missing_fraction",
                                  _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),

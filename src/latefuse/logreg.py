@@ -14,7 +14,7 @@ from .tables import FeatureTable
 COEF_CAP = 30.0  # |beta| bound applied when separation is detected (standardized inputs)
 GRAD_TOL = 1e-8
 MAX_ITER = 100
-_P_EPS = 1e-15
+_P_EPS = 1e-15  # predict_proba's output clip: probit fusion needs scores inside (0, 1)
 # forward_select fits its candidates in blocks of about CELLS (candidate x row)
 # cells. On the perfbench workloads' selections (2-vCPU Xeon, one BLAS thread,
 # best of 9-15 interleaved rounds) 2**15 was faster than 2**14: 127 against
@@ -24,14 +24,9 @@ _P_EPS = 1e-15
 # traced peak of a cohort-shaped selection is 2.2 MB at 2**14, 2.7 MB at 2**15
 # and 3.8 MB at 2**16 (test_forward_select_working_memory)
 CELLS = 2 ** 14
-# a batched candidate whose smallest Hessian eigenvalue falls to this fraction
-# of its largest diagonal entry is nearly collinear; the scalar fit decides
-# whether it is singular
+# a Hessian whose smallest eigenvalue falls to this fraction of its largest
+# diagonal entry is singular: its design's columns are (nearly) collinear
 _PIVOT_TOL = 1e-10
-# a batched BIC exceeds the scalar fit's by rounding only (~1e-12, ~1e-8 seen
-# on a column with rows 40-60 SD out); candidates within this margin of the
-# best refitted BIC, or of the ceiling, are refitted by `fit`, whose BICs decide
-_BIC_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,15 +58,23 @@ def _design(table: FeatureTable, features: list[str], *, for_fit: bool) -> np.nd
     return x
 
 
-def _log_likelihood(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    p = _sigmoid(x @ beta)
-    p = np.clip(p, _P_EPS, 1.0 - _P_EPS)
-    return float(y @ np.log(p) + (1 - y) @ np.log1p(-p))
-
-
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(eta))  # never overflows
-    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
+
+
+def _loglik_rows(eta: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-likelihood y' eta - sum log(1 + e^eta) of each row of a (C, n)
+    linear predictor (or of one (n,) predictor), and sigma(eta), both from
+    e = exp(-|eta|). Row i's term is -(max(s eta_i, 0) + log(1 + e_i)) with
+    s = 1 - 2 y_i, never positive, so the sum does not cancel."""
+    e = np.exp(-np.abs(eta))  # never overflows
+    p = np.where(eta >= 0, 1.0, e)
+    p /= 1.0 + e
+    t = (1.0 - 2.0 * y) * eta
+    np.maximum(t, 0.0, out=t)
+    t += np.log1p(e, out=e)
+    return -t.sum(axis=-1), p
 
 
 def _classifies_every_row(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -83,7 +86,8 @@ def _classifies_every_row(p: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def fit(table: FeatureTable, features: list[str] | tuple[str, ...] = ()) -> FittedLogReg:
-    """Maximum-likelihood fit with a logit link.
+    """Maximum-likelihood fit with a logit link: `_newton` with one
+    candidate, the last column of the design, from beta = 0.
 
     Damped Newton steps guarantee a non-decreasing log-likelihood; the fit
     converges when the largest score-gradient component falls below 1e-8.
@@ -97,51 +101,32 @@ def fit(table: FeatureTable, features: list[str] | tuple[str, ...] = ()) -> Fitt
     if y.min() == y.max():
         raise ModelError("training data must contain both classes")
     x = _design(table, features, for_fit=True)
-    beta = np.zeros(x.shape[1])
-    ll = _log_likelihood(x, y, beta)
-    converged = separated = False
-    for _ in range(MAX_ITER):
-        p = np.clip(_sigmoid(x @ beta), _P_EPS, 1.0 - _P_EPS)
-        grad = x.T @ (y - p)
-        if np.max(np.abs(grad)) < GRAD_TOL:
-            converged = True
-            break
-        w = p * (1.0 - p)
-        with np.errstate(over="ignore"):
-            hess = x.T @ (x * w[:, None])
-        if not np.isfinite(hess).all():  # a column too large to square
-            raise ModelError("singular design: the Hessian is not finite")
-        try:
-            low = np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError as exc:  # a pivot is not positive
-            raise ModelError(f"singular design: {exc}") from None
-        step = np.linalg.solve(low.T, np.linalg.solve(low, grad))
-        lam = 1.0
-        while lam > 1e-8:
-            cand = beta + lam * step
-            ll_cand = _log_likelihood(x, y, cand)
-            if ll_cand >= ll - 1e-10:
-                beta, ll = cand, ll_cand
-                break
-            lam /= 2.0
-        if np.max(np.abs(beta)) > COEF_CAP:
-            separated = True
-            beta = np.clip(beta, -COEF_CAP, COEF_CAP)
-            ll = _log_likelihood(x, y, beta)
-            warnings.warn("perfect separation detected; coefficients capped",
-                          SeparationWarning)
-            break
-    if converged and _classifies_every_row(p, y):
-        separated = True
+    x0 = x[:, :-1]
+    beta, ll, status = _newton(x0, x[:, -1:].T, y, _shared_start(x0, y, np.zeros(len(features))))
+    if status[0].startswith("singular"):
+        raise ModelError(status[0])
+    _warn_separation(status[0])
+    return _model(features, beta[0], ll[0], status[0], table.n_samples)
+
+
+def _warn_separation(status: str) -> None:
+    if status == "capped":
+        warnings.warn("perfect separation detected; coefficients capped", SeparationWarning)
+    elif status == "separated":
         warnings.warn("perfect separation detected; the fit converged below the "
                       "coefficient cap", SeparationWarning)
+
+
+def _model(features: list[str], beta: np.ndarray, ll: float, status: str,
+           n_train: int) -> FittedLogReg:
+    """The model of one `_newton` fit on the design [1 | features]."""
     return FittedLogReg(
         intercept=float(beta[0]),
         coefficients={f: float(b) for f, b in zip(features, beta[1:])},
-        log_likelihood=ll,
-        n_train=table.n_samples,
-        converged=converged,
-        separated=separated,
+        log_likelihood=float(ll),
+        n_train=n_train,
+        converged=status in ("converged", "separated"),
+        separated=status in ("separated", "capped"),
     )
 
 
@@ -154,12 +139,6 @@ def predict_proba(model: FittedLogReg, table: FeatureTable) -> np.ndarray:
     """Per-row sigmoid(intercept + beta . x), clipped into the open interval (0,1)."""
     x = _design(table, list(model.selected_order), for_fit=False)
     return np.clip(_sigmoid(x @ _beta(model)), _P_EPS, 1.0 - _P_EPS)
-
-
-def _loglik_rows(eta: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-likelihood of each row of a (C, n) linear predictor, and its clipped p."""
-    p = np.clip(_sigmoid(eta), _P_EPS, 1.0 - _P_EPS)
-    return np.log(p) @ y + np.log1p(-p) @ (1.0 - y), p
 
 
 def _newton_steps(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,29 +156,29 @@ def _newton_steps(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _dual_bounds(x0: np.ndarray, z: np.ndarray, y: np.ndarray, p: np.ndarray,
                  w: np.ndarray, step: np.ndarray) -> np.ndarray:
     """An upper bound on the log-likelihood of every beta with |beta| <= COEF_CAP
-    on the design [x0 | z[c]], for each candidate c at clipped probabilities
-    p[c] (weights w[c]) with Newton step step[c]; NaN where no bound is taken.
-    p and w may also be one row that every candidate shares.
+    on the design [x0 | z[c]], for each candidate c at probabilities p[c]
+    (weights w[c]) with Newton step step[c]. p and w may also be one row that
+    every candidate shares.
 
-    For any alpha in (0, 1)^n, log(1 + e^eta) >= alpha eta + H(alpha) (H the
+    For any alpha in [0, 1]^n, log(1 + e^eta) >= alpha eta + H(alpha) (H the
     binary entropy), so LL(beta) <= -sum H(alpha) + (y - alpha)' X beta
     <= -sum H(alpha) + COEF_CAP |X'(y - alpha)|_1 (weak duality for the
     logistic dual, Jaakkola & Haussler 1999). alpha = p + w (X step), the
     linearized probabilities after the step, makes X'(y - alpha) = g - H step,
-    zero but for rounding, and the bound tight as the step shrinks. The bound
-    is on the unclipped log-likelihood; `fit`'s clipped one differs only on
-    rows whose probability passes _P_EPS, so a candidate with a row of p at
-    the clip gets NaN.
+    zero but for rounding, and the bound tight as the step shrinks. alpha is
+    clipped into the open interval (0, 1), where the logarithms in H are
+    finite, since the bound holds at every alpha in [0, 1].
     """
     k0 = x0.shape[1]
-    # an alpha outside (0, 1) makes its entropy term, so the bound, NaN;
     # the (candidate x row) arrays are updated in place, so at most three are
-    # alive at once
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # alive at once; an alpha that overflows can be NaN, and so its bound,
+    # which rules nothing out
+    with np.errstate(over="ignore", invalid="ignore"):
         a = step[:, :k0] @ x0.T
         a += step[:, k0, None] * z
         a *= w
         a += p
+        np.clip(a, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=a)
         log_b = np.negative(a)
         np.log1p(log_b, out=log_b)
         log_a = np.log(a)
@@ -208,18 +187,16 @@ def _dual_bounds(x0: np.ndarray, z: np.ndarray, y: np.ndarray, p: np.ndarray,
         del log_a, log_b
         r = np.subtract(y, a, out=a)
         gap = np.abs(r @ x0).sum(axis=1) + np.abs(np.einsum("cn,cn->c", r, z))
-        bound = COEF_CAP * gap - entropy
-    at_clip = (p.min(axis=-1) <= _P_EPS) | (p.max(axis=-1) >= 1.0 - _P_EPS)
-    return np.where(at_clip, np.nan, bound)
+        return COEF_CAP * gap - entropy
 
 
 @dataclass(frozen=True)
 class _Start:
-    """The current model of a forward-selection step, where every candidate
-    starts: its coefficients, log-likelihood and clipped probabilities p on
-    the design x0, the weights w = p (1 - p), the residual y - p, the x0 part
-    of the gradient x0' (y - p), the rows of x0 times w, x0' W x0, and the
-    outer products of x0's rows (row i is x0[i] x0[i]', flattened)."""
+    """The model every candidate of `_newton` starts from: its coefficients,
+    log-likelihood and probabilities p on the design x0, the weights
+    w = p (1 - p), the residual y - p, the x0 part of the gradient x0' (y - p),
+    the rows of x0 times w, x0' W x0, and the outer products of x0's rows
+    (row i is x0[i] x0[i]', flattened)."""
     beta: np.ndarray
     ll: float
     p: np.ndarray
@@ -232,7 +209,7 @@ class _Start:
 
 
 def _shared_start(x0: np.ndarray, y: np.ndarray, beta: np.ndarray) -> _Start:
-    """What all candidates of a step share, computed once for the step."""
+    """What all candidates of a `_newton` call share, computed once."""
     n, k0 = x0.shape
     ll, p = _loglik_rows(x0 @ beta, y)
     w = p * (1.0 - p)
@@ -242,45 +219,46 @@ def _shared_start(x0: np.ndarray, y: np.ndarray, beta: np.ndarray) -> _Start:
                   wx0=x0 * w[:, None], hess=(w @ outer).reshape(k0, k0), outer=outer)
 
 
-def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
-                    start: _Start, ceiling: float = math.inf) -> np.ndarray:
-    """BIC of the maximum-likelihood fit of the design [x0 | z] for every row z
-    of zt, by damped Newton steps run on all candidates at once. Every
-    candidate starts at (start.beta, 0): `start` is the fitted model of x0
-    (`_shared_start`), so the first step begins at that model's
-    log-likelihood. Steps are accepted by `fit`'s rule and a candidate
-    converges when its largest score-gradient component falls below GRAD_TOL.
+def _newton(x0: np.ndarray, zt: np.ndarray, y: np.ndarray, start: _Start,
+            ceiling: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum-likelihood fits of the design [x0 | z] for every row z of zt,
+    by damped Newton steps run on all candidates at once, each from
+    (start.beta, 0), where `start` (`_shared_start`) is the model of x0. A
+    step is halved until it does not lower the log-likelihood by more than
+    1e-10, and a candidate converges when its largest score-gradient
+    component falls below GRAD_TOL.
 
-    NaN marks a candidate left to `fit`: its Hessian was not finite or
-    (nearly) singular, a coefficient passed COEF_CAP, no step length was
-    accepted, MAX_ITER iterations ended without convergence, or it converged
-    to a predictor that separates the classes. Every other BIC is the MLE's, so it is at
-    most `fit`'s BIC (from beta = 0, maybe capped) plus rounding.
+    Returns each candidate's coefficients (C, k0 + 1), log-likelihood and
+    status, one of
+    - "converged": the maximum-likelihood fit;
+    - "separated": converged to a predictor that classifies every row;
+    - "capped": a coefficient passed COEF_CAP; the coefficients are clipped
+      to the cap and the log-likelihood is theirs;
+    - "unconverged": MAX_ITER iterations ended, or no step length was taken;
+    - "singular design", or "singular design: the Hessian is not finite",
+      the refusal of `_newton_steps`; the coefficients are where it stopped;
+    - "ruled out": under a finite `ceiling`, `_dual_bounds` put the BIC of
+      every coefficient vector within COEF_CAP (a box no fit leaves) above
+      the ceiling, so the candidate stopped iterating, and its
+      log-likelihood is that bound. The default ceiling rules nothing out.
 
-    A finite `ceiling` also rules candidates out. A candidate stops iterating
-    once `_dual_bounds` puts a lower bound on the BIC of every coefficient
-    vector within COEF_CAP (a box `fit` never leaves) above `ceiling` plus
-    _BIC_MARGIN, and that bound is its value. So every value is NaN, the MLE's
-    BIC, or a lower bound on `fit`'s BIC above the ceiling; the default
-    ceiling returns no bounds.
-
-    Candidate c's coefficients are (b0[c], b1[c]); its Hessian is assembled from
-    the block x0' W x0, the column x0' W z and the corner z' W z, so no
-    per-candidate design is ever formed. At the first iteration every
-    candidate shares the start's probabilities, so only z' r, z' W x0 and
-    z' W z are its own; a candidate gets its own row of probabilities when it
-    takes a step.
+    Candidate c's Hessian is assembled from the block x0' W x0, the column
+    x0' W z and the corner z' W z, so no per-candidate design is ever formed.
+    At the first iteration every candidate shares the start's probabilities,
+    so only z' r, z' W x0 and z' W z are its own; a candidate gets its own
+    row of probabilities when it takes a step.
     """
     c, n = zt.shape
     k0 = x0.shape[1]
     penalty = (k0 + 1) * math.log(n)
-    b0, b1 = np.tile(start.beta, (c, 1)), np.zeros(c)
+    beta = np.zeros((c, k0 + 1))
+    beta[:, :k0] = start.beta
     ll, p = np.full(c, start.ll), np.empty((c, n))
-    failed = np.zeros(c, dtype=bool)
+    status = np.full(c, "unconverged", dtype=object)
     live = np.arange(c)
 
-    def eta(rows, beta0, beta1):
-        return beta0 @ x0.T + beta1[:, None] * zt[rows]
+    def loglik(rows, b):
+        return _loglik_rows(b[:, :k0] @ x0.T + b[:, k0, None] * zt[rows], y)
 
     for it in range(MAX_ITER):
         if it == 0:
@@ -289,8 +267,6 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
             # constant), so that every Hessian is checked
             z, pl, w = zt, start.p, start.w
             grad = np.column_stack([np.broadcast_to(start.grad, (c, k0)), z @ start.r])
-            if _classifies_every_row(pl, y):
-                failed[np.abs(grad).max(axis=1) < GRAD_TOL] = True
             hess = np.empty((c, k0 + 1, k0 + 1))
             with np.errstate(over="ignore"):  # _newton_steps refuses a non-finite Hessian
                 hess[:, :k0, :k0] = start.hess
@@ -301,7 +277,8 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
             r = y - pl
             grad = np.column_stack([r @ x0, np.einsum("cn,cn->c", r, z)])
             converged = np.abs(grad).max(axis=1) < GRAD_TOL
-            failed[live[converged][_classifies_every_row(pl[converged], y)]] = True
+            status[live[converged]] = np.where(_classifies_every_row(pl[converged], y),
+                                               "separated", "converged")
             live, grad, z, pl = (a[~converged] for a in (live, grad, z, pl))
             if live.size == 0:
                 break
@@ -309,39 +286,39 @@ def _candidate_bics(x0: np.ndarray, zt: np.ndarray, y: np.ndarray,
             wz = w * z
             hess = np.empty((live.size, k0 + 1, k0 + 1))
             with np.errstate(over="ignore"):
-                hess[:, :k0, :k0] = (w @ start.outer).reshape(-1, k0, k0)
+                hess[:, :k0, :k0] = (w @ start.outer).reshape(live.size, k0, k0)
                 hess[:, k0, :k0] = wz @ x0
                 hess[:, k0, k0] = np.einsum("cn,cn->c", wz, z)
         hess[:, :k0, k0] = hess[:, k0, :k0]
         step, ok = _newton_steps(hess, grad)
-        failed[live[~ok]] = True
+        status[live[~ok]] = np.where(np.isfinite(hess[~ok]).all(axis=(1, 2)), "singular design",
+                                     "singular design: the Hessian is not finite")
         if ceiling < math.inf:
             ll_max = _dual_bounds(x0, z, y, pl, w, step)
-            out = ok & (penalty - 2.0 * ll_max > ceiling + _BIC_MARGIN)
-            ll[live[out]] = ll_max[out]  # so its value is the bound's BIC
+            out = ok & (penalty - 2.0 * ll_max > ceiling)
+            ll[live[out]] = ll_max[out]
+            status[live[out]] = "ruled out"
             ok &= ~out
         live, step = live[ok], step[ok]
         pending = np.arange(live.size)
         lam = 1.0
         while lam > 1e-8 and pending.size:
             rows = live[pending]
-            cand0 = b0[rows] + lam * step[pending, :k0]
-            cand1 = b1[rows] + lam * step[pending, k0]
-            ll_cand, p_cand = _loglik_rows(eta(rows, cand0, cand1), y)
+            cand = beta[rows] + lam * step[pending]
+            ll_cand, p_cand = loglik(rows, cand)
             accept = ll_cand >= ll[rows] - 1e-10
             took = rows[accept]
-            b0[took], b1[took] = cand0[accept], cand1[accept]
-            ll[took], p[took] = ll_cand[accept], p_cand[accept]
+            beta[took], ll[took], p[took] = cand[accept], ll_cand[accept], p_cand[accept]
             pending = pending[~accept]
             lam /= 2.0
-        stop = np.maximum(np.abs(b0[live]).max(axis=1), np.abs(b1[live])) > COEF_CAP
-        stop[pending] = True
-        failed[live[stop]] = True
+        stop = np.abs(beta[live]).max(axis=1) > COEF_CAP
+        capped = live[stop]
+        beta[capped] = np.clip(beta[capped], -COEF_CAP, COEF_CAP)
+        ll[capped] = loglik(capped, beta[capped])[0]
+        status[capped] = "capped"
+        stop[pending] = True  # a stalled line search stays "unconverged"
         live = live[~stop]
-    failed[live] = True  # MAX_ITER iterations without convergence
-    bic = penalty - 2.0 * ll
-    bic[failed] = np.nan
-    return bic
+    return beta, ll, status
 
 
 def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
@@ -349,27 +326,21 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
     """Greedy forward selection under a BIC-improvement stop rule.
 
     Starting from the intercept-only model, each step fits every one-feature
-    extension and adds the lowest-BIC candidate (exact ties broken by name);
-    selection halts when the best improvement over the current model's BIC
-    is <= delta_bic_stop or candidates are exhausted. Candidates whose fit
-    fails are skipped with a warning. A NaN cell in a candidate column
-    raises ModelError (filter_missingness imputes every cell).
+    extension and adds the lowest-BIC candidate (ties, to rounding, broken by
+    name); selection halts when the best improvement over the current model's
+    BIC is <= delta_bic_stop or candidates are exhausted. Candidates with a
+    singular design are skipped with a warning, and a candidate whose fit
+    separates the classes warns as `fit` does. A NaN cell in a candidate
+    column raises ModelError (filter_missingness imputes every cell).
 
-    The extensions of a step are fitted together (`_candidate_bics`), in
-    blocks of about CELLS (candidate x row) cells, all from the current
-    model, whose probabilities, weights and x0 parts of the gradient and
-    Hessian are computed once for the step (`_shared_start`). They run under
-    one ceiling, the current BIC minus delta_bic_stop. At delta_bic_stop =
-    -inf it is +inf, and the one finite ceiling known before any fit, the
-    current BIC + log n, would rule nothing out: no candidate's MLE BIC is
-    above it. A batched value is NaN for a candidate that `fit` alone
-    decides, the candidate's MLE BIC, or, for a candidate ruled out above the
-    ceiling, a proven lower bound on the BIC of every coefficient vector
-    within COEF_CAP, the box `fit` never leaves. So no value is above the
-    candidate's `fit` BIC by more than rounding. Candidates are refitted by
-    `fit` in batched order until the next value exceeds the best refitted
-    BIC, or the stop rule's ceiling, plus _BIC_MARGIN, so the chosen model and
-    its BIC are exactly `fit`'s.
+    The extensions of a step are fitted together by `_newton`, in blocks of
+    about CELLS (candidate x row) cells, all from the current model, whose
+    probabilities, weights and x0 parts of the gradient and Hessian are
+    computed once for the step (`_shared_start`); the chosen extension's fit
+    is the next model. Every block runs under one ceiling, the current BIC
+    minus delta_bic_stop: a candidate ruled out above it cannot pass the
+    stop rule, and its bound, below the BIC of every coefficient vector
+    within COEF_CAP, stands in for its BIC.
     """
     remaining = list(dict.fromkeys(candidates))
     if not remaining:
@@ -387,40 +358,30 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
         start = _shared_start(x0, y, _beta(current))
         # a candidate whose BIC is not below the ceiling cannot pass the stop rule
         ceiling = current.bic - delta_bic_stop
-        bic = np.concatenate([_candidate_bics(x0, zt[i:i + block], y, start, ceiling)
-                              for i in range(0, len(remaining), block)])
+        beta, ll, status = (np.concatenate(parts) for parts in zip(*(
+            _newton(x0, zt[i:i + block], y, start, ceiling)
+            for i in range(0, len(remaining), block))))
         del zt, start  # so the next step's are built without them
-        refits: dict[str, FittedLogReg | None] = {}
-
-        def refit(name: str) -> FittedLogReg | None:
-            if name not in refits:
-                try:
-                    refits[name] = fit(table, selected + [name])
-                except ModelError as exc:
-                    warnings.warn(f"skipping candidate {name!r}: {exc}")
-                    refits[name] = None
-            return refits[name]
-
-        for i in np.flatnonzero(np.isnan(bic)):
-            model = refit(remaining[i])
-            if model is not None:
-                bic[i] = model.bic
-        scored: list[tuple[float, str, FittedLogReg]] = []
-        for i in np.argsort(bic, kind="stable"):
-            best = scored[0][0] if scored else math.inf
-            if np.isnan(bic[i]) or bic[i] > min(best, ceiling) + _BIC_MARGIN:
-                break
-            model = refit(remaining[i])
-            if model is not None:
-                scored.append((model.bic, remaining[i], model))
-                scored.sort(key=lambda t: (t[0], t[1]))
-        if not scored:
+        fitted = []
+        for i, (name, s) in enumerate(zip(remaining, status)):
+            if s.startswith("singular"):
+                warnings.warn(f"skipping candidate {name!r}: {s}")
+            else:
+                _warn_separation(s)
+                fitted.append(i)
+        if not fitted:
             break
-        best_bic, best_name, best_model = scored[0]
-        if current.bic - best_bic <= delta_bic_stop:
+        # a log-likelihood within rounding of the best ties it: a duplicated or
+        # mirrored column gets other last bits in another row of a block
+        top = ll[fitted].max()
+        best = min((i for i in fitted if ll[i] >= top - 1e-12 * abs(top)),
+                   key=remaining.__getitem__)
+        model = _model(selected + [remaining[best]], beta[best], ll[best], status[best],
+                       table.n_samples)
+        if current.bic - model.bic <= delta_bic_stop:
             break
-        current = best_model
-        remaining.remove(best_name)
+        current = model
+        del remaining[best]
     return current
 
 

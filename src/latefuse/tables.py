@@ -14,6 +14,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -112,10 +113,14 @@ class FeatureTable:
     def n_features(self) -> int:
         return len(self.feature_names)
 
+    @cached_property
+    def _feature_indices(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.feature_names)}
+
     def feature_index(self, name: str) -> int:
         try:
-            return self.feature_names.index(name)
-        except ValueError:
+            return self._feature_indices[name]
+        except KeyError:
             raise UnknownFeatureError(f"unknown feature {name!r}") from None
 
     def select_rows(self, index: Sequence[int] | np.ndarray) -> "FeatureTable":

@@ -75,8 +75,8 @@ def test_config_defaults_and_overrides(config_path):
     assert cfg.rf_mtry == (3,) and cfg.rf_ntree == (25,)
     assert cfg.delta_bic_stop == 2.0
     assert cfg.correlation_threshold == 0.95
-    over = load_config(config_path, ["mrcv.repeats=3", "preprocess.scale=false"])
-    assert over.repeats == 3 and over.scale is False
+    over = load_config(config_path, ["mrcv.repeats=3", "preprocess.per_cohort=true"])
+    assert over.repeats == 3 and over.per_cohort is True
     for stop in ("-inf", "inf"):
         assert load_config(config_path, [f"mrcv.delta_bic_stop={stop}"]).delta_bic_stop \
             == float(stop)
@@ -107,7 +107,7 @@ def test_config_missing_file():
 
 
 @pytest.mark.parametrize("override", [
-    "mrcv.repeats=abc", "preprocess.scale=maybe", "mrcv.rf_mtry=5,x",
+    "mrcv.repeats=abc", "preprocess.per_cohort=maybe", "mrcv.rf_mtry=5,x",
     # out of the range the library enforces
     "preprocess.correlation_threshold=1.5", "preprocess.correlation_threshold=0",
     "preprocess.max_missing_fraction=2", "mrcv.lr_validation_fraction=1.5",
@@ -117,9 +117,10 @@ def test_config_missing_file():
     "mrcv.delta_bic_stop=nan", "mrcv.base_seed=-1", "synth.seed=-1",
     # a one-tree forest fits, but its importances cannot be normalized
     "mrcv.rf_ntree=1,25",
-    # keys that load_config does not read, among them the removed forest options
-    # and the removed fusion rule list (fuse runs every rule)
-    "mrcv.repeat=5", "mrcv.rf_mtyr=3", "schema.group_column=patient",
+    # keys that load_config does not read, among them the removed forest options,
+    # the removed scaling switch and the removed fusion rule list (fuse runs
+    # every rule)
+    "mrcv.repeat=5", "mrcv.rf_mtyr=3", "schema.group_column=patient", "preprocess.scale=maybe",
     "mrcv.rf_min_leaf=0", "mrcv.rf_weighted=false", "fusion.rules=foo", "fusion.rules=",
     "fusion.rules=stouffer,mean,max,product"])
 def test_malformed_typed_value_is_a_config_error(config_path, capsys, override):
@@ -231,14 +232,14 @@ def test_unreadable_table_is_an_error_line(config_path, tmp_path, capsys, fault,
 
 
 def test_all_blank_feature_is_dropped_at_any_threshold(config_path, tmp_path):
-    # unscaled, at max_missing_fraction 1, so only the "no observed value"
-    # rule can drop the column
+    # at max_missing_fraction 1; the scaler drops the column first, as a
+    # feature with fewer than two observed benign values
     run(config_path, "synth")
     data = tmp_path / "data" / "modality_a.csv"
     rows = read_rows(data)
     with open(data, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([rows[0] + ["all_blank"]] + [r + [""] for r in rows[1:]])
-    flags = ["--set", "preprocess.scale=false", "--set", "preprocess.max_missing_fraction=1.0"]
+    flags = ["--set", "preprocess.max_missing_fraction=1.0"]
     assert run(config_path, *flags, "univariate", "--modality", "a") == 0
     for model in ("lr", "rf"):
         assert run(config_path, *flags, "train", "--modality", "a", "--model", model) == 0

@@ -375,10 +375,9 @@ def blank_tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(blank_tables(), st.booleans(), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]))
-def test_preprocess_full_leaves_no_missing_cell(table, scale, per_cohort, max_missing):
-    cfg = SimpleNamespace(scale=scale, per_cohort=per_cohort,
-                          max_missing_fraction=max_missing)
+@given(blank_tables(), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_preprocess_full_leaves_no_missing_cell(table, per_cohort, max_missing):
+    cfg = SimpleNamespace(per_cohort=per_cohort, max_missing_fraction=max_missing)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         try:

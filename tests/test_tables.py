@@ -697,7 +697,7 @@ def test_load_and_preprocess_hold_few_copies_of_the_matrix(tmp_path):
     path = tmp_path / "wide.csv"
     save_feature_table(table.with_matrix(table.values, rng.random((3000, 100)) < 0.01), path)
     matrix = table.values.nbytes
-    config = SimpleNamespace(scale=True, per_cohort=False, max_missing_fraction=0.2)
+    config = SimpleNamespace(per_cohort=False, max_missing_fraction=0.2)
     tracemalloc.start()
     try:
         loaded = load_feature_table(path)
