@@ -195,8 +195,7 @@ class _Start:
     """The model every candidate of `_newton` starts from: its coefficients,
     log-likelihood and probabilities p on the design x0, the weights
     w = p (1 - p), the residual y - p, the x0 part of the gradient x0' (y - p),
-    the rows of x0 times w, x0' W x0, and the outer products of x0's rows
-    (row i is x0[i] x0[i]', flattened)."""
+    the rows of x0 times w, and x0' W x0."""
     beta: np.ndarray
     ll: float
     p: np.ndarray
@@ -205,18 +204,16 @@ class _Start:
     grad: np.ndarray
     wx0: np.ndarray
     hess: np.ndarray
-    outer: np.ndarray
 
 
 def _shared_start(x0: np.ndarray, y: np.ndarray, beta: np.ndarray) -> _Start:
     """What all candidates of a `_newton` call share, computed once."""
-    n, k0 = x0.shape
     ll, p = _loglik_rows(x0 @ beta, y)
     w = p * (1.0 - p)
     r = y - p
-    outer = (x0[:, :, None] * x0[:, None, :]).reshape(n, k0 * k0)
-    return _Start(beta=beta, ll=float(ll), p=p, w=w, r=r, grad=r @ x0,
-                  wx0=x0 * w[:, None], hess=(w @ outer).reshape(k0, k0), outer=outer)
+    wx0 = x0 * w[:, None]
+    return _Start(beta=beta, ll=float(ll), p=p, w=w, r=r, grad=r @ x0, wx0=wx0,
+                  hess=x0.T @ wx0)
 
 
 def _newton(x0: np.ndarray, zt: np.ndarray, y: np.ndarray, start: _Start,
@@ -286,7 +283,9 @@ def _newton(x0: np.ndarray, zt: np.ndarray, y: np.ndarray, start: _Start,
             wz = w * z
             hess = np.empty((live.size, k0 + 1, k0 + 1))
             with np.errstate(over="ignore"):
-                hess[:, :k0, :k0] = (w @ start.outer).reshape(live.size, k0, k0)
+                # (candidate x k0 x row) cells, not the (row x k0^2) outer
+                # products of x0's rows, which a wide `fit` could not hold
+                hess[:, :k0, :k0] = (x0.T * w[:, None, :]) @ x0
                 hess[:, k0, :k0] = wz @ x0
                 hess[:, k0, k0] = np.einsum("cn,cn->c", wz, z)
         hess[:, :k0, k0] = hess[:, k0, :k0]
@@ -321,6 +320,31 @@ def _newton(x0: np.ndarray, zt: np.ndarray, y: np.ndarray, start: _Start,
     return beta, ll, status
 
 
+def _fit_candidates(x0: np.ndarray, zt: np.ndarray, y: np.ndarray, beta: np.ndarray,
+                    ceiling: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_newton` on every row of zt, in blocks of about CELLS (candidate x row)
+    cells, all from the model `beta` of x0 (one `_shared_start`), under
+    `ceiling`. A candidate whose fit from there is neither its
+    maximum-likelihood estimate nor ruled out (it was refused as singular,
+    separated, was capped or did not converge) is fitted again alone from
+    beta = 0, as `fit` fits it. From a separated model most weights vanish,
+    so a Hessian can fail the eigenvalue test that the design passes from
+    beta = 0; and a path to the cap is ill-conditioned, so fits that tie
+    (duplicated or mirrored columns) would end apart by rounding that
+    depends on their rows in the block."""
+    block = max(1, CELLS // y.size)
+    start = _shared_start(x0, y, beta)
+    beta, ll, status = (np.concatenate(parts) for parts in zip(*(
+        _newton(x0, zt[i:i + block], y, start, ceiling)
+        for i in range(0, len(zt), block))))
+    redo = np.flatnonzero(~np.isin(status, ["converged", "ruled out"]))
+    if redo.size:
+        cold = _shared_start(x0, y, np.zeros(x0.shape[1]))
+        for i in redo:
+            (beta[i],), (ll[i],), (status[i],) = _newton(x0, zt[i:i + 1], y, cold)
+    return beta, ll, status
+
+
 def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
                    delta_bic_stop: float = 2.0) -> FittedLogReg:
     """Greedy forward selection under a BIC-improvement stop rule.
@@ -333,14 +357,13 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
     separates the classes warns as `fit` does. A NaN cell in a candidate
     column raises ModelError (filter_missingness imputes every cell).
 
-    The extensions of a step are fitted together by `_newton`, in blocks of
-    about CELLS (candidate x row) cells, all from the current model, whose
-    probabilities, weights and x0 parts of the gradient and Hessian are
-    computed once for the step (`_shared_start`); the chosen extension's fit
-    is the next model. Every block runs under one ceiling, the current BIC
-    minus delta_bic_stop: a candidate ruled out above it cannot pass the
-    stop rule, and its bound, below the BIC of every coefficient vector
-    within COEF_CAP, stands in for its BIC.
+    The extensions of a step are fitted together (`_fit_candidates`) from
+    the current model, whose probabilities, weights and x0 parts of the
+    gradient and Hessian are computed once for the step (`_shared_start`);
+    the chosen extension's fit is the next model. They run under one
+    ceiling, the current BIC minus delta_bic_stop: a candidate ruled out
+    above it cannot pass the stop rule, and its bound, below the BIC of
+    every coefficient vector within COEF_CAP, stands in for its BIC.
     """
     remaining = list(dict.fromkeys(candidates))
     if not remaining:
@@ -349,19 +372,15 @@ def forward_select(table: FeatureTable, candidates: list[str] | tuple[str, ...],
         raise ModelError("missing cells in candidate feature columns")
     current = fit(table, [])
     y = table.labels.astype(float)
-    block = max(1, CELLS // table.n_samples)
     while remaining:
         selected = list(current.selected_order)
         cols = [table.feature_index(f) for f in remaining]
         zt = table.values.T[cols]  # one C-ordered copy, (candidate x row)
         x0 = _design(table, selected, for_fit=True)
-        start = _shared_start(x0, y, _beta(current))
         # a candidate whose BIC is not below the ceiling cannot pass the stop rule
         ceiling = current.bic - delta_bic_stop
-        beta, ll, status = (np.concatenate(parts) for parts in zip(*(
-            _newton(x0, zt[i:i + block], y, start, ceiling)
-            for i in range(0, len(remaining), block))))
-        del zt, start  # so the next step's are built without them
+        beta, ll, status = _fit_candidates(x0, zt, y, _beta(current), ceiling)
+        del zt  # so the next step's is built without it
         fitted = []
         for i, (name, s) in enumerate(zip(remaining, status)):
             if s.startswith("singular"):
