@@ -11,11 +11,9 @@ Exit codes: 0 success, else the `exit_code` of the error's class (errors.py).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +26,8 @@ from .errors import (ConfigError, DataError, LatefuseError, MissingInputError, M
                      UnknownFeatureError, not_utf8)
 from .fuse import FusionRule, fuse_modalities
 from .metrics import auc, best_threshold_bacc, confusion, metrics_from_confusion, roc_curve
-from .mrcv import (derive_seed, elbow_cut, rank_features_lr, rank_features_rf, run_mrcv_lr,
-                   run_mrcv_rf)
+from .mrcv import (derive_seed, elbow_cut, final_rf_params, rank_features_lr, rank_features_rf,
+                   run_mrcv_lr, run_mrcv_rf)
 from .plots import confusion_svg, elbow_svg, roc_svg
 from .preprocess import (apply_scaler, drop_correlated, filter_missingness,
                          fit_robust_scaler, spearman_matrix)
@@ -129,18 +127,6 @@ def cmd_univariate(cfg: RunConfig, modality: str) -> None:
          f"({screen.n_up} up, {screen.n_down} down) -> {out}")
 
 
-def _final_rf_params(grid: list[tuple[int, int]], outcomes, selected: list[str],
-                     final_seed: int) -> rf.ForestParams:
-    """Most frequently chosen grid point across repeats (grid order on ties),
-    with mtry clamped to the selected feature count."""
-    votes = Counter((o.chosen_params["mtry"], o.chosen_params["ntree"])
-                    for o in outcomes if o.chosen_params is not None)
-    if not votes:
-        raise LatefuseError("no successful MRCV repeat to choose forest parameters from")
-    mtry, ntree = max(grid, key=votes.__getitem__)  # the first of the most voted
-    return rf.ForestParams(mtry=min(mtry, len(selected)), ntree=ntree, seed=final_seed)
-
-
 def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
     """Prune correlated features on the training part, run MRCV, refit, and
     write the model document; the only place where pruning is decided."""
@@ -158,14 +144,13 @@ def cmd_train(cfg: RunConfig, modality: str, model: str) -> None:
         scores = lr.predict_proba(final, train)
         model_doc = lr.to_doc(final)
     else:
-        grid = list(itertools.product(cfg.rf_mtry, cfg.rf_ntree))
         outcomes = run_mrcv_rf(train, repeats=cfg.repeats,
                                validation_fraction=cfg.rf_validation_fraction,
-                               grid=grid, base_seed=seed)
+                               mtry=cfg.rf_mtry, ntree=cfg.rf_ntree, base_seed=seed)
         ranking = rank_features_rf(outcomes, train.feature_names)
         selected = elbow_cut(ranking)
-        params = _final_rf_params(grid, outcomes, selected,
-                                  derive_seed(cfg.base_seed, modality, model, "final"))
+        params = final_rf_params(cfg.rf_mtry, cfg.rf_ntree, outcomes, selected,
+                                 derive_seed(cfg.base_seed, modality, model, "final"))
         train_view = train.select_features(selected)
         final = rf.fit_forest(train_view, params)
         scores = rf.predict_proba(final, train_view)

@@ -587,12 +587,15 @@ def from_doc(doc: dict) -> Forest:
             and len(set(names)) == len(names)):
         raise ModelError(f"feature_names {names!r} is not a list of distinct names")
     feature_names = tuple(names)
-    p = doc["params"]
+    p = {**doc["params"], "n_train": doc["n_train"]}
+    for key in ("mtry", "ntree", "seed", "n_train"):
+        if type(p[key]) is not int:  # a JSON integer, not true or 2.0
+            raise ModelError(f"forest {key} {p[key]!r} is not an integer")
     if len(trees) != p["ntree"]:
         raise ModelError(f"forest document holds {len(trees)} trees, not ntree={p['ntree']}")
     return Forest(
         trees=tuple(_tree_from_doc(t, len(feature_names)) for t in trees),
         feature_names=feature_names,
         params=ForestParams(mtry=p["mtry"], ntree=p["ntree"], seed=p["seed"]),
-        n_train=int(doc["n_train"]),
+        n_train=p["n_train"],
     )

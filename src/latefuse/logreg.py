@@ -421,8 +421,8 @@ def to_doc(model: FittedLogReg) -> dict:
 
 def from_doc(doc: dict) -> FittedLogReg:
     """The model of a version-2 document; any other version is refused.
-    The intercept, coefficients and log-likelihood are finite and n_train is
-    a positive integer, as to_doc writes them."""
+    The intercept, coefficients and log-likelihood are finite, n_train is
+    a positive integer and the two flags are booleans, as to_doc writes them."""
     if doc.get("format") != "latefuse-logreg":
         raise ModelError("unrecognized logistic model document")
     if doc.get("version") != 2:
@@ -433,14 +433,16 @@ def from_doc(doc: dict) -> FittedLogReg:
     if not all(map(math.isfinite, (intercept, log_likelihood, *coefficients.values()))):
         raise ModelError("logistic model intercept, coefficients and log_likelihood "
                          "must be finite")
-    n_train = doc["n_train"]
-    if not isinstance(n_train, int) or n_train < 1:
+    n_train, flags = doc["n_train"], (doc["converged"], doc["separated"])
+    if type(n_train) is not int or n_train < 1:  # a JSON integer, not true or 2.0
         raise ModelError(f"logistic model n_train {n_train!r} is not a positive integer")
+    if not all(type(flag) is bool for flag in flags):
+        raise ModelError(f"logistic model converged, separated {flags!r} are not booleans")
     return FittedLogReg(
         intercept=intercept,
         coefficients=coefficients,
         log_likelihood=log_likelihood,
         n_train=n_train,
-        converged=bool(doc["converged"]),
-        separated=bool(doc["separated"]),
+        converged=flags[0],
+        separated=flags[1],
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 import zlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -77,22 +78,26 @@ def _evaluate_fold(p_train, y_train, p_val, y_val) -> tuple[float, float, float]
     return threshold, bacc_train, bacc_val
 
 
-def _run_repeats(table: FeatureTable, repeats: int, validation_fraction: float,
-                 base_seed: int, fold: Callable) -> list[FoldOutcome]:
-    """The MRCV loop: repeat r splits `table` with the (base_seed, r) stream
-    and `fold(r, train, validation)` returns ((threshold, bacc_train,
-    bacc_validation), family fields). A LatefuseError inside a repeat is
-    recorded on its FoldOutcome instead of aborting the run."""
-    outcomes: list[FoldOutcome] = []
-    for r in range(repeats):
-        try:
-            train, val = stratified_split(table, validation_fraction, [base_seed, r])
-            (threshold, bacc_tr, bacc_val), fields = fold(r, train, val)
-            outcomes.append(FoldOutcome(r, train.n_samples, val.n_samples,
-                                        bacc_tr, bacc_val, threshold, **fields))
-        except LatefuseError as exc:
-            outcomes.append(FoldOutcome(r, 0, 0, np.nan, np.nan, np.nan, error=str(exc)))
-    return outcomes
+def _repeat(table: FeatureTable, r: int, validation_fraction: float, base_seed: int,
+            fold: Callable, *params) -> FoldOutcome:
+    """Repeat r of an MRCV run, a function of plain values and module-level
+    functions: split `table` with the (base_seed, r) stream, and the family's
+    `fold(train, validation, stream, *params)` returns ((threshold, bacc_train,
+    bacc_validation), fields). A LatefuseError flags the repeat instead."""
+    stream = [base_seed, r]
+    try:
+        train, val = stratified_split(table, validation_fraction, stream)
+        (threshold, bacc_tr, bacc_val), fields = fold(train, val, stream, *params)
+    except LatefuseError as exc:
+        return FoldOutcome(r, 0, 0, np.nan, np.nan, np.nan, error=str(exc))
+    return FoldOutcome(r, train.n_samples, val.n_samples, bacc_tr, bacc_val, threshold, **fields)
+
+
+def _lr_fold(train: FeatureTable, val: FeatureTable, stream, delta_bic_stop: float):
+    model = lr.forward_select(train, train.feature_names, delta_bic_stop)
+    scores = _evaluate_fold(lr.predict_proba(model, train), train.labels,
+                            lr.predict_proba(model, val), val.labels)
+    return scores, {"lr_selected_order": model.selected_order}
 
 
 def run_mrcv_lr(table: FeatureTable, repeats: int = 100, validation_fraction: float = 0.3,
@@ -100,13 +105,8 @@ def run_mrcv_lr(table: FeatureTable, repeats: int = 100, validation_fraction: fl
     """Per repeat: forward-select a logistic model over the table's features
     on the training subset, estimate the threshold there, and record balanced
     accuracies."""
-    def fold(r, train, val):
-        model = lr.forward_select(train, table.feature_names, delta_bic_stop)
-        scores = _evaluate_fold(lr.predict_proba(model, train), train.labels,
-                                lr.predict_proba(model, val), val.labels)
-        return scores, {"lr_selected_order": model.selected_order}
-
-    return _run_repeats(table, repeats, validation_fraction, base_seed, fold)
+    return [_repeat(table, r, validation_fraction, base_seed, _lr_fold, delta_bic_stop)
+            for r in range(repeats)]
 
 
 def derive_seed(*keys: int | str) -> int:
@@ -116,53 +116,62 @@ def derive_seed(*keys: int | str) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def _rf_fold(train: FeatureTable, val: FeatureTable, stream, mtry: list[int], ntree: list[int]):
+    """One forest per mtry, grown to the largest ntree with the seed of
+    (stream, mtry); each (mtry, ntree) point scores its prefix. Points are
+    walked mtry-major, so keeping only a strictly better validation BAcc
+    ranks them by (-BAcc, mtry index, ntree index)."""
+    best = None
+    for m in mtry:
+        fitted = rf.fit_forest(train, rf.ForestParams(
+            mtry=m, ntree=max(ntree), seed=derive_seed(*stream, m)))
+        scores = zip(rf.prefix_proba(fitted, train, ntree), rf.prefix_proba(fitted, val, ntree))
+        for t, (p_train, p_val) in zip(ntree, scores):
+            evaluated = _evaluate_fold(p_train, train.labels, p_val, val.labels)
+            if best is None or evaluated[2] > best[0][2]:
+                best = (evaluated, fitted, t)
+    evaluated, fitted, t = best
+    kept = replace(fitted, trees=fitted.trees[:t], params=replace(fitted.params, ntree=t))
+    report = rf.oob_permutation_importance(kept, train)
+    return evaluated, {"importances": dict(zip(report.feature_names, report.normalized.tolist())),
+                       "chosen_params": {"mtry": kept.params.mtry, "ntree": t}}
+
+
 def run_mrcv_rf(table: FeatureTable, repeats: int = 100, validation_fraction: float = 0.2,
-                grid: Sequence[tuple[int, int]] = ((5, 100),),
+                mtry: Sequence[int] = (5,), ntree: Sequence[int] = (100,),
                 base_seed: int = 0) -> list[FoldOutcome]:
-    """Per repeat: fit one forest per (mtry, ntree) grid point over the
-    table's features, keep the point with the best validation balanced
-    accuracy (first in grid order wins ties), and record that forest's
-    normalized permutation importances.
+    """Per repeat: fit a forest at each point of the grid mtry x ntree (a
+    repeated value counts once) over the table's features, keep the point with
+    the best validation balanced accuracy (the first in mtry-major order wins
+    ties), and record that forest's normalized permutation importances.
 
     A forest's seed follows from (base_seed, repeat, mtry), so the forests of
     one mtry are nested: each is the first ntree trees of the largest one.
     That forest is grown once, and each point's scores are means over its
     prefix, equal to predict_proba of the prefix forest.
     """
-    if not grid:
-        raise LatefuseError("RF grid must not be empty")
-    usable = [(m, t) for m, t in grid if m <= table.n_features]
-    if len(usable) < len(grid):
+    usable = [m for m in dict.fromkeys(mtry) if m <= table.n_features]
+    if any(m > table.n_features for m in mtry):
         warnings.warn("grid points with mtry > n_features were skipped")
-    if not usable:
-        raise LatefuseError("no usable grid point (all mtry exceed feature count)")
-    points: dict[int, list[tuple[int, int]]] = {}  # mtry -> (grid index, ntree)
-    for gi, (mtry, ntree) in enumerate(usable):
-        points.setdefault(mtry, []).append((gi, ntree))
+    if not (usable and ntree):
+        raise LatefuseError("no usable grid point (the grid is empty or every mtry exceeds "
+                            "the feature count)")
+    sizes = list(dict.fromkeys(ntree))
+    return [_repeat(table, r, validation_fraction, base_seed, _rf_fold, usable, sizes)
+            for r in range(repeats)]
 
-    def fold(r, train, val):
-        best = None
-        for mtry, mtry_points in points.items():
-            sizes = [ntree for _, ntree in mtry_points]
-            fitted = rf.fit_forest(train, rf.ForestParams(
-                mtry=mtry, ntree=max(sizes), seed=derive_seed(base_seed, r, mtry)))
-            scores = zip(rf.prefix_proba(fitted, train, sizes),
-                         rf.prefix_proba(fitted, val, sizes))
-            for (gi, ntree), (p_train, p_val) in zip(mtry_points, scores):
-                evaluated = _evaluate_fold(p_train, train.labels, p_val, val.labels)
-                rank = (-evaluated[2], gi)  # best validation BAcc, then grid order
-                if best is None or rank < best[0]:
-                    best = (rank, evaluated, fitted, ntree)
-        _, evaluated, fitted, ntree = best
-        kept = replace(fitted, trees=fitted.trees[:ntree],
-                       params=replace(fitted.params, ntree=ntree))
-        report = rf.oob_permutation_importance(kept, train)
-        return evaluated, {
-            "importances": {name: float(v) for name, v
-                            in zip(report.feature_names, report.normalized)},
-            "chosen_params": {"mtry": kept.params.mtry, "ntree": ntree}}
 
-    return _run_repeats(table, repeats, validation_fraction, base_seed, fold)
+def final_rf_params(mtry: Sequence[int], ntree: Sequence[int], outcomes: Sequence[FoldOutcome],
+                    selected: Sequence[str], final_seed: int) -> rf.ForestParams:
+    """The grid point of run_mrcv_rf(mtry, ntree) chosen by the most repeats
+    (the first in its mtry-major order on ties), with mtry clamped to the
+    selected feature count."""
+    votes = Counter((o.chosen_params["mtry"], o.chosen_params["ntree"])
+                    for o in outcomes if o.chosen_params is not None)
+    if not votes:
+        raise LatefuseError("no successful MRCV repeat to choose forest parameters from")
+    m, t = max(((m, t) for m in mtry for t in ntree), key=votes.__getitem__)
+    return rf.ForestParams(mtry=min(m, len(selected)), ntree=t, seed=final_seed)
 
 
 def _ranked(scores: dict[str, float]) -> FeatureRanking:

@@ -16,7 +16,7 @@ from latefuse.config import load_config
 from latefuse.errors import ConfigError, LatefuseError
 from latefuse.fuse import FusionRule, fuse_modalities
 from latefuse.metrics import best_threshold_bacc
-from latefuse.mrcv import FoldOutcome
+from latefuse.mrcv import FoldOutcome, final_rf_params
 from latefuse.reports import read_scores_csv, scores_csv, write_text
 
 from test_golden import COMMANDS  # every command, both modalities and models
@@ -314,15 +314,14 @@ def voted(*pairs):
     (((5, 50), (5, 50), (3, 25)), 2, (2, 50)),
 ])
 def test_final_forest_parameters_are_the_vote_of_the_repeats(pairs, selected, expected):
-    grid = [(3, 25), (3, 50), (5, 25), (5, 50)]
     names = [f"f{j:03d}" for j in range(selected)]
-    params = cli._final_rf_params(grid, voted(*pairs), names, 77)
+    params = final_rf_params((3, 5), (25, 50), voted(*pairs), names, 77)
     assert (params.mtry, params.ntree, params.seed) == (*expected, 77)
 
 
 def test_final_forest_vote_with_every_repeat_flagged(config_path, capsys, monkeypatch):
     with pytest.raises(LatefuseError, match="no successful MRCV repeat"):
-        cli._final_rf_params([(3, 25)], voted(None, None), ["f000"], 77)
+        final_rf_params((3,), (25,), voted(None, None), ["f000"], 77)
     run(config_path, "synth")
     monkeypatch.setattr(cli, "run_mrcv_rf", lambda table, repeats, **kw: voted(*[None] * repeats))
     monkeypatch.setattr(cli, "elbow_cut", lambda ranking: ranking.names()[:2])
@@ -554,6 +553,15 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
          "feature_names ['f000', 'f000'] is not a list of distinct names"),
         ("rf", names('["f001", "f000"]') + stump, "are not the model's features"),
         ("lr", names('["f001", "f000", "f002"]') + two, "are not the model's features"),
+        # JSON integers, not floats, strings or booleans
+        ("rf", names('["f000", "f001"]') + stump.replace('"mtry": 1', '"mtry": 2.5'),
+         "forest mtry 2.5 is not an integer"),
+        ("rf", names('["f000", "f001"]') + stump.replace('"ntree": 1', '"ntree": true'),
+         "forest ntree True is not an integer"),
+        ("rf", names('["f000", "f001"]') + stump.replace('"seed": 1', '"seed": "x"'),
+         "forest seed 'x' is not an integer"),
+        ("rf", names('["f000", "f001"]') + stump.replace('"n_train": 10', '"n_train": 420.7'),
+         "forest n_train 420.7 is not an integer"),
     ]:
         path = out / f"model_a_{model}.json"
         path.write_text(body.replace("%s", model), encoding="utf-8")
@@ -609,6 +617,9 @@ def test_evaluate_refuses_a_non_finite_threshold(config_path, tmp_path, capsys, 
     ("log_likelihood", math.nan, "must be finite"),
     ("n_train", 2.7, "n_train 2.7 is not a positive integer"),
     ("n_train", 0, "n_train 0 is not a positive integer"),
+    ("n_train", True, "n_train True is not a positive integer"),
+    ("converged", "false", "('false', False) are not booleans"),
+    ("separated", "no", "are not booleans"),
 ])
 def test_evaluate_refuses_a_logistic_model_that_to_doc_never_writes(
         config_path, tmp_path, capsys, key, value, detail):
@@ -758,17 +769,23 @@ def test_per_cohort_scaling_cancels_a_cohort_scale_factor(config_path, tmp_path)
 
 
 def test_no_command_imports_scipy(config_path):
-    """The program runs on numpy and the standard library: a fresh process
-    that runs every command has loaded no scipy module, lazily or not, and
-    no numpy.ma module, which np.quantile, np.nanmedian and a bare np.unique
-    import on first use."""
+    """The program runs on numpy and the standard library: in a fresh process
+    where importing scipy or hypothesis (the test dependencies) fails, every
+    command exits 0 and loads no module file from outside the standard library
+    but numpy's (numpy's compiled code also registers file-less Cython runtime
+    modules), lazily or not, and no numpy.ma module, which np.quantile,
+    np.nanmedian and a bare np.unique import on first use."""
     script = (
         "import json, sys, warnings\n"
+        "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+        "startup = set(sys.modules)\n"
         "from latefuse.cli import main\n"
         "warnings.simplefilter('ignore')\n"
         f"codes = [main(['--config', {str(config_path)!r}, *cmd]) for cmd in {COMMANDS!r}]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules"
-        " if m.partition('.')[0] == 'scipy' or (m + '.').startswith('numpy.ma.'))]))\n")
+        "own = {*sys.stdlib_module_names, 'latefuse', 'numpy'}\n"
+        "print(json.dumps([codes, sorted(m for m in set(sys.modules) - startup"
+        " if getattr(sys.modules[m], '__file__', None) and m.partition('.')[0] not in own"
+        " or (m + '.').startswith('numpy.ma.'))]))\n")
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},

@@ -1,15 +1,17 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
 from latefuse import forest as rf
+from latefuse import mrcv
 from latefuse.errors import ElbowError, SplitError
 from latefuse.metrics import best_threshold_bacc, confusion, metrics_from_confusion
 from latefuse.mrcv import (FeatureRanking, FoldOutcome, derive_seed, elbow_cut,
-                           rank_features_lr, rank_features_rf, run_mrcv_lr, run_mrcv_rf,
-                           stratified_split)
+                           final_rf_params, rank_features_lr, rank_features_rf, run_mrcv_lr,
+                           run_mrcv_rf, stratified_split)
 from latefuse.reports import folds_csv
 
 from conftest import class_counts, gaussian_table
@@ -115,7 +117,7 @@ def test_mrcv_lr_determinism():
 
 def test_mrcv_rf_grid_selection_and_importances():
     t = gaussian_table(50, 50, 6, shifts={0: 2.0}, seed=10)
-    outs = run_mrcv_rf(t, repeats=4, grid=[(2, 20), (3, 40)], base_seed=12)
+    outs = run_mrcv_rf(t, repeats=4, mtry=(2, 3), ntree=(20, 40), base_seed=12)
     assert len(outs) == 4
     for o in outs:
         assert o.error is None
@@ -125,20 +127,19 @@ def test_mrcv_rf_grid_selection_and_importances():
 
 def test_mrcv_rf_single_grid_point_records_it():
     t = gaussian_table(30, 30, 4, shifts={0: 2.0}, seed=11)
-    outs = run_mrcv_rf(t, repeats=3, grid=[(2, 15)], base_seed=13)
+    outs = run_mrcv_rf(t, repeats=3, mtry=(2,), ntree=(15,), base_seed=13)
     assert all(o.chosen_params == {"mtry": 2, "ntree": 15} for o in outs)
 
 
 def test_mrcv_rf_oversized_mtry_skipped():
     t = gaussian_table(30, 30, 3, shifts={0: 2.0}, seed=12)
     with pytest.warns(UserWarning, match="skipped"):
-        outs = run_mrcv_rf(t, repeats=2, grid=[(2, 10), (30, 10)], base_seed=14)
+        outs = run_mrcv_rf(t, repeats=2, mtry=(2, 30), ntree=(10,), base_seed=14)
     assert all(o.chosen_params["mtry"] == 2 for o in outs)
 
 
 def test_mrcv_rf_nested_ntree_grid_grows_the_largest_forest_once(monkeypatch):
     t = gaussian_table(40, 40, 6, shifts={0: 1.2, 1: 0.8}, seed=21)
-    grid = [(5, 25), (5, 50)]
     grown = []
     fit = rf.fit_forest
 
@@ -147,16 +148,16 @@ def test_mrcv_rf_nested_ntree_grid_grows_the_largest_forest_once(monkeypatch):
         return fit(table, params)
 
     monkeypatch.setattr(rf, "fit_forest", counting_fit)
-    outs = run_mrcv_rf(t, repeats=4, grid=grid, base_seed=18)
+    outs = run_mrcv_rf(t, repeats=4, mtry=(5,), ntree=(25, 50), base_seed=18)
     assert grown == [(5, 50)] * 4
     monkeypatch.undo()
     for r, out in enumerate(outs):
         # each grid point fitted as its own forest, first point wins ties
         train, val = stratified_split(t, 0.2, [18, r])
         best = None
-        for mtry, ntree in grid:
-            fo = rf.fit_forest(train, rf.ForestParams(mtry=mtry, ntree=ntree,
-                                                      seed=derive_seed(18, r, mtry)))
+        for ntree in (25, 50):
+            fo = rf.fit_forest(train, rf.ForestParams(mtry=5, ntree=ntree,
+                                                      seed=derive_seed(18, r, 5)))
             thr, bacc_tr = best_threshold_bacc(rf.predict_proba(fo, train), train.labels)
             bacc_val = metrics_from_confusion(
                 confusion(rf.predict_proba(fo, val), val.labels, thr)).balanced_accuracy
@@ -171,11 +172,46 @@ def test_mrcv_rf_nested_ntree_grid_grows_the_largest_forest_once(monkeypatch):
     assert {o.chosen_params["ntree"] for o in outs} == {25, 50}  # both prefixes kept
 
 
+def test_mrcv_rf_repeated_grid_values_count_once(monkeypatch):
+    """A value repeated in mtry or ntree is one grid point, where it first
+    appears: one forest per distinct mtry per repeat, and the same outcomes
+    and vote as the grid without the repeats."""
+    t = gaussian_table(40, 40, 6, shifts={0: 1.2, 1: 0.8}, seed=22)
+    grown = []
+    fit = rf.fit_forest
+
+    def counting_fit(table, params):
+        grown.append((params.mtry, params.ntree))
+        return fit(table, params)
+
+    monkeypatch.setattr(rf, "fit_forest", counting_fit)
+    outs = run_mrcv_rf(t, repeats=3, mtry=(5, 3, 5), ntree=(25, 50, 25), base_seed=19)
+    assert grown == [(5, 50), (3, 50)] * 3
+    assert outs == run_mrcv_rf(t, repeats=3, mtry=(5, 3), ntree=(25, 50), base_seed=19)
+    assert (final_rf_params((5, 3, 5), (25, 50, 25), outs, t.feature_names, 7)
+            == final_rf_params((5, 3), (25, 50), outs, t.feature_names, 7))
+
+
+def test_mrcv_repeat_is_a_picklable_function_of_plain_values():
+    """Each repeat is a module-level function of plain values that survives a
+    pickle round trip, as a process pool sends it; computed alone, and in
+    reverse order, repeat r equals outcome r of the run."""
+    t = gaussian_table(30, 30, 4, shifts={0: 1.5}, seed=23)
+    for outs, fraction, fold, params in [
+            (run_mrcv_lr(t, repeats=3, base_seed=24), 0.3, mrcv._lr_fold, (2.0,)),
+            (run_mrcv_rf(t, repeats=3, mtry=(2, 3), ntree=(10, 20), base_seed=24), 0.2,
+             mrcv._rf_fold, ([2, 3], [10, 20]))]:
+        calls = [pickle.loads(pickle.dumps((mrcv._repeat, (t, r, fraction, 24, fold, *params))))
+                 for r in reversed(range(3))]
+        assert [repeat(*args) for repeat, args in calls][::-1] == outs
+        assert all(o.error is None for o in outs)
+
+
 def test_mrcv_planted_beats_null_at_same_seed():
     planted = gaussian_table(50, 50, 5, shifts={0: 2.5}, seed=13)
     null = gaussian_table(50, 50, 5, seed=13)
-    out_p = run_mrcv_rf(planted, repeats=3, grid=[(2, 30)], base_seed=15)
-    out_n = run_mrcv_rf(null, repeats=3, grid=[(2, 30)], base_seed=15)
+    out_p = run_mrcv_rf(planted, repeats=3, mtry=(2,), ntree=(30,), base_seed=15)
+    out_n = run_mrcv_rf(null, repeats=3, mtry=(2,), ntree=(30,), base_seed=15)
     assert np.mean([o.bacc_validation for o in out_p]) \
         >= np.mean([o.bacc_validation for o in out_n])
 
@@ -186,7 +222,7 @@ def test_mrcv_flags_every_repeat_of_an_unsplittable_table():
     t = gaussian_table(10, 1, 3, seed=14)
     error = "class 1 has fewer than 2 samples"
     for outs in (run_mrcv_lr(t, repeats=2, base_seed=16),
-                 run_mrcv_rf(t, repeats=2, grid=[(2, 10)], base_seed=16)):
+                 run_mrcv_rf(t, repeats=2, mtry=(2,), ntree=(10,), base_seed=16)):
         assert [o.repeat_index for o in outs] == [0, 1]
         for o in outs:
             assert o.error == error
