@@ -44,6 +44,8 @@ class ForestParams:
     def __post_init__(self) -> None:
         if self.mtry < 1 or self.ntree < 1:
             raise ModelError("mtry and ntree must both be >= 1")
+        if self.seed < 0:  # np.random.default_rng refuses it
+            raise ModelError(f"forest seed {self.seed} is negative")
 
 
 @dataclass(frozen=True)
@@ -90,30 +92,45 @@ def _rank_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is the value of rank r in column f. Ranks are int32, as n is far below
     2**31."""
     n, p = x.shape
-    order = x.T.argsort(axis=1)
-    xs = np.take_along_axis(x.T, order, axis=1)
+    xt = np.ascontiguousarray(x.T)
+    at = xt.argsort(axis=1)
+    at += (np.arange(p) * n)[:, None]  # each sorted cell's flat index
+    xs = xt.take(at)
+    del xt
     new = np.ones((p, n), dtype=bool)
     new[:, 1:] = xs[:, 1:] != xs[:, :-1]
     first = np.where(new, np.arange(n, dtype=np.int32), 0)
     del new
     np.maximum.accumulate(first, axis=1, out=first)  # each value's first position
-    rank = np.empty((p, n), dtype=np.int32)
-    np.put_along_axis(rank, order, first, axis=1)
-    return rank.ravel(), xs.ravel()
+    rank = np.empty(p * n, dtype=np.int32)
+    rank[at] = first
+    return rank, xs.ravel()
 
 
+@np.errstate(over="ignore")  # a midpoint of two huge values; see its use below
 def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
                 streams: list[tuple[np.random.Generator, np.ndarray]],
                 mtry: int) -> list[Tree]:
     """Grow one tree per (generator, sorted bootstrap) stream, breadth first;
     each array call covers every node of a level of every tree in the block.
 
-    An element is one distinct bootstrap row of a node, with its class and
-    multiplicity packed as `cls << k | mult`. A tree has one weight per
-    class, so the weighted Gini of a cut is exact arithmetic on the class
-    counts on each side, and a tree does not depend on its block. A child's
-    distinct rows and class counts are those left (or right) of its parent's
-    winning cut. The level's arrays of one entry per cell set the fit's
+    An element is one distinct bootstrap row of a splittable node, with its
+    class and multiplicity packed as `cls << k | mult`. A tree has one weight
+    per class, so the weighted Gini of a cut is exact arithmetic on the class
+    counts on each side, and a tree does not depend on its block. A node's
+    bootstrap rows of either class are packed as `rows0 + rows1 << s`, and a
+    child's are those left (or right) of its parent's winning cut. An element
+    moves to its child's slot in the next level, or is dropped when that
+    child cannot split.
+
+    A level takes each tree's feature draws from one call, as raw 64-bit
+    outputs, builds the sort keys of its cells draw-major (one row of
+    elements per drawn feature, so every broadcast runs along the elements)
+    and sorts every (node, drawn feature) column in one sort. One prefix sum
+    of the cells' packed counts, restarted at each column, gives the counts
+    left of every cut; the cut costs are computed for the scored cuts alone.
+    Leaf values, features and thresholds are written once per block, after
+    its last level. The level's arrays of one entry per cell set the fit's
     working memory, so each is released as soon as it has been used.
 
     Only boundary cuts are scored (Fayyad & Irani 1992). Along a run of
@@ -131,124 +148,124 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     boots = np.stack([boot for _, boot in streams])
     mult = np.bincount((boots + n * np.arange(b)[:, None]).ravel(), minlength=b * n)
     k = int(mult.max()).bit_length()  # 2**k > any multiplicity of the block
-    mask = (1 << k) - 1
+    low_mask = (2 << k) - 1  # the class and multiplicity bits of a key
     stride = n << (k + 1)  # key span of one (node, drawn feature) column
     rank_key = rank.astype(_key_dtype(stride))  # one key table per block
     rank_key <<= k + 1
+    # rows0 + rows1 << s of a cell, by its key's low bits; a column's prefix
+    # sums stay below (n + 1) << s
+    s = n.bit_length()
+    rows0 = (1 << s) - 1
+    counts = np.arange(1 << k, dtype=_key_dtype((n + 1) << s))
+    counts = np.concatenate([counts, counts << s])
     at = np.flatnonzero(mult)
-    node, row = np.divmod(at, n)  # the roots are nodes 0..b-1
-    low = mult[at].astype(np.int32)
-    low |= y[row].astype(np.int32) << k
+    node, erow = np.divmod(at, n)  # the roots are nodes 0..b-1
+    elow = mult[at].astype(np.int32)
+    elow |= y[erow].astype(np.int32) << k
     del mult, at
-    n_c = np.stack([n - y[boots].sum(axis=1), y[boots].sum(axis=1)])
+    n1 = y[boots].sum(axis=1)
+    n_c = np.stack([n - n1, n1])
     # balanced weights n / (2 n_c) per bootstrap (0 for a class it lacks)
     cw0, cw1 = np.divide(n, 2.0 * n_c, out=np.zeros((2, b)), where=n_c > 0)
-    # each node's bootstrap rows of either class, and its distinct rows
-    n0, n1 = n_c
-    size = np.bincount(node, minlength=b)
-    features = np.arange(p)
-    f_bits = p.bit_length()
-    f_mask = (1 << f_bits) - 1
-    key_shift = max(0, f_bits - 10)
+    node_rows = (n - n1 + (n1 << s)).astype(counts.dtype)
+    gens = [rng.bit_generator for rng, _ in streams]
+    features = np.arange(p, dtype=np.uint64)
+    f_mask = (1 << p.bit_length()) - 1
+    # PCG64's random() is the top 53 bits of a raw 64-bit output over 2**53;
+    # a key keeps those bits (fewer when p > 1023) over the feature index
+    draw_mask = np.uint64(2 ** 64 - (2 << max(10, p.bit_length())))
     node_tree = np.arange(b)
-    levels = []
-    while node_tree.size:
-        c0, c1 = cw0[node_tree], cw1[node_tree]
-        w0, w1 = n0 * c0, n1 * c1
-        feature = np.full(node_tree.size, -1, dtype=np.int64)
-        node_value = w1 / (w0 + w1)  # a leaf's; a split overwrites it below
-        levels.append((node_tree, feature, node_value))
-        cand = np.flatnonzero((n0 > 0) & (n1 > 0))
+    cand = np.flatnonzero((node_rows & rows0 != 0) & (node_rows > rows0))
+    # each element's slot among the level's splittable nodes
+    slot = np.full(b, -1)
+    slot[cand] = np.arange(cand.size)
+    enode = slot[node]
+    inside = enode >= 0
+    erow, elow, enode = erow[inside], elow[inside], enode[inside]
+    del node, slot, inside
+    levels, splits, first = [], [], 0
+    while True:
+        levels.append((node_tree, node_rows))
         if not cand.size:
             break
         # each tree draws one key per (splittable node, feature) in one call,
         # in level order; a node takes the features of its mtry smallest keys,
-        # in key order. A key is the draw's 53 bits (fewer when p > 1023) over
-        # the feature index, so keys are distinct and ties go to the lower one
-        per_tree = np.bincount(node_tree[cand], minlength=b)
-        draws = np.concatenate([streams[t][0].random((per_tree[t], p))
-                                for t in np.flatnonzero(per_tree)])
-        draws *= 2.0 ** 53
-        keys = draws.astype(np.int64)
-        del draws
-        keys >>= key_shift
-        keys <<= f_bits
+        # in key order. Keys are distinct and ties go to the lower feature
+        tree = node_tree[cand]
+        per_tree = np.bincount(tree, minlength=b)
+        drawn = np.flatnonzero(per_tree)
+        keys = np.concatenate([gens[t].random_raw(m) for t, m in
+                               zip(drawn.tolist(), (per_tree[drawn] * p).tolist())])
+        keys = keys.reshape(-1, p)
+        keys &= draw_mask
         keys |= features
-        feats = np.sort(np.partition(keys, mtry - 1, axis=1)[:, :mtry], axis=1) & f_mask
+        feats = np.sort(np.partition(keys, mtry - 1, axis=1)[:, :mtry], axis=1)
         del keys
-        slot = np.full(node_tree.size, -1)
-        slot[cand] = np.arange(cand.size)
-        enode = slot[node]
-        inside = enode >= 0
-        erow, elow, enode = row[inside], low[inside], enode[inside]
-        del node, row, low, inside
+        feats &= f_mask
+        # drawn feature j of node i starts at offset[j, i] of the rank table
+        offset = feats.T.astype(np.intp, order="C") * n
+        del feats
         # one sort orders every (node, drawn feature) column: by column, then
         # by rank; class and multiplicity ride in the low bits
         dtype = _key_dtype(cand.size * mtry * stride)
-        cell = (feats * n)[enode]
-        cell += erow[:, None]
+        cell = offset.take(enode, axis=1)
+        cell += erow
         key = rank_key.take(cell).astype(dtype, copy=False)
         del cell
-        key += (elow + enode * (mtry * stride)).astype(dtype)[:, None]
-        key += np.arange(0, mtry * stride, stride, dtype=dtype)
+        key += (enode * (mtry * stride) + elow).astype(dtype)
+        key += np.arange(0, mtry * stride, stride, dtype=dtype)[:, None]
         key = key.ravel()
         key.sort()
-        # each cell decoded once: class, multiplicity, then column * n + rank
-        # in place; level-wide prefix sums of all rows and of class-1 rows,
-        # in the key's width, since their total is at most cand * mtry * n
-        cls = (key & 1 << k) != 0
-        mult = key & mask
-        srank = key
-        srank >>= k + 1
-        total = mult.cumsum(dtype=dtype)
-        mult *= cls
-        ones = mult.cumsum(out=mult)
-        width = np.repeat(size[cand], mtry)
-        first = np.cumsum(width) - width  # each column's first cell
+        # column c holds cells start[c]..start[c + 1] - 1: all of its node's
+        # rows, so subtracting the node's rows at the next column's first cell
+        # restarts the prefix sum
+        start = np.zeros(cand.size * mtry + 1, dtype=np.intp)
+        np.cumsum(np.repeat(np.bincount(enode, minlength=cand.size), mtry), out=start[1:])
+        cand_rows = node_rows[cand]
+        cum = counts.take(np.bitwise_and(key, low_mask, dtype=np.intp))
+        cum[start[1:-1]] -= np.repeat(cand_rows, mtry)[:-1]
+        cum.cumsum(out=cum)
         # a cut after cell i falls between distinct values when cell i + 1 of
         # the same column has another rank; it is scored when cells i and
         # i + 1 differ in class or either shares its rank with another cell
-        new = srank[1:] != srank[:-1]
+        step = key[1:] ^ key[:-1]
+        new = step > low_mask
+        edge = (step & 1 << k) != 0
+        del step
         tied = ~new
-        edge = cls[1:] != cls[:-1]
-        del cls
         edge[1:] |= tied[:-1]
         edge[:-1] |= tied[1:]
         del tied
         cuts = np.logical_and(new, edge, out=edge)
         del new
-        cuts[first[1:] - 1] = False
+        cuts[start[1:-1] - 1] = False
         cut = np.flatnonzero(cuts)
         del cuts
-        col = srank[cut] // n
-        # class counts left of a cut: the prefix sums minus those at the last
-        # cell before its column (none before the first column)
-        before1, before = ones[first - 1], total[first - 1]
-        before1[0] = before[0] = 0
-        l1 = ones[cut] - before1[col]
-        l0 = total[cut] - before[col] - l1
-        del ones, total, before1, before
+        left = cum.take(cut)  # rows0 + rows1 << s left of each cut
+        del cum
         # a node's cuts run in draw order, then by position
-        seg = np.searchsorted(col, np.arange(cand.size) * mtry)
-        count = np.diff(seg, append=col.size)
-        del col
-        at = np.repeat(cand, count)
-        # the halved Gini w0 w1 / (w0 + w1) of both sides, in place; a side's
-        # class weight is its count times the class weight, or for the right
-        # side the node's minus the left side's
-        a0, a1 = c0[at], c1[at]
-        a0 *= l0
-        a1 *= l1
-        b0, b1 = w0[at], w1[at]
-        del at
+        seg = cut.searchsorted(start[::mtry])
+        count = seg[1:] - seg[:-1]
+        # the halved Gini w0 w1 / (w0 + w1) of both sides; a side's class
+        # weight is its count times the class weight, or for the right side
+        # the node's minus the left side's. At most four cut arrays are live
+        c0, c1 = cw0[tree], cw1[tree]
+        w0, w1 = (cand_rows & rows0) * c0, (cand_rows >> s) * c1
+        a0 = np.repeat(c0, count)
+        a0 *= left & rows0
+        a1 = np.repeat(c1, count)
+        a1 *= left >> s
+        b0 = np.repeat(w0, count)
         b0 -= a0
-        b1 -= a1
         cost = a0 + a1
         a0 *= a1
         a0 /= cost
-        np.add(b0, b1, out=cost)
+        del cost
+        b1 = np.repeat(w1, count)
+        b1 -= a1
+        np.add(b0, b1, out=a1)
         b0 *= b1
-        b0 /= cost
+        b0 /= a1
         cost = a0
         cost += b0
         del a1, b0, b1
@@ -259,57 +276,70 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         best = np.minimum.reduceat(cost, seg)
         hit = np.flatnonzero(cost == np.repeat(best, count[has]))
         del cost
-        won_cut = hit[np.searchsorted(hit, seg)]
-        won = (w0 * w1 / (w0 + w1))[cand[has]] - best > 0.5e-12
+        won_cut = hit[hit.searchsorted(seg)]
+        won = (w0 * w1 / (w0 + w1))[has] - best > 0.5e-12
         has, won_cut = has[won], won_cut[won]
         pick = cut[won_cut]
-        col = srank[pick] // n
-        f = feats[has, col % mtry]
-        lo_rank = srank[pick] - col * n
-        lo = value[f * n + lo_rank]
-        hi = value[f * n + srank[pick + 1] - col * n]
-        del srank, key
-        with np.errstate(over="ignore"):
-            mid = (lo + hi) / 2.0
+        del cut
+        # the ranks either side of the cut, and the column's rank-table offset
+        col, lo_rank = np.divmod(key[pick] >> (k + 1), n)
+        hi_rank = (key[pick + 1] >> (k + 1)) - col * n
+        del key
+        at = offset[col % mtry, has]
+        lo, hi = value[at + lo_rank], value[at + hi_rank]
+        mid = (lo + hi) / 2.0
         # the midpoint, or lo when it rounds onto hi or overflows, so the rows
         # sent left are exactly those scored
         split = cand[has]
-        feature[split] = f
-        node_value[split] = np.where((lo <= mid) & (mid < hi), mid, lo)
-        # elements of split nodes move to the children (node 2i, 2i + 1 of the
-        # next level for the i-th split); the rest are in leaves. The left
-        # child holds its parent's cells up to the cut, the right one the rest
-        slot = np.full(cand.size, -1)
-        slot[has] = np.arange(has.size)
-        enode = slot[enode]
-        inside = enode >= 0
-        row, low, enode = erow[inside], elow[inside], enode[inside]
-        del erow, elow, inside
-        node = 2 * enode + (rank[f[enode] * n + row] > lo_rank[enode])
-        size = _children(pick - first[col] + 1, size[split])
-        n0 = _children(l0[won_cut], n0[split])
-        n1 = _children(l1[won_cut], n1[split])
+        splits.append((first + split, at // n, np.where((lo <= mid) & (mid < hi), mid, lo)))
+        first += node_tree.size
+        # the i-th split's children are nodes 2i, 2i + 1 of the next level;
+        # the left one holds its parent's rows up to the cut, the right one
+        # the rest
+        parent, left = node_rows[split], left[won_cut]
+        node_rows = np.repeat(left, 2)
+        node_rows[1::2] = parent - left
         node_tree = np.repeat(node_tree[split], 2)
-    tree_of, *cols = (np.concatenate(c) for c in zip(*levels))
+        nxt = np.flatnonzero((node_rows & rows0 != 0) & (node_rows > rows0))
+        # each element moves to its child's slot among the next level's
+        # splittable nodes; -1 drops it
+        slot = np.full(2 * has.size, -1)
+        slot[nxt] = np.arange(nxt.size)
+        to = np.full((cand.size, 2), -1)
+        to[has] = slot.reshape(-1, 2)
+        at_node = np.zeros(cand.size, dtype=np.intp)
+        at_node[has] = at
+        cut_rank = np.zeros(cand.size, dtype=rank.dtype)
+        cut_rank[has] = lo_rank
+        side = rank.take(at_node.take(enode) + erow) > cut_rank.take(enode)
+        enode *= 2
+        enode += side
+        enode = to.ravel().take(enode)
+        inside = enode >= 0
+        erow, elow, enode = erow[inside], elow[inside], enode[inside]
+        del side, inside
+        cand = nxt
+    tree_of, node_rows = (np.concatenate(c) for c in zip(*levels))
+    # leaf values from each node's class weights; a split overwrites its own
+    w0 = (node_rows & rows0) * cw0[tree_of]
+    w1 = (node_rows >> s) * cw1[tree_of]
+    node_value = w1 / (w0 + w1)
+    feature = np.full(tree_of.size, -1, dtype=np.int64)
+    if splits:
+        split, f, threshold = (np.concatenate(c) for c in zip(*splits))
+        feature[split] = f
+        node_value[split] = threshold
     order = np.argsort(tree_of, kind="stable")
-    bounds = np.cumsum(np.bincount(tree_of, minlength=b))[:-1]
-    return [Tree(*parts) for parts in zip(*(np.split(c[order], bounds) for c in cols))]
+    feature, node_value = feature[order], node_value[order]
+    end = np.cumsum(np.bincount(tree_of, minlength=b)).tolist()
+    return [Tree(feature[i:j], node_value[i:j]) for i, j in zip([0] + end, end)]
 
 
 def _key_dtype(bound: int) -> type:
-    """The integer type of growth keys below `bound`: int32 where it holds
-    them, else int64. numpy integers wrap without a warning, so this bound is
+    """The integer type of growth keys or packed class counts below `bound`:
+    int32 where it holds them, else int64. numpy integers wrap without a warning, so this bound is
     the only guard."""
     return np.int32 if bound <= 2 ** 31 else np.int64
-
-
-def _children(left: np.ndarray, parent: np.ndarray) -> np.ndarray:
-    """A count of each split's children, left then right, in child order,
-    from the left child's count and the parent's."""
-    counts = np.empty(2 * left.size, dtype=np.result_type(left, parent))
-    counts[0::2] = left
-    np.subtract(parent, left, out=counts[1::2])
-    return counts
 
 
 def _growth_block(n: int, mtry: int, ntree: int) -> int:
@@ -317,7 +347,9 @@ def _growth_block(n: int, mtry: int, ntree: int) -> int:
     of them would overflow the 64-bit sort keys of _grow_block."""
     block = max(1, GROW_CELLS // (n * mtry))
     # a level's sort keys stay below cells * n * 2**n.bit_length(), since
-    # each (node, feature) column holds at least two of its cells
+    # each (node, feature) column holds at least two of its cells; a
+    # column's packed class counts stay below the smaller (n + 1) << that
+    # bit length, so this guard holds them too
     if min(block, ntree) * n * mtry * n << n.bit_length() >= 2 ** 63:
         raise ModelError(f"{n} training rows at mtry={mtry} overflow the "
                          "forest's 64-bit sort keys")
@@ -591,6 +623,8 @@ def from_doc(doc: dict) -> Forest:
     for key in ("mtry", "ntree", "seed", "n_train"):
         if type(p[key]) is not int:  # a JSON integer, not true or 2.0
             raise ModelError(f"forest {key} {p[key]!r} is not an integer")
+    if p["n_train"] < 1:
+        raise ModelError(f"forest n_train {p['n_train']} is not a positive integer")
     if len(trees) != p["ntree"]:
         raise ModelError(f"forest document holds {len(trees)} trees, not ntree={p['ntree']}")
     return Forest(

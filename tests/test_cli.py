@@ -8,6 +8,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latefuse import cli
@@ -774,7 +775,9 @@ def test_no_command_imports_scipy(config_path):
     command exits 0 and loads no module file from outside the standard library
     but numpy's (numpy's compiled code also registers file-less Cython runtime
     modules), lazily or not, and no numpy.ma module, which np.quantile,
-    np.nanmedian and a bare np.unique import on first use."""
+    np.nanmedian and a bare np.unique import on first use. The child runs
+    with -S and numpy's directory on its path, so no .pth file preloads a
+    module (such as certifi) before the start-up snapshot."""
     script = (
         "import json, sys, warnings\n"
         "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
@@ -786,9 +789,10 @@ def test_no_command_imports_scipy(config_path):
         "print(json.dumps([codes, sorted(m for m in set(sys.modules) - startup"
         " if getattr(sys.modules[m], '__file__', None) and m.partition('.')[0] not in own"
         " or (m + '.').startswith('numpy.ma.'))]))\n")
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+    src, site = str(Path(cli.__file__).parents[1]), str(Path(np.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, site, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     codes, unwanted = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(COMMANDS)

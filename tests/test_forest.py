@@ -30,6 +30,8 @@ def test_params_validation():
         rf.ForestParams(mtry=0, ntree=10)
     with pytest.raises(ModelError):
         rf.ForestParams(mtry=2, ntree=0)
+    with pytest.raises(ModelError, match="seed -7 is negative"):
+        rf.ForestParams(mtry=2, ntree=2, seed=-7)
 
 
 def test_single_leaf_forest_predicts_balanced_prior():
@@ -82,6 +84,20 @@ def test_default_growth_blocks_fit_the_sort_keys_at_s2_size():
     assert blocks[0] == 6 and blocks[-1] == 1
 
 
+def test_packed_class_counts_widen_past_32_bits():
+    # a column's class counts are packed as rows0 + rows1 << n.bit_length(),
+    # below (n + 1) << n.bit_length(): at 2**16 rows that passes 2**31, so
+    # _key_dtype widens them to 64 bits; int32 counts would wrap and the root
+    # would not take its one perfect cut. _growth_block's 64-bit guard holds
+    # this bound too, as it is below that of the sort keys
+    n = 2 ** 16 + 3
+    t = make_table(np.arange(n, dtype=float)[:, None], np.arange(n) >= n // 2)
+    assert (n + 1) << n.bit_length() > 2 ** 31
+    tree = rf.fit_forest(t, rf.ForestParams(mtry=1, ntree=1, seed=4)).trees[0]
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.value.tolist() == [n // 2 - 0.5, 0.0, 1.0]
+
+
 def traced_peak(call):
     """call() and tracemalloc's peak of the memory it allocated."""
     tracemalloc.start()
@@ -98,10 +114,11 @@ def test_forest_working_memory():
     fo, growth = traced_peak(lambda: rf.fit_forest(t, rf.ForestParams(mtry=10, ntree=25, seed=7)))
     _, importance = traced_peak(lambda: rf.oob_permutation_importance(fo, t))
     # GROW_CELLS and CELLS bound the cells; these bound the bytes per cell.
-    # 2.77 and 2.37 MB measured; 6.06 and 4.31 MB with 64-bit growth keys and
-    # rank table, per-level node counts from np.bincount, a list of
-    # permutation arrays and a copy of each descent's start nodes
-    assert growth <= 2.9e6 and importance <= 2.65e6, (growth, importance)
+    # 2.24 and 2.37 MB measured. Growth read 2.77 MB with two prefix sums
+    # over every cell and five float64 arrays per scored cut, and 6.06 MB
+    # with 64-bit growth keys and rank table; importance 4.31 MB with a list
+    # of permutation arrays and a copy of each descent's start nodes
+    assert growth <= 2.3e6 and importance <= 2.65e6, (growth, importance)
 
 
 def test_bootstrap_and_oob_structure():
@@ -334,6 +351,10 @@ def test_only_version_4_documents_load():
     (lambda d, t: t["value"].__setitem__(-1, math.nan), "leaf value"),
     (lambda d, t: t["value"].__setitem__(-1, math.inf), "leaf value"),
     (lambda d, t: d["params"].__setitem__("ntree", 999), "ntree"),
+    # a seed or a training size to_doc never writes; with a negative seed,
+    # importance would stop on numpy's bare ValueError
+    (lambda d, t: d["params"].__setitem__("seed", -7), "seed -7 is negative"),
+    (lambda d, t: d.__setitem__("n_train", 0), "n_train 0 is not a positive"),
     # feature names no table can match: repeated, not text, not a list
     (lambda d, t: d["feature_names"].__setitem__(1, d["feature_names"][0]), "distinct names"),
     (lambda d, t: d["feature_names"].__setitem__(2, 3), "distinct names"),
