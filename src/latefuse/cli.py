@@ -206,7 +206,10 @@ def _load_model(cfg: RunConfig, modality: str, model: str):
             raise ValueError(f"selected_features {selected!r} is not a list of names")
         if not selected:  # train selects at least one; evaluate parses only these
             raise ValueError("no selected features")
-        threshold = float(doc["threshold"])
+        threshold = doc["threshold"]
+        if type(threshold) not in (int, float):  # a JSON number, not "0.5" or true
+            raise ValueError(f"threshold {threshold!r} is not a number")
+        threshold = float(threshold)
         if not math.isfinite(threshold):  # train writes a finite score cut
             raise ValueError(f"threshold {threshold} is not finite")
         fitted = (lr if model == "lr" else rf).from_doc(doc["model"])
@@ -217,7 +220,7 @@ def _load_model(cfg: RunConfig, modality: str, model: str):
         return selected, threshold, fitted
     except KeyError as exc:  # here or in a sub-document
         raise LatefuseError(f"{path}: model document lacks key {exc}") from None
-    except (TypeError, ValueError, AttributeError, ModelError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError, ModelError) as exc:
         raise LatefuseError(f"{path}: malformed model document: {exc}") from None
 
 

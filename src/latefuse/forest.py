@@ -76,13 +76,12 @@ class ImportanceReport:
     normalized: np.ndarray  # mean/SE; 0 when both are 0, +/-inf flagged when SE=0
 
 
-def _tree_stream(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+def _tree_stream(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.ndarray]:
     """Tree t's stream over n training rows: (generator positioned after the
-    bootstrap draw, sorted bootstrap rows, out-of-bag rows). The feature
-    draws that follow are made by _grow_block."""
+    bootstrap draw of n rows, each row's count in it; 0 marks an out-of-bag
+    row). The feature draws that follow are made by _grow_block."""
     rng = np.random.default_rng([seed, t])
-    boot = np.sort(rng.integers(0, n, size=n))
-    return rng, boot, np.flatnonzero(np.bincount(boot, minlength=n) == 0)
+    return rng, np.bincount(rng.integers(0, n, size=n), minlength=n)
 
 
 def _rank_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +110,8 @@ def _rank_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
                 streams: list[tuple[np.random.Generator, np.ndarray]],
                 mtry: int) -> list[Tree]:
-    """Grow one tree per (generator, sorted bootstrap) stream, breadth first;
-    each array call covers every node of a level of every tree in the block.
+    """Grow one tree per (generator, bootstrap row counts) stream, breadth
+    first; each array call covers every node of a level of the block's trees.
 
     An element is one distinct bootstrap row of a splittable node, with its
     class and multiplicity packed as `cls << k | mult`. A tree has one weight
@@ -126,12 +125,13 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     A level takes each tree's feature draws from one call, as raw 64-bit
     outputs, builds the sort keys of its cells draw-major (one row of
     elements per drawn feature, so every broadcast runs along the elements)
-    and sorts every (node, drawn feature) column in one sort. One prefix sum
-    of the cells' packed counts, restarted at each column, gives the counts
-    left of every cut; the cut costs are computed for the scored cuts alone.
-    Leaf values, features and thresholds are written once per block, after
-    its last level. The level's arrays of one entry per cell set the fit's
-    working memory, so each is released as soon as it has been used.
+    from the ranks it gathers, and sorts every (node, drawn feature) column
+    in one sort. One prefix sum of the cells' packed counts, restarted at
+    each column, gives the counts left of every cut; the cut costs are
+    computed for the scored cuts alone. Leaf values, features and
+    thresholds are written once per block, after its last level. The
+    level's arrays of one entry per cell set the fit's working memory, so
+    each is released as soon as it has been used.
 
     Only boundary cuts are scored (Fayyad & Irani 1992). Along a run of
     cells of one class, each alone at its rank, the cost is strictly concave
@@ -145,13 +145,11 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     """
     n, b = y.size, len(streams)
     p = rank.size // n
-    boots = np.stack([boot for _, boot in streams])
-    mult = np.bincount((boots + n * np.arange(b)[:, None]).ravel(), minlength=b * n)
+    mult = np.concatenate([c for _, c in streams])  # tree i's row r at i * n + r
+    n1 = mult.reshape(b, n) @ y  # each bootstrap's class-1 rows
     k = int(mult.max()).bit_length()  # 2**k > any multiplicity of the block
     low_mask = (2 << k) - 1  # the class and multiplicity bits of a key
     stride = n << (k + 1)  # key span of one (node, drawn feature) column
-    rank_key = rank.astype(_key_dtype(stride))  # one key table per block
-    rank_key <<= k + 1
     # rows0 + rows1 << s of a cell, by its key's low bits; a column's prefix
     # sums stay below (n + 1) << s
     s = n.bit_length()
@@ -163,7 +161,6 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
     elow = mult[at].astype(np.int32)
     elow |= y[erow].astype(np.int32) << k
     del mult, at
-    n1 = y[boots].sum(axis=1)
     n_c = np.stack([n - n1, n1])
     # balanced weights n / (2 n_c) per bootstrap (0 for a class it lacks)
     cw0, cw1 = np.divide(n, 2.0 * n_c, out=np.zeros((2, b)), where=n_c > 0)
@@ -210,8 +207,9 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         dtype = _key_dtype(cand.size * mtry * stride)
         cell = offset.take(enode, axis=1)
         cell += erow
-        key = rank_key.take(cell).astype(dtype, copy=False)
+        key = rank.take(cell).astype(dtype, copy=False)
         del cell
+        key <<= k + 1
         key += (enode * (mtry * stride) + elow).astype(dtype)
         key += np.arange(0, mtry * stride, stride, dtype=dtype)[:, None]
         key = key.ravel()
@@ -307,10 +305,9 @@ def _grow_block(rank: np.ndarray, value: np.ndarray, y: np.ndarray,
         slot[nxt] = np.arange(nxt.size)
         to = np.full((cand.size, 2), -1)
         to[has] = slot.reshape(-1, 2)
-        at_node = np.zeros(cand.size, dtype=np.intp)
-        at_node[has] = at
-        cut_rank = np.zeros(cand.size, dtype=rank.dtype)
-        cut_rank[has] = lo_rank
+        # each node's winning feature offset and the rank its cut follows
+        at_node, cut_rank = np.zeros((2, cand.size), dtype=np.intp)
+        at_node[has], cut_rank[has] = at, lo_rank
         side = rank.take(at_node.take(enode) + erow) > cut_rank.take(enode)
         enode *= 2
         enode += side
@@ -379,7 +376,7 @@ def fit_forest(table: FeatureTable, params: ForestParams) -> Forest:
     rank, value = _rank_table(np.ascontiguousarray(table.values))
     trees: list[Tree] = []
     for first in range(0, params.ntree, block):
-        streams = [_tree_stream(params.seed, t, n)[:2]
+        streams = [_tree_stream(params.seed, t, n)
                    for t in range(first, min(first + block, params.ntree))]
         trees += _grow_block(rank, value, y, streams, params.mtry)
     return Forest(trees=tuple(trees), feature_names=table.feature_names, params=params,
@@ -534,7 +531,7 @@ def oob_permutation_importance(forest: Forest, table: FeatureTable) -> Importanc
                            f"got {table.n_samples} rows")
     positive = table.labels == 1
     n_feat = table.n_features
-    oobs = [_tree_stream(forest.params.seed, t, forest.n_train)[2]
+    oobs = [np.flatnonzero(_tree_stream(forest.params.seed, t, forest.n_train)[1] == 0)
             for t in range(len(forest.trees))]
     kept = [t for t, oob in enumerate(oobs) if oob.size]
     if len(kept) < len(oobs):
@@ -581,18 +578,20 @@ def to_doc(forest: Forest) -> dict:
 
 def _tree_from_doc(t: dict, p: int) -> Tree:
     """A tree document's node arrays, if `descend` ends on them: equal-length
-    non-empty 1-d arrays, each feature an integer, -1 (leaf) or in 0..p-1,
-    2s + 1 nodes for s splits, and the k-th split before node 2k + 1, so
-    that its derived children come after it and are nodes of the tree.
-    Split thresholds are finite and leaf values in 0..1, as to_doc writes
-    them."""
-    tree = Tree(feature=np.asarray(t["feature"], dtype=np.int64),
-                value=np.asarray(t["value"], dtype=float))
-    n = tree.feature.size
-    if n == 0 or tree.feature.ndim != 1 or tree.value.shape != (n,):
-        raise ModelError("forest tree node arrays must be non-empty and of equal length")
-    if not np.array_equal(tree.feature, t["feature"]):
+    non-empty lists, each feature a JSON integer, -1 (leaf) or in 0..p-1,
+    each value a JSON number, 2s + 1 nodes for s splits, and the k-th split
+    before node 2k + 1, so that its derived children come after it and are
+    nodes of the tree. Split thresholds are finite and leaf values in 0..1,
+    as to_doc writes them."""
+    feature, value = t["feature"], t["value"]
+    if not (isinstance(feature, list) and set(map(type, feature)) <= {int}):
         raise ModelError("forest tree feature index is not an integer")
+    if not (isinstance(value, list) and set(map(type, value)) <= {int, float}):
+        raise ModelError("forest tree value is not a number")
+    tree = Tree(feature=np.asarray(feature, dtype=np.int64), value=np.asarray(value, dtype=float))
+    n = tree.feature.size
+    if n == 0 or tree.value.size != n:
+        raise ModelError("forest tree node arrays must be non-empty and of equal length")
     if np.any((tree.feature < -1) | (tree.feature >= p)):
         raise ModelError(f"forest tree feature index outside -1..{p - 1}")
     split = np.flatnonzero(tree.feature >= 0)

@@ -421,18 +421,21 @@ def to_doc(model: FittedLogReg) -> dict:
 
 def from_doc(doc: dict) -> FittedLogReg:
     """The model of a version-2 document; any other version is refused.
-    The intercept, coefficients and log-likelihood are finite, n_train is
-    a positive integer and the two flags are booleans, as to_doc writes them."""
+    The intercept, coefficients and log-likelihood are finite JSON numbers,
+    n_train is a positive integer and the two flags are booleans, as to_doc
+    writes them."""
     if doc.get("format") != "latefuse-logreg":
         raise ModelError("unrecognized logistic model document")
     if doc.get("version") != 2:
         raise ModelError(f"unrecognized logistic model document version "
                          f"{doc.get('version')!r}; re-run train to write version 2")
+    numbers = (doc["intercept"], doc["log_likelihood"], *doc["coefficients"].values())
+    # an int or a float, not "0.5" or true
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in numbers):
+        raise ModelError("logistic model intercept, coefficients and log_likelihood "
+                         "must be finite numbers")
     coefficients = {k: float(v) for k, v in doc["coefficients"].items()}
     intercept, log_likelihood = float(doc["intercept"]), float(doc["log_likelihood"])
-    if not all(map(math.isfinite, (intercept, log_likelihood, *coefficients.values()))):
-        raise ModelError("logistic model intercept, coefficients and log_likelihood "
-                         "must be finite")
     n_train, flags = doc["n_train"], (doc["converged"], doc["separated"])
     if type(n_train) is not int or n_train < 1:  # a JSON integer, not true or 2.0
         raise ModelError(f"logistic model n_train {n_train!r} is not a positive integer")

@@ -563,6 +563,18 @@ def test_malformed_model_file_is_an_error_line(config_path, tmp_path, capsys):
          "forest seed 'x' is not an integer"),
         ("rf", names('["f000", "f001"]') + stump.replace('"n_train": 10', '"n_train": 420.7'),
          "forest n_train 420.7 is not an integer"),
+        # JSON numbers, not strings or booleans; an integer past the float range
+        ("lr", names('["f000", "f001"]').replace("0.5", '"0.5"') + two,
+         "threshold '0.5' is not a number"),
+        ("lr", names('["f000", "f001"]').replace("0.5", "true") + two,
+         "threshold True is not a number"),
+        ("lr", names('["f000", "f001"]').replace("0.5", "1" + "0" * 400) + two,
+         "int too large to convert to float"),
+        ("rf", names('["f000", "f001"]') + stump.replace('"value": [0.5]', '"value": ["0.5"]'),
+         "forest tree value is not a number"),
+        ("rf", names('["f000", "f001"]') + stump.replace(
+            '"feature": [-1], "value": [0.5]', '"feature": [true, -1, -1], "value": [0.5, 0.2, 1]'),
+         "forest tree feature index is not an integer"),
     ]:
         path = out / f"model_a_{model}.json"
         path.write_text(body.replace("%s", model), encoding="utf-8")
@@ -616,6 +628,9 @@ def test_evaluate_refuses_a_non_finite_threshold(config_path, tmp_path, capsys, 
     ("intercept", math.nan, "must be finite"),
     ("coefficients", math.inf, "must be finite"),
     ("log_likelihood", math.nan, "must be finite"),
+    ("intercept", "0.5", "must be finite numbers"),
+    ("log_likelihood", "-3", "must be finite numbers"),
+    ("coefficients", True, "must be finite numbers"),
     ("n_train", 2.7, "n_train 2.7 is not a positive integer"),
     ("n_train", 0, "n_train 0 is not a positive integer"),
     ("n_train", True, "n_train True is not a positive integer"),

@@ -114,18 +114,22 @@ def test_forest_working_memory():
     fo, growth = traced_peak(lambda: rf.fit_forest(t, rf.ForestParams(mtry=10, ntree=25, seed=7)))
     _, importance = traced_peak(lambda: rf.oob_permutation_importance(fo, t))
     # GROW_CELLS and CELLS bound the cells; these bound the bytes per cell.
-    # 2.24 and 2.37 MB measured. Growth read 2.77 MB with two prefix sums
-    # over every cell and five float64 arrays per scored cut, and 6.06 MB
-    # with 64-bit growth keys and rank table; importance 4.31 MB with a list
-    # of permutation arrays and a copy of each descent's start nodes
-    assert growth <= 2.3e6 and importance <= 2.65e6, (growth, importance)
+    # 2.04 and 2.37 MB measured. Growth read 2.24 MB with a shifted copy of
+    # the whole rank table per block, 2.77 MB with two prefix sums over
+    # every cell and five float64 arrays per scored cut, and 6.06 MB with
+    # 64-bit growth keys and rank table; importance 4.31 MB with a list of
+    # permutation arrays and a copy of each descent's start nodes
+    assert growth <= 2.1e6 and importance <= 2.65e6, (growth, importance)
 
 
 def test_bootstrap_and_oob_structure():
     n = 120
     sizes = []
     for tree_index in range(100):
-        _, boot, oob = rf._tree_stream(7, tree_index, n)
+        _, counts = rf._tree_stream(7, tree_index, n)
+        draw = np.random.default_rng([7, tree_index]).integers(0, n, size=n)
+        assert np.array_equal(counts, np.bincount(draw, minlength=n))
+        boot, oob = np.repeat(np.arange(n), counts), np.flatnonzero(counts == 0)
         assert boot.size == n
         assert not set(boot.tolist()) & set(oob.tolist())
         assert set(boot.tolist()) | set(oob.tolist()) == set(range(n))
@@ -282,7 +286,8 @@ def test_gini_split_gains_nonnegative():
     t = gaussian_table(50, 50, 4, shifts={0: 1.0}, seed=12)
     fo = rf.fit_forest(t, rf.ForestParams(mtry=2, ntree=20, seed=37))
     for tree_index, tree in enumerate(fo.trees):
-        _, boot, _ = rf._tree_stream(fo.params.seed, tree_index, t.n_samples)
+        _, counts = rf._tree_stream(fo.params.seed, tree_index, t.n_samples)
+        boot = np.repeat(np.arange(t.n_samples), counts)
         x = t.values[boot]
         y = (t.labels[boot] == 1).astype(float)
         w = np.where(y == 1, y.size / (2 * y.sum()), y.size / (2 * (y.size - y.sum())))
@@ -340,6 +345,11 @@ def test_only_version_4_documents_load():
     (lambda d, t: t.update({name: cells[:-1] for name, cells in t.items()}), "child index"),
     (lambda d, t: t["feature"].__setitem__(0, 3), "feature index"),
     (lambda d, t: t["feature"].__setitem__(0, 0.5), "not an integer"),
+    # JSON numbers, not booleans or strings, which numpy would convert
+    (lambda d, t: t.update(feature=[True, -1, -1], value=[0.5, 0.2, 1.0]),
+     "feature index is not an integer"),
+    (lambda d, t: t.update(feature=[0, -1, -1], value=["0.5", 0.2, "1"]), "value is not a number"),
+    (lambda d, t: t["value"].__setitem__(-1, True), "tree value is not a number"),
     (lambda d, t: t["value"].pop(), "equal length"),
     # values to_doc never writes: a split without a finite threshold, a leaf
     # value that is not a proportion in 0..1, more trees named than held
@@ -394,7 +404,8 @@ def reference_importance(forest, table):
     diffs = []
     skipped = 0
     for t, tree in enumerate(forest.trees):
-        _, _, oob = rf._tree_stream(forest.params.seed, t, forest.n_train)
+        _, counts = rf._tree_stream(forest.params.seed, t, forest.n_train)
+        oob = np.flatnonzero(counts == 0)
         if oob.size == 0:
             skipped += 1
             continue
@@ -468,14 +479,16 @@ def test_split_between_values_without_a_midpoint(lo, hi):
 
 def reference_tree(x, y, params, t, rejected=None):
     """Tree t of fit_forest grown alone by a plain breadth-first builder of
-    the stream layout: the bootstrap from the (seed, t) stream, then per
-    level one draw of mtry features for each splittable node of the level,
+    the stream layout: n bootstrap rows drawn first from the (seed, t)
+    generator, then per level one draw of mtry features for each splittable
+    node of the level,
     and per node a scan over the cuts between distinct values with the class
     counts on each side. The Gini gains of best cuts turned down by the rule
     gain > 1e-12 are appended to `rejected`. The builder numbers each split's
     children itself and asserts they are the ones Tree derives."""
     n, p = x.shape
-    rng, boot, _ = rf._tree_stream(params.seed, t, n)
+    rng = np.random.default_rng([params.seed, t])
+    boot = rng.integers(0, n, size=n)
     # balanced weights n / (2 n_c) of the bootstrap, 0 for a class it lacks
     n1 = int(y[boot].sum())
     c0, c1 = (n / (2 * m) if m else 0.0 for m in (n - n1, n1))
@@ -603,6 +616,15 @@ def test_trees_match_reference_builder(case):
         assert np.array_equal(prob, reference_tree_predict(tree, x))
 
 
+def test_wide_table_trees_match_reference_builder():
+    # p = 1,000 at mtry 30: each level gathers its drawn features' ranks from
+    # a wide rank table
+    table = gaussian_table(30, 30, 1000)
+    params = rf.ForestParams(mtry=30, ntree=6, seed=5)
+    assert all(trees_equal(a, b) for a, b in zip(rf.fit_forest(table, params).trees,
+                                                 reference_trees(table, params)))
+
+
 def test_cut_with_rounding_sized_gain_is_not_taken():
     # binary columns: some best cuts leave both sides with the parent's class
     # proportions, and their computed gain is a rounding residue above 0
@@ -641,19 +663,19 @@ def test_boundary_cuts_match_the_all_cuts_reference(x, y):
         assert all(trees_equal(a, b) for a, b in zip(rf.fit_forest(table, params).trees,
                                                      reference))
     if 2 * y.sum() == y.size:  # some bootstraps weigh both classes alike
-        assert any(2 * y[rf._tree_stream(36, t, y.size)[1]].sum() == y.size for t in range(16))
+        assert any(2 * (rf._tree_stream(36, t, y.size)[1] @ y) == y.size for t in range(16))
 
 
 @pytest.mark.parametrize("mtry", [1, 3])
 def test_key_widths_grow_the_same_trees(monkeypatch, mtry):
-    # _grow_block types its rank-key table and each level's keys by
+    # _grow_block types its packed class counts and each level's keys by
     # _key_dtype of their bound. Keys that are int32 wherever they fit (the
-    # default), int64 everywhere, or int32 only below 2**13 (here the table
+    # default), int64 everywhere, or int32 only below 2**13 (here the counts
     # and some levels) grow the reference's trees. Tree 0 draws a row 8 or
     # more times, so the block's multiplicity field is 4 bits wide.
     t = gaussian_table(20, 20, 5, shifts={0: 1.0, 2: 0.5}, seed=21)
     params = rf.ForestParams(mtry=mtry, ntree=6, seed=508)
-    assert np.bincount(rf._tree_stream(params.seed, 0, t.n_samples)[1]).max() >= 8
+    assert rf._tree_stream(params.seed, 0, t.n_samples)[1].max() >= 8
     reference = reference_trees(t, params)
     policies = [(rf._key_dtype, {np.int32}),
                 (lambda bound: np.int64, {np.int64}),
@@ -678,7 +700,8 @@ def test_key_widths_grow_the_same_trees(monkeypatch, mtry):
 def test_importance_matches_reference(case):
     table, params = case
     fo = rf.fit_forest(table, params)
-    skipped = sum(rf._tree_stream(params.seed, t, table.n_samples)[2].size == 0
+    # a tree that draws every row has no out-of-bag rows
+    skipped = sum(rf._tree_stream(params.seed, t, table.n_samples)[1].all()
                   for t in range(params.ntree))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
