@@ -433,10 +433,11 @@ def predict_proba(forest: Forest, table: FeatureTable) -> np.ndarray:
 
 def prefix_proba(forest: Forest, table: FeatureTable, sizes: Sequence[int]) -> np.ndarray:
     """predict_proba of each prefix forest of the first k trees, k in sizes,
-    one row each, from one cumulative sum over the per-tree outputs (the
-    same additions in the same order as a running sum over the prefix).
-    Every (tree, row) pair of a block of about CELLS pairs is one element of
-    one descent."""
+    one row each, from a running sum over the per-tree outputs: each descent
+    block's cumulative sum starts from the previous block's last row, so a
+    score is the same additions in the same order whatever the block. Every
+    (tree, row) pair of a block of about CELLS pairs is one element of one
+    descent, and only the block's outputs and the requested rows are held."""
     x = _check_features(forest, table)
     k = np.asarray(sizes)
     bad = k[(k < 1) | (k > len(forest.trees))]
@@ -444,12 +445,19 @@ def prefix_proba(forest: Forest, table: FeatureTable, sizes: Sequence[int]) -> n
         raise PredictError(f"prefix size {bad[0]} is outside 1..{len(forest.trees)}")
     n = x.shape[0]
     block = max(1, CELLS // max(n, 1))
-    per_tree = np.empty((k.max(), n))
+    out = np.empty((k.size, n))
     for first in range(0, k.max(), block):
         stack, left, roots = _stack(forest.trees[first:min(first + block, k.max())])
         leaf = descend(stack, left, x, np.repeat(roots, n), lambda i, f: i % n)
-        per_tree[first:first + roots.size] = stack.value[leaf].reshape(roots.size, n)
-    return per_tree.cumsum(axis=0)[k - 1] / k[:, None]
+        run = stack.value[leaf].reshape(roots.size, n)
+        if first:
+            run[0] += last
+        run.cumsum(axis=0, out=run)
+        last = run[-1]
+        here = (first < k) & (k <= first + roots.size)
+        out[here] = run[k[here] - first - 1]
+    out /= k[:, None]
+    return out
 
 
 def _oob_permutations(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
@@ -459,8 +467,10 @@ def _oob_permutations(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
 
 
 def _accuracy_drops(forest: Forest, x: np.ndarray, positive: np.ndarray,
-                    trees: Sequence[int], oobs: Sequence[np.ndarray]) -> np.ndarray:
-    """(tree, feature) OOB accuracy drops of a block of trees with OOB rows.
+                    trees: Sequence[int]) -> np.ndarray:
+    """(tree, feature) OOB accuracy drops of a block of trees, one row per
+    tree of the block that has OOB rows; a tree's OOB rows are those its
+    bootstrap counts 0 times (see _tree_stream).
 
     Permuting feature g can change a row's leaf only from the first node on
     its path that splits on g, and the path above that node is the
@@ -469,6 +479,8 @@ def _accuracy_drops(forest: Forest, x: np.ndarray, positive: np.ndarray,
     reading the permuted row at g-splits and the row's own value elsewhere.
     """
     p = x.shape[1]
+    oobs = [np.flatnonzero(_tree_stream(forest.params.seed, t, forest.n_train)[1] == 0)
+            for t in trees]
     stack, left, roots = _stack([forest.trees[t] for t in trees])
     m = np.array([oob.size for oob in oobs])
     tree = np.repeat(np.arange(len(trees)), m)  # an element's tree in the block
@@ -506,9 +518,10 @@ def _accuracy_drops(forest: Forest, x: np.ndarray, positive: np.ndarray,
                     lambda i, f: np.where(f == g[i], swapped[i], own[i]))
     change = ((stack.value[moved] >= 0.5) == positive[own]).astype(np.int64) - was
     # exact counts, so c / m has the bits of the mean of a boolean vector
-    c0 = np.bincount(tree, weights=correct, minlength=len(trees))[:, None]
-    dc = np.bincount(cell, weights=change, minlength=len(trees) * p).reshape(-1, p)
-    return c0 / m[:, None] - (c0 + dc) / m[:, None]
+    has = m > 0
+    c0 = np.bincount(tree, weights=correct, minlength=len(trees))[has, None]
+    dc = np.bincount(cell, weights=change, minlength=len(trees) * p).reshape(-1, p)[has]
+    return c0 / m[has, None] - (c0 + dc) / m[has, None]
 
 
 def oob_permutation_importance(forest: Forest, table: FeatureTable) -> ImportanceReport:
@@ -531,18 +544,14 @@ def oob_permutation_importance(forest: Forest, table: FeatureTable) -> Importanc
                            f"got {table.n_samples} rows")
     positive = table.labels == 1
     n_feat = table.n_features
-    oobs = [np.flatnonzero(_tree_stream(forest.params.seed, t, forest.n_train)[1] == 0)
-            for t in range(len(forest.trees))]
-    kept = [t for t, oob in enumerate(oobs) if oob.size]
-    if len(kept) < len(oobs):
-        warnings.warn(f"{len(oobs) - len(kept)} tree(s) had no out-of-bag rows and were skipped")
-    if not kept:
-        raise ModelError("no tree had out-of-bag rows; cannot compute importance")
-    block = max(1, CELLS // forest.n_train)
-    d = np.vstack([_accuracy_drops(forest, x, positive, kept[i:i + block],
-                                   [oobs[t] for t in kept[i:i + block]])
-                   for i in range(0, len(kept), block)])
+    ntree, block = len(forest.trees), max(1, CELLS // forest.n_train)
+    d = np.vstack([_accuracy_drops(forest, x, positive, range(i, min(i + block, ntree)))
+                   for i in range(0, ntree, block)])
     t_count = d.shape[0]
+    if t_count < ntree:
+        warnings.warn(f"{ntree - t_count} tree(s) had no out-of-bag rows and were skipped")
+    if not t_count:
+        raise ModelError("no tree had out-of-bag rows; cannot compute importance")
     mean = d.mean(axis=0)
     sd = d.std(axis=0, ddof=1) if t_count > 1 else np.zeros(n_feat)
     se = sd / math.sqrt(t_count)
@@ -588,7 +597,11 @@ def _tree_from_doc(t: dict, p: int) -> Tree:
         raise ModelError("forest tree feature index is not an integer")
     if not (isinstance(value, list) and set(map(type, value)) <= {int, float}):
         raise ModelError("forest tree value is not a number")
-    tree = Tree(feature=np.asarray(feature, dtype=np.int64), value=np.asarray(value, dtype=float))
+    try:
+        tree = Tree(feature=np.asarray(feature, dtype=np.int64),
+                    value=np.asarray(value, dtype=float))
+    except OverflowError:  # a JSON integer past int64 or past the float range
+        raise ModelError("forest tree feature index or value is out of range") from None
     n = tree.feature.size
     if n == 0 or tree.value.size != n:
         raise ModelError("forest tree node arrays must be non-empty and of equal length")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -430,8 +431,9 @@ def from_doc(doc: dict) -> FittedLogReg:
         raise ModelError(f"unrecognized logistic model document version "
                          f"{doc.get('version')!r}; re-run train to write version 2")
     numbers = (doc["intercept"], doc["log_likelihood"], *doc["coefficients"].values())
-    # an int or a float, not "0.5" or true
-    if not all(type(v) in (int, float) and math.isfinite(v) for v in numbers):
+    # an int or a float, not "0.5" or true; an int past the float range or a
+    # non-finite float fails the comparison
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in numbers):
         raise ModelError("logistic model intercept, coefficients and log_likelihood "
                          "must be finite numbers")
     coefficients = {k: float(v) for k, v in doc["coefficients"].items()}

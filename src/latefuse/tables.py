@@ -147,8 +147,9 @@ class FeatureTable:
     def with_matrix(self, values: np.ndarray, missing: np.ndarray | bool,
                     feature_names: Sequence[str] | None = None) -> "FeatureTable":
         """Same samples, new feature matrix; the cells marked in `missing`
-        (False for none) become NaN. A read-only `values` with none marked is
-        taken as it is, without a copy (see FeatureTable)."""
+        (False for none) become NaN; the benchmark's cohort workload blanks
+        its cells this way (perfbench/pipeline.py). A read-only `values` with
+        none marked is taken as it is, without a copy (see FeatureTable)."""
         if np.any(missing):
             values = _frozen(np.where(missing, np.nan, values))
         return FeatureTable(

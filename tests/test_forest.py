@@ -107,9 +107,10 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_forest_working_memory():
+def test_forest_working_memory(monkeypatch):
     """A memory count, not a time: the traced peak of one fit_forest and of
-    one importance pass at the shape of a desk benchmark MRCV split."""
+    one importance pass at the shape of a desk benchmark MRCV split, and of
+    scoring a forest forty descent blocks deep."""
     t = gaussian_table(168, 168, 100, shifts={f: 0.5 + 0.1 * f for f in range(8)}, seed=3)
     fo, growth = traced_peak(lambda: rf.fit_forest(t, rf.ForestParams(mtry=10, ntree=25, seed=7)))
     _, importance = traced_peak(lambda: rf.oob_permutation_importance(fo, t))
@@ -120,6 +121,16 @@ def test_forest_working_memory():
     # 64-bit growth keys and rank table; importance 4.31 MB with a list of
     # permutation arrays and a copy of each descent's start nodes
     assert growth <= 2.1e6 and importance <= 2.65e6, (growth, importance)
+    # blocks of ten trees, so an array over every (tree, row) pair of the 400
+    # trees would outweigh one block's. 0.19 and 0.48 MB measured; 1.32 and
+    # 0.81 MB with an ntree x n matrix of per-tree outputs and its cumulative
+    # sum, and with every tree's out-of-bag rows derived before the first block
+    t = gaussian_table(100, 100, 10, shifts={0: 1.0}, seed=3)
+    fo = rf.fit_forest(t, rf.ForestParams(mtry=3, ntree=400, seed=7))
+    monkeypatch.setattr(rf, "CELLS", 10 * t.n_samples)
+    _, prefix = traced_peak(lambda: rf.prefix_proba(fo, t, [200, 400]))
+    _, importance = traced_peak(lambda: rf.oob_permutation_importance(fo, t))
+    assert prefix <= 0.3e6 and importance <= 0.6e6, (prefix, importance)
 
 
 def test_bootstrap_and_oob_structure():
@@ -197,11 +208,14 @@ def test_scores_and_importance_do_not_depend_on_the_block(monkeypatch):
 
         def outputs():
             rep = rf.oob_permutation_importance(fo, t)
-            return (rf.prefix_proba(fo, t, [1, 5, 12]), rf.predict_proba(fo, t),
-                    rep.mean_decrease, rep.std_error, rep.normalized)
+            # sizes out of order and repeated; in blocks of five trees, 1 ends
+            # inside a block, 5 at its end, 6 one past it, 12 in a short block
+            return (rf.prefix_proba(fo, t, [1, 5, 12]), rf.prefix_proba(fo, t, [12, 1, 5, 5, 6]),
+                    rf.predict_proba(fo, t), rep.mean_decrease, rep.std_error, rep.normalized)
 
         whole = outputs()  # one block under the default CELLS
         assert rf.CELLS // t.n_samples >= params.ntree
+        assert np.array_equal(whole[1][[1, 2, 3, 0]], whole[0][[0, 1, 1, 2]])
         for cells in (1, 5 * t.n_samples, 2 ** 62):  # blocks of one tree, of five, all
             monkeypatch.setattr(rf, "CELLS", cells)
             assert all(np.array_equal(a, b) for a, b in zip(whole, outputs()))
@@ -351,6 +365,9 @@ def test_only_version_4_documents_load():
     (lambda d, t: t.update(feature=[0, -1, -1], value=["0.5", 0.2, "1"]), "value is not a number"),
     (lambda d, t: t["value"].__setitem__(-1, True), "tree value is not a number"),
     (lambda d, t: t["value"].pop(), "equal length"),
+    # JSON integers past int64 or past the float range
+    (lambda d, t: t["feature"].__setitem__(0, 2 ** 70), "out of range"),
+    (lambda d, t: t["value"].__setitem__(0, 10 ** 400), "out of range"),
     # values to_doc never writes: a split without a finite threshold, a leaf
     # value that is not a proportion in 0..1, more trees named than held
     (lambda d, t: t["value"].__setitem__(0, math.nan), "split threshold"),

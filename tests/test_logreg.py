@@ -255,6 +255,17 @@ def test_serialization_round_trip():
     assert back.selected_order == tuple(doc["coefficients"]) and back.bic == m.bic
 
 
+def test_from_doc_refuses_an_integer_past_the_float_range():
+    t = gaussian_table(40, 40, 3, shifts={0: 2.0}, seed=15)
+    doc = json.loads(json.dumps(lr.to_doc(lr.forward_select(t, list(t.feature_names)))))
+    first = next(iter(doc["coefficients"]))
+    # JSON integers that a float cannot hold
+    for edit in ({"intercept": 10 ** 400}, {"log_likelihood": -10 ** 400},
+                 {"coefficients": dict(doc["coefficients"], **{first: 10 ** 309})}):
+        with pytest.raises(ModelError, match="must be finite numbers"):
+            lr.from_doc(dict(doc, **edit))
+
+
 def reference_newton(x, y, beta):
     """A scalar damped Newton loop on the exact log-likelihood, one design at
     a time, the reference for `lr._newton`: the fit of the design x from the
